@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import time
+import traceback
 from dataclasses import dataclass, field
 
 from scipy.integrate import quad
@@ -42,11 +43,15 @@ class GateResult:
 
 
 def _gate(name, limit, fn) -> GateResult:
+    """Run one gate body; a crash becomes a FAIL so later gates still run."""
     start = time.perf_counter()
-    passed, details, artifacts = fn()
+    try:
+        passed, details, artifacts = fn()
+    except Exception as exc:
+        traceback.print_exc()
+        passed, details, artifacts = False, f"crashed: {type(exc).__name__}: {exc}", {}
     elapsed = time.perf_counter() - start
-    result = GateResult(name, passed, details, elapsed, limit, artifacts)
-    return result
+    return GateResult(name, passed, details, elapsed, limit, artifacts)
 
 
 # ---------------------------------------------------------------------------

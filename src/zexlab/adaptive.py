@@ -22,32 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .besov import FitResult, fit_points
-from .dyadic import DyadicCube, _check_tiling, block_means
-from .grid import GridFunction, lp_norm
+from .dyadic import DyadicCube, _check_tiling, _mean_pyramid, block_means
+from .grid import GridFunction, _abs_pow, lp_norm
 
 PARTITION_DUMP_HEADER = "level,origin_indices,S,status"
 COUNT_CSV_HEADER = "epsilon,N_total,depth,min_side,count_envelope,min_side_bound"
-
-
-def _abs_pow(a: np.ndarray, p: float) -> np.ndarray:
-    out = np.abs(a)
-    if p == 1:
-        return out
-    if p == 2:
-        return out * out
-    return out ** p
-
-
-def _block_sums(values: np.ndarray, d: int, from_level: int, to_level: int) -> np.ndarray:
-    a = values
-    for _ in range(from_level - to_level):
-        for axis in range(d):
-            even = [slice(None)] * d
-            odd = [slice(None)] * d
-            even[axis] = slice(0, None, 2)
-            odd[axis] = slice(1, None, 2)
-            a = a[tuple(even)] + a[tuple(odd)]
-    return a
 
 
 class ErrorPyramid:
@@ -60,16 +39,15 @@ class ErrorPyramid:
         self.p = float(p)
         d, L = f.d, f.level
         cellvol = f.cell_volume
-        self.means = [None] * (L + 1)
+        self.means = _mean_pyramid(f.samples, d, L)
         self.err_pow = [None] * (L + 1)
-        self.means[L] = f.samples
         self.err_pow[L] = np.zeros(f.samples.shape)
         for k in range(L - 1, -1, -1):
-            self.means[k] = block_means(f.samples, d, L, k)
             m, b = 1 << k, 1 << (L - k)
             view = f.samples.reshape(sum(((m, b),) * d, ()))
             mean_view = self.means[k].reshape(sum(((m, 1),) * d, ()))
-            dev = _abs_pow(view - mean_view, self.p)
+            dev = view - mean_view
+            _abs_pow(dev, self.p, out=dev)
             self.err_pow[k] = dev.sum(axis=tuple(range(1, 2 * d, 2))) * cellvol
 
     def s_value(self, cube: DyadicCube) -> float:
@@ -89,11 +67,6 @@ def local_error(f: GridFunction, cube: DyadicCube, p: float) -> float:
     mean = block_means(block, f.d, f.level - cube.level, 0).item()
     dev = _abs_pow(block - mean, p)
     return float((dev.sum() * f.cell_volume) ** (1.0 / p))
-
-
-def cube_mean(f: GridFunction, cube: DyadicCube) -> float:
-    block = f.samples[cube.cell_slices(f.level)]
-    return float(block_means(block, f.d, f.level - cube.level, 0).item())
 
 
 @dataclass(frozen=True)
@@ -206,14 +179,15 @@ def partition_objective(f: GridFunction, cubes, t: float, p: float) -> float:
     if p < 1:
         raise ValueError("p must be >= 1")
     cubes = tuple(cubes)
-    _check_tiling(f.d, cubes)
+    if _check_tiling(f.d, cubes) > f.level:
+        raise ValueError("cube finer than the lattice")
+    pyramid = ErrorPyramid(f, p)
     root_d = math.sqrt(f.d)
     total = 0.0
     for cube in cubes:
-        s = local_error(f, cube, p)
-        mean = cube_mean(f, cube)
-        total += s ** p
-        total += min(root_d * t / cube.side, 1.0) * cube.volume * abs(mean) ** p
+        total += pyramid.err_pow[cube.level][cube.origin]  # S(Q)^p
+        total += min(root_d * t / cube.side, 1.0) * cube.volume \
+            * abs(pyramid.mean(cube)) ** p
     return float(total ** (1.0 / p))
 
 
@@ -258,9 +232,8 @@ class _LocalSeminorms:
     def __init__(self, f: GridFunction, q: float):
         self.q = float(q)
         gq = gradient_magnitude(f) ** q * f.cell_volume
-        self.levels = [None] * (f.level + 1)
-        for k in range(f.level + 1):
-            self.levels[k] = _block_sums(gq, f.d, f.level, k)
+        self.levels = [m * 2.0 ** (f.d * (f.level - k))
+                       for k, m in enumerate(_mean_pyramid(gq, f.d, f.level))]
 
     def value(self, cube: DyadicCube) -> float:
         return float(self.levels[cube.level][cube.origin] ** (1.0 / self.q))
@@ -285,6 +258,7 @@ class CountReport:
     ratio_constant: float          # max observed S(Q) / (|Q|^eta |f|_{W,Q})
     bad_level_constant: float      # max observed |B_k| eps^q 2^(k d eta q) / |f|^q
     slope: FitResult | None
+    partitions: tuple              # the AdaptivePartition behind each row
 
     def to_csv(self) -> str:
         lines = [COUNT_CSV_HEADER]
@@ -341,7 +315,8 @@ def count_bound_report(f: GridFunction, p: float, q: float, epsilons) -> CountRe
     if np.all(ns > 0) and len(ns) >= 4:
         inv_eps = [1.0 / r.epsilon for r in rows]
         slope = fit_points(inv_eps, ns)  # flat counts fit to slope 0
-    return CountReport(eta, seminorm, tuple(rows), ratio_constant, bad_constant, slope)
+    return CountReport(eta, seminorm, tuple(rows), ratio_constant, bad_constant, slope,
+                       tuple(parts[r.epsilon] for r in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -377,10 +352,9 @@ def adaptive_error_rate(f: GridFunction, p: float, q: float, t_grid,
     if epsilons is None:
         epsilons = default_epsilons(f, p)
     pyramid = ErrorPyramid(f, p)
-    fp_levels = [None] * (f.level + 1)
     fp = _abs_pow(f.samples, p) * f.cell_volume
-    for k in range(f.level + 1):
-        fp_levels[k] = _block_sums(fp, f.d, f.level, k)
+    fp_levels = [m * 2.0 ** (f.d * (f.level - k))
+                 for k, m in enumerate(_mean_pyramid(fp, f.d, f.level))]
     per_eps = []
     for e in epsilons:
         part = build_partition(f, p, e, pyramid)

@@ -198,15 +198,13 @@ def cmd_adaptive(config) -> int:
         eps_list = (config["epsilon"],)
     else:
         eps_list = config.get("epsilons") or adaptive.default_epsilons(f, p)
-    pyramid = adaptive.ErrorPyramid(f, p)
-    for eps in eps_list:
-        part = adaptive.build_partition(f, p, eps, pyramid)
+    report = adaptive.count_bound_report(f, p, q, eps_list)
+    for part in report.partitions:
         problems = adaptive.verify_partition(part, f)
         if problems:
             print("\n".join(problems), file=sys.stderr)
             return 1
-        _write(out, f"partition_eps{eps:g}.txt", part.to_text())
-    report = adaptive.count_bound_report(f, p, q, eps_list)
+        _write(out, f"partition_eps{part.epsilon:g}.txt", part.to_text())
     _write(out, "count_scaling.csv", report.to_csv())
     _write_meta(out, config)
     return 0
@@ -327,10 +325,7 @@ def main(argv=None) -> int:
     try:
         config = load_config(args)
         return _COMMANDS[args.command](config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as exc:
+    except (ConfigError, ValueError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

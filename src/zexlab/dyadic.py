@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (GridFunction, LatticeShift, difference, lp_norm,
+from .grid import (GridFunction, LatticeShift, _abs_pow, difference, lp_norm,
                    zero_extend)
 from .moduli import interior_modulus
 
@@ -146,7 +146,7 @@ class PiecewiseConstant:
     def norm_power(self, p: float) -> float:
         """sum over cubes of |Q| |a_Q|^p (the p-th power of the L^p norm)."""
         vols = np.array([c.volume for c in self.cubes])
-        return float((vols * np.abs(self.values) ** p).sum())
+        return float((vols * _abs_pow(self.values, p)).sum())
 
 
 def block_means(samples: np.ndarray, d: int, from_level: int, to_level: int) -> np.ndarray:
@@ -159,13 +159,32 @@ def block_means(samples: np.ndarray, d: int, from_level: int, to_level: int) -> 
         raise ValueError("target level must not exceed the source level")
     a = samples
     for _ in range(from_level - to_level):
-        for axis in range(d):
-            even = [slice(None)] * d
-            odd = [slice(None)] * d
-            even[axis] = slice(0, None, 2)
-            odd[axis] = slice(1, None, 2)
-            a = 0.5 * (a[tuple(even)] + a[tuple(odd)])
+        a = _halve(a, d)
     return a
+
+
+def _halve(a: np.ndarray, d: int) -> np.ndarray:
+    """Means over the 2^d-cell blocks: one level up the dyadic tree."""
+    for axis in range(d):
+        even = [slice(None)] * d
+        odd = [slice(None)] * d
+        even[axis] = slice(0, None, 2)
+        odd[axis] = slice(1, None, 2)
+        a = 0.5 * (a[tuple(even)] + a[tuple(odd)])
+    return a
+
+
+def _mean_pyramid(samples: np.ndarray, d: int, level: int) -> list:
+    """Block means of every level 0..level; entry k holds the level-k means.
+
+    Each level is halved from the one below it, so entry k equals
+    ``block_means(samples, d, level, k)`` bit for bit.  A block sum is the
+    mean times the exact power of two 2^(d (level - k)).
+    """
+    levels = [samples]
+    for _ in range(level):
+        levels.append(_halve(levels[-1], d))
+    return levels[::-1]
 
 
 def dyadic_average(f: GridFunction, level: int) -> PiecewiseConstant:
@@ -223,7 +242,7 @@ def shift_bound_check(pc: PiecewiseConstant, shift: LatticeShift, p: float) -> t
     margin = max(1, max(abs(v) for v in shift.k))
     ext = zero_extend(rendered, margin)
     delta = difference(ext, shift)
-    lhs = float((np.abs(delta.samples) ** p).sum() * ext.cell_volume)
+    lhs = float(_abs_pow(delta.samples, p).sum() * ext.cell_volume)
     root_d = math.sqrt(pc.d)
     if pc.uniform_level is not None:
         rhs = (2.0 ** p) * min(shift.length * (1 << pc.uniform_level) * root_d, 1.0) \
@@ -232,7 +251,7 @@ def shift_bound_check(pc: PiecewiseConstant, shift: LatticeShift, p: float) -> t
         sides = np.array([c.side for c in pc.cubes])
         vols = np.array([c.volume for c in pc.cubes])
         weights = np.minimum(root_d * shift.length / sides, 1.0)
-        rhs = (2.0 ** p) * float((weights * vols * np.abs(pc.values) ** p).sum())
+        rhs = (2.0 ** p) * float((weights * vols * _abs_pow(pc.values, p)).sum())
     return lhs, rhs
 
 

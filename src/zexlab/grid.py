@@ -199,16 +199,22 @@ def zero_extend(f: GridFunction, margin: int | None = None) -> ExtendedGridFunct
     return ExtendedGridFunction(f, margin, window)
 
 
+def _abs_pow(a: np.ndarray, p: float, out: np.ndarray | None = None) -> np.ndarray:
+    """|a|^p in ``out`` (``a`` itself for a temporary) or else in one fresh
+    array: abs once, then square or raise it in place."""
+    out = np.abs(a, out=out)
+    if p == 2:
+        np.multiply(out, out, out=out)
+    elif p != 1:
+        np.power(out, p, out=out)
+    return out
+
+
 def lp_norm(f, p: float) -> float:
     """Midpoint-sum L^p norm; exact for functions constant on cells."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    a = np.abs(f.samples)
-    if p == 1:
-        total = a.sum()
-    else:
-        total = (a ** p).sum()
-    return float((f.cell_volume * total) ** (1.0 / p))
+    return float((f.cell_volume * _abs_pow(f.samples, p).sum()) ** (1.0 / p))
 
 
 def shifted_samples(window: np.ndarray, k) -> np.ndarray:

@@ -186,6 +186,22 @@ def error_norm(spec: KernelSpec, f: GridFunction, p: float,
     return lp_norm(apply_kernel(spec, g) - g, p)
 
 
+def _error_and_modulus(family: str, f: GridFunction, p: float, t: float,
+                       truncation_tail: float, method: str) -> tuple:
+    """(smoothing error, extension modulus) of f at scale t on one window.
+
+    The margin holds both the kernel and the largest shift.  Each t keeps its
+    own window: the window size sets numpy's summation order, so one shared
+    window would move the last bits of some moduli.
+    """
+    spec = KernelSpec(family, t, truncation_tail)
+    radius = kernel_radius_cells(spec, f.d, f.level)
+    shift_cap = int(math.floor(t * f.n + 1e-9))
+    g = zero_extend(f, max(radius, shift_cap, 1))
+    err = lp_norm(apply_kernel(spec, g) - g, p)
+    return err, whole_modulus(g, p, t, method=method)
+
+
 # ---------------------------------------------------------------------------
 # hypothesis-style ratio tables
 
@@ -229,13 +245,7 @@ def error_modulus_ratio(family: str, f: GridFunction, p: float, t_grid,
         raise ValueError("the equivalence band applies to p > 1")
     rows = []
     for t in sorted(t_grid):
-        spec = KernelSpec(family, t, truncation_tail)
-        radius = kernel_radius_cells(spec, f.d, f.level)
-        shift_cap = int(math.floor(t * f.n + 1e-9))
-        margin = max(radius, shift_cap, 1)
-        g = zero_extend(f, margin)
-        err = lp_norm(apply_kernel(spec, g) - g, p)
-        om = whole_modulus(g, p, t, method=method)
+        err, om = _error_and_modulus(family, f, p, t, truncation_tail, method)
         if om <= 0:
             rows.append(RatioRow(t, err, om, math.nan, "undefined"))
         else:
@@ -264,13 +274,7 @@ def l1_log_ratio(family: str, f: GridFunction, t_grid,
     norm1 = lp_norm(f, 1.0)
     rows = []
     for t in sorted(t_grid):
-        spec = KernelSpec(family, t, truncation_tail)
-        radius = kernel_radius_cells(spec, f.d, f.level)
-        shift_cap = int(math.floor(t * f.n + 1e-9))
-        margin = max(radius, shift_cap, 1)
-        g = zero_extend(f, margin)
-        err = lp_norm(apply_kernel(spec, g) - g, 1.0)
-        om = whole_modulus(g, 1.0, t, method=method)
+        err, om = _error_and_modulus(family, f, 1.0, t, truncation_tail, method)
         if om <= 0 or om >= norm1:
             rows.append(LogRatioRow(t, err, om, math.nan, math.nan, "flagged"))
             continue
@@ -306,13 +310,7 @@ def extension_bound_check(family: str, f: GridFunction, p: float, t_grid,
     norm = lp_norm(f, p)
     r_err, r_mod, flags = [], [], []
     for t in ts:
-        spec = KernelSpec(family, t, truncation_tail)
-        radius = kernel_radius_cells(spec, f.d, f.level)
-        shift_cap = int(math.floor(t * f.n + 1e-9))
-        margin = max(radius, shift_cap, 1)
-        g = zero_extend(f, margin)
-        err = lp_norm(apply_kernel(spec, g) - g, p)
-        om = whole_modulus(g, p, t, method=method)
+        err, om = _error_and_modulus(family, f, p, t, truncation_tail, method)
         hyb, _ = hybrid_modulus(f, p, t, ladder=ladder, norm=norm)
         if hyb <= 0:
             r_err.append(math.nan)

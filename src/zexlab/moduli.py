@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import fft as sfft
 
-from .grid import ExtendedGridFunction, GridFunction, lp_norm, shifted_samples
+from .grid import (ExtendedGridFunction, GridFunction, _abs_pow, lp_norm,
+                   shifted_samples)
 
 
 class ResolutionWarning(UserWarning):
@@ -118,19 +119,25 @@ class _SupTable:
         return float(self.powmax[idx])
 
 
-def _collapse(ksq: np.ndarray, dval: np.ndarray, exact: bool) -> _SupTable:
+def _collapse(ksq_blocks, dval_blocks, exact: bool) -> _SupTable:
+    """Sort the per-shift values by squared radius and keep the running max."""
+    if not ksq_blocks:
+        return _SupTable(np.empty(0), np.empty(0), exact)
+    ksq = np.concatenate(ksq_blocks)
     order = np.argsort(ksq, kind="stable")
     ks = ksq[order]
-    dv = np.maximum.accumulate(dval[order])
+    dv = np.maximum.accumulate(np.concatenate(dval_blocks)[order])
     keep = np.empty(len(ks), dtype=bool)
     keep[:-1] = ks[1:] != ks[:-1]
     keep[-1] = True
     return _SupTable(ks[keep].astype(float), dv[keep], exact)
 
 
-def _half_shifts(d: int, per_axis: int, rmax_sq: float):
-    """Integer shifts with positive leading nonzero component, |k|^2 <= rmax_sq."""
-    bound = rmax_sq * (1.0 + 1e-12) + 1e-9
+def _half_shifts(d: int, rmax: float, per_axis: int) -> list:
+    """Integer shifts with positive leading nonzero component, |k| <= rmax and
+    |k_i| <= per_axis, as (m, d) blocks: one per leading component in d=2."""
+    per_axis = min(per_axis, math.floor(rmax + 1e-9))
+    bound = rmax * rmax * (1.0 + 1e-12) + 1e-9
     if d == 1:
         kmax = min(per_axis, int(math.isqrt(int(bound))))
         ks = np.arange(1, kmax + 1, dtype=np.int64)
@@ -165,39 +172,29 @@ def _diff_power_interior(samples: np.ndarray, k, p: float) -> float:
             base.append(slice(-ka, n))
             shifted.append(slice(0, n + ka))
     diff = samples[tuple(shifted)] - samples[tuple(base)]
-    np.abs(diff, out=diff)
-    if p == 1:
-        return float(diff.sum())
-    if p == 2:
-        return float((diff * diff).sum())
-    return float((diff ** p).sum())
+    return float(_abs_pow(diff, p, out=diff).sum())
 
 
 def _diff_power_window(window: np.ndarray, k, p: float) -> float:
     """Sum |g(i+k)-g(i)|^p over the whole window, zero outside."""
     diff = shifted_samples(window, k) - window
-    np.abs(diff, out=diff)
-    if p == 1:
-        return float(diff.sum())
-    if p == 2:
-        return float((diff * diff).sum())
-    return float((diff ** p).sum())
+    return float(_abs_pow(diff, p, out=diff).sum())
 
 
-def _direct_table(arr: np.ndarray, p: float, rmax: float, cellvol: float,
-                  interior: bool) -> _SupTable:
-    d = arr.ndim
-    per_axis = (arr.shape[0] - 1) if interior else int(min(rmax, arr.shape[0] - 1))
-    per_axis = int(min(per_axis, math.floor(rmax + 1e-9)))
+def _enumerated_table(arr: np.ndarray, p: float, rmax: float, cellvol: float,
+                      interior: bool, structured: bool) -> _SupTable:
+    """Evaluate every shift of the half ball (exact) or of the structured
+    direction set (lower bound), one difference norm per shift."""
+    if structured:
+        shifts = np.array(_structured_shifts(arr.ndim, rmax), dtype=np.int64)
+        blocks = [shifts] if len(shifts) else []
+    else:
+        blocks = _half_shifts(arr.ndim, rmax, arr.shape[0] - 1)
     evaluate = _diff_power_interior if interior else _diff_power_window
-    ksqs, dvals = [], []
-    for block in _half_shifts(d, per_axis, rmax * rmax):
-        for row in block:
-            ksqs.append(int((row * row).sum()))
-            dvals.append(evaluate(arr, row, p) * cellvol)
-    if not ksqs:
-        return _SupTable(np.empty(0), np.empty(0), True)
-    return _collapse(np.asarray(ksqs), np.asarray(dvals), True)
+    ksqs = [(block * block).sum(axis=1) for block in blocks]
+    dvals = [np.array([evaluate(arr, k, p) for k in block]) * cellvol
+             for block in blocks]
+    return _collapse(ksqs, dvals, not structured)
 
 
 def _autocorrelation(a: np.ndarray) -> tuple:
@@ -208,56 +205,34 @@ def _autocorrelation(a: np.ndarray) -> tuple:
     return corr, shape
 
 
-def _corr_table_interior_2d(samples: np.ndarray, rmax: float, cellvol: float) -> _SupTable:
-    """Exact full-ball table for p=2 in d=2 via correlation plus box sums."""
-    n = samples.shape[0]
-    per_axis = int(min(math.floor(rmax + 1e-9), n - 1))
-    corr, shape = _autocorrelation(samples)
-    sq = samples * samples
-    pref = np.zeros((n + 1, n + 1))
-    pref[1:, 1:] = sq.cumsum(axis=0).cumsum(axis=1)
+def _corr_table(arr: np.ndarray, rmax: float, cellvol: float, interior: bool) -> _SupTable:
+    """Exact p=2 table: ||f(.+k) - f||_2^2 = (f^2 mass on both overlaps) - 2 corr(k).
 
-    def boxsum(l1, h1, l2, h2):
-        return pref[h1 + 1, h2 + 1] - pref[l1, h2 + 1] - pref[h1 + 1, l2] + pref[l1, l2]
+    On a window (zero outside) both masses are ||g||^2; inside the cube (d=2
+    only) they are box sums of f^2 over the cells whose shift stays in Q.
+    """
+    n = arr.shape[0]
+    corr, shape = _autocorrelation(arr)
+    sq = arr * arr
+    if interior:
+        pref = np.zeros((n + 1, n + 1))
+        pref[1:, 1:] = sq.cumsum(axis=0).cumsum(axis=1)
 
-    bound = rmax * rmax * (1.0 + 1e-12) + 1e-9
-    k2 = np.arange(-per_axis, per_axis + 1, dtype=np.int64)
+        def boxsum(l1, h1, l2, h2):
+            return pref[h1 + 1, h2 + 1] - pref[l1, h2 + 1] - pref[h1 + 1, l2] + pref[l1, l2]
+    else:
+        mass = 2.0 * float(sq.sum())
     ksqs, dvals = [], []
-    for k1 in range(0, per_axis + 1):
-        cols = k2[k2 > 0] if k1 == 0 else k2
-        ksq = k1 * k1 + cols * cols
-        cols = cols[ksq <= bound]
-        ksq = ksq[ksq <= bound]
-        if not cols.size:
-            continue
-        l2 = np.maximum(0, -cols)
-        h2 = n - 1 - np.maximum(0, cols)
-        a_side = boxsum(0, n - 1 - k1, l2, h2)
-        b_side = boxsum(k1, n - 1, l2 + cols, h2 + cols)
-        c_mid = corr[k1 % shape[0], cols % shape[1]]
-        dv = np.maximum(a_side + b_side - 2.0 * c_mid, 0.0) * cellvol
-        ksqs.append(ksq)
-        dvals.append(dv)
-    if not ksqs:
-        return _SupTable(np.empty(0), np.empty(0), True)
-    return _collapse(np.concatenate(ksqs), np.concatenate(dvals), True)
-
-
-def _corr_table_window(window: np.ndarray, rmax: float, cellvol: float) -> _SupTable:
-    """p=2 window table: ||D_k g||_2^2 = 2||g||^2 - 2 corr(k), g zero outside."""
-    d = window.ndim
-    per_axis = int(min(math.floor(rmax + 1e-9), window.shape[0] - 1))
-    corr, shape = _autocorrelation(window)
-    total = float((window * window).sum())
-    ksqs, dvals = [], []
-    for block in _half_shifts(d, per_axis, rmax * rmax):
-        for row in block:
-            idx = tuple(int(v) % s for v, s in zip(row, shape))
-            dvals.append(max(2.0 * total - 2.0 * float(corr[idx]), 0.0) * cellvol)
-            ksqs.append(int((row * row).sum()))
-    if not ksqs:
-        return _SupTable(np.empty(0), np.empty(0), True)
-    return _collapse(np.asarray(ksqs), np.asarray(dvals), True)
+    for block in _half_shifts(arr.ndim, rmax, n - 1):
+        if interior:
+            k1, cols = int(block[0, 0]), block[:, 1]
+            l2 = np.maximum(0, -cols)
+            h2 = n - 1 - np.maximum(0, cols)
+            mass = boxsum(0, n - 1 - k1, l2, h2) + boxsum(k1, n - 1, l2 + cols, h2 + cols)
+        c = corr[tuple(block[:, a] % s for a, s in enumerate(shape))]
+        dvals.append(np.maximum(mass - 2.0 * c, 0.0) * cellvol)
+        ksqs.append((block * block).sum(axis=1))
+    return _collapse(ksqs, dvals, True)
 
 
 def _structured_shifts(d: int, rmax: float, seed: int = _DIRECTION_SEED):
@@ -306,57 +281,35 @@ def _structured_shifts(d: int, rmax: float, seed: int = _DIRECTION_SEED):
     return sorted(shifts)
 
 
-def _structured_table(arr: np.ndarray, p: float, rmax: float, cellvol: float,
-                      interior: bool) -> _SupTable:
-    evaluate = _diff_power_interior if interior else _diff_power_window
-    ksqs, dvals = [], []
-    for k in _structured_shifts(arr.ndim, rmax):
-        ksqs.append(sum(v * v for v in k))
-        dvals.append(evaluate(arr, k, p) * cellvol)
-    if not ksqs:
-        return _SupTable(np.empty(0), np.empty(0), False)
-    return _collapse(np.asarray(ksqs), np.asarray(dvals), False)
-
-
-def _ball_half_count(d: int, rmax: float) -> float:
+def _table_method(d: int, p: float, rmax: float, cells: int, interior: bool,
+                  method: str) -> str:
+    """Resolve ``auto`` to a table method; reject invalid explicit choices."""
+    if method not in ("auto", "direct", "corr", "structured"):
+        raise ValueError(f"unknown sup method {method!r}")
+    if method == "corr":
+        if p != 2:
+            raise ValueError("the correlation method applies to p = 2 only")
+        if interior and d != 2:
+            raise ValueError("correlation method unavailable for this case")
+    if method != "auto":
+        return method
     if d == 1:
-        return rmax
+        return "direct"
     if d == 2:
-        return math.pi * rmax * rmax / 2.0
-    return 4.0 * math.pi * rmax ** 3 / 6.0
+        if p == 2:
+            return "corr"
+        work = math.pi * rmax * rmax / 2.0 * cells  # half-ball shifts x cells
+        return "direct" if work <= _DIRECT_WORK_BUDGET else "structured"
+    # d == 3: direction-set lower bound by design (experimental dimension)
+    return "structured"
 
 
 def _build_table(arr: np.ndarray, p: float, rmax: float, cellvol: float,
                  interior: bool, method: str) -> _SupTable:
-    d = arr.ndim
-    if method not in ("auto", "direct", "corr", "structured"):
-        raise ValueError(f"unknown sup method {method!r}")
-    if method == "direct":
-        return _direct_table(arr, p, rmax, cellvol, interior)
+    method = _table_method(arr.ndim, p, rmax, arr.size, interior, method)
     if method == "corr":
-        if p != 2:
-            raise ValueError("the correlation method applies to p = 2 only")
-        if interior and d == 2:
-            return _corr_table_interior_2d(arr, rmax, cellvol)
-        if not interior:
-            return _corr_table_window(arr, rmax, cellvol)
-        raise ValueError("correlation method unavailable for this case")
-    if method == "structured":
-        return _structured_table(arr, p, rmax, cellvol, interior)
-    # auto dispatch
-    if d == 1:
-        return _direct_table(arr, p, rmax, cellvol, interior)
-    if d == 2:
-        if p == 2:
-            if interior:
-                return _corr_table_interior_2d(arr, rmax, cellvol)
-            return _corr_table_window(arr, rmax, cellvol)
-        work = _ball_half_count(d, rmax) * arr.size
-        if work <= _DIRECT_WORK_BUDGET:
-            return _direct_table(arr, p, rmax, cellvol, interior)
-        return _structured_table(arr, p, rmax, cellvol, interior)
-    # d == 3: direction-set lower bound by design (experimental dimension)
-    return _structured_table(arr, p, rmax, cellvol, interior)
+        return _corr_table(arr, rmax, cellvol, interior)
+    return _enumerated_table(arr, p, rmax, cellvol, interior, method == "structured")
 
 
 # ---------------------------------------------------------------------------
@@ -423,47 +376,41 @@ def whole_modulus(g: ExtendedGridFunction, p: float, t: float, method: str = "au
     return table.lookup_power(rmax) ** (1.0 / p)
 
 
-def interior_curve(f: GridFunction, p: float, t_grid=None, method: str = "auto",
-                   name: str = "") -> ModulusCurve:
+def _curve(kind: str, arr, n: int, p: float, t_grid, method: str, name: str,
+           extra: dict) -> ModulusCurve:
+    """Shared body of the interior and whole curves: one supremum table for the
+    largest scale, then one lookup per t on the radius t * n cells."""
     _check_p(p)
-    ts = tuple(sorted(t_grid)) if t_grid is not None else default_t_grid(f.level)
-    rmax = max(ts) * f.n
-    table = _build_table(f.samples, p, rmax, f.cell_volume, True, method) \
+    ts = tuple(sorted(t_grid)) if t_grid is not None else default_t_grid(arr.level)
+    interior = kind == "interior"
+    if not interior:
+        _require_margin(arr, _window_shift_cap(arr, max(ts)))
+    rmax = max(ts) * n
+    table = _build_table(arr.samples, p, rmax, arr.cell_volume, interior, method) \
         if rmax >= 1 else _SupTable(np.empty(0), np.empty(0), True)
     points, flags = [], []
     for t in ts:
-        r = t * f.n
+        r = t * n
         if r < 1.0 - 1e-9:
             points.append((t, 0.0))
             flags.append("below_resolution")
         else:
             points.append((t, table.lookup_power(r) ** (1.0 / p)))
             flags.append("" if table.exact else "lower_bound")
-    meta = {"d": f.d, "L": f.level, "function": name, "exact": table.exact}
-    return ModulusCurve("interior", p, tuple(points), meta, tuple(flags))
+    meta = {"d": arr.d, "L": arr.level, "function": name, **extra, "exact": table.exact}
+    return ModulusCurve(kind, p, tuple(points), meta, tuple(flags))
+
+
+def interior_curve(f: GridFunction, p: float, t_grid=None, method: str = "auto",
+                   name: str = "") -> ModulusCurve:
+    """Interior modulus at every scale of ``t_grid`` (default: dyadic grid)."""
+    return _curve("interior", f, f.n, p, t_grid, method, name, {})
 
 
 def whole_curve(g: ExtendedGridFunction, p: float, t_grid=None, method: str = "auto",
                 name: str = "") -> ModulusCurve:
-    _check_p(p)
-    ts = tuple(sorted(t_grid)) if t_grid is not None else default_t_grid(g.level)
-    cap = _window_shift_cap(g, max(ts))
-    _require_margin(g, cap)
-    rmax = max(ts) * g.base.n
-    table = _build_table(g.samples, p, rmax, g.cell_volume, False, method) \
-        if rmax >= 1 else _SupTable(np.empty(0), np.empty(0), True)
-    points, flags = [], []
-    for t in ts:
-        r = t * g.base.n
-        if r < 1.0 - 1e-9:
-            points.append((t, 0.0))
-            flags.append("below_resolution")
-        else:
-            points.append((t, table.lookup_power(r) ** (1.0 / p)))
-            flags.append("" if table.exact else "lower_bound")
-    meta = {"d": g.d, "L": g.level, "function": name, "margin": g.margin,
-            "exact": table.exact}
-    return ModulusCurve("whole", p, tuple(points), meta, tuple(flags))
+    """Whole modulus at every scale of ``t_grid``; the margin must hold every shift."""
+    return _curve("whole", g, g.base.n, p, t_grid, method, name, {"margin": g.margin})
 
 
 def interior_dyadic_values(f: GridFunction, p: float, js, method: str = "auto") -> dict:

@@ -30,3 +30,26 @@ def test_verify_cli_runs_everything(tmp_path):
     assert (out / "shift_bound_suite.csv").exists()
     assert (out / "count_scaling.csv").exists()
     assert (out / "run_meta.txt").exists()
+
+
+def test_crashing_gate_fails_alone(tmp_path, monkeypatch, capsys):
+    from zexlab.cli import main
+
+    def crash():
+        raise RuntimeError("boom")
+
+    def gate_crashing():
+        return acceptance._gate("crashing gate", None, crash)
+
+    def gate_cheap():
+        return acceptance._gate("cheap gate", None,
+                                lambda: (True, "fine", {"cheap.txt": "ok\n"}))
+
+    monkeypatch.setattr(acceptance, "GATES", (gate_crashing, gate_cheap))
+    out = tmp_path / "verify"
+    assert main(["verify", "--out", str(out)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("[FAIL] crashing gate")
+    assert lines[0].endswith("crashed: RuntimeError: boom")
+    assert lines[1].startswith("[PASS] cheap gate")
+    assert (out / "cheap.txt").read_text() == "ok\n"

@@ -1,13 +1,14 @@
 import math
 
+import numpy as np
 import pytest
 
 from zexlab.adaptive import (ErrorPyramid, adaptive_error_rate, build_partition,
                              count_bound_report, default_epsilons, local_error,
                              partition_objective, sobolev_seminorm,
                              verify_partition)
-from zexlab.dyadic import DyadicCube
-from zexlab.grid import const, corpus, cusp, linear, sample
+from zexlab.dyadic import DyadicCube, block_means, random_partition
+from zexlab.grid import const, corpus, cusp, linear, random_dyadic, sample
 
 
 def test_local_error_linear_root():
@@ -96,6 +97,28 @@ def test_objective_rejects_non_tiling():
     f = sample(linear(), 1, 6)
     with pytest.raises(ValueError):
         partition_objective(f, [DyadicCube(1, (0,))], 0.25, 2)
+    with pytest.raises(ValueError, match="finer than the lattice"):
+        partition_objective(sample(linear(), 1, 2),
+                            [DyadicCube(3, (i,)) for i in range(8)], 0.25, 2)
+
+
+def test_objective_matches_local_error_reference():
+    rng = np.random.default_rng(5)
+    for spec, d, level in ((cusp(0.5), 1, 9), (random_dyadic(3, 4), 2, 6),
+                           (cusp(0.4), 3, 4)):
+        f = sample(spec, d, level)
+        for p in (1.0, 2.0, 3.0):
+            cubes = random_partition(rng, d, min(level, 4))
+            t = 2.0 ** -4
+            total = 0.0
+            for cube in cubes:
+                block = f.samples[cube.cell_slices(level)]
+                mean = block_means(block, d, level - cube.level, 0).item()
+                total += local_error(f, cube, p) ** p
+                total += min(math.sqrt(d) * t / cube.side, 1.0) * cube.volume \
+                    * abs(mean) ** p
+            assert partition_objective(f, cubes, t, p) == pytest.approx(
+                total ** (1.0 / p), rel=1e-12, abs=1e-15)
 
 
 def test_sobolev_seminorm_values():

@@ -100,6 +100,43 @@ epsilon = 0.15
     assert len(good_level1) == 2
 
 
+def test_adaptive_subcommand_builds_one_pyramid(tmp_path, monkeypatch):
+    from zexlab import adaptive
+    from zexlab.grid import parse_spec, sample
+
+    built = []
+    original = adaptive.ErrorPyramid.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(adaptive.ErrorPyramid, "__init__", counting)
+    cfg = _write_config(tmp_path, "function = random level=4 seed=3\nd = 2\n"
+                                  "L = 6\np = 2\n")
+    out = tmp_path / "out"
+    assert main(["adaptive", "--config", cfg, "--out", str(out)]) == 0
+    assert len(built) == 1
+    # each file equals the one built through the library, partition by partition
+    f = sample(parse_spec("random level=4 seed=3"), 2, 6)
+    epsilons = adaptive.default_epsilons(f, 2.0)
+    written = sorted(path.name for path in out.glob("partition_eps*.txt"))
+    assert written == sorted(f"partition_eps{e:g}.txt" for e in epsilons)
+    for eps in epsilons:
+        assert (out / f"partition_eps{eps:g}.txt").read_text() == \
+            adaptive.build_partition(f, 2.0, eps).to_text()
+    assert (out / "count_scaling.csv").read_text() == \
+        adaptive.count_bound_report(f, 2.0, 2.0, epsilons).to_csv()
+
+
+def test_adaptive_eta_guard_exits_2_before_writing(tmp_path):
+    # eta = 1/3 - 1/q + 1/p < 0
+    cfg = _write_config(tmp_path, "function = linear\nd = 3\nL = 4\np = 3\nq = 1\n")
+    out = tmp_path / "out"
+    assert main(["adaptive", "--config", cfg, "--out", str(out)]) == 2
+    assert not list(out.glob("partition_eps*.txt"))
+
+
 def test_hybrid_subcommand(tmp_path):
     cfg = _write_config(tmp_path, "function = cusp alpha=0.5\nd = 1\nL = 8\np = 2\n")
     out = tmp_path / "out"

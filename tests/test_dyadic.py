@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from zexlab.dyadic import (DyadicCube, PiecewiseConstant, average_error_report,
-                           dyadic_average, equality_case, random_partition,
+from zexlab.dyadic import (DyadicCube, PiecewiseConstant, _mean_pyramid,
+                           average_error_report, block_means, dyadic_average, equality_case, random_partition,
                            render_average, shift_bound_check, shift_bound_suite,
                            suite_to_csv, unit_ball_volume)
 from zexlab.grid import (LatticeShift, const, corpus, cusp, linear, lp_norm,
@@ -158,3 +158,13 @@ def test_render_round_trip():
         block = f.samples[cube.cell_slices(5)]
         assert np.all(block == value)
     assert lp_norm(f, 2) ** 2 == pytest.approx(pc.norm_power(2), rel=1e-12)
+
+
+def test_mean_pyramid_matches_block_means_bit_exact():
+    for d, level in ((1, 9), (2, 6), (3, 4)):
+        for spec in (cusp(0.5), random_dyadic(level - 1, 3), linear()):
+            f = sample(spec, d, level)
+            pyramid = _mean_pyramid(f.samples, d, level)
+            assert len(pyramid) == level + 1
+            for k in range(level + 1):
+                assert np.array_equal(pyramid[k], block_means(f.samples, d, level, k))
