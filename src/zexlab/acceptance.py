@@ -16,8 +16,8 @@ from scipy.integrate import quad
 from scipy.special import ndtr
 
 from . import adaptive, besov, dyadic, kernels, moduli
-from .grid import (boundary_power, const, corpus, cusp, indicator, linear,
-                   lp_norm, sample, zero_extend)
+from .grid import (_shift_cells, boundary_power, const, corpus, cusp,
+                   indicator, linear, lp_norm, sample, zero_extend)
 
 DEFAULT_SEED = 7
 
@@ -133,7 +133,7 @@ def gate_indicator_exponents() -> GateResult:
         level = 12
         f = sample(const(1.0), 1, level)
         grid = [2.0 ** (-j) for j in range(7, 1, -1)]
-        g = zero_extend(f, int(max(grid) * f.n))
+        g = zero_extend(f, _shift_cells(max(grid), f.n))
         problems = []
         artifacts = {}
         for p in (1.0, 2.0, 3.0):
@@ -403,7 +403,7 @@ def artifact_bundle(seed: int = DEFAULT_SEED) -> dict:
     f = sample(cusp(0.5), 1, 10)
     grid = [2.0 ** (-j) for j in range(7, 1, -1)]
     out["interior.csv"] = moduli.interior_curve(f, 2.0, grid, name="cusp").to_csv()
-    g = zero_extend(f, int(max(grid) * f.n))
+    g = zero_extend(f, _shift_cells(max(grid), f.n))
     out["whole.csv"] = moduli.whole_curve(g, 2.0, grid, name="cusp").to_csv()
     out["hybrid.csv"] = moduli.hybrid_curve(f, 2.0, grid, name="cusp").to_csv()
     f1 = sample(linear(), 1, 8)
@@ -444,11 +444,12 @@ GATES = (
 )
 
 
+def run_gate(gate, seed: int = DEFAULT_SEED) -> GateResult:
+    """Run one gate of ``GATES``, passing the seed to the seeded ones."""
+    if gate in (gate_shift_bounds, gate_determinism):
+        return gate(seed)
+    return gate()
+
+
 def run_all(seed: int = DEFAULT_SEED) -> list:
-    results = []
-    for gate in GATES:
-        if gate in (gate_shift_bounds, gate_determinism):
-            results.append(gate(seed))
-        else:
-            results.append(gate())
-    return results
+    return [run_gate(gate, seed) for gate in GATES]

@@ -282,7 +282,7 @@ def count_bound_report(f: GridFunction, p: float, q: float, epsilons) -> CountRe
     seminorm = sobolev_seminorm(f, q)
     local = _LocalSeminorms(f, q)
     pyramid = ErrorPyramid(f, p)
-    epsilons = sorted(float(e) for e in epsilons)
+    epsilons = sorted({float(e) for e in epsilons})
     parts = {e: build_partition(f, p, e, pyramid) for e in epsilons}
     ratio_constant = 0.0
     bad_constant = 0.0

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction, lp_norm, zero_extend
-from .moduli import (ModulusCurve, interior_curve, interior_ladder,
-                     whole_curve)
+from .grid import GridFunction, _shift_cells, lp_norm, zero_extend
+from .moduli import (ModulusCurve, _dyadic_grid, interior_curve,
+                     interior_ladder, interior_modulus, whole_curve)
 
 
 @dataclass(frozen=True)
@@ -109,13 +109,6 @@ def default_fit_window(level: int) -> tuple:
     return (4.0 * 2.0 ** (-level), 0.25)
 
 
-def _dyadic_grid(level: int, t_min: float, t_max: float) -> tuple:
-    js = range(0, level + 1)
-    ts = [2.0 ** (-j) for j in js
-          if t_min * (1 - 1e-12) <= 2.0 ** (-j) <= t_max * (1 + 1e-12)]
-    return tuple(sorted(ts))
-
-
 # ---------------------------------------------------------------------------
 # exponent transfer for the zero-extension
 
@@ -130,7 +123,7 @@ class DropReport:
 
 
 def exponent_drop_check(f: GridFunction, p: float, window=None,
-                        method: str = "auto", name: str = "") -> DropReport:
+                        name: str = "") -> DropReport:
     """Measure the interior rate alpha, the whole-space rate of the
     zero-extension, and compare against the predicted drop alpha/(alpha p + 1).
 
@@ -143,15 +136,14 @@ def exponent_drop_check(f: GridFunction, p: float, window=None,
     if window is None:
         window = default_fit_window(f.level)
     grid = _dyadic_grid(f.level, *window)
-    zc = interior_curve(f, p, grid, method=method, name=name)
+    zc = interior_curve(f, p, grid, name=name)
     if np.any(zc.values <= 0):
         raise ValueError(
             "vanishing interior modulus: rate undefined; use the ratio "
             "boundedness check for constants instead")
     alpha = fit_exponent(zc, window)
-    max_cells = int(math.floor(max(grid) * f.n + 1e-9))
-    g = zero_extend(f, max_cells)
-    wc = whole_curve(g, p, grid, method=method, name=name)
+    g = zero_extend(f, _shift_cells(max(grid), f.n))
+    wc = whole_curve(g, p, grid, name=name)
     beta = fit_exponent(wc, window)
     beta_pred = alpha.slope / (alpha.slope * p + 1.0)
     passed = beta.slope >= beta_pred - 0.05
@@ -162,11 +154,9 @@ def exponent_drop_check(f: GridFunction, p: float, window=None,
 # profile inversion and the balanced envelope
 
 
-def scale_profile(f: GridFunction, p: float, s: float, method: str = "auto") -> float:
+def scale_profile(f: GridFunction, p: float, s: float) -> float:
     """s^(1/p) times the interior modulus at scale s (direct evaluation)."""
-    from .moduli import interior_modulus
-
-    return s ** (1.0 / p) * interior_modulus(f, p, s, method=method)
+    return s ** (1.0 / p) * interior_modulus(f, p, s)
 
 
 class BalancedEnvelope:
@@ -182,7 +172,7 @@ class BalancedEnvelope:
     psi(t_j) = zeta_j up to interpolation error.
     """
 
-    def __init__(self, f: GridFunction, p: float, ladder=None, method: str = "auto"):
+    def __init__(self, f: GridFunction, p: float, ladder=None):
         if p < 1:
             raise ValueError("p must be >= 1")
         self.p = float(p)
@@ -190,7 +180,7 @@ class BalancedEnvelope:
         if self.norm <= 0:
             raise ValueError("zero function has no envelope")
         if ladder is None:
-            ladder = interior_ladder(f, p, method=method)
+            ladder = interior_ladder(f, p)
         ladder = np.asarray(ladder, dtype=float)
         js = np.arange(len(ladder))
         s = 2.0 ** (-js)
@@ -231,13 +221,13 @@ class LadderReport:
     step_bound: float
 
 
-def envelope_ladder_report(f: GridFunction, p: float, method: str = "auto") -> LadderReport:
+def envelope_ladder_report(f: GridFunction, p: float) -> LadderReport:
     """Evaluate the envelope on its natural ladder and report the identities.
 
     psi(t_j) should reproduce the interior ladder within interpolation
     tolerance, and consecutive t_j may shrink by at most 3^(p+1).
     """
-    env = BalancedEnvelope(f, p, method=method)
+    env = BalancedEnvelope(f, p)
     ts = env.t_ladder()
     psi = np.array([env(t) for t in ts])
     rel = np.abs(psi - env.ladder) / env.ladder
@@ -263,8 +253,7 @@ class EmbeddingReport:
     t_floors: tuple
 
 
-def besov_embedding_check(spec, d: int, p: float, q: float, levels,
-                          method: str = "auto") -> EmbeddingReport:
+def besov_embedding_check(spec, d: int, p: float, q: float, levels) -> EmbeddingReport:
     """Discrete seminorm of the zero-extension at the transferred indices.
 
     alpha is measured from the finest resolution's interior curve; the
@@ -286,7 +275,7 @@ def besov_embedding_check(spec, d: int, p: float, q: float, levels,
                                tuple(4.0 * 2.0 ** (-L) for L in levels))
     window = default_fit_window(levels[-1])
     fine_grid = _dyadic_grid(levels[-1], *window)
-    alpha = fit_exponent(interior_curve(f_fine, p, fine_grid, method=method), window).slope
+    alpha = fit_exponent(interior_curve(f_fine, p, fine_grid), window).slope
     beta = alpha / (alpha * p + 1.0)
     r = q * (1.0 + alpha * p)
     BesovParams(beta, p, r)  # transferred indices must be admissible
@@ -296,8 +285,8 @@ def besov_embedding_check(spec, d: int, p: float, q: float, levels,
         t_floor = 4.0 * 2.0 ** (-L)
         grid = _dyadic_grid(L, t_floor, 1.0)
         g = zero_extend(f, f.n)
-        wc = whole_curve(g, p, grid, method=method)
-        zc = interior_curve(f, p, grid, method=method)
+        wc = whole_curve(g, p, grid)
+        zc = interior_curve(f, p, grid)
         semi = besov_seminorm(wc, beta, r)
         domain = besov_seminorm(zc, alpha, q)
         norm = lp_norm(f, p)
@@ -321,7 +310,7 @@ class WitnessReport:
     growth: float        # integral at the halved floor over the baseline
 
 
-def divergence_witness(f: GridFunction, p: float, method: str = "auto") -> WitnessReport:
+def divergence_witness(f: GridFunction, p: float) -> WitnessReport:
     """Grid-floor sensitivity of the critical-index integral.
 
     The quantity is the integral of (t^-alpha zeta(t)^(1-alpha p))^p dt/t
@@ -329,7 +318,7 @@ def divergence_witness(f: GridFunction, p: float, method: str = "auto") -> Witne
     interior rate.  For alpha >= 1/p the integrand is non-integrable at 0, so
     halving the floor must grow the integral; the report records the factor.
     """
-    ladder = interior_ladder(f, p, method=method)
+    ladder = interior_ladder(f, p)
     window = default_fit_window(f.level)
     grid = _dyadic_grid(f.level, *window)
     js = [int(round(-math.log2(t))) for t in grid]

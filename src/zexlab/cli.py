@@ -26,7 +26,7 @@ import time
 from pathlib import Path
 
 from . import acceptance, adaptive, besov, dyadic, kernels, moduli
-from .grid import parse_spec, sample, zero_extend
+from .grid import _shift_cells, parse_spec, sample, zero_extend
 
 _KNOWN_KEYS = {
     "function", "d", "L", "p", "q", "kernel", "window", "epsilons", "kind",
@@ -126,14 +126,12 @@ def _function(config):
 
 
 def _t_grid(config, level):
-    if "window" in config:
-        lo, hi = config["window"]
-        grid = [2.0 ** (-j) for j in range(level, -1, -1)
-                if lo * (1 - 1e-12) <= 2.0 ** (-j) <= hi * (1 + 1e-12)]
-        if not grid:
-            raise ConfigError("window contains no dyadic scales")
-        return tuple(grid)
-    return moduli.default_t_grid(level)
+    if "window" not in config:
+        return moduli.default_t_grid(level)
+    grid = moduli._dyadic_grid(level, *config["window"])
+    if not grid:
+        raise ConfigError("window contains no dyadic scales")
+    return grid
 
 
 def cmd_modulus(config) -> int:
@@ -145,7 +143,7 @@ def cmd_modulus(config) -> int:
         if kind == "interior":
             curve = moduli.interior_curve(f, p, grid, name=spec.describe())
         elif kind == "whole":
-            g = zero_extend(f, max(1, int(max(grid) * f.n)))
+            g = zero_extend(f, max(1, _shift_cells(max(grid), f.n)))
             curve = moduli.whole_curve(g, p, grid, name=spec.describe())
         elif kind == "hybrid":
             curve = moduli.hybrid_curve(f, p, grid, name=spec.describe())
@@ -283,10 +281,10 @@ def cmd_embedding(config) -> int:
 def cmd_verify(config) -> int:
     out = _outdir(config)
     seed = int(config.get("seed", acceptance.DEFAULT_SEED))
-    results = acceptance.run_all(seed)
     all_ok = True
-    for result in results:
-        print(result.line())
+    for gate in acceptance.GATES:
+        result = acceptance.run_gate(gate, seed)
+        print(result.line(), flush=True)
         all_ok = all_ok and result.passed and result.in_budget
         for name, body in result.artifacts.items():
             _write(out, name, body)

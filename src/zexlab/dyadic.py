@@ -209,8 +209,7 @@ def average_error_constant(d: int, p: float) -> float:
     return (unit_ball_volume(d) * d ** ((d + p) / 2.0)) ** (1.0 / p)
 
 
-def average_error_report(f: GridFunction, level: int, p: float,
-                         method: str = "auto") -> tuple:
+def average_error_report(f: GridFunction, level: int, p: float) -> tuple:
     """(error, bound, constant) for the level-`level` average projection.
 
     error is ||f - f_avg||_p as an exact cell sum; bound is the constant
@@ -220,7 +219,7 @@ def average_error_report(f: GridFunction, level: int, p: float,
         raise ValueError("need level <= L-2 so the modulus scale is resolvable")
     error = lp_norm(f - render_average(f, level), p)
     constant = average_error_constant(f.d, p)
-    bound = constant * interior_modulus(f, p, 2.0 ** (-level), method=method)
+    bound = constant * interior_modulus(f, p, 2.0 ** (-level))
     return error, bound, constant
 
 

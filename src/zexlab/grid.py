@@ -16,6 +16,13 @@ import numpy as np
 MAX_DIM = 3
 
 
+def _check_lattice(d: int, level: int):
+    if not 1 <= d <= MAX_DIM:
+        raise ValueError(f"dimension must be in 1..{MAX_DIM}, got {d}")
+    if level < 1:
+        raise ValueError("resolution exponent must be >= 1")
+
+
 def _readonly(a) -> np.ndarray:
     out = np.ascontiguousarray(np.asarray(a, dtype=float))
     out.setflags(write=False)
@@ -35,10 +42,7 @@ class GridFunction:
     samples: np.ndarray
 
     def __post_init__(self):
-        if not 1 <= self.d <= MAX_DIM:
-            raise ValueError(f"dimension must be in 1..{MAX_DIM}, got {self.d}")
-        if self.level < 1:
-            raise ValueError("resolution exponent must be >= 1")
+        _check_lattice(self.d, self.level)
         a = _readonly(self.samples)
         n = 1 << self.level
         if a.shape != (n,) * self.d:
@@ -87,51 +91,46 @@ class ExtendedGridFunction:
 
     Samples cover [-margin*2^-L, 1 + margin*2^-L]^d.  For windows produced by
     :func:`zero_extend` every cell whose midpoint lies outside the unit cube
-    holds an exact zero, and the central block reproduces ``base`` bit for
-    bit.
+    holds an exact zero.  The window is the only stored copy; ``base`` is its
+    central block.
     """
 
-    base: GridFunction
+    d: int
+    level: int
     margin: int
     samples: np.ndarray
 
     def __post_init__(self):
+        _check_lattice(self.d, self.level)
         if self.margin < 0:
             raise ValueError("margin must be >= 0")
         a = _readonly(self.samples)
-        size = self.base.n + 2 * self.margin
-        if a.shape != (size,) * self.base.d:
-            raise ValueError(f"expected window of shape {(size,) * self.base.d}, got {a.shape}")
+        if a.shape != (self.size,) * self.d:
+            raise ValueError(f"expected window of shape {(self.size,) * self.d}, got {a.shape}")
         if not np.all(np.isfinite(a)):
             raise ValueError("samples must be finite")
-        core = tuple(slice(self.margin, self.margin + self.base.n) for _ in range(self.base.d))
-        if not np.array_equal(a[core], self.base.samples):
-            raise ValueError("central block must reproduce the base samples exactly")
         object.__setattr__(self, "samples", a)
 
     @property
-    def d(self) -> int:
-        return self.base.d
-
-    @property
-    def level(self) -> int:
-        return self.base.level
+    def n(self) -> int:
+        return 1 << self.level
 
     @property
     def size(self) -> int:
-        return self.base.n + 2 * self.margin
+        return self.n + 2 * self.margin
 
     @property
     def cell_volume(self) -> float:
-        return self.base.cell_volume
+        return 2.0 ** (-self.d * self.level)
 
-    @classmethod
-    def from_window(cls, d, level, margin, samples) -> "ExtendedGridFunction":
-        """Build from raw window samples; the base is the central block."""
-        a = np.asarray(samples, dtype=float)
-        n = 1 << level
-        core = tuple(slice(margin, margin + n) for _ in range(d))
-        return cls(GridFunction(d, level, a[core].copy()), margin, a)
+    @property
+    def base(self) -> GridFunction:
+        """The central block: the samples on the unit cube."""
+        core = tuple(slice(self.margin, self.margin + self.n) for _ in range(self.d))
+        return GridFunction(self.d, self.level, self.samples[core])
+
+    def _like(self, samples) -> "ExtendedGridFunction":
+        return ExtendedGridFunction(self.d, self.level, self.margin, samples)
 
     def _check_same(self, other):
         if not isinstance(other, ExtendedGridFunction):
@@ -141,17 +140,14 @@ class ExtendedGridFunction:
 
     def __add__(self, other):
         self._check_same(other)
-        return ExtendedGridFunction.from_window(
-            self.d, self.level, self.margin, self.samples + other.samples)
+        return self._like(self.samples + other.samples)
 
     def __sub__(self, other):
         self._check_same(other)
-        return ExtendedGridFunction.from_window(
-            self.d, self.level, self.margin, self.samples - other.samples)
+        return self._like(self.samples - other.samples)
 
     def __mul__(self, c):
-        return ExtendedGridFunction.from_window(
-            self.d, self.level, self.margin, self.samples * float(c))
+        return self._like(self.samples * float(c))
 
     __rmul__ = __mul__
 
@@ -196,7 +192,12 @@ def zero_extend(f: GridFunction, margin: int | None = None) -> ExtendedGridFunct
     window = np.zeros((size,) * f.d)
     core = tuple(slice(margin, margin + f.n) for _ in range(f.d))
     window[core] = f.samples
-    return ExtendedGridFunction(f, margin, window)
+    return ExtendedGridFunction(f.d, f.level, margin, window)
+
+
+def _shift_cells(t: float, n: int) -> int:
+    """Lattice cells a shift of length t spans at n cells per unit."""
+    return int(math.floor(t * n + 1e-9))
 
 
 def _abs_pow(a: np.ndarray, p: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -245,8 +246,7 @@ def difference(g: ExtendedGridFunction, shift: LatticeShift) -> ExtendedGridFunc
         raise ValueError("shift resolution must match the window resolution")
     if shift.d != g.d:
         raise ValueError("shift dimension must match the window dimension")
-    out = shifted_samples(g.samples, shift.k) - g.samples
-    return ExtendedGridFunction.from_window(g.d, g.level, g.margin, out)
+    return g._like(shifted_samples(g.samples, shift.k) - g.samples)
 
 
 # ---------------------------------------------------------------------------
@@ -426,10 +426,7 @@ def parse_spec(text: str) -> FunctionSpec:
 
 def sample(spec: FunctionSpec, d: int, level: int) -> GridFunction:
     """Evaluate a spec at the cell midpoints of the level-`level` lattice."""
-    if not 1 <= d <= MAX_DIM:
-        raise ValueError(f"dimension must be in 1..{MAX_DIM}")
-    if level < 1:
-        raise ValueError("resolution exponent must be >= 1")
+    _check_lattice(d, level)
     n = 1 << level
     mids = (np.arange(n) + 0.5) / n
     if d == 1:

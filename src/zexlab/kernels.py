@@ -26,7 +26,8 @@ from scipy import ndimage, signal
 from scipy.special import erfcinv
 
 from .besov import fit_points
-from .grid import ExtendedGridFunction, GridFunction, lp_norm, zero_extend
+from .grid import (ExtendedGridFunction, GridFunction, _shift_cells, lp_norm,
+                   zero_extend)
 from .moduli import hybrid_modulus, interior_ladder, whole_modulus
 
 FAMILIES = ("gauss", "poisson", "fejer_tensor")
@@ -152,7 +153,7 @@ def apply_kernel(spec: KernelSpec, g: ExtendedGridFunction) -> ExtendedGridFunct
             out = _convolve_axis(out, w, axis)
     else:
         out = signal.fftconvolve(g.samples, weights, mode="same")
-    return ExtendedGridFunction.from_window(g.d, g.level, g.margin, out)
+    return ExtendedGridFunction(g.d, g.level, g.margin, out)
 
 
 def apply_kernel_direct(spec: KernelSpec, g: ExtendedGridFunction) -> ExtendedGridFunction:
@@ -174,7 +175,7 @@ def apply_kernel_direct(spec: KernelSpec, g: ExtendedGridFunction) -> ExtendedGr
     for idx in np.ndindex(*full.shape):
         k = tuple(int(i) - r for i in idx)
         out += full[idx] * shifted_samples(g.samples, k)
-    return ExtendedGridFunction.from_window(g.d, g.level, g.margin, out)
+    return ExtendedGridFunction(g.d, g.level, g.margin, out)
 
 
 def error_norm(spec: KernelSpec, f: GridFunction, p: float,
@@ -187,7 +188,7 @@ def error_norm(spec: KernelSpec, f: GridFunction, p: float,
 
 
 def _error_and_modulus(family: str, f: GridFunction, p: float, t: float,
-                       truncation_tail: float, method: str) -> tuple:
+                       truncation_tail: float) -> tuple:
     """(smoothing error, extension modulus) of f at scale t on one window.
 
     The margin holds both the kernel and the largest shift.  Each t keeps its
@@ -196,10 +197,9 @@ def _error_and_modulus(family: str, f: GridFunction, p: float, t: float,
     """
     spec = KernelSpec(family, t, truncation_tail)
     radius = kernel_radius_cells(spec, f.d, f.level)
-    shift_cap = int(math.floor(t * f.n + 1e-9))
-    g = zero_extend(f, max(radius, shift_cap, 1))
+    g = zero_extend(f, max(radius, _shift_cells(t, f.n), 1))
     err = lp_norm(apply_kernel(spec, g) - g, p)
-    return err, whole_modulus(g, p, t, method=method)
+    return err, whole_modulus(g, p, t)
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +233,7 @@ class RatioTable:
 
 
 def error_modulus_ratio(family: str, f: GridFunction, p: float, t_grid,
-                        truncation_tail: float = 1e-6,
-                        method: str = "auto") -> RatioTable:
+                        truncation_tail: float = 1e-6) -> RatioTable:
     """Per-scale ratio of the smoothing error to the extension modulus.
 
     A flat, bounded ratio is the empirical signature that the two quantities
@@ -245,7 +244,7 @@ def error_modulus_ratio(family: str, f: GridFunction, p: float, t_grid,
         raise ValueError("the equivalence band applies to p > 1")
     rows = []
     for t in sorted(t_grid):
-        err, om = _error_and_modulus(family, f, p, t, truncation_tail, method)
+        err, om = _error_and_modulus(family, f, p, t, truncation_tail)
         if om <= 0:
             rows.append(RatioRow(t, err, om, math.nan, "undefined"))
         else:
@@ -264,7 +263,7 @@ class LogRatioRow:
 
 
 def l1_log_ratio(family: str, f: GridFunction, t_grid,
-                 truncation_tail: float = 1e-3, method: str = "auto") -> tuple:
+                 truncation_tail: float = 1e-3) -> tuple:
     """L^1 smoothing error against modulus times log(norm/modulus).
 
     Rows where the log argument is not above one are flagged; the remaining
@@ -274,7 +273,7 @@ def l1_log_ratio(family: str, f: GridFunction, t_grid,
     norm1 = lp_norm(f, 1.0)
     rows = []
     for t in sorted(t_grid):
-        err, om = _error_and_modulus(family, f, 1.0, t, truncation_tail, method)
+        err, om = _error_and_modulus(family, f, 1.0, t, truncation_tail)
         if om <= 0 or om >= norm1:
             rows.append(LogRatioRow(t, err, om, math.nan, math.nan, "flagged"))
             continue
@@ -297,8 +296,7 @@ class ExtensionBoundReport:
 
 
 def extension_bound_check(family: str, f: GridFunction, p: float, t_grid,
-                          truncation_tail: float = 1e-6, method: str = "auto",
-                          slope_floor: float = -0.05) -> ExtensionBoundReport:
+                          truncation_tail: float = 1e-6, slope_floor: float = -0.05) -> ExtensionBoundReport:
     """Boundedness of error/hybrid and extension-modulus/hybrid as t shrinks.
 
     Both ratios should stay bounded, so their fitted log-log slopes must not
@@ -306,11 +304,11 @@ def extension_bound_check(family: str, f: GridFunction, p: float, t_grid,
     zero function) are flagged and excluded from the fits.
     """
     ts = tuple(sorted(t_grid))
-    ladder = interior_ladder(f, p, method=method)
+    ladder = interior_ladder(f, p)
     norm = lp_norm(f, p)
     r_err, r_mod, flags = [], [], []
     for t in ts:
-        err, om = _error_and_modulus(family, f, p, t, truncation_tail, method)
+        err, om = _error_and_modulus(family, f, p, t, truncation_tail)
         hyb, _ = hybrid_modulus(f, p, t, ladder=ladder, norm=norm)
         if hyb <= 0:
             r_err.append(math.nan)

@@ -11,10 +11,17 @@ Three quantities per function f and scale t:
                         max{sqrt(d) t / s, 1} |log(s / (sqrt(d) t))| ||f||_1.
 
 Shifts are lattice multiples of the cell side, so each candidate difference
-norm is an exact cell sum.  The supremum is an exact maximum over the full
-lattice ball whenever that is affordable (always in d=1; via an FFT
-correlation decomposition for p=2 in d=2); otherwise a documented
-direction-set lower bound is used and flagged.
+norm is an exact cell sum.  Every query, single-scale or curve, reads one
+supremum table of the running maximum by shift radius.  The input alone picks
+the table; callers cannot choose it:
+
+* d = 1: direct enumeration of the lattice half ball, exact;
+* d = 2, p = 2: FFT correlation decomposition, exact;
+* d = 2, p != 2: direct enumeration while shifts x cells stays within
+  ``_DIRECT_WORK_BUDGET``, else the structured direction set, a lower bound;
+* d = 3: the structured direction set, a lower bound.
+
+Lower-bound values carry the ``lower_bound`` flag and ``exact=False``.
 """
 from __future__ import annotations
 
@@ -25,8 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import fft as sfft
 
-from .grid import (ExtendedGridFunction, GridFunction, _abs_pow, lp_norm,
-                   shifted_samples)
+from .grid import (ExtendedGridFunction, GridFunction, _abs_pow, _shift_cells,
+                   lp_norm, shifted_samples)
 
 
 class ResolutionWarning(UserWarning):
@@ -91,6 +98,12 @@ class ModulusCurve:
         return "\n".join(rows) + "\n"
 
 
+def _dyadic_grid(level: int, t_min: float, t_max: float) -> tuple:
+    """Dyadic scales 2^-j, j = 0 .. level, inside [t_min, t_max], ascending."""
+    return tuple(2.0 ** (-j) for j in range(level, -1, -1)
+                 if t_min * (1 - 1e-12) <= 2.0 ** (-j) <= t_max * (1 + 1e-12))
+
+
 def default_t_grid(level: int) -> tuple:
     """Dyadic scales 2^-j for j = 2 .. L-2, ascending.
 
@@ -98,7 +111,7 @@ def default_t_grid(level: int) -> tuple:
     """
     if level < 4:
         raise ValueError("need level >= 4 for the default scale grid")
-    return tuple(2.0 ** (-j) for j in range(level - 2, 1, -1))
+    return _dyadic_grid(level, 2.0 ** (2 - level), 0.25)
 
 
 # ---------------------------------------------------------------------------
@@ -281,18 +294,8 @@ def _structured_shifts(d: int, rmax: float, seed: int = _DIRECTION_SEED):
     return sorted(shifts)
 
 
-def _table_method(d: int, p: float, rmax: float, cells: int, interior: bool,
-                  method: str) -> str:
-    """Resolve ``auto`` to a table method; reject invalid explicit choices."""
-    if method not in ("auto", "direct", "corr", "structured"):
-        raise ValueError(f"unknown sup method {method!r}")
-    if method == "corr":
-        if p != 2:
-            raise ValueError("the correlation method applies to p = 2 only")
-        if interior and d != 2:
-            raise ValueError("correlation method unavailable for this case")
-    if method != "auto":
-        return method
+def _table_method(d: int, p: float, rmax: float, cells: int) -> str:
+    """The supremum table for this input: direct, corr or structured."""
     if d == 1:
         return "direct"
     if d == 2:
@@ -305,8 +308,8 @@ def _table_method(d: int, p: float, rmax: float, cells: int, interior: bool,
 
 
 def _build_table(arr: np.ndarray, p: float, rmax: float, cellvol: float,
-                 interior: bool, method: str) -> _SupTable:
-    method = _table_method(arr.ndim, p, rmax, arr.size, interior, method)
+                 interior: bool) -> _SupTable:
+    method = _table_method(arr.ndim, p, rmax, arr.size)
     if method == "corr":
         return _corr_table(arr, rmax, cellvol, interior)
     return _enumerated_table(arr, p, rmax, cellvol, interior, method == "structured")
@@ -321,7 +324,7 @@ def _check_p(p: float):
         raise ValueError("p must be >= 1")
 
 
-def interior_modulus(f: GridFunction, p: float, t: float, method: str = "auto") -> float:
+def interior_modulus(f: GridFunction, p: float, t: float) -> float:
     """Largest ||f(.+h) - f(.)||_p over lattice shifts |h| <= t staying in Q.
 
     Scales below the lattice resolution have no admissible shift; they warn
@@ -330,33 +333,28 @@ def interior_modulus(f: GridFunction, p: float, t: float, method: str = "auto") 
     _check_p(p)
     if not 0 < t <= math.sqrt(f.d) * (1 + 1e-9):
         raise ValueError("scale t must lie in (0, sqrt(d)]")
-    rmax = t * f.n
-    if rmax < 1.0 - 1e-9:
+    if t * f.n < 1.0 - 1e-9:
         warnings.warn("scale below lattice resolution; interior modulus set to 0",
                       ResolutionWarning, stacklevel=2)
         return 0.0
-    table = _build_table(f.samples, p, rmax, f.cell_volume, True, method)
-    return table.lookup_power(rmax) ** (1.0 / p)
-
-
-def _window_shift_cap(g: ExtendedGridFunction, t: float) -> int:
-    return int(math.floor(t * g.base.n + 1e-9))
+    return _curve("interior", f, p, (t,)).points[0][1]
 
 
 def _require_margin(g: ExtendedGridFunction, cap: int):
     if g.margin < cap:
         raise ValueError(
             f"margin {g.margin} cells cannot hold shifts of {cap} cells; re-extend")
-    if cap > 0:
-        inner = tuple(slice(cap, g.size - cap) for _ in range(g.d))
-        hollow = np.array(g.samples, copy=True)
-        hollow[inner] = 0.0
-        if float(np.abs(hollow).sum()) != 0.0:
-            raise ValueError(
-                "window carries mass within shift range of its edge; re-extend")
+    edges = (slice(0, cap), slice(g.size - cap, g.size)) if cap > 0 else ()
+    for axis in range(g.d):
+        for edge in edges:
+            slab = [slice(None)] * g.d
+            slab[axis] = edge
+            if np.any(g.samples[tuple(slab)]):
+                raise ValueError(
+                    "window carries mass within shift range of its edge; re-extend")
 
 
-def whole_modulus(g: ExtendedGridFunction, p: float, t: float, method: str = "auto") -> float:
+def whole_modulus(g: ExtendedGridFunction, p: float, t: float) -> float:
     """Largest ||g(.+h) - g(.)||_p over |h| <= t, integrating over the window.
 
     Requires the margin to absorb every admissible shift so the window norm
@@ -365,32 +363,28 @@ def whole_modulus(g: ExtendedGridFunction, p: float, t: float, method: str = "au
     _check_p(p)
     if t <= 0:
         raise ValueError("scale t must be positive")
-    cap = _window_shift_cap(g, t)
-    if cap < 1:
+    if _shift_cells(t, g.n) < 1:
         warnings.warn("scale below lattice resolution; whole modulus set to 0",
                       ResolutionWarning, stacklevel=2)
         return 0.0
-    _require_margin(g, cap)
-    rmax = t * g.base.n
-    table = _build_table(g.samples, p, rmax, g.cell_volume, False, method)
-    return table.lookup_power(rmax) ** (1.0 / p)
+    return _curve("whole", g, p, (t,)).points[0][1]
 
 
-def _curve(kind: str, arr, n: int, p: float, t_grid, method: str, name: str,
-           extra: dict) -> ModulusCurve:
-    """Shared body of the interior and whole curves: one supremum table for the
-    largest scale, then one lookup per t on the radius t * n cells."""
+def _curve(kind: str, arr, p: float, t_grid, name: str = "") -> ModulusCurve:
+    """Every modulus query: one supremum table for the largest scale, then one
+    lookup per t on the radius t * n cells."""
     _check_p(p)
     ts = tuple(sorted(t_grid)) if t_grid is not None else default_t_grid(arr.level)
     interior = kind == "interior"
+    extra = {} if interior else {"margin": arr.margin}
     if not interior:
-        _require_margin(arr, _window_shift_cap(arr, max(ts)))
-    rmax = max(ts) * n
-    table = _build_table(arr.samples, p, rmax, arr.cell_volume, interior, method) \
-        if rmax >= 1 else _SupTable(np.empty(0), np.empty(0), True)
+        _require_margin(arr, _shift_cells(max(ts), arr.n))
+    rmax = max(ts) * arr.n
+    table = _build_table(arr.samples, p, rmax, arr.cell_volume, interior) \
+        if rmax >= 1.0 - 1e-9 else _SupTable(np.empty(0), np.empty(0), True)
     points, flags = [], []
     for t in ts:
-        r = t * n
+        r = t * arr.n
         if r < 1.0 - 1e-9:
             points.append((t, 0.0))
             flags.append("below_resolution")
@@ -401,41 +395,38 @@ def _curve(kind: str, arr, n: int, p: float, t_grid, method: str, name: str,
     return ModulusCurve(kind, p, tuple(points), meta, tuple(flags))
 
 
-def interior_curve(f: GridFunction, p: float, t_grid=None, method: str = "auto",
-                   name: str = "") -> ModulusCurve:
+def interior_curve(f: GridFunction, p: float, t_grid=None, name: str = "") -> ModulusCurve:
     """Interior modulus at every scale of ``t_grid`` (default: dyadic grid)."""
-    return _curve("interior", f, f.n, p, t_grid, method, name, {})
+    return _curve("interior", f, p, t_grid, name)
 
 
-def whole_curve(g: ExtendedGridFunction, p: float, t_grid=None, method: str = "auto",
+def whole_curve(g: ExtendedGridFunction, p: float, t_grid=None,
                 name: str = "") -> ModulusCurve:
     """Whole modulus at every scale of ``t_grid``; the margin must hold every shift."""
-    return _curve("whole", g, g.base.n, p, t_grid, method, name, {"margin": g.margin})
+    return _curve("whole", g, p, t_grid, name)
 
 
-def interior_dyadic_values(f: GridFunction, p: float, js, method: str = "auto") -> dict:
+def interior_dyadic_values(f: GridFunction, p: float, js) -> dict:
     """Interior modulus at the dyadic scales 2^-j for the requested j's.
 
     One supremum table serves every scale, so a whole ladder costs little
     more than its coarsest (largest-radius) entry.
     """
-    _check_p(p)
     js = sorted(set(int(j) for j in js))
     if any(j < 0 or j > f.level for j in js):
         raise ValueError("dyadic exponents must lie in 0..L")
-    rmax = 2.0 ** (-js[0]) * f.n
-    table = _build_table(f.samples, p, rmax, f.cell_volume, True, method)
-    return {j: table.lookup_power(2.0 ** (-j) * f.n) ** (1.0 / p) for j in js}
+    values = dict(_curve("interior", f, p, [2.0 ** (-j) for j in js]).points)
+    return {j: values[2.0 ** (-j)] for j in js}
 
 
-def interior_ladder(f: GridFunction, p: float, method: str = "auto") -> np.ndarray:
+def interior_ladder(f: GridFunction, p: float) -> np.ndarray:
     """Interior modulus at every dyadic scale: entry j holds the value at 2^-j."""
-    values = interior_dyadic_values(f, p, range(f.level + 1), method)
+    values = interior_dyadic_values(f, p, range(f.level + 1))
     return np.array([values[j] for j in range(f.level + 1)])
 
 
 def hybrid_modulus(f: GridFunction, p: float, t: float, ladder=None,
-                   norm: float | None = None, method: str = "auto") -> tuple:
+                   norm: float | None = None) -> tuple:
     """Boundary-aware modulus: best dyadic trade-off between interior
     oscillation at scale s and the mass term min{(sqrt(d) t/s)^(1/p), 1}||f||_p.
 
@@ -447,7 +438,7 @@ def hybrid_modulus(f: GridFunction, p: float, t: float, ladder=None,
     if t <= 0:
         raise ValueError("scale t must be positive")
     if ladder is None:
-        ladder = interior_ladder(f, p, method)
+        ladder = interior_ladder(f, p)
     if norm is None:
         norm = lp_norm(f, p)
     root_d = math.sqrt(f.d)
@@ -464,10 +455,9 @@ def hybrid_modulus(f: GridFunction, p: float, t: float, ladder=None,
     return best_value, best_s
 
 
-def hybrid_curve(f: GridFunction, p: float, t_grid=None, method: str = "auto",
-                 name: str = "") -> ModulusCurve:
+def hybrid_curve(f: GridFunction, p: float, t_grid=None, name: str = "") -> ModulusCurve:
     ts = tuple(sorted(t_grid)) if t_grid is not None else default_t_grid(f.level)
-    ladder = interior_ladder(f, p, method)
+    ladder = interior_ladder(f, p)
     norm = lp_norm(f, p)
     points, flags, s_opt = [], [], []
     for t in ts:

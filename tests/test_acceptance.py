@@ -3,23 +3,34 @@
 Run with ``pytest -s tests/test_acceptance.py`` to watch the lines stream, or
 ``zexlab verify`` for the CLI equivalent (which also writes the artifacts).
 """
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from zexlab import acceptance
 
 
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "verify.json"
+
+
 @pytest.mark.parametrize("gate", acceptance.GATES,
                          ids=lambda g: g.__name__.removeprefix("gate_"))
 def test_gate(gate):
-    if gate in (acceptance.gate_shift_bounds, acceptance.gate_determinism):
-        result = gate(acceptance.DEFAULT_SEED)
-    else:
-        result = gate()
+    result = acceptance.run_gate(gate, acceptance.DEFAULT_SEED)
     print(result.line())
     assert result.passed, result.details
     assert result.in_budget, (
         f"{result.name} took {result.elapsed:.1f}s, over its "
         f"{result.limit:.0f}s budget")
+    # the artifacts keep the bytes recorded at the default seed
+    recorded = {name: entry["sha256"] for name, entry
+                in json.loads(REFERENCE.read_text())["artifacts"].items()
+                if entry["gate"] == result.name}
+    produced = {name: hashlib.sha256(body.encode()).hexdigest()
+                for name, body in result.artifacts.items()}
+    assert produced == recorded
 
 
 def test_verify_cli_runs_everything(tmp_path):
@@ -53,3 +64,29 @@ def test_crashing_gate_fails_alone(tmp_path, monkeypatch, capsys):
     assert lines[0].endswith("crashed: RuntimeError: boom")
     assert lines[1].startswith("[PASS] cheap gate")
     assert (out / "cheap.txt").read_text() == "ok\n"
+
+
+def test_verify_writes_each_gate_as_it_finishes(tmp_path, monkeypatch, capsys):
+    from zexlab.cli import main
+
+    out = tmp_path / "verify"
+    seen = []
+
+    def gate_first():
+        return acceptance._gate("first gate", None,
+                                lambda: (True, "done", {"first.txt": "1\n"}))
+
+    def gate_second():
+        def run():
+            seen.append(((out / "first.txt").read_text(), capsys.readouterr().out))
+            return True, "done", {}
+
+        return acceptance._gate("second gate", None, run)
+
+    monkeypatch.setattr(acceptance, "GATES", (gate_first, gate_second))
+    assert main(["verify", "--out", str(out)]) == 0
+    assert len(seen) == 1
+    artifact, printed = seen[0]
+    assert artifact == "1\n"
+    assert printed.startswith("[PASS] first gate")
+    assert capsys.readouterr().out.startswith("[PASS] second gate")

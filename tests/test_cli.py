@@ -129,6 +129,17 @@ def test_adaptive_subcommand_builds_one_pyramid(tmp_path, monkeypatch):
         adaptive.count_bound_report(f, 2.0, 2.0, epsilons).to_csv()
 
 
+def test_adaptive_duplicate_thresholds_counted_once(tmp_path):
+    cfg = _write_config(tmp_path, "function = linear\nd = 1\nL = 8\np = 2\n"
+                                  "epsilons = 0.1,0.1,0.05\n")
+    out = tmp_path / "out"
+    assert main(["adaptive", "--config", cfg, "--out", str(out)]) == 0
+    rows = (out / "count_scaling.csv").read_text().strip().split("\n")[1:]
+    assert [row.split(",")[0] for row in rows] == ["0.1", "0.05"]
+    assert sorted(path.name for path in out.glob("partition_eps*.txt")) == \
+        ["partition_eps0.05.txt", "partition_eps0.1.txt"]
+
+
 def test_adaptive_eta_guard_exits_2_before_writing(tmp_path):
     # eta = 1/3 - 1/q + 1/p < 0
     cfg = _write_config(tmp_path, "function = linear\nd = 3\nL = 4\np = 3\nq = 1\n")

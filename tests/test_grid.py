@@ -63,7 +63,8 @@ def test_zero_extend_restrict_is_identity():
     g = zero_extend(f, 7)
     core = (slice(7, 7 + 16), slice(7, 7 + 16))
     assert np.array_equal(g.samples[core], f.samples)
-    assert g.base is f
+    assert np.array_equal(g.base.samples, f.samples)
+    assert (g.base.d, g.base.level, g.n) == (f.d, f.level, f.n)
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
@@ -142,7 +143,9 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         GridFunction(1, 1, np.array([np.nan, 0.0]))
     with pytest.raises(ValueError):
-        ExtendedGridFunction(sample(const(1.0), 1, 1), -1, np.zeros(2))
+        ExtendedGridFunction(1, 1, -1, np.zeros(2))
+    with pytest.raises(ValueError):
+        ExtendedGridFunction(1, 1, 1, np.zeros(3))
 
 
 def test_parse_spec_round_trip():

@@ -91,7 +91,7 @@ def test_mass_preservation_on_constant_window():
     level, margin = 7, 96
     n = 1 << level
     window = np.full(n + 2 * margin, 2.0)
-    g = ExtendedGridFunction.from_window(1, level, margin, window)
+    g = ExtendedGridFunction(1, level, margin, window)
     out = apply_kernel(spec, g)
     radius = kernel_radius_cells(spec, 1, level)
     interior = out.samples[radius:-radius]

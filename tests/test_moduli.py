@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from zexlab.grid import (GridFunction, const, corpus, cusp, linear, lp_norm,
-                         random_dyadic, sample, zero_extend)
+from zexlab import moduli
+from zexlab.grid import (ExtendedGridFunction, GridFunction, const, corpus,
+                         cusp, linear, lp_norm, random_dyadic, sample,
+                         zero_extend)
 from zexlab.moduli import (ModulusCurve, ResolutionWarning, default_t_grid,
                            hybrid_modulus, interior_curve,
                            interior_dyadic_values, interior_ladder,
@@ -54,6 +56,26 @@ def test_whole_modulus_rejects_small_margin():
         whole_modulus(g, 2, 0.25)  # needs 64 cells of margin
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_whole_modulus_rejects_mass_near_the_edge(d):
+    # t = 1/8 at L = 5 shifts up to 4 cells; the window has 6 cells of margin
+    level, margin, cap = 5, 6, 4
+    size = (1 << level) + 2 * margin
+    for axis in range(d):
+        for at, ok in ((cap - 1, False), (cap, True),
+                       (size - cap, False), (size - cap - 1, True)):
+            window = np.zeros((size,) * d)
+            index = [size // 2] * d
+            index[axis] = at
+            window[tuple(index)] = 1.0
+            g = ExtendedGridFunction(d, level, margin, window)
+            if ok:
+                assert whole_modulus(g, 2, 0.125) > 0.0
+            else:
+                with pytest.raises(ValueError, match="within shift range of its edge"):
+                    whole_modulus(g, 2, 0.125)
+
+
 def test_interior_below_whole():
     for member in corpus(d=1):
         f = sample(member.spec, 1, 8)
@@ -91,7 +113,7 @@ def test_doubling_inequality_on_corpus():
                       | {g * t for t in base for g in (2, 3)
                          if g * t <= math.sqrt(member.d)})
         for p in (1.0, 2.0, 3.0):
-            curve = interior_curve(f, p, grid, method="direct")
+            curve = interior_curve(f, p, grid)
             vals = dict(zip((round(t, 12) for t in curve.t_values), curve.values))
             for t in base:
                 for gamma in (2, 3):
@@ -101,19 +123,32 @@ def test_doubling_inequality_on_corpus():
                         (1 + gamma) * vals[round(t, 12)] + 1e-9
 
 
+def _engine(arr, p, t, n, cellvol, interior, engine):
+    """One supremum engine's value at scale t, bypassing the table choice."""
+    rmax = t * n
+    if engine == "corr":
+        table = moduli._corr_table(arr, rmax, cellvol, interior)
+    else:
+        table = moduli._enumerated_table(arr, p, rmax, cellvol, interior,
+                                         engine == "structured")
+    return table.lookup_power(rmax) ** (1.0 / p)
+
+
 def test_correlation_method_matches_direct():
     rng = np.random.default_rng(3)
     for _ in range(4):
         f = GridFunction(2, 5, rng.standard_normal((32, 32)))
         for t in (2.0 ** -4, 2.0 ** -2, 0.5):
-            a = interior_modulus(f, 2, t, method="direct")
-            b = interior_modulus(f, 2, t, method="corr")
+            a = _engine(f.samples, 2, t, f.n, f.cell_volume, True, "direct")
+            b = _engine(f.samples, 2, t, f.n, f.cell_volume, True, "corr")
             assert b == pytest.approx(a, rel=1e-9, abs=1e-12)
+            assert interior_modulus(f, 2, t) == b  # d = 2, p = 2 picks corr
         g = zero_extend(f, 16)
         for t in (2.0 ** -4, 2.0 ** -2):
-            a = whole_modulus(g, 2, t, method="direct")
-            b = whole_modulus(g, 2, t, method="corr")
+            a = _engine(g.samples, 2, t, g.n, g.cell_volume, False, "direct")
+            b = _engine(g.samples, 2, t, g.n, g.cell_volume, False, "corr")
             assert b == pytest.approx(a, rel=1e-9, abs=1e-12)
+            assert whole_modulus(g, 2, t) == b
 
 
 def test_structured_method_is_lower_bound():
@@ -121,10 +156,11 @@ def test_structured_method_is_lower_bound():
     f = GridFunction(2, 5, rng.standard_normal((32, 32)))
     for p in (1.0, 3.0):
         for t in (2.0 ** -3, 2.0 ** -2):
-            exact = interior_modulus(f, p, t, method="direct")
-            lower = interior_modulus(f, p, t, method="structured")
+            exact = _engine(f.samples, p, t, f.n, f.cell_volume, True, "direct")
+            lower = _engine(f.samples, p, t, f.n, f.cell_volume, True, "structured")
             assert lower <= exact + 1e-12
             assert lower >= 0.25 * exact  # direction set catches the bulk
+            assert interior_modulus(f, p, t) == exact  # small enough for direct
 
 
 def test_three_d_uses_flagged_direction_set():
