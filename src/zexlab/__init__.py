@@ -11,10 +11,10 @@ from .grid import (CorpusMember, ExtendedGridFunction, FunctionSpec,
                    GridFunction, LatticeShift, boundary_power, const, corpus,
                    cusp, difference, indicator, linear, lp_norm, parse_spec,
                    random_dyadic, sample, tensor_product, zero_extend)
-from .moduli import (ModulusCurve, ResolutionWarning, default_t_grid,
-                     hybrid_curve, hybrid_modulus, interior_curve,
-                     interior_ladder, interior_modulus, whole_curve,
-                     whole_modulus)
+from .moduli import (LowerBoundWarning, ModulusCurve, ResolutionWarning,
+                     default_t_grid, hybrid_curve, hybrid_modulus,
+                     interior_curve, interior_ladder, interior_modulus,
+                     whole_curve, whole_modulus)
 from .dyadic import (DyadicCube, PiecewiseConstant, average_error_constant,
                      average_error_report, dyadic_average, render_average,
                      shift_bound_check, shift_bound_suite, unit_ball_volume)
@@ -24,7 +24,8 @@ from .adaptive import (AdaptivePartition, CubeNode, ErrorPyramid,
                        sobolev_seminorm, verify_partition)
 from .kernels import (KernelSpec, apply_kernel, error_curve, error_modulus_ratio,
                       error_norm, extension_bound_check, l1_log_ratio)
-from .besov import (BalancedEnvelope, BesovParams, FitResult, besov_seminorm,
+from .besov import (BalancedEnvelope, BesovParams, FitResult,
+                    VanishingModulusError, besov_seminorm,
                     besov_embedding_check, divergence_witness,
                     envelope_ladder_report, exponent_drop_check, fit_exponent,
                     fit_points, scale_profile)

@@ -18,6 +18,10 @@ from .moduli import (ModulusCurve, _dyadic_grid, interior_curve,
                      interior_ladder, interior_modulus, whole_curve)
 
 
+class VanishingModulusError(ValueError):
+    """A modulus vanishes where a rate is asked of it: no rate exists."""
+
+
 @dataclass(frozen=True)
 class FitResult:
     """Least-squares line through (log t, log value); natural-log scale."""
@@ -65,7 +69,7 @@ def fit_points(ts, vs, window=None) -> FitResult:
     if len(ts) < 4:
         raise ValueError("need at least 4 grid points inside the fit window")
     if np.any(vs <= 0):
-        raise ValueError("vanishing modulus: cannot fit a rate through zeros")
+        raise VanishingModulusError("vanishing modulus: cannot fit a rate through zeros")
     x = np.log(ts)
     y = np.log(vs)
     slope, intercept = np.polyfit(x, y, 1)
@@ -138,7 +142,7 @@ def exponent_drop_check(f: GridFunction, p: float, window=None,
     grid = _dyadic_grid(f.level, *window)
     zc = interior_curve(f, p, grid, name=name)
     if np.any(zc.values <= 0):
-        raise ValueError(
+        raise VanishingModulusError(
             "vanishing interior modulus: rate undefined; use the ratio "
             "boundedness check for constants instead")
     alpha = fit_exponent(zc, window)
@@ -331,7 +335,7 @@ def divergence_witness(f: GridFunction, p: float) -> WitnessReport:
         for j in range(j_floor, -1, -1):
             z = ladder[j]
             if z <= 0:
-                raise ValueError("interior modulus vanishes on the ladder")
+                raise VanishingModulusError("interior modulus vanishes on the ladder")
             ts.append(2.0 ** (-j))
             gs.append((2.0 ** (alpha * j) * z ** exponent) ** p)
         return float(np.trapezoid(np.asarray(gs), np.log(np.asarray(ts))))

@@ -16,7 +16,9 @@ Function expressions use the grammar ``tag key=value key=value ...``:
     random level=K seed=S    seeded piecewise constant on the level-K cells
     tensor base=TAG ...      product of the base tag's 1-d profile per axis
 
-Exit codes: 0 success, 1 a verification gate failed, 2 configuration error.
+Exit codes: 0 success, 1 a verification gate failed, 2 configuration error,
+3 no result: the input is valid but the measurement it asks for is undefined
+(a vanishing modulus has no rate).
 """
 from __future__ import annotations
 
@@ -281,6 +283,7 @@ def cmd_embedding(config) -> int:
 def cmd_verify(config) -> int:
     out = _outdir(config)
     seed = int(config.get("seed", acceptance.DEFAULT_SEED))
+    _write_meta(out, config)  # first, so partial artifacts carry their config
     all_ok = True
     for gate in acceptance.GATES:
         result = acceptance.run_gate(gate, seed)
@@ -288,7 +291,6 @@ def cmd_verify(config) -> int:
         all_ok = all_ok and result.passed and result.in_budget
         for name, body in result.artifacts.items():
             _write(out, name, body)
-    _write_meta(out, config)
     return 0 if all_ok else 1
 
 
@@ -323,6 +325,9 @@ def main(argv=None) -> int:
     try:
         config = load_config(args)
         return _COMMANDS[args.command](config)
+    except besov.VanishingModulusError as exc:
+        print(f"no result: {exc}", file=sys.stderr)
+        return 3
     except (ConfigError, ValueError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -15,13 +15,20 @@ norm is an exact cell sum.  Every query, single-scale or curve, reads one
 supremum table of the running maximum by shift radius.  The input alone picks
 the table; callers cannot choose it:
 
-* d = 1: direct enumeration of the lattice half ball, exact;
-* d = 2, p = 2: FFT correlation decomposition, exact;
+* p = 2, any d: the correlation engine.  It screens every shift of the
+  lattice half ball by overlap masses (summed-area tables) minus twice one
+  FFT autocorrelation; in d = 1 and 3 it then rechecks directly every shift
+  within the screening error bound of the maximum, so its values equal the
+  direct enumeration bit for bit; in d = 2 the screened values stand.  Exact.
+* d = 1, p != 2: direct enumeration of the lattice half ball, exact;
 * d = 2, p != 2: direct enumeration while shifts x cells stays within
   ``_DIRECT_WORK_BUDGET``, else the structured direction set, a lower bound;
-* d = 3: the structured direction set, a lower bound.
+* d = 3, p != 2: the structured direction set, a lower bound.
 
-Lower-bound values carry the ``lower_bound`` flag and ``exact=False``.
+Lower-bound values carry the ``lower_bound`` flag and ``exact=False``; the
+single-scale queries emit a ``LowerBoundWarning`` for them.  Each curve's
+``meta`` records the table's method, the shifts it screened or evaluated and
+the shifts it rechecked.
 """
 from __future__ import annotations
 
@@ -38,6 +45,11 @@ from .grid import (ExtendedGridFunction, GridFunction, _abs_pow, _shift_cells,
 
 class ResolutionWarning(UserWarning):
     """Requested scale lies below the lattice resolution."""
+
+
+class LowerBoundWarning(UserWarning):
+    """A single-scale modulus comes from a table that only bounds the
+    supremum from below (the structured direction set)."""
 
 
 CURVE_KINDS = ("interior", "whole", "hybrid", "error_norm")
@@ -117,25 +129,44 @@ def default_t_grid(level: int) -> tuple:
 # ---------------------------------------------------------------------------
 # supremum tables: cumulative max of ||difference||_p^p by shift radius
 
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+# assumed relative 2-norm error of one FFT, in unit roundoffs per radix-2 stage
+_FFT_ULPS = 16
+# candidate shifts per _half_shifts block: bounds the screening temporaries
+_SHIFT_BLOCK = 1 << 12
+
+
+def _rsq_bound(r: float) -> float:
+    """Largest squared shift length (in cells) admitted at radius r cells."""
+    return r * r * (1.0 + 1e-12) + 1e-9
+
 
 @dataclass(frozen=True)
 class _SupTable:
+    """Running max of the p-th power difference norms by squared radius.
+
+    A confirmed correlation table holds only the radii it was built for: it is
+    exact there and a lower bound between them.  Every other table is complete.
+    """
+
     rsq: np.ndarray      # ascending squared radii (in cells)
     powmax: np.ndarray   # running max of the p-th power difference norms
     exact: bool
+    method: str
+    shifts: int = 0      # shifts evaluated (direct, structured) or screened (corr)
+    rechecked: int = 0   # screened shifts recomputed by a direct difference norm
 
     def lookup_power(self, radius_cells: float) -> float:
-        bound = radius_cells * radius_cells * (1.0 + 1e-12) + 1e-9
-        idx = int(np.searchsorted(self.rsq, bound, side="right")) - 1
+        idx = int(np.searchsorted(self.rsq, _rsq_bound(radius_cells), side="right")) - 1
         if idx < 0:
             return 0.0
         return float(self.powmax[idx])
 
 
-def _collapse(ksq_blocks, dval_blocks, exact: bool) -> _SupTable:
+def _collapse(ksq_blocks, dval_blocks, exact: bool, method: str) -> _SupTable:
     """Sort the per-shift values by squared radius and keep the running max."""
     if not ksq_blocks:
-        return _SupTable(np.empty(0), np.empty(0), exact)
+        return _SupTable(np.empty(0), np.empty(0), exact, method)
     ksq = np.concatenate(ksq_blocks)
     order = np.argsort(ksq, kind="stable")
     ks = ksq[order]
@@ -143,32 +174,31 @@ def _collapse(ksq_blocks, dval_blocks, exact: bool) -> _SupTable:
     keep = np.empty(len(ks), dtype=bool)
     keep[:-1] = ks[1:] != ks[:-1]
     keep[-1] = True
-    return _SupTable(ks[keep].astype(float), dv[keep], exact)
+    return _SupTable(ks[keep].astype(float), dv[keep], exact, method, len(ks))
 
 
 def _half_shifts(d: int, rmax: float, per_axis: int) -> list:
     """Integer shifts with positive leading nonzero component, |k| <= rmax and
-    |k_i| <= per_axis, as (m, d) blocks: one per leading component in d=2."""
-    per_axis = min(per_axis, math.floor(rmax + 1e-9))
-    bound = rmax * rmax * (1.0 + 1e-12) + 1e-9
-    if d == 1:
-        kmax = min(per_axis, int(math.isqrt(int(bound))))
-        ks = np.arange(1, kmax + 1, dtype=np.int64)
-        return [ks[:, None]] if kmax >= 1 else []
-    if d == 2:
-        out = []
-        k2 = np.arange(-per_axis, per_axis + 1, dtype=np.int64)
-        for k1 in range(0, per_axis + 1):
-            cols = k2[(k2 > 0)] if k1 == 0 else k2
-            ksq = k1 * k1 + cols * cols
-            cols = cols[ksq <= bound]
-            if cols.size:
-                block = np.empty((cols.size, 2), dtype=np.int64)
-                block[:, 0] = k1
-                block[:, 1] = cols
-                out.append(block)
-        return out
-    raise ValueError("exact enumeration supported for d <= 2 only")
+    |k_i| <= per_axis, as (m, d) blocks, each a run of leading components."""
+    cap = min(per_axis, math.floor(rmax + 1e-9))
+    if cap < 1:
+        return []
+    bound = _rsq_bound(rmax)
+    side = 2 * cap + 1
+    rest = np.indices((side,) * (d - 1)).reshape(d - 1, side ** (d - 1)).T - cap
+    step = max(1, _SHIFT_BLOCK // len(rest))
+    blocks = []
+    for lo in range(0, cap + 1, step):
+        lead = np.arange(lo, min(lo + step, cap + 1))
+        ks = np.empty((len(lead), len(rest), d), dtype=np.int64)
+        ks[:, :, 0] = lead[:, None]
+        ks[:, :, 1:] = rest
+        ks = ks.reshape(-1, d)
+        first = ks[np.arange(len(ks)), np.argmax(ks != 0, axis=1)]
+        ks = ks[(first > 0) & ((ks * ks).sum(axis=1) <= bound)]
+        if len(ks):
+            blocks.append(ks)
+    return blocks
 
 
 def _diff_power_interior(samples: np.ndarray, k, p: float) -> float:
@@ -207,7 +237,8 @@ def _enumerated_table(arr: np.ndarray, p: float, rmax: float, cellvol: float,
     ksqs = [(block * block).sum(axis=1) for block in blocks]
     dvals = [np.array([evaluate(arr, k, p) for k in block]) * cellvol
              for block in blocks]
-    return _collapse(ksqs, dvals, not structured)
+    return _collapse(ksqs, dvals, not structured,
+                     "structured" if structured else "direct")
 
 
 def _autocorrelation(a: np.ndarray) -> tuple:
@@ -218,34 +249,137 @@ def _autocorrelation(a: np.ndarray) -> tuple:
     return corr, shape
 
 
-def _corr_table(arr: np.ndarray, rmax: float, cellvol: float, interior: bool) -> _SupTable:
-    """Exact p=2 table: ||f(.+k) - f||_2^2 = (f^2 mass on both overlaps) - 2 corr(k).
+def _box_sums(pref: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Sums over the boxes lo <= i <= hi (one box per row) from the prefix
+    sums ``pref``, by inclusion-exclusion over the 2^d corners."""
+    d = lo.shape[1]
+    total = pref[tuple(hi[:, a] + 1 for a in range(d))]
+    for corner in range(1, 1 << d):
+        low = [(corner >> a) & 1 for a in range(d)]
+        term = pref[tuple(lo[:, a] if low[a] else hi[:, a] + 1 for a in range(d))]
+        total = total - term if sum(low) % 2 else total + term
+    return total
 
-    On a window (zero outside) both masses are ||g||^2; inside the cube (d=2
-    only) they are box sums of f^2 over the cells whose shift stays in Q.
+
+def _screen_error(energy: float, shape, padded) -> float:
+    """Bound e on |screened - direct| for every shift, before the cell volume.
+
+    Let Q = sum f^2, m the cells of the array, n_a its side on axis a, N the
+    cells of the padded FFT grid, u the unit roundoff and g(k) = k u/(1 - k u).
+    Exactly, each overlap mass is at most Q, |corr(k)| <= Q, and the
+    difference sum E(k) = sum (f(i+k) - f(i))^2 is at most 4 Q.
+
+    * Masses.  A prefix sum takes one product and n_a - 1 sequential
+      additions along each axis, so its error is at most g(k_p) Q with
+      k_p = 1 + sum_a (n_a - 1).  A box sum adds 2^d corners by 2^d - 1
+      operations on terms of size at most 2^d Q; two boxes and their sum
+      give 2^(d+1) (g(k_p) + 2^d u) Q + 2 u Q.  On a window the mass is
+      2 fl(sum f^2): at most 2 g(m) Q in any summation order.  The
+      interior bound covers both.
+    * Correlation.  Assume one FFT, forward or inverse, has relative 2-norm
+      error at most eta = _FFT_ULPS u (log2 N + 1); Higham (Accuracy and
+      Stability of Numerical Algorithms, Thm 24.2) gives about 6.7 u per
+      radix-2 stage.  With F = DFT(a) and ||F||_2^2 = N Q, forming |F|^2
+      adds g(2) per entry, so the spectrum is off by at most
+      omega N Q in 2-norm, omega = eta (2 + eta) + g(2) (1 + eta)^2.  The
+      inverse transform and its 1/N scaling then bound the max error of
+      corr by its 2-norm error: sqrt(N) Q (omega + eta (1 + omega)) + u Q.
+    * The subtraction mass - 2 corr, of operands at most 4 Q: u 4 Q.
+    * Direct.  A difference, a square and a sum of at most m nonnegative
+      terms in any order: g(m + 2) E <= 4 g(m + 2) Q.
+
+    Clamping at zero cannot add error, since E >= 0.  The total is doubled
+    to cover the second-order terms and the rounding of Q itself.
     """
-    n = arr.shape[0]
+    u = _UNIT_ROUNDOFF
+
+    def g(k):
+        return k * u / (1.0 - k * u)
+
+    d, m, big_n = len(shape), math.prod(shape), math.prod(padded)
+    masses = max(2 ** (d + 1) * (g(1 + sum(n - 1 for n in shape)) + 2 ** d * u) + 2 * u,
+                 2 * g(m))
+    eta = _FFT_ULPS * u * (math.log2(big_n) + 1)
+    omega = eta * (2 + eta) + g(2) * (1 + eta) ** 2
+    corr = math.sqrt(big_n) * (omega + eta * (1 + omega)) + u
+    return 2.0 * energy * (masses + 2 * corr + 4 * u + 4 * g(m + 2))
+
+
+def _confirm(arr: np.ndarray, shifts: np.ndarray, ksq: np.ndarray,
+             screened: np.ndarray, err: float, radii, cellvol: float,
+             interior: bool) -> _SupTable:
+    """Direct maxima at each radius from screened values within ``err``.
+
+    With |screened - direct| <= err for every shift, the shift whose direct
+    value is largest among |k| <= r has a screened value at least the max
+    screened value there minus 2 err.  Rechecking every such shift directly
+    returns the direct enumeration's maximum bit for bit, since max does not
+    depend on the order.  Direct values are cached across radii.
+    """
+    order = np.argsort(ksq, kind="stable")
+    ksq, screened, shifts = ksq[order], screened[order], shifts[order]
+    best = np.maximum.accumulate(screened)
+    evaluate = _diff_power_interior if interior else _diff_power_window
+    direct = {}
+    rsq, powmax = [], []
+    for r in sorted(set(radii)):
+        count = int(np.searchsorted(ksq, _rsq_bound(r), side="right"))
+        if count == 0:
+            continue
+        near = np.flatnonzero(screened[:count] >= best[count - 1] - 2.0 * err)
+        for j in near:
+            if j not in direct:
+                direct[j] = evaluate(arr, shifts[j], 2) * cellvol
+        rsq.append(float(ksq[count - 1]))
+        powmax.append(max(direct[j] for j in near))
+    return _SupTable(np.array(rsq), np.array(powmax), True, "corr", len(ksq),
+                     len(direct))
+
+
+def _corr_table(arr: np.ndarray, rmax: float, cellvol: float, interior: bool,
+                radii=None) -> _SupTable:
+    """p = 2 table: screen every shift by ||f(.+k) - f||_2^2 = (f^2 mass on
+    both overlaps) - 2 corr(k), then confirm the maxima directly.
+
+    On a window (zero outside) both masses are ||g||^2; inside the cube they
+    are box sums of f^2 over the cells whose shift stays in Q, read from
+    d-dim prefix sums (summed-area tables).  corr is one FFT autocorrelation.
+    In d = 1 and 3 the table holds, at each radius of ``radii`` (default
+    rmax, none above it), the direct enumeration's value bit for bit.  In
+    d = 2 the screened values are the table: confirming would move the last
+    digits of values that the verify artifacts pin (on ``rand2_d2`` at
+    L = 10 and t = 2^-8 the interior modulus reads 0.10131710135113675
+    screened and 0.10131710135111947 direct).
+    """
+    d, n = arr.ndim, arr.shape[0]
+    blocks = _half_shifts(d, rmax, n - 1)
+    if not blocks:
+        return _SupTable(np.empty(0), np.empty(0), True, "corr")
     corr, shape = _autocorrelation(arr)
     sq = arr * arr
     if interior:
-        pref = np.zeros((n + 1, n + 1))
-        pref[1:, 1:] = sq.cumsum(axis=0).cumsum(axis=1)
-
-        def boxsum(l1, h1, l2, h2):
-            return pref[h1 + 1, h2 + 1] - pref[l1, h2 + 1] - pref[h1 + 1, l2] + pref[l1, l2]
+        pref = np.zeros(tuple(s + 1 for s in sq.shape))
+        acc = sq
+        for axis in range(d):
+            acc = acc.cumsum(axis=axis)
+        pref[(slice(1, None),) * d] = acc
     else:
         mass = 2.0 * float(sq.sum())
-    ksqs, dvals = [], []
-    for block in _half_shifts(arr.ndim, rmax, n - 1):
+    ksqs, screened = [], []
+    for block in blocks:
         if interior:
-            k1, cols = int(block[0, 0]), block[:, 1]
-            l2 = np.maximum(0, -cols)
-            h2 = n - 1 - np.maximum(0, cols)
-            mass = boxsum(0, n - 1 - k1, l2, h2) + boxsum(k1, n - 1, l2 + cols, h2 + cols)
+            lo = np.maximum(0, -block)
+            hi = n - 1 - np.maximum(0, block)
+            mass = _box_sums(pref, lo, hi) + _box_sums(pref, lo + block, hi + block)
         c = corr[tuple(block[:, a] % s for a, s in enumerate(shape))]
-        dvals.append(np.maximum(mass - 2.0 * c, 0.0) * cellvol)
+        screened.append(np.maximum(mass - 2.0 * c, 0.0))
         ksqs.append((block * block).sum(axis=1))
-    return _collapse(ksqs, dvals, True)
+    if d == 2:
+        return _collapse(ksqs, [s * cellvol for s in screened], True, "corr")
+    err = _screen_error(float(sq.sum()), arr.shape, shape)
+    return _confirm(arr, np.concatenate(blocks), np.concatenate(ksqs),
+                    np.concatenate(screened), err,
+                    (rmax,) if radii is None else radii, cellvol, interior)
 
 
 def _structured_shifts(d: int, rmax: float, seed: int = _DIRECTION_SEED):
@@ -284,34 +418,37 @@ def _structured_shifts(d: int, rmax: float, seed: int = _DIRECTION_SEED):
     # radius ladder ~ powers of sqrt(2), deduplicated
     radii = sorted({int(round(2.0 ** (j / 2.0))) for j in range(0, 64)})
     shifts = set()
+    bound = _rsq_bound(rmax)
     for u in sorted(dirs):
         norm_u = math.sqrt(sum(v * v for v in u))
         for r in radii:
             m = max(1, int(round(r / norm_u)))
             k = tuple(v * m for v in u)
-            if sum(v * v for v in k) <= rmax * rmax * (1 + 1e-12) + 1e-9:
+            if sum(v * v for v in k) <= bound:
                 shifts.add(k)
     return sorted(shifts)
 
 
 def _table_method(d: int, p: float, rmax: float, cells: int) -> str:
     """The supremum table for this input: direct, corr or structured."""
+    if p == 2:
+        return "corr"
     if d == 1:
         return "direct"
     if d == 2:
-        if p == 2:
-            return "corr"
         work = math.pi * rmax * rmax / 2.0 * cells  # half-ball shifts x cells
         return "direct" if work <= _DIRECT_WORK_BUDGET else "structured"
-    # d == 3: direction-set lower bound by design (experimental dimension)
+    # d == 3, p != 2: direction-set lower bound by design (experimental dimension)
     return "structured"
 
 
-def _build_table(arr: np.ndarray, p: float, rmax: float, cellvol: float,
+def _build_table(arr: np.ndarray, p: float, radii, cellvol: float,
                  interior: bool) -> _SupTable:
+    """The table for this input, exact (when its method is) at ``radii``."""
+    rmax = max(radii)
     method = _table_method(arr.ndim, p, rmax, arr.size)
     if method == "corr":
-        return _corr_table(arr, rmax, cellvol, interior)
+        return _corr_table(arr, rmax, cellvol, interior, radii)
     return _enumerated_table(arr, p, rmax, cellvol, interior, method == "structured")
 
 
@@ -337,7 +474,7 @@ def interior_modulus(f: GridFunction, p: float, t: float) -> float:
         warnings.warn("scale below lattice resolution; interior modulus set to 0",
                       ResolutionWarning, stacklevel=2)
         return 0.0
-    return _curve("interior", f, p, (t,)).points[0][1]
+    return _flagged_points(_curve("interior", f, p, (t,)))[0][1]
 
 
 def _require_margin(g: ExtendedGridFunction, cap: int):
@@ -367,32 +504,41 @@ def whole_modulus(g: ExtendedGridFunction, p: float, t: float) -> float:
         warnings.warn("scale below lattice resolution; whole modulus set to 0",
                       ResolutionWarning, stacklevel=2)
         return 0.0
-    return _curve("whole", g, p, (t,)).points[0][1]
+    return _flagged_points(_curve("whole", g, p, (t,)))[0][1]
 
 
 def _curve(kind: str, arr, p: float, t_grid, name: str = "") -> ModulusCurve:
-    """Every modulus query: one supremum table for the largest scale, then one
-    lookup per t on the radius t * n cells."""
+    """Every modulus query: one supremum table for the lookup radii t * n
+    cells, then one lookup per t."""
     _check_p(p)
     ts = tuple(sorted(t_grid)) if t_grid is not None else default_t_grid(arr.level)
     interior = kind == "interior"
     extra = {} if interior else {"margin": arr.margin}
     if not interior:
         _require_margin(arr, _shift_cells(max(ts), arr.n))
-    rmax = max(ts) * arr.n
-    table = _build_table(arr.samples, p, rmax, arr.cell_volume, interior) \
-        if rmax >= 1.0 - 1e-9 else _SupTable(np.empty(0), np.empty(0), True)
+    radii = [t * arr.n for t in ts]
+    table = _build_table(arr.samples, p, radii, arr.cell_volume, interior)
     points, flags = [], []
-    for t in ts:
-        r = t * arr.n
+    for t, r in zip(ts, radii):
         if r < 1.0 - 1e-9:
             points.append((t, 0.0))
             flags.append("below_resolution")
         else:
             points.append((t, table.lookup_power(r) ** (1.0 / p)))
             flags.append("" if table.exact else "lower_bound")
-    meta = {"d": arr.d, "L": arr.level, "function": name, **extra, "exact": table.exact}
+    meta = {"d": arr.d, "L": arr.level, "function": name, **extra,
+            "exact": table.exact, "method": table.method, "shifts": table.shifts,
+            "rechecked": table.rechecked}
     return ModulusCurve(kind, p, tuple(points), meta, tuple(flags))
+
+
+def _flagged_points(curve: ModulusCurve) -> tuple:
+    """The curve's points, warning when they are lower bounds."""
+    if not curve.meta["exact"]:
+        warnings.warn(f"{curve.kind} modulus from the {curve.meta['method']} table "
+                      "is a lower bound on the supremum", LowerBoundWarning,
+                      stacklevel=3)
+    return curve.points
 
 
 def interior_curve(f: GridFunction, p: float, t_grid=None, name: str = "") -> ModulusCurve:
@@ -415,7 +561,8 @@ def interior_dyadic_values(f: GridFunction, p: float, js) -> dict:
     js = sorted(set(int(j) for j in js))
     if any(j < 0 or j > f.level for j in js):
         raise ValueError("dyadic exponents must lie in 0..L")
-    values = dict(_curve("interior", f, p, [2.0 ** (-j) for j in js]).points)
+    curve = _curve("interior", f, p, [2.0 ** (-j) for j in js])
+    values = dict(_flagged_points(curve))
     return {j: values[2.0 ** (-j)] for j in js}
 
 

@@ -90,3 +90,25 @@ def test_verify_writes_each_gate_as_it_finishes(tmp_path, monkeypatch, capsys):
     assert artifact == "1\n"
     assert printed.startswith("[PASS] first gate")
     assert capsys.readouterr().out.startswith("[PASS] second gate")
+
+
+def test_verify_writes_run_meta_before_the_first_gate(tmp_path, monkeypatch):
+    from zexlab.cli import main
+
+    out = tmp_path / "verify"
+    seen = []
+
+    def gate_first():
+        def run():
+            seen.append((out / "run_meta.txt").read_text())
+            return True, "done", {}
+
+        return acceptance._gate("first gate", None, run)
+
+    monkeypatch.setattr(acceptance, "GATES", (gate_first,))
+    assert main(["verify", "--out", str(out), "--seed", "3"]) == 0
+    assert len(seen) == 1
+    lines = seen[0].splitlines()
+    assert lines[0].startswith("generated_unix=")
+    assert lines[1:] == [f"out={out}", "seed=3"]
+    assert (out / "run_meta.txt").read_text() == seen[0]

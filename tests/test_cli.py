@@ -178,6 +178,12 @@ def test_besov_fit_subcommand(tmp_path, capsys):
     assert "slope=" in capsys.readouterr().out
 
 
+def test_besov_fit_on_vanishing_modulus_exits_3(tmp_path, capsys):
+    cfg = _write_config(tmp_path, "function = const value=0\nd = 1\nL = 10\np = 2\n")
+    assert main(["besov-fit", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err.startswith("no result: vanishing modulus")
+
+
 def test_exponent_drop_subcommand(tmp_path, capsys):
     cfg = _write_config(tmp_path, "function = cusp alpha=0.5\nd = 1\nL = 10\np = 2\n")
     out = tmp_path / "out"

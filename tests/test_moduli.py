@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from zexlab import moduli
 from zexlab.grid import (ExtendedGridFunction, GridFunction, const, corpus,
                          cusp, linear, lp_norm, random_dyadic, sample,
                          zero_extend)
-from zexlab.moduli import (ModulusCurve, ResolutionWarning, default_t_grid,
-                           hybrid_modulus, interior_curve,
+from zexlab.moduli import (LowerBoundWarning, ModulusCurve, ResolutionWarning,
+                           default_t_grid, hybrid_modulus, interior_curve,
                            interior_dyadic_values, interior_ladder,
                            interior_modulus, whole_curve, whole_modulus)
 
@@ -166,9 +167,64 @@ def test_structured_method_is_lower_bound():
 def test_three_d_uses_flagged_direction_set():
     rng = np.random.default_rng(4)
     f = GridFunction(3, 3, rng.standard_normal((8, 8, 8)))
-    curve = interior_curve(f, 2, [0.25, 0.5])
-    assert curve.meta["exact"] is False
-    assert all(flag == "lower_bound" for flag in curve.flags)
+    for p in (1.0, 3.0):
+        curve = interior_curve(f, p, [0.25, 0.5])
+        assert curve.meta["exact"] is False
+        assert curve.meta["method"] == "structured"
+        assert all(flag == "lower_bound" for flag in curve.flags)
+
+
+def test_three_d_p2_is_exact():
+    # the off-centre cusp has near-tied shifts whose largest direct norm the
+    # screened values alone do not pick out
+    rng = np.random.default_rng(4)
+    grid = [0.125, 0.25, 0.5]
+    for f in (GridFunction(3, 3, rng.standard_normal((8, 8, 8))),
+              sample(cusp(0.5, 0.3), 3, 3)):
+        g = zero_extend(f, 4)
+        for arr, curve in ((f, interior_curve(f, 2, grid)),
+                           (g, whole_curve(g, 2, grid))):
+            interior = curve.kind == "interior"
+            assert curve.meta["exact"] is True and curve.meta["method"] == "corr"
+            assert curve.flags == ("",) * len(grid)
+            for t, value in zip(grid, curve.values):
+                args = (arr.samples, 2, t, arr.n, arr.cell_volume, interior)
+                assert value == _engine(*args, "direct")
+                assert value >= _engine(*args, "structured")
+
+
+def test_correlation_confirm_survives_cancellation():
+    # on 1e4 + cusp the screened values lose about eight digits, so many
+    # shifts fall within the screening bound and are rechecked directly
+    level = 12
+    f = GridFunction(1, level, sample(cusp(0.5), 1, level).samples + 1e4)
+    grid = default_t_grid(level)
+    g = zero_extend(f, int(max(grid) * f.n))
+    for arr, curve in ((f, interior_curve(f, 2, grid)), (g, whole_curve(g, 2, grid))):
+        direct = moduli._enumerated_table(arr.samples, 2, max(grid) * arr.n,
+                                          arr.cell_volume, curve.kind == "interior",
+                                          False)
+        assert curve.meta["method"] == "corr"
+        assert list(curve.values) == [direct.lookup_power(t * arr.n) ** 0.5
+                                      for t in grid]
+    assert interior_curve(f, 2, grid).meta["rechecked"] > 100
+
+
+def test_single_scale_queries_flag_lower_bounds():
+    rng = np.random.default_rng(4)
+    f = GridFunction(3, 3, rng.standard_normal((8, 8, 8)))
+    g = zero_extend(f, 4)
+    with pytest.warns(LowerBoundWarning):
+        interior_modulus(f, 3, 0.5)
+    with pytest.warns(LowerBoundWarning):
+        whole_modulus(g, 3, 0.5)
+    with pytest.warns(LowerBoundWarning):
+        interior_dyadic_values(f, 3, [1, 2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", LowerBoundWarning)
+        interior_modulus(f, 2, 0.5)
+        whole_modulus(g, 2, 0.5)
+        interior_dyadic_values(f, 2, [1, 2])
 
 
 def test_hybrid_constant_attains_unit_scale():
