@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .besov import FitResult, fit_points
-from .dyadic import DyadicCube, _check_tiling, _mean_pyramid, block_means
+from .dyadic import DyadicCube, _check_tiling, _mean_pyramid, _sum_pyramid, block_means
 from .grid import GridFunction, _abs_pow, lp_norm
 
 PARTITION_DUMP_HEADER = "level,origin_indices,S,status"
@@ -191,10 +191,10 @@ def partition_objective(f: GridFunction, cubes, t: float, p: float) -> float:
     return float(total ** (1.0 / p))
 
 
-def default_epsilons(f: GridFunction, p: float, j_range=range(1, 9)) -> tuple:
-    """Scale-relative threshold ladder eps_j = 2^-j ||f||_p."""
+def default_epsilons(f: GridFunction, p: float) -> tuple:
+    """Scale-relative threshold ladder eps_j = 2^-j ||f||_p, j = 1..8."""
     norm = lp_norm(f, p)
-    return tuple(norm * 2.0 ** (-j) for j in j_range)
+    return tuple(norm * 2.0 ** (-j) for j in range(1, 9))
 
 
 # ---------------------------------------------------------------------------
@@ -220,23 +220,6 @@ def sobolev_seminorm(f: GridFunction, q: float) -> float:
         raise ValueError("q must be >= 1")
     mag = gradient_magnitude(f)
     return float((f.cell_volume * (mag ** q).sum()) ** (1.0 / q))
-
-
-class _LocalSeminorms:
-    """Block sums of |grad f|^q so each cube's local seminorm is a lookup.
-
-    The per-cube seminorm restricts the *global* gradient field, which makes
-    it monotone under taking subcubes.
-    """
-
-    def __init__(self, f: GridFunction, q: float):
-        self.q = float(q)
-        gq = gradient_magnitude(f) ** q * f.cell_volume
-        self.levels = [m * 2.0 ** (f.d * (f.level - k))
-                       for k, m in enumerate(_mean_pyramid(gq, f.d, f.level))]
-
-    def value(self, cube: DyadicCube) -> float:
-        return float(self.levels[cube.level][cube.origin] ** (1.0 / self.q))
 
 
 @dataclass(frozen=True)
@@ -280,7 +263,9 @@ def count_bound_report(f: GridFunction, p: float, q: float, epsilons) -> CountRe
     if eta <= 0:
         raise ValueError(f"scaling exponent eta = {eta:g} must be positive")
     seminorm = sobolev_seminorm(f, q)
-    local = _LocalSeminorms(f, q)
+    # block sums of |grad f|^q: each cube's local seminorm restricts the
+    # global gradient field, which makes it monotone under taking subcubes
+    local = _sum_pyramid(gradient_magnitude(f) ** q * f.cell_volume, f.d, f.level)
     pyramid = ErrorPyramid(f, p)
     epsilons = sorted({float(e) for e in epsilons})
     parts = {e: build_partition(f, p, e, pyramid) for e in epsilons}
@@ -290,7 +275,7 @@ def count_bound_report(f: GridFunction, p: float, q: float, epsilons) -> CountRe
         for node in part.all_nodes():
             if node.s_value <= 0:
                 continue
-            w_local = local.value(node.cube)
+            w_local = float(local[node.cube.level][node.cube.origin] ** (1.0 / q))
             if w_local > 0:
                 ratio_constant = max(
                     ratio_constant,
@@ -353,8 +338,7 @@ def adaptive_error_rate(f: GridFunction, p: float, q: float, t_grid,
         epsilons = default_epsilons(f, p)
     pyramid = ErrorPyramid(f, p)
     fp = _abs_pow(f.samples, p) * f.cell_volume
-    fp_levels = [m * 2.0 ** (f.d * (f.level - k))
-                 for k, m in enumerate(_mean_pyramid(fp, f.d, f.level))]
+    fp_levels = _sum_pyramid(fp, f.d, f.level)
     per_eps = []
     for e in epsilons:
         part = build_partition(f, p, e, pyramid)

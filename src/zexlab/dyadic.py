@@ -27,6 +27,10 @@ from .grid import (GridFunction, LatticeShift, _abs_pow, difference, lp_norm,
 from .moduli import interior_modulus
 
 SUITE_CSV_HEADER = "seed,d,k,p,h,lhs,rhs,pass"
+# random_partition splits a cube below its level cap with this probability
+_SPLIT_PROB = 0.55
+# shift_bound_suite draws partition levels k = 1 .. _SUITE_MAX_LEVEL
+_SUITE_MAX_LEVEL = 5
 
 
 def unit_ball_volume(d: int) -> float:
@@ -178,13 +182,19 @@ def _mean_pyramid(samples: np.ndarray, d: int, level: int) -> list:
     """Block means of every level 0..level; entry k holds the level-k means.
 
     Each level is halved from the one below it, so entry k equals
-    ``block_means(samples, d, level, k)`` bit for bit.  A block sum is the
-    mean times the exact power of two 2^(d (level - k)).
+    ``block_means(samples, d, level, k)`` bit for bit.
     """
     levels = [samples]
     for _ in range(level):
         levels.append(_halve(levels[-1], d))
     return levels[::-1]
+
+
+def _sum_pyramid(samples: np.ndarray, d: int, level: int) -> list:
+    """Block sums of every level 0..level; entry k holds the level-k sums,
+    each the mean times the exact power of two 2^(d (level - k))."""
+    return [m * 2.0 ** (d * (level - k))
+            for k, m in enumerate(_mean_pyramid(samples, d, level))]
 
 
 def dyadic_average(f: GridFunction, level: int) -> PiecewiseConstant:
@@ -254,14 +264,13 @@ def shift_bound_check(pc: PiecewiseConstant, shift: LatticeShift, p: float) -> t
     return lhs, rhs
 
 
-def random_partition(rng: np.random.Generator, d: int, max_level: int,
-                     split_prob: float = 0.55) -> tuple:
+def random_partition(rng: np.random.Generator, d: int, max_level: int) -> tuple:
     """Random dyadic partition of the unit cube (tree of seeded subdivisions)."""
     cubes = []
     stack = [DyadicCube(0, (0,) * d)]
     while stack:
         cube = stack.pop()
-        if cube.level < max_level and rng.random() < split_prob:
+        if cube.level < max_level and rng.random() < _SPLIT_PROB:
             stack.extend(cube.children())
         else:
             cubes.append(cube)
@@ -290,8 +299,7 @@ def equality_case() -> dict:
 
 
 def shift_bound_suite(n_functions: int = 100, shifts_each: int = 10,
-                      p_values=(1.0, 2.0, 3.0), seed: int = 7,
-                      max_level: int = 5) -> list:
+                      p_values=(1.0, 2.0, 3.0), seed: int = 7) -> list:
     """Seeded randomized suite over uniform and arbitrary partitions.
 
     Returns one row dict per (function, shift, p) case plus the equality
@@ -304,7 +312,7 @@ def shift_bound_suite(n_functions: int = 100, shifts_each: int = 10,
         rng = np.random.default_rng(int(case_seed))
         d = 1 if i % 2 == 0 else 2
         uniform = (i // 2) % 2 == 0
-        k = int(rng.integers(1, max_level + 1))
+        k = int(rng.integers(1, _SUITE_MAX_LEVEL + 1))
         if uniform:
             m = 1 << k
             pc = PiecewiseConstant.from_uniform(d, k, rng.standard_normal((m,) * d))

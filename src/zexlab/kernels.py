@@ -32,7 +32,10 @@ from .moduli import hybrid_modulus, interior_ladder, whole_modulus
 
 FAMILIES = ("gauss", "poisson", "fejer_tensor")
 
-_MAX_RADIUS_CELLS = 4 * 10 ** 6
+# largest zero-extension window a kernel may need: 2^27 float64 cells, 1 GiB
+_MAX_WINDOW_CELLS = 1 << 27
+# error/hybrid and modulus/hybrid log-log slopes below this fail the bound
+_SLOPE_FLOOR = -0.05
 _FFT_KERNEL_CUTOFF = 256  # 1-d kernels longer than this convolve via FFT
 
 
@@ -87,11 +90,14 @@ def truncation_radius(spec: KernelSpec, d: int) -> float:
 
 
 def kernel_radius_cells(spec: KernelSpec, d: int, level: int) -> int:
-    r = int(math.ceil(truncation_radius(spec, d) * (1 << level)))
-    r = max(r, 1)
-    if r > _MAX_RADIUS_CELLS:
+    """Truncation radius in cells; refuses a radius whose window, the cube
+    plus the radius on each side, would exceed ``_MAX_WINDOW_CELLS``."""
+    r = max(int(math.ceil(truncation_radius(spec, d) * (1 << level))), 1)
+    cells = ((1 << level) + 2 * r) ** d
+    if cells > _MAX_WINDOW_CELLS:
         raise ValueError(
-            f"tail budget {spec.truncation_tail:g} needs a {r}-cell radius; "
+            f"tail budget {spec.truncation_tail:g} at t={spec.t:g} needs a {r}-cell "
+            f"radius, a window of {cells} cells (limit {_MAX_WINDOW_CELLS}); "
             "relax the budget or coarsen the lattice")
     return r
 
@@ -178,12 +184,9 @@ def apply_kernel_direct(spec: KernelSpec, g: ExtendedGridFunction) -> ExtendedGr
     return ExtendedGridFunction(g.d, g.level, g.margin, out)
 
 
-def error_norm(spec: KernelSpec, f: GridFunction, p: float,
-               margin: int | None = None) -> float:
+def error_norm(spec: KernelSpec, f: GridFunction, p: float) -> float:
     """L^p size of (smoothing - identity) applied to the zero-extension."""
-    if margin is None:
-        margin = kernel_radius_cells(spec, f.d, f.level)
-    g = zero_extend(f, margin)
+    g = zero_extend(f, kernel_radius_cells(spec, f.d, f.level))
     return lp_norm(apply_kernel(spec, g) - g, p)
 
 
@@ -296,7 +299,7 @@ class ExtensionBoundReport:
 
 
 def extension_bound_check(family: str, f: GridFunction, p: float, t_grid,
-                          truncation_tail: float = 1e-6, slope_floor: float = -0.05) -> ExtensionBoundReport:
+                          truncation_tail: float = 1e-6) -> ExtensionBoundReport:
     """Boundedness of error/hybrid and extension-modulus/hybrid as t shrinks.
 
     Both ratios should stay bounded, so their fitted log-log slopes must not
@@ -328,8 +331,8 @@ def extension_bound_check(family: str, f: GridFunction, p: float, t_grid,
             mod_slope = fit_points(tt, [r_mod[i] for i in clean]).slope
     max_err = max((r_err[i] for i in clean), default=math.nan)
     max_mod = max((r_mod[i] for i in clean), default=math.nan)
-    passed = (err_slope is None or err_slope >= slope_floor) and \
-             (mod_slope is None or mod_slope >= slope_floor)
+    passed = (err_slope is None or err_slope >= _SLOPE_FLOOR) and \
+             (mod_slope is None or mod_slope >= _SLOPE_FLOOR)
     return ExtensionBoundReport(ts, tuple(r_err), tuple(r_mod), err_slope,
                                 mod_slope, max_err, max_mod, tuple(flags), passed)
 
@@ -339,11 +342,10 @@ def error_curve(family: str, f: GridFunction, p: float, t_grid,
     """Error-norm curve in the standard modulus-curve container."""
     from .moduli import ModulusCurve
 
-    ts = tuple(sorted(t_grid))
-    points = []
-    for t in ts:
-        spec = KernelSpec(family, t, truncation_tail)
-        points.append((t, error_norm(spec, f, p)))
+    specs = [KernelSpec(family, t, truncation_tail) for t in sorted(t_grid)]
+    for spec in specs[::-1]:  # largest first: refuse before any window is built
+        kernel_radius_cells(spec, f.d, f.level)
+    points = [(spec.t, error_norm(spec, f, p)) for spec in specs]
     meta = {"d": f.d, "L": f.level, "function": name, "kernel": family,
             "truncation_tail": truncation_tail}
     return ModulusCurve("error_norm", p, tuple(points), meta)

@@ -12,14 +12,16 @@ Three quantities per function f and scale t:
 
 Shifts are lattice multiples of the cell side, so each candidate difference
 norm is an exact cell sum.  Every query, single-scale or curve, reads one
-supremum table of the running maximum by shift radius.  The input alone picks
-the table; callers cannot choose it:
+supremum table: the largest p-th power difference norm over the shifts within
+each lookup radius t * n cells.  The input alone picks the table; callers
+cannot choose it:
 
 * p = 2, any d: the correlation engine.  It screens every shift of the
   lattice half ball by overlap masses (summed-area tables) minus twice one
   FFT autocorrelation; in d = 1 and 3 it then rechecks directly every shift
   within the screening error bound of the maximum, so its values equal the
-  direct enumeration bit for bit; in d = 2 the screened values stand.  Exact.
+  direct enumeration bit for bit; in d = 2 the screened values stand, within
+  that bound of the direct enumeration.  Exact.
 * d = 1, p != 2: direct enumeration of the lattice half ball, exact;
 * d = 2, p != 2: direct enumeration while shifts x cells stays within
   ``_DIRECT_WORK_BUDGET``, else the structured direction set, a lower bound;
@@ -127,12 +129,12 @@ def default_t_grid(level: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# supremum tables: cumulative max of ||difference||_p^p by shift radius
+# supremum tables: max of ||difference||_p^p over the shifts within each radius
 
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 # assumed relative 2-norm error of one FFT, in unit roundoffs per radix-2 stage
 _FFT_ULPS = 16
-# candidate shifts per _half_shifts block: bounds the screening temporaries
+# candidate shifts per _half_shifts block: bounds the candidate temporaries
 _SHIFT_BLOCK = 1 << 12
 
 
@@ -143,46 +145,31 @@ def _rsq_bound(r: float) -> float:
 
 @dataclass(frozen=True)
 class _SupTable:
-    """Running max of the p-th power difference norms by squared radius.
+    """Max of the p-th power difference norms over the shifts |k| <= r, one
+    per lookup radius r (in cells), in the order the radii were given."""
 
-    A confirmed correlation table holds only the radii it was built for: it is
-    exact there and a lower bound between them.  Every other table is complete.
-    """
-
-    rsq: np.ndarray      # ascending squared radii (in cells)
-    powmax: np.ndarray   # running max of the p-th power difference norms
+    powers: tuple
     exact: bool
     method: str
     shifts: int = 0      # shifts evaluated (direct, structured) or screened (corr)
     rechecked: int = 0   # screened shifts recomputed by a direct difference norm
 
-    def lookup_power(self, radius_cells: float) -> float:
-        idx = int(np.searchsorted(self.rsq, _rsq_bound(radius_cells), side="right")) - 1
-        if idx < 0:
-            return 0.0
-        return float(self.powmax[idx])
 
-
-def _collapse(ksq_blocks, dval_blocks, exact: bool, method: str) -> _SupTable:
-    """Sort the per-shift values by squared radius and keep the running max."""
-    if not ksq_blocks:
-        return _SupTable(np.empty(0), np.empty(0), exact, method)
-    ksq = np.concatenate(ksq_blocks)
+def _radius_max(ksq: np.ndarray, values: np.ndarray, radii) -> tuple:
+    """Max of ``values`` over the shifts with squared length ``ksq`` within
+    each radius; 0.0 where no shift fits."""
     order = np.argsort(ksq, kind="stable")
-    ks = ksq[order]
-    dv = np.maximum.accumulate(np.concatenate(dval_blocks)[order])
-    keep = np.empty(len(ks), dtype=bool)
-    keep[:-1] = ks[1:] != ks[:-1]
-    keep[-1] = True
-    return _SupTable(ks[keep].astype(float), dv[keep], exact, method, len(ks))
+    best = np.maximum.accumulate(values[order])
+    counts = np.searchsorted(ksq[order], [_rsq_bound(r) for r in radii], side="right")
+    return tuple(float(best[c - 1]) if c else 0.0 for c in counts)
 
 
-def _half_shifts(d: int, rmax: float, per_axis: int) -> list:
+def _half_shifts(d: int, rmax: float, per_axis: int) -> np.ndarray:
     """Integer shifts with positive leading nonzero component, |k| <= rmax and
-    |k_i| <= per_axis, as (m, d) blocks, each a run of leading components."""
+    |k_i| <= per_axis, as one (m, d) array ordered by leading component."""
     cap = min(per_axis, math.floor(rmax + 1e-9))
     if cap < 1:
-        return []
+        return np.empty((0, d), dtype=np.int64)
     bound = _rsq_bound(rmax)
     side = 2 * cap + 1
     rest = np.indices((side,) * (d - 1)).reshape(d - 1, side ** (d - 1)).T - cap
@@ -195,10 +182,8 @@ def _half_shifts(d: int, rmax: float, per_axis: int) -> list:
         ks[:, :, 1:] = rest
         ks = ks.reshape(-1, d)
         first = ks[np.arange(len(ks)), np.argmax(ks != 0, axis=1)]
-        ks = ks[(first > 0) & ((ks * ks).sum(axis=1) <= bound)]
-        if len(ks):
-            blocks.append(ks)
-    return blocks
+        blocks.append(ks[(first > 0) & ((ks * ks).sum(axis=1) <= bound)])
+    return np.concatenate(blocks)
 
 
 def _diff_power_interior(samples: np.ndarray, k, p: float) -> float:
@@ -224,21 +209,27 @@ def _diff_power_window(window: np.ndarray, k, p: float) -> float:
     return float(_abs_pow(diff, p, out=diff).sum())
 
 
-def _enumerated_table(arr: np.ndarray, p: float, rmax: float, cellvol: float,
+def _direct_values(arr: np.ndarray, shifts: np.ndarray, p: float, cellvol: float,
+                   interior: bool) -> np.ndarray:
+    """||f(.+k) - f||_p^p for each shift k, one difference norm per shift,
+    inside the cube or over the whole window."""
+    evaluate = _diff_power_interior if interior else _diff_power_window
+    return np.array([evaluate(arr, k, p) for k in shifts]) * cellvol
+
+
+def _enumerated_table(arr: np.ndarray, p: float, radii, cellvol: float,
                       interior: bool, structured: bool) -> _SupTable:
     """Evaluate every shift of the half ball (exact) or of the structured
     direction set (lower bound), one difference norm per shift."""
+    d, rmax = arr.ndim, max(radii)
     if structured:
-        shifts = np.array(_structured_shifts(arr.ndim, rmax), dtype=np.int64)
-        blocks = [shifts] if len(shifts) else []
+        shifts = np.array(_structured_shifts(d, rmax), dtype=np.int64).reshape(-1, d)
     else:
-        blocks = _half_shifts(arr.ndim, rmax, arr.shape[0] - 1)
-    evaluate = _diff_power_interior if interior else _diff_power_window
-    ksqs = [(block * block).sum(axis=1) for block in blocks]
-    dvals = [np.array([evaluate(arr, k, p) for k in block]) * cellvol
-             for block in blocks]
-    return _collapse(ksqs, dvals, not structured,
-                     "structured" if structured else "direct")
+        shifts = _half_shifts(d, rmax, arr.shape[0] - 1)
+    values = _direct_values(arr, shifts, p, cellvol, interior)
+    return _SupTable(_radius_max((shifts * shifts).sum(axis=1), values, radii),
+                     not structured, "structured" if structured else "direct",
+                     len(shifts))
 
 
 def _autocorrelation(a: np.ndarray) -> tuple:
@@ -305,56 +296,30 @@ def _screen_error(energy: float, shape, padded) -> float:
     return 2.0 * energy * (masses + 2 * corr + 4 * u + 4 * g(m + 2))
 
 
-def _confirm(arr: np.ndarray, shifts: np.ndarray, ksq: np.ndarray,
-             screened: np.ndarray, err: float, radii, cellvol: float,
-             interior: bool) -> _SupTable:
-    """Direct maxima at each radius from screened values within ``err``.
-
-    With |screened - direct| <= err for every shift, the shift whose direct
-    value is largest among |k| <= r has a screened value at least the max
-    screened value there minus 2 err.  Rechecking every such shift directly
-    returns the direct enumeration's maximum bit for bit, since max does not
-    depend on the order.  Direct values are cached across radii.
-    """
-    order = np.argsort(ksq, kind="stable")
-    ksq, screened, shifts = ksq[order], screened[order], shifts[order]
-    best = np.maximum.accumulate(screened)
-    evaluate = _diff_power_interior if interior else _diff_power_window
-    direct = {}
-    rsq, powmax = [], []
-    for r in sorted(set(radii)):
-        count = int(np.searchsorted(ksq, _rsq_bound(r), side="right"))
-        if count == 0:
-            continue
-        near = np.flatnonzero(screened[:count] >= best[count - 1] - 2.0 * err)
-        for j in near:
-            if j not in direct:
-                direct[j] = evaluate(arr, shifts[j], 2) * cellvol
-        rsq.append(float(ksq[count - 1]))
-        powmax.append(max(direct[j] for j in near))
-    return _SupTable(np.array(rsq), np.array(powmax), True, "corr", len(ksq),
-                     len(direct))
-
-
-def _corr_table(arr: np.ndarray, rmax: float, cellvol: float, interior: bool,
-                radii=None) -> _SupTable:
+def _corr_table(arr: np.ndarray, radii, cellvol: float, interior: bool) -> _SupTable:
     """p = 2 table: screen every shift by ||f(.+k) - f||_2^2 = (f^2 mass on
     both overlaps) - 2 corr(k), then confirm the maxima directly.
 
     On a window (zero outside) both masses are ||g||^2; inside the cube they
     are box sums of f^2 over the cells whose shift stays in Q, read from
     d-dim prefix sums (summed-area tables).  corr is one FFT autocorrelation.
-    In d = 1 and 3 the table holds, at each radius of ``radii`` (default
-    rmax, none above it), the direct enumeration's value bit for bit.  In
-    d = 2 the screened values are the table: confirming would move the last
-    digits of values that the verify artifacts pin (on ``rand2_d2`` at
-    L = 10 and t = 2^-8 the interior modulus reads 0.10131710135113675
+
+    In d = 1 and 3 the maxima are confirmed.  With |screened - direct| <= e
+    for every shift (``_screen_error``), the shift whose direct value is
+    largest within radius r has a screened value at least the largest
+    screened value there minus 2 e.  Every shift within 2 e of that value at
+    some radius is recomputed directly and every other shift is dropped, so
+    each radius reads the direct enumeration's maximum bit for bit: max does
+    not depend on the order, and no other recomputed shift within r exceeds
+    it.  In d = 2 the screened values are the table: confirming would move
+    the last digits of values that the verify artifacts pin (on ``rand2_d2``
+    at L = 10 and t = 2^-8 the interior modulus reads 0.10131710135113675
     screened and 0.10131710135111947 direct).
     """
     d, n = arr.ndim, arr.shape[0]
-    blocks = _half_shifts(d, rmax, n - 1)
-    if not blocks:
-        return _SupTable(np.empty(0), np.empty(0), True, "corr")
+    shifts = _half_shifts(d, max(radii), n - 1)
+    if not len(shifts):
+        return _SupTable((0.0,) * len(radii), True, "corr")
     corr, shape = _autocorrelation(arr)
     sq = arr * arr
     if interior:
@@ -363,26 +328,28 @@ def _corr_table(arr: np.ndarray, rmax: float, cellvol: float, interior: bool,
         for axis in range(d):
             acc = acc.cumsum(axis=axis)
         pref[(slice(1, None),) * d] = acc
+        lo = np.maximum(0, -shifts)
+        hi = n - 1 - np.maximum(0, shifts)
+        mass = _box_sums(pref, lo, hi) + _box_sums(pref, lo + shifts, hi + shifts)
     else:
         mass = 2.0 * float(sq.sum())
-    ksqs, screened = [], []
-    for block in blocks:
-        if interior:
-            lo = np.maximum(0, -block)
-            hi = n - 1 - np.maximum(0, block)
-            mass = _box_sums(pref, lo, hi) + _box_sums(pref, lo + block, hi + block)
-        c = corr[tuple(block[:, a] % s for a, s in enumerate(shape))]
-        screened.append(np.maximum(mass - 2.0 * c, 0.0))
-        ksqs.append((block * block).sum(axis=1))
+    c = corr[tuple(shifts[:, a] % s for a, s in enumerate(shape))]
+    screened = np.maximum(mass - 2.0 * c, 0.0)
+    ksq = (shifts * shifts).sum(axis=1)
     if d == 2:
-        return _collapse(ksqs, [s * cellvol for s in screened], True, "corr")
+        return _SupTable(_radius_max(ksq, screened * cellvol, radii), True, "corr",
+                         len(shifts))
     err = _screen_error(float(sq.sum()), arr.shape, shape)
-    return _confirm(arr, np.concatenate(blocks), np.concatenate(ksqs),
-                    np.concatenate(screened), err,
-                    (rmax,) if radii is None else radii, cellvol, interior)
+    near = np.zeros(len(shifts), dtype=bool)
+    for r, top in zip(radii, _radius_max(ksq, screened, radii)):
+        near |= (ksq <= _rsq_bound(r)) & (screened >= top - 2.0 * err)
+    values = np.full(len(shifts), -np.inf)
+    values[near] = _direct_values(arr, shifts[near], 2, cellvol, interior)
+    return _SupTable(_radius_max(ksq, values, radii), True, "corr", len(shifts),
+                     int(near.sum()))
 
 
-def _structured_shifts(d: int, rmax: float, seed: int = _DIRECTION_SEED):
+def _structured_shifts(d: int, rmax: float):
     """Axis, diagonal, and seeded random lattice directions with a radius ladder.
 
     A documented lower bound on the supremum: every multiple ladder is fixed,
@@ -401,7 +368,7 @@ def _structured_shifts(d: int, rmax: float, seed: int = _DIRECTION_SEED):
         nz = [s for s in signs if s]
         if len(nz) >= 2 and nz[0] > 0:
             dirs.add(signs)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_DIRECTION_SEED)
     wanted = _N_RANDOM_DIRECTIONS.get(d, 128)
     attempts = 0
     while len(dirs) < wanted + 2 * d and attempts < 40 * wanted:
@@ -429,27 +396,18 @@ def _structured_shifts(d: int, rmax: float, seed: int = _DIRECTION_SEED):
     return sorted(shifts)
 
 
-def _table_method(d: int, p: float, rmax: float, cells: int) -> str:
-    """The supremum table for this input: direct, corr or structured."""
-    if p == 2:
-        return "corr"
-    if d == 1:
-        return "direct"
-    if d == 2:
-        work = math.pi * rmax * rmax / 2.0 * cells  # half-ball shifts x cells
-        return "direct" if work <= _DIRECT_WORK_BUDGET else "structured"
-    # d == 3, p != 2: direction-set lower bound by design (experimental dimension)
-    return "structured"
-
-
 def _build_table(arr: np.ndarray, p: float, radii, cellvol: float,
                  interior: bool) -> _SupTable:
-    """The table for this input, exact (when its method is) at ``radii``."""
-    rmax = max(radii)
-    method = _table_method(arr.ndim, p, rmax, arr.size)
-    if method == "corr":
-        return _corr_table(arr, rmax, cellvol, interior, radii)
-    return _enumerated_table(arr, p, rmax, cellvol, interior, method == "structured")
+    """The table for this input at ``radii``: corr for p = 2; otherwise direct
+    enumeration in d = 1, and in d = 2 while half-ball shifts x cells stays
+    within ``_DIRECT_WORK_BUDGET``; else the structured direction set, a lower
+    bound by design (d = 3 is the experimental dimension)."""
+    if p == 2:
+        return _corr_table(arr, radii, cellvol, interior)
+    d, rmax = arr.ndim, max(radii)
+    work = math.pi * rmax * rmax / 2.0 * arr.size  # half-ball shifts x cells
+    structured = d > 2 or (d == 2 and work > _DIRECT_WORK_BUDGET)
+    return _enumerated_table(arr, p, radii, cellvol, interior, structured)
 
 
 # ---------------------------------------------------------------------------
@@ -519,12 +477,12 @@ def _curve(kind: str, arr, p: float, t_grid, name: str = "") -> ModulusCurve:
     radii = [t * arr.n for t in ts]
     table = _build_table(arr.samples, p, radii, arr.cell_volume, interior)
     points, flags = [], []
-    for t, r in zip(ts, radii):
+    for t, r, power in zip(ts, radii, table.powers):
         if r < 1.0 - 1e-9:
             points.append((t, 0.0))
             flags.append("below_resolution")
         else:
-            points.append((t, table.lookup_power(r) ** (1.0 / p)))
+            points.append((t, power ** (1.0 / p)))
             flags.append("" if table.exact else "lower_bound")
     meta = {"d": arr.d, "L": arr.level, "function": name, **extra,
             "exact": table.exact, "method": table.method, "shifts": table.shifts,

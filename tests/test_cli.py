@@ -171,6 +171,20 @@ window = 0.03125:0.25
     assert ",error_norm," in body
 
 
+@pytest.mark.parametrize("kernel, cells", [("poisson", 263193624576),
+                                           ("fejer_tensor", 1702560451684)])
+def test_kernel_error_refuses_oversized_window(tmp_path, capsys, monkeypatch,
+                                               kernel, cells):
+    def no_window(*args, **kwargs):
+        raise AssertionError("a window was allocated")
+
+    monkeypatch.setattr("zexlab.kernels.zero_extend", no_window)
+    cfg = _write_config(tmp_path, f"function = cusp alpha=0.5\nd = 2\nL = 10\n"
+                                  f"kernel = {kernel}\n")
+    assert main(["kernel-error", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"a window of {cells} cells" in capsys.readouterr().err
+
+
 def test_besov_fit_subcommand(tmp_path, capsys):
     cfg = _write_config(tmp_path, "function = cusp alpha=0.5\nd = 1\nL = 10\np = 2\n")
     out = tmp_path / "out"

@@ -126,13 +126,13 @@ def test_doubling_inequality_on_corpus():
 
 def _engine(arr, p, t, n, cellvol, interior, engine):
     """One supremum engine's value at scale t, bypassing the table choice."""
-    rmax = t * n
+    radii = [t * n]
     if engine == "corr":
-        table = moduli._corr_table(arr, rmax, cellvol, interior)
+        table = moduli._corr_table(arr, radii, cellvol, interior)
     else:
-        table = moduli._enumerated_table(arr, p, rmax, cellvol, interior,
+        table = moduli._enumerated_table(arr, p, radii, cellvol, interior,
                                          engine == "structured")
-    return table.lookup_power(rmax) ** (1.0 / p)
+    return table.powers[0] ** (1.0 / p)
 
 
 def test_correlation_method_matches_direct():
@@ -201,13 +201,32 @@ def test_correlation_confirm_survives_cancellation():
     grid = default_t_grid(level)
     g = zero_extend(f, int(max(grid) * f.n))
     for arr, curve in ((f, interior_curve(f, 2, grid)), (g, whole_curve(g, 2, grid))):
-        direct = moduli._enumerated_table(arr.samples, 2, max(grid) * arr.n,
+        direct = moduli._enumerated_table(arr.samples, 2, [t * arr.n for t in grid],
                                           arr.cell_volume, curve.kind == "interior",
                                           False)
         assert curve.meta["method"] == "corr"
-        assert list(curve.values) == [direct.lookup_power(t * arr.n) ** 0.5
-                                      for t in grid]
+        assert list(curve.values) == [power ** 0.5 for power in direct.powers]
     assert interior_curve(f, 2, grid).meta["rechecked"] > 100
+
+
+@pytest.mark.parametrize("d, level, p, kind, method, exact, shifts, rechecked", [
+    (1, 8, 2, "interior", "corr", True, 128, 7),
+    (1, 8, 2, "whole", "corr", True, 128, 7),
+    (2, 5, 1, "interior", "direct", True, 398, 0),
+    (2, 5, 2, "interior", "corr", True, 398, 0),
+    (3, 3, 1, "interior", "structured", False, 36, 0),
+    (3, 3, 2, "interior", "corr", True, 128, 4),
+])
+def test_curve_provenance_counts(d, level, p, kind, method, exact, shifts, rechecked):
+    f = sample(cusp(0.5, 0.3), d, level)
+    grid = [2.0 ** -j for j in range(level - 1, 0, -1)]
+    if kind == "whole":
+        curve = whole_curve(zero_extend(f, f.n // 2), p, grid)
+    else:
+        curve = interior_curve(f, p, grid)
+    meta = curve.meta
+    assert (meta["method"], meta["exact"], meta["shifts"], meta["rechecked"]) == \
+        (method, exact, shifts, rechecked)
 
 
 def test_single_scale_queries_flag_lower_bounds():

@@ -40,10 +40,8 @@ def test_corr_engine_equals_direct_enumeration_bit_for_bit(d, data):
                       "radii")
     f = GridFunction(d, level, _samples(kind, d, level, seed))
     arr = f if interior else zero_extend(f, math.ceil(max(radii)))
-    rmax = max(radii)
-    corr = moduli._corr_table(arr.samples, rmax, arr.cell_volume, interior, radii)
-    direct = moduli._enumerated_table(arr.samples, 2, rmax, arr.cell_volume,
+    corr = moduli._corr_table(arr.samples, radii, arr.cell_volume, interior)
+    direct = moduli._enumerated_table(arr.samples, 2, radii, arr.cell_volume,
                                       interior, False)
     assert corr.exact and corr.method == "corr"
-    for r in radii:
-        assert corr.lookup_power(r) == direct.lookup_power(r)
+    assert corr.powers == direct.powers
