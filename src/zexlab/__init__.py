@@ -18,10 +18,10 @@ from .moduli import (LowerBoundWarning, ModulusCurve, ResolutionWarning,
 from .dyadic import (DyadicCube, PiecewiseConstant, average_error_constant,
                      average_error_report, dyadic_average, render_average,
                      shift_bound_check, shift_bound_suite, unit_ball_volume)
-from .adaptive import (AdaptivePartition, CubeNode, ErrorPyramid,
-                       adaptive_error_rate, build_partition, count_bound_report,
-                       default_epsilons, local_error, partition_objective,
-                       sobolev_seminorm, verify_partition)
+from .adaptive import (AdaptivePartition, ErrorPyramid, adaptive_error_rate,
+                       build_partition, count_bound_report, default_epsilons,
+                       local_error, partition_objective, sobolev_seminorm,
+                       verify_partition)
 from .kernels import (KernelSpec, apply_kernel, error_curve, error_modulus_ratio,
                       error_norm, extension_bound_check, l1_log_ratio)
 from .besov import (BalancedEnvelope, BesovParams, FitResult,

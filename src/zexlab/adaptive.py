@@ -3,8 +3,9 @@
 A dyadic cube Q is *good* for a threshold eps when its local error
 S(Q) = ||f - mean_Q(f)||_{L^p(Q)} is at most eps, and *bad* otherwise.  The
 builder classifies the root, subdivides every bad cube into its 2^d dyadic
-children, and repeats; on the lattice the walk must stop by level L because
-single-cell cubes have S = 0.  The good cubes tile the unit cube.
+children, and repeats level by level; on the lattice it must stop by level L
+because single-cell cubes have S = 0.  The good cubes tile the unit cube.  A
+partition is held as per-level arrays read off the ``ErrorPyramid``.
 
 The module also evaluates the partition objective
 
@@ -22,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .besov import FitResult, fit_points
-from .dyadic import DyadicCube, _check_tiling, _mean_pyramid, _sum_pyramid, block_means
+from .dyadic import (DyadicCube, _check_tiling, _mean_pyramid, _refine, _sum_pyramid,
+                     block_means)
 from .grid import GridFunction, _abs_pow, lp_norm
 
 PARTITION_DUMP_HEADER = "level,origin_indices,S,status"
@@ -50,9 +52,6 @@ class ErrorPyramid:
             _abs_pow(dev, self.p, out=dev)
             self.err_pow[k] = dev.sum(axis=tuple(range(1, 2 * d, 2))) * cellvol
 
-    def s_value(self, cube: DyadicCube) -> float:
-        return float(self.err_pow[cube.level][cube.origin] ** (1.0 / self.p))
-
     def mean(self, cube: DyadicCube) -> float:
         return float(self.means[cube.level][cube.origin])
 
@@ -69,108 +68,116 @@ def local_error(f: GridFunction, cube: DyadicCube, p: float) -> float:
     return float((dev.sum() * f.cell_volume) ** (1.0 / p))
 
 
-@dataclass(frozen=True)
-class CubeNode:
-    cube: DyadicCube
-    s_value: float
-    status: str  # "good" | "bad"
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdaptivePartition:
-    """Stopping-time partition: good cubes per level plus the bad tree."""
+    """Stopping-time partition as per-level arrays over the error pyramid.
+
+    Entry k of ``origins``, ``s_values`` and ``is_good`` describes the cubes
+    classified at level k (the root, then the children of the level k-1 bad
+    cubes) in lexicographic order: an (n_k, d) integer array of cube origins,
+    their S(Q) values and a good flag for each.  ``good`` and ``bad`` split
+    the origins per level, ``counts`` counts the good cubes per level, and
+    ``depth`` is the deepest level holding one.
+    """
 
     epsilon: float
-    good: tuple   # tuple of per-level tuples of CubeNode
-    bad: tuple
-    depth: int
-    counts: tuple
-    n_total: int
+    origins: tuple
+    s_values: tuple
+    is_good: tuple
 
-    def good_cubes(self):
-        return [node for level in self.good for node in level]
+    @property
+    def good(self) -> tuple:
+        return tuple(o[g] for o, g in zip(self.origins, self.is_good))
 
-    def bad_cubes(self):
-        return [node for level in self.bad for node in level]
+    @property
+    def bad(self) -> tuple:
+        return tuple(o[~g] for o, g in zip(self.origins, self.is_good))
 
-    def all_nodes(self):
-        out = self.good_cubes() + self.bad_cubes()
-        out.sort(key=lambda nd: (nd.cube.level, nd.cube.origin))
-        return out
+    @property
+    def counts(self) -> tuple:
+        return tuple(int(np.count_nonzero(g)) for g in self.is_good)
+
+    @property
+    def n_total(self) -> int:
+        return sum(self.counts)
+
+    @property
+    def depth(self) -> int:
+        return max(k for k, n in enumerate(self.counts) if n)
 
     def min_side(self) -> float:
-        return min(node.cube.side for node in self.good_cubes())
+        return 2.0 ** -self.depth
+
+    def good_cubes(self) -> list:
+        return [DyadicCube(k, o) for k, level in enumerate(self.good) for o in level.tolist()]
 
     def to_text(self) -> str:
         lines = [PARTITION_DUMP_HEADER]
-        for node in self.all_nodes():
-            origin = ":".join(str(v) for v in node.cube.origin)
-            lines.append(f"{node.cube.level},{origin},{node.s_value!r},{node.status}")
+        for k, level in enumerate(zip(self.origins, self.s_values, self.is_good)):
+            for o, s, g in zip(*(a.tolist() for a in level)):
+                lines.append(f"{k},{':'.join(map(str, o))},{s!r},{'good' if g else 'bad'}")
         return "\n".join(lines) + "\n"
 
 
 def build_partition(f: GridFunction, p: float, epsilon: float,
                     pyramid: ErrorPyramid | None = None) -> AdaptivePartition:
-    """Breadth-first good/bad classification down to single cells at worst."""
+    """Level-by-level good/bad classification down to single cells at worst."""
     if epsilon <= 0:
         raise ValueError("threshold must be positive")
     if pyramid is None:
         pyramid = ErrorPyramid(f, p)
     elif pyramid.f is not f or pyramid.p != float(p):
         raise ValueError("pyramid was built for different inputs")
-    good_levels, bad_levels = [], []
-    frontier = [DyadicCube(0, (0,) * f.d)]
-    level = 0
-    while frontier:
-        goods, bads, next_frontier = [], [], []
-        for cube in frontier:
-            s = pyramid.s_value(cube)
-            if s <= epsilon:
-                goods.append(CubeNode(cube, s, "good"))
-            else:
-                bads.append(CubeNode(cube, s, "bad"))
-                next_frontier.extend(cube.children())
-        good_levels.append(tuple(goods))
-        bad_levels.append(tuple(bads))
-        frontier = next_frontier
-        level += 1
-        if level > f.level + 1:
-            raise AssertionError("partition walk failed to terminate")
-    while good_levels and not good_levels[-1] and not bad_levels[-1]:
-        good_levels.pop()
-        bad_levels.pop()
-    counts = tuple(len(g) for g in good_levels)
-    depth = max(i for i, g in enumerate(good_levels) if g)
-    return AdaptivePartition(float(epsilon), tuple(good_levels), tuple(bad_levels),
-                             depth, counts, sum(counts))
+    root = 1.0 / pyramid.p
+    levels = []
+    frontier = np.ones((1,) * f.d, dtype=bool)
+    for err_pow in pyramid.err_pow:  # single cells have S = 0, so level L ends it
+        cells = np.nonzero(frontier)
+        # the scalar root per element: an array power may round the last bit differently
+        s = np.array([math.pow(v, root) for v in err_pow[cells].tolist()])
+        good = s <= epsilon
+        levels.append((np.transpose(cells), s, good))
+        if good.all():
+            break
+        frontier[cells] = ~good
+        frontier = _refine(frontier)
+    return AdaptivePartition(float(epsilon), *map(tuple, zip(*levels)))
 
 
 def verify_partition(part: AdaptivePartition, f: GridFunction) -> list:
-    """Structural invariant violations of a built partition (empty if sound)."""
+    """Structural invariant violations of a built partition (empty if sound).
+
+    Level by level, the classified cubes must be the children of the previous
+    level's bad cubes (the root at level 0), each exactly once, and every flag
+    must read S <= eps.  No bad cube may remain at the deepest level, and the
+    good cubes, painted down to the deepest level, must cover every cell
+    exactly once.
+    """
     problems = []
-    goods = part.good_cubes()
-    try:
-        _check_tiling(f.d, [nd.cube for nd in goods])
-    except ValueError as exc:
-        problems.append(f"tiling: {exc}")
-    bad_set = {(nd.cube.level, nd.cube.origin) for nd in part.bad_cubes()}
-    node_set = bad_set | {(nd.cube.level, nd.cube.origin) for nd in goods}
-    for nd in part.all_nodes():
-        ok = nd.s_value <= part.epsilon
-        if (nd.status == "good") != ok:
-            problems.append(f"threshold: {nd.cube} marked {nd.status} "
-                            f"with S={nd.s_value!r} vs eps={part.epsilon!r}")
-    for nd in goods:
-        if nd.cube.level >= 1:
-            parent = nd.cube.parent()
-            if (parent.level, parent.origin) not in bad_set:
-                problems.append(f"parent of good cube {nd.cube} is not bad")
-    for nd in part.bad_cubes():
-        for child in nd.cube.children():
-            if (child.level, child.origin) not in node_set:
-                problems.append(f"child {child} of bad cube was never classified")
-    if part.depth > f.level:
-        problems.append(f"depth {part.depth} exceeds the lattice level {f.level}")
+    expected = np.ones((1,) * f.d, dtype=bool)
+    cover = np.zeros((1,) * f.d, dtype=np.intp)
+    for k, (origins, s, good) in enumerate(zip(part.origins, part.s_values, part.is_good)):
+        if k:
+            expected, cover = _refine(bad), _refine(cover)
+        seen = np.zeros(expected.shape, dtype=np.intp)
+        np.add.at(seen, tuple(origins.T), 1)
+        for o in np.argwhere(seen != expected).tolist():
+            problems.append(f"tree: {DyadicCube(k, o)} is classified {seen[tuple(o)]} "
+                            f"times, its parent asks for {int(expected[tuple(o)])}")
+        flipped = good != (s <= part.epsilon)
+        for o, v in zip(origins[flipped].tolist(), s[flipped].tolist()):
+            problems.append(f"threshold: {DyadicCube(k, o)} has the wrong flag for "
+                            f"S={v!r} vs eps={part.epsilon!r}")
+        np.add.at(cover, tuple(origins[good].T), 1)
+        bad = np.zeros(expected.shape, dtype=bool)
+        bad[tuple(origins[~good].T)] = True
+    if bad.any():
+        problems.append(f"deepest: {np.count_nonzero(bad)} bad cubes at level {k} "
+                        "were never subdivided")
+    if not np.all(cover == 1):
+        problems.append("tiling: cubes do not tile the unit cube exactly")
+    if k > f.level:
+        problems.append(f"depth: level {k} is finer than the lattice level {f.level}")
     return problems
 
 
@@ -272,16 +279,13 @@ def count_bound_report(f: GridFunction, p: float, q: float, epsilons) -> CountRe
     ratio_constant = 0.0
     bad_constant = 0.0
     for e, part in parts.items():
-        for node in part.all_nodes():
-            if node.s_value <= 0:
-                continue
-            w_local = float(local[node.cube.level][node.cube.origin] ** (1.0 / q))
-            if w_local > 0:
-                ratio_constant = max(
-                    ratio_constant,
-                    node.s_value / (node.cube.volume ** eta * w_local))
+        for k, (origins, s) in enumerate(zip(part.origins, part.s_values)):
+            w = np.array([math.pow(v, 1.0 / q) for v in local[k][tuple(origins.T)].tolist()])
+            keep = (s > 0) & (w > 0)
+            ratios = s[keep] / (((2.0 ** -k) ** f.d) ** eta * w[keep])  # |Q| = (2^-k)^d
+            ratio_constant = max([ratio_constant, *ratios.tolist()])
         for k, level in enumerate(part.bad):
-            if level and seminorm > 0:
+            if len(level) and seminorm > 0:
                 bad_constant = max(
                     bad_constant,
                     len(level) * e ** q * 2.0 ** (k * f.d * eta * q) / seminorm ** q)
@@ -342,12 +346,8 @@ def adaptive_error_rate(f: GridFunction, p: float, q: float, t_grid,
     per_eps = []
     for e in epsilons:
         part = build_partition(f, p, e, pyramid)
-        level_masses = []
-        for k, level in enumerate(part.good):
-            mass = sum(float(fp_levels[node.cube.level][node.cube.origin])
-                       for node in level)
-            level_masses.append(mass)
-        per_eps.append((e, part.n_total, tuple(level_masses)))
+        masses = tuple(float(fp_levels[k][tuple(o.T)].sum()) for k, o in enumerate(part.good))
+        per_eps.append((e, part.n_total, masses))
     root_d = math.sqrt(f.d)
     surrogate, best_eps = [], []
     for t in t_grid:

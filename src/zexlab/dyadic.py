@@ -73,11 +73,6 @@ class DyadicCube:
                        tuple(2 * o + b for o, b in zip(self.origin, bits)))
             for bits in product((0, 1), repeat=self.d))
 
-    def parent(self) -> "DyadicCube":
-        if self.level == 0:
-            raise ValueError("the root cube has no parent")
-        return DyadicCube(self.level - 1, tuple(o // 2 for o in self.origin))
-
     def cell_slices(self, grid_level: int) -> tuple:
         """Index slices of the cells covered at resolution ``grid_level``."""
         if grid_level < self.level:
@@ -190,6 +185,13 @@ def _mean_pyramid(samples: np.ndarray, d: int, level: int) -> list:
     return levels[::-1]
 
 
+def _refine(a: np.ndarray, b: int = 2) -> np.ndarray:
+    """Each cell repeated b times along every axis: a level read on a finer lattice."""
+    for axis in range(a.ndim):
+        a = np.repeat(a, b, axis=axis)
+    return a
+
+
 def _sum_pyramid(samples: np.ndarray, d: int, level: int) -> list:
     """Block sums of every level 0..level; entry k holds the level-k sums,
     each the mean times the exact power of two 2^(d (level - k))."""
@@ -208,11 +210,7 @@ def dyadic_average(f: GridFunction, level: int) -> PiecewiseConstant:
 def render_average(f: GridFunction, level: int) -> GridFunction:
     """The level-`level` average projection, re-rendered on f's own lattice."""
     means = block_means(f.samples, f.d, f.level, level)
-    b = 1 << (f.level - level)
-    out = means
-    for axis in range(f.d):
-        out = np.repeat(out, b, axis=axis)
-    return GridFunction(f.d, f.level, out)
+    return GridFunction(f.d, f.level, _refine(means, 1 << (f.level - level)))
 
 
 def average_error_constant(d: int, p: float) -> float:

@@ -190,19 +190,26 @@ def error_norm(spec: KernelSpec, f: GridFunction, p: float) -> float:
     return lp_norm(apply_kernel(spec, g) - g, p)
 
 
-def _error_and_modulus(family: str, f: GridFunction, p: float, t: float,
-                       truncation_tail: float) -> tuple:
-    """(smoothing error, extension modulus) of f at scale t on one window.
+def _kernel_specs(family: str, f: GridFunction, t_grid, truncation_tail: float) -> list:
+    """The kernel of every scale in ascending t, once every window is known to fit:
+    checked largest first, an oversized one is refused before any is built."""
+    specs = [KernelSpec(family, t, truncation_tail) for t in sorted(t_grid)]
+    for spec in specs[::-1]:
+        kernel_radius_cells(spec, f.d, f.level)
+    return specs
+
+
+def _error_and_modulus(spec: KernelSpec, f: GridFunction, p: float) -> tuple:
+    """(smoothing error, extension modulus) of f at scale spec.t on one window.
 
     The margin holds both the kernel and the largest shift.  Each t keeps its
     own window: the window size sets numpy's summation order, so one shared
     window would move the last bits of some moduli.
     """
-    spec = KernelSpec(family, t, truncation_tail)
     radius = kernel_radius_cells(spec, f.d, f.level)
-    g = zero_extend(f, max(radius, _shift_cells(t, f.n), 1))
+    g = zero_extend(f, max(radius, _shift_cells(spec.t, f.n), 1))
     err = lp_norm(apply_kernel(spec, g) - g, p)
-    return err, whole_modulus(g, p, t)
+    return err, whole_modulus(g, p, spec.t)
 
 
 # ---------------------------------------------------------------------------
@@ -246,12 +253,12 @@ def error_modulus_ratio(family: str, f: GridFunction, p: float, t_grid,
     if p <= 1:
         raise ValueError("the equivalence band applies to p > 1")
     rows = []
-    for t in sorted(t_grid):
-        err, om = _error_and_modulus(family, f, p, t, truncation_tail)
+    for spec in _kernel_specs(family, f, t_grid, truncation_tail):
+        err, om = _error_and_modulus(spec, f, p)
         if om <= 0:
-            rows.append(RatioRow(t, err, om, math.nan, "undefined"))
+            rows.append(RatioRow(spec.t, err, om, math.nan, "undefined"))
         else:
-            rows.append(RatioRow(t, err, om, err / om, ""))
+            rows.append(RatioRow(spec.t, err, om, err / om, ""))
     return RatioTable(family, p, tuple(rows))
 
 
@@ -275,13 +282,13 @@ def l1_log_ratio(family: str, f: GridFunction, t_grid,
     """
     norm1 = lp_norm(f, 1.0)
     rows = []
-    for t in sorted(t_grid):
-        err, om = _error_and_modulus(family, f, 1.0, t, truncation_tail)
+    for spec in _kernel_specs(family, f, t_grid, truncation_tail):
+        err, om = _error_and_modulus(spec, f, 1.0)
         if om <= 0 or om >= norm1:
-            rows.append(LogRatioRow(t, err, om, math.nan, math.nan, "flagged"))
+            rows.append(LogRatioRow(spec.t, err, om, math.nan, math.nan, "flagged"))
             continue
         log_term = om * math.log(norm1 / om)
-        rows.append(LogRatioRow(t, err, om, log_term, err / log_term, ""))
+        rows.append(LogRatioRow(spec.t, err, om, log_term, err / log_term, ""))
     return tuple(rows)
 
 
@@ -306,13 +313,14 @@ def extension_bound_check(family: str, f: GridFunction, p: float, t_grid,
     be meaningfully negative.  Scales where the hybrid modulus vanishes (the
     zero function) are flagged and excluded from the fits.
     """
-    ts = tuple(sorted(t_grid))
+    specs = _kernel_specs(family, f, t_grid, truncation_tail)
+    ts = tuple(spec.t for spec in specs)
     ladder = interior_ladder(f, p)
     norm = lp_norm(f, p)
     r_err, r_mod, flags = [], [], []
-    for t in ts:
-        err, om = _error_and_modulus(family, f, p, t, truncation_tail)
-        hyb, _ = hybrid_modulus(f, p, t, ladder=ladder, norm=norm)
+    for spec in specs:
+        err, om = _error_and_modulus(spec, f, p)
+        hyb, _ = hybrid_modulus(f, p, spec.t, ladder=ladder, norm=norm)
         if hyb <= 0:
             r_err.append(math.nan)
             r_mod.append(math.nan)
@@ -342,10 +350,8 @@ def error_curve(family: str, f: GridFunction, p: float, t_grid,
     """Error-norm curve in the standard modulus-curve container."""
     from .moduli import ModulusCurve
 
-    specs = [KernelSpec(family, t, truncation_tail) for t in sorted(t_grid)]
-    for spec in specs[::-1]:  # largest first: refuse before any window is built
-        kernel_radius_cells(spec, f.d, f.level)
-    points = [(spec.t, error_norm(spec, f, p)) for spec in specs]
+    points = [(spec.t, error_norm(spec, f, p))
+              for spec in _kernel_specs(family, f, t_grid, truncation_tail)]
     meta = {"d": f.d, "L": f.level, "function": name, "kernel": family,
             "truncation_tail": truncation_tail}
     return ModulusCurve("error_norm", p, tuple(points), meta)

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from zexlab.adaptive import (ErrorPyramid, adaptive_error_rate, build_partition,
-                             count_bound_report, default_epsilons, local_error,
-                             partition_objective, sobolev_seminorm,
+from zexlab.adaptive import (AdaptivePartition, ErrorPyramid, adaptive_error_rate,
+                             build_partition, count_bound_report, default_epsilons,
+                             local_error, partition_objective, sobolev_seminorm,
                              verify_partition)
 from zexlab.dyadic import DyadicCube, block_means, random_partition
-from zexlab.grid import const, corpus, cusp, linear, random_dyadic, sample
+from zexlab.grid import const, corpus, cusp, indicator, linear, random_dyadic, sample
 
 
 def test_local_error_linear_root():
@@ -33,7 +33,7 @@ def test_pyramid_matches_local_error():
     pyramid = ErrorPyramid(f, 2)
     for cube in (DyadicCube(0, (0, 0)), DyadicCube(1, (1, 0)),
                  DyadicCube(3, (5, 2))):
-        assert pyramid.s_value(cube) == pytest.approx(
+        assert math.sqrt(pyramid.err_pow[cube.level][cube.origin]) == pytest.approx(
             local_error(f, cube, 2), rel=1e-12, abs=1e-15)
 
 
@@ -59,6 +59,57 @@ def test_partition_invariants_on_corpus():
         for eps in default_epsilons(f, 2):
             part = build_partition(f, 2, eps, pyramid)
             assert verify_partition(part, f) == []
+
+
+def _replace_level(part, k, origins, s_values, is_good):
+    """part with level k replaced by the given arrays (appended when k is new)."""
+    fields = [list(t) for t in (part.origins, part.s_values, part.is_good)]
+    for field, arr in zip(fields, (origins, s_values, is_good)):
+        field[k:k + 1] = [np.asarray(arr)]
+    return AdaptivePartition(part.epsilon, *map(tuple, fields))
+
+
+def test_verify_partition_reports_each_fault():
+    f = sample(indicator(0.0, 0.3), 2, 4)
+    part = build_partition(f, 2, 0.03)
+    assert part.counts == (0, 3, 1, 7, 20) and verify_partition(part, f) == []
+
+    def kinds(broken):
+        return {problem.split(":")[0] for problem in verify_partition(broken, f)}
+
+    def level(k):
+        return [a.copy() for a in (part.origins[k], part.s_values[k], part.is_good[k])]
+
+    o, s, g = level(1)  # a good cube flagged bad: its children are missing
+    g[np.argmax(g)] = False
+    assert kinds(_replace_level(part, 1, o, s, g)) == {"threshold", "tree", "tiling"}
+    o, s, g = level(4)  # the same at the deepest level, which has no children
+    g[np.argmax(g)] = False
+    assert kinds(_replace_level(part, 4, o, s, g)) == {"threshold", "deepest", "tiling"}
+
+    o, s, g = level(2)  # one child of a bad cube dropped
+    keep = np.arange(len(g)) != np.argmax(g)
+    assert kinds(_replace_level(part, 2, o[keep], s[keep], g[keep])) == {"tree", "tiling"}
+
+    o, s, g = level(3)  # a good cube listed twice
+    i = np.argmax(g)
+    twice = [np.insert(a, i, a[i], axis=0) for a in (o, s, g)]
+    assert kinds(_replace_level(part, 3, *twice)) == {"tree", "tiling"}
+
+    o, s, g = level(2)  # the first child of a level-1 good cube, flagged good
+    child = 2 * part.good[1][0]
+    s_child = math.sqrt(ErrorPyramid(f, 2).err_pow[2][tuple(child)])
+    assert s_child <= part.epsilon
+    assert kinds(_replace_level(part, 2, np.vstack([o, child]), np.append(s, s_child),
+                                np.append(g, True))) == {"tree", "tiling"}
+
+    o, s, g = level(4)  # a single cell split below the lattice level
+    i = np.argmax(g)
+    g[i] = False
+    below = 2 * o[i] + np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
+    broken = _replace_level(_replace_level(part, 4, o, s, g), 5, below, np.zeros(4),
+                            np.ones(4, dtype=bool))
+    assert kinds(broken) == {"threshold", "depth"}
 
 
 def test_partition_count_monotone_in_threshold():
@@ -176,8 +227,7 @@ def test_objective_on_adaptive_vs_uniform_partition():
     f = sample(cusp(0.5), 1, 9)
     t = 2.0 ** -5
     part = build_partition(f, 2, 0.05)
-    adaptive_value = partition_objective(
-        f, [node.cube for node in part.good_cubes()], t, 2)
+    adaptive_value = partition_objective(f, part.good_cubes(), t, 2)
     _, s_opt = hybrid_modulus(f, 2, t)
     k = int(round(-math.log2(s_opt)))
     uniform_value = partition_objective(

@@ -209,3 +209,25 @@ def test_error_curve_container():
     assert curve.kind == "error_norm"
     assert curve.meta["kernel"] == "gauss"
     assert len(curve.points) == 2
+
+
+@pytest.mark.parametrize("measure", [
+    lambda f, grid: error_curve("fejer_tensor", f, 2, grid, 1e-6),
+    lambda f, grid: error_modulus_ratio("fejer_tensor", f, 2, grid, 1e-6),
+    lambda f, grid: l1_log_ratio("fejer_tensor", f, grid, 1e-6),
+    lambda f, grid: extension_bound_check("fejer_tensor", f, 2, grid, 1e-6),
+], ids=["error_curve", "error_modulus_ratio", "l1_log_ratio", "extension_bound_check"])
+def test_oversized_window_refused_before_any_window(monkeypatch, measure):
+    # at L=6 the fejer_tensor window fits at t = 2^-10 but not at t = 1
+    import zexlab.kernels
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return zero_extend(*args, **kwargs)
+
+    monkeypatch.setattr(zexlab.kernels, "zero_extend", counting)
+    with pytest.raises(ValueError, match="a window of"):
+        measure(sample(cusp(0.5), 1, 6), (2.0 ** -10, 1.0))
+    assert calls == []
