@@ -15,7 +15,7 @@ from .moduli import (LowerBoundWarning, ModulusCurve, ResolutionWarning,
                      default_t_grid, hybrid_curve, hybrid_modulus,
                      interior_curve, interior_ladder, interior_modulus,
                      whole_curve, whole_modulus)
-from .dyadic import (DyadicCube, PiecewiseConstant, average_error_constant,
+from .dyadic import (PiecewiseConstant, average_error_constant,
                      average_error_report, dyadic_average, render_average,
                      shift_bound_check, shift_bound_suite, unit_ball_volume)
 from .adaptive import (AdaptivePartition, ErrorPyramid, adaptive_error_rate,

@@ -5,15 +5,18 @@ S(Q) = ||f - mean_Q(f)||_{L^p(Q)} is at most eps, and *bad* otherwise.  The
 builder classifies the root, subdivides every bad cube into its 2^d dyadic
 children, and repeats level by level; on the lattice it must stop by level L
 because single-cell cubes have S = 0.  The good cubes tile the unit cube.  A
-partition is held as per-level arrays read off the ``ErrorPyramid``.
+partition is held as per-level arrays read off the ``ErrorPyramid``, its
+cubes as ``dyadic``'s per-level origin arrays; ``local_error(f, level, origin,
+p)`` computes one cube's S(Q) directly from the samples.
 
 The module also evaluates the partition objective
 
     (sum_Q S(Q)^p + sum_Q min{sqrt(d) t / l(Q), 1} |Q| |f_Q|^p)^(1/p)
 
-for any cube partition, reports how the good-cube count scales with the
-threshold against its predicted envelope, and fits the decay of the kernel
-approximation error alongside the partition-based surrogate.
+for any partition in that format (``AdaptivePartition.good`` as is), reports
+how the good-cube count scales with the threshold against its predicted
+envelope, and fits the decay of the kernel approximation error alongside the
+partition-based surrogate.
 """
 from __future__ import annotations
 
@@ -23,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .besov import FitResult, fit_points
-from .dyadic import (DyadicCube, _check_tiling, _mean_pyramid, _refine, _sum_pyramid,
-                     block_means)
+from .dyadic import _cells, _cover, _mean_pyramid, _refine, _sum_pyramid, block_means
 from .grid import GridFunction, _abs_pow, lp_norm
 
 PARTITION_DUMP_HEADER = "level,origin_indices,S,status"
@@ -52,18 +54,18 @@ class ErrorPyramid:
             _abs_pow(dev, self.p, out=dev)
             self.err_pow[k] = dev.sum(axis=tuple(range(1, 2 * d, 2))) * cellvol
 
-    def mean(self, cube: DyadicCube) -> float:
-        return float(self.means[cube.level][cube.origin])
 
-
-def local_error(f: GridFunction, cube: DyadicCube, p: float) -> float:
-    """S(Q): L^p distance on Q between f and its mean over Q (exact cell sum)."""
+def local_error(f: GridFunction, level: int, origin, p: float) -> float:
+    """S(Q) for the level-``level`` cube Q at lattice corner ``origin``: the L^p
+    distance on Q between f and its mean over Q (exact cell sum)."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    if cube.level > f.level:
+    if level > f.level:
         raise ValueError("cube finer than the lattice")
-    block = f.samples[cube.cell_slices(f.level)]
-    mean = block_means(block, f.d, f.level - cube.level, 0).item()
+    _cells([origin], level, f.d)  # ValueError outside the 2^level lattice
+    b = 1 << (f.level - level)
+    block = f.samples[tuple(slice(o * b, (o + 1) * b) for o in origin)]
+    mean = block_means(block, f.d, f.level - level, 0).item()
     dev = _abs_pow(block - mean, p)
     return float((dev.sum() * f.cell_volume) ** (1.0 / p))
 
@@ -108,9 +110,6 @@ class AdaptivePartition:
     def min_side(self) -> float:
         return 2.0 ** -self.depth
 
-    def good_cubes(self) -> list:
-        return [DyadicCube(k, o) for k, level in enumerate(self.good) for o in level.tolist()]
-
     def to_text(self) -> str:
         lines = [PARTITION_DUMP_HEADER]
         for k, level in enumerate(zip(self.origins, self.s_values, self.is_good)):
@@ -151,50 +150,53 @@ def verify_partition(part: AdaptivePartition, f: GridFunction) -> list:
     level's bad cubes (the root at level 0), each exactly once, and every flag
     must read S <= eps.  No bad cube may remain at the deepest level, and the
     good cubes, painted down to the deepest level, must cover every cell
-    exactly once.
+    exactly once.  An origin outside its level's lattice raises ValueError.
     """
     problems = []
     expected = np.ones((1,) * f.d, dtype=bool)
-    cover = np.zeros((1,) * f.d, dtype=np.intp)
     for k, (origins, s, good) in enumerate(zip(part.origins, part.s_values, part.is_good)):
         if k:
-            expected, cover = _refine(bad), _refine(cover)
-        seen = np.zeros(expected.shape, dtype=np.intp)
-        np.add.at(seen, tuple(origins.T), 1)
+            expected = _refine(bad)
+        cells = _cells(origins, k, f.d)
+        seen = np.bincount(cells, minlength=expected.size).reshape(expected.shape)
         for o in np.argwhere(seen != expected).tolist():
-            problems.append(f"tree: {DyadicCube(k, o)} is classified {seen[tuple(o)]} "
-                            f"times, its parent asks for {int(expected[tuple(o)])}")
+            problems.append(f"tree: the level-{k} cube at {tuple(o)} is classified "
+                            f"{seen[tuple(o)]} times, its parent asks for "
+                            f"{int(expected[tuple(o)])}")
         flipped = good != (s <= part.epsilon)
         for o, v in zip(origins[flipped].tolist(), s[flipped].tolist()):
-            problems.append(f"threshold: {DyadicCube(k, o)} has the wrong flag for "
-                            f"S={v!r} vs eps={part.epsilon!r}")
-        np.add.at(cover, tuple(origins[good].T), 1)
+            problems.append(f"threshold: the level-{k} cube at {tuple(o)} has the wrong "
+                            f"flag for S={v!r} vs eps={part.epsilon!r}")
         bad = np.zeros(expected.shape, dtype=bool)
-        bad[tuple(origins[~good].T)] = True
+        bad.flat[cells[~good]] = True
     if bad.any():
         problems.append(f"deepest: {np.count_nonzero(bad)} bad cubes at level {k} "
                         "were never subdivided")
-    if not np.all(cover == 1):
+    if not np.all(_cover(f.d, part.good) == 1):
         problems.append("tiling: cubes do not tile the unit cube exactly")
     if k > f.level:
         problems.append(f"depth: level {k} is finer than the lattice level {f.level}")
     return problems
 
 
-def partition_objective(f: GridFunction, cubes, t: float, p: float) -> float:
-    """Evaluate the two-term objective on a given cube partition of Q."""
+def partition_objective(f: GridFunction, origins, t: float, p: float) -> float:
+    """Evaluate the two-term objective on a partition of Q given as per-level
+    origin arrays (``AdaptivePartition.good`` as is, for one)."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    cubes = tuple(cubes)
-    if _check_tiling(f.d, cubes) > f.level:
+    origins = tuple(np.asarray(o) for o in origins)
+    if len(origins) > f.level + 1:
         raise ValueError("cube finer than the lattice")
+    if not np.all(_cover(f.d, origins) == 1):
+        raise ValueError("cubes do not tile the unit cube exactly")
     pyramid = ErrorPyramid(f, p)
     root_d = math.sqrt(f.d)
     total = 0.0
-    for cube in cubes:
-        total += pyramid.err_pow[cube.level][cube.origin]  # S(Q)^p
-        total += min(root_d * t / cube.side, 1.0) * cube.volume \
-            * abs(pyramid.mean(cube)) ** p
+    for k, o in enumerate(origins):
+        cubes = tuple(o.T)
+        weight = min(root_d * t * (1 << k), 1.0) * 2.0 ** (-f.d * k)  # min{.} |Q|
+        total += pyramid.err_pow[k][cubes].sum()  # sum of S(Q)^p
+        total += weight * _abs_pow(pyramid.means[k][cubes], p).sum()
     return float(total ** (1.0 / p))
 
 

@@ -127,6 +127,13 @@ def _function(config):
     return sample(spec, config["d"], config["L"]), spec
 
 
+def _single_p(config) -> float:
+    p = config.get("p", (2.0,))
+    if len(p) != 1:
+        raise ConfigError(f"this command takes one p, got {', '.join(f'{v:g}' for v in p)}")
+    return p[0]
+
+
 def _t_grid(config, level):
     if "window" not in config:
         return moduli.default_t_grid(level)
@@ -191,7 +198,7 @@ def cmd_shift_bound(config) -> int:
 
 def cmd_adaptive(config) -> int:
     f, spec = _function(config)
-    p = config.get("p", (2.0,))[0]
+    p = _single_p(config)
     q = config.get("q", 2.0)
     out = _outdir(config)
     if "epsilon" in config:
@@ -264,7 +271,7 @@ def cmd_embedding(config) -> int:
     _require(config, "function", "d")
     spec = parse_spec(config["function"])
     levels = [int(v) for v in config.get("levels", (10, 11, 12))]
-    p = config.get("p", (2.0,))[0]
+    p = _single_p(config)
     q = config.get("q", 2.0)
     out = _outdir(config)
     rep = besov.besov_embedding_check(spec, config["d"], p, q, levels)

@@ -14,11 +14,16 @@ here:
 
 Both sides are computed in exact cell arithmetic, so failures beyond a 1e-12
 floating-point allowance are genuine.
+
+A dyadic partition is held as per-level origin arrays: entry k lists the
+(n_k, d) lattice corners of its cubes of side 2^-k in C order.  ``_cover``
+paints them onto the deepest level: the one tiling check of every partition.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -38,88 +43,53 @@ def unit_ball_volume(d: int) -> float:
     return {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}[d]
 
 
-@dataclass(frozen=True)
-class DyadicCube:
-    """Dyadic cube of side 2^-level with lattice corner ``origin``."""
-
-    level: int
-    origin: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "origin", tuple(int(v) for v in self.origin))
-        if self.level < 0:
-            raise ValueError("cube level must be >= 0")
-        m = 1 << self.level
-        if any(not 0 <= v < m for v in self.origin):
-            raise ValueError("cube origin outside the unit cube")
-
-    @property
-    def d(self) -> int:
-        return len(self.origin)
-
-    @property
-    def side(self) -> float:
-        return 2.0 ** (-self.level)
-
-    @property
-    def volume(self) -> float:
-        return self.side ** self.d
-
-    def children(self) -> tuple:
-        from itertools import product
-
-        return tuple(
-            DyadicCube(self.level + 1,
-                       tuple(2 * o + b for o, b in zip(self.origin, bits)))
-            for bits in product((0, 1), repeat=self.d))
-
-    def cell_slices(self, grid_level: int) -> tuple:
-        """Index slices of the cells covered at resolution ``grid_level``."""
-        if grid_level < self.level:
-            raise ValueError("grid resolution is coarser than the cube")
-        b = 1 << (grid_level - self.level)
-        return tuple(slice(o * b, (o + 1) * b) for o in self.origin)
+def _cells(origins, level: int, d: int) -> np.ndarray:
+    """Flat C-order indices, on the 2^level lattice, of the level-``level``
+    cubes with the given (n, d) origins; ValueError for an origin outside it
+    (numpy would wrap a negative index)."""
+    o = np.asarray(origins)
+    if level < 0 or o.ndim != 2 or o.shape[1] != d:
+        raise ValueError(f"expected a level >= 0 and (n, {d}) origins")
+    return np.ravel_multi_index(tuple(o.T), (1 << level,) * d)
 
 
-def _check_tiling(d: int, cubes) -> int:
-    """Verify the cubes tile the unit cube exactly; returns the deepest level."""
-    if not cubes:
-        raise ValueError("empty partition")
-    deepest = max(c.level for c in cubes)
-    m = 1 << deepest
-    counts = np.zeros((m,) * d, dtype=np.int32)
-    for c in cubes:
-        if c.d != d:
-            raise ValueError("cube dimension mismatch")
-        counts[c.cell_slices(deepest)] += 1
-    if not np.all(counts == 1):
-        raise ValueError("cubes do not tile the unit cube exactly")
-    return deepest
+def _cover(d: int, origins) -> np.ndarray:
+    """How many cubes lie over each cell of the deepest level, given the
+    per-level origins: each level's count is refined one level down before
+    the next level's cubes are added.  A tiling covers every cell once."""
+    cover = np.zeros((1,) * d, dtype=np.intp)
+    for k, o in enumerate(origins):
+        if k:
+            cover = _refine(cover)
+        cover += np.bincount(_cells(o, k, d), minlength=cover.size).reshape(cover.shape)
+    return cover
 
 
 @dataclass(frozen=True)
 class PiecewiseConstant:
-    """One real value per cube of a dyadic partition of the unit cube."""
+    """One real value per cube of a dyadic partition of the unit cube: per-level
+    ``origins`` as in the module docstring, ``values`` in that order.
+    ``uniform_level`` marks the uniform grid, whose shift bound is global."""
 
     d: int
-    cubes: tuple
+    origins: tuple
     values: np.ndarray
     uniform_level: int | None = None
 
     def __post_init__(self):
+        origins = tuple(np.asarray(o) for o in self.origins)
         vals = np.ascontiguousarray(np.asarray(self.values, dtype=float)).ravel()
         vals.setflags(write=False)
-        if len(vals) != len(self.cubes):
+        if len(vals) != sum(map(len, origins)):
             raise ValueError("one value per cube required")
         if not np.all(np.isfinite(vals)):
             raise ValueError("values must be finite")
-        _check_tiling(self.d, self.cubes)
-        if self.uniform_level is not None:
-            k = self.uniform_level
-            if len(self.cubes) != 1 << (self.d * k) or any(
-                    c.level != k for c in self.cubes):
-                raise ValueError("partition is not the uniform level-k grid")
-        object.__setattr__(self, "cubes", tuple(self.cubes))
+        if not np.all(_cover(self.d, origins) == 1):
+            raise ValueError("cubes do not tile the unit cube exactly")
+        k = self.uniform_level
+        if k is not None and (len(origins) != k + 1 or any(map(len, origins[:k]))):
+            raise ValueError("partition is not the uniform level-k grid")
+        object.__setattr__(self, "origins", origins)
         object.__setattr__(self, "values", vals)
 
     @classmethod
@@ -128,23 +98,33 @@ class PiecewiseConstant:
         m = 1 << level
         if vals.shape != (m,) * d:
             raise ValueError(f"expected values of shape {(m,) * d}")
-        cubes = tuple(DyadicCube(level, idx) for idx in np.ndindex(*vals.shape))
-        return cls(d, cubes, vals.ravel(), uniform_level=level)
+        coarser = (np.empty((0, d), dtype=np.intp),) * level
+        grid = np.indices(vals.shape).reshape(d, -1).T
+        return cls(d, coarser + (grid,), vals.ravel(), uniform_level=level)
 
     @property
     def max_level(self) -> int:
-        return max(c.level for c in self.cubes)
+        return len(self.origins) - 1
+
+    def cube_levels(self) -> np.ndarray:
+        """The level of each cube, in the order of ``values``."""
+        return np.repeat(np.arange(len(self.origins)), list(map(len, self.origins)))
 
     def render(self, grid_level: int) -> GridFunction:
-        n = 1 << grid_level
-        out = np.empty((n,) * self.d)
-        for cube, value in zip(self.cubes, self.values):
-            out[cube.cell_slices(grid_level)] = value
+        if grid_level < self.max_level:
+            raise ValueError("grid resolution is coarser than the partition")
+        out = np.zeros((1,) * self.d)
+        ends = np.cumsum(list(map(len, self.origins)))
+        for k, (o, end) in enumerate(zip(self.origins, ends)):
+            if k:
+                out = _refine(out)
+            out[tuple(o.T)] = self.values[end - len(o):end]
+        out = _refine(out, 1 << (grid_level - self.max_level))
         return GridFunction(self.d, grid_level, out)
 
     def norm_power(self, p: float) -> float:
         """sum over cubes of |Q| |a_Q|^p (the p-th power of the L^p norm)."""
-        vols = np.array([c.volume for c in self.cubes])
+        vols = np.ldexp(1.0, -self.d * self.cube_levels())
         return float((vols * _abs_pow(self.values, p)).sum())
 
 
@@ -255,25 +235,29 @@ def shift_bound_check(pc: PiecewiseConstant, shift: LatticeShift, p: float) -> t
         rhs = (2.0 ** p) * min(shift.length * (1 << pc.uniform_level) * root_d, 1.0) \
             * pc.norm_power(p)
     else:
-        sides = np.array([c.side for c in pc.cubes])
-        vols = np.array([c.volume for c in pc.cubes])
+        levels = pc.cube_levels()
+        sides = np.ldexp(1.0, -levels)
+        vols = np.ldexp(1.0, -pc.d * levels)
         weights = np.minimum(root_d * shift.length / sides, 1.0)
         rhs = (2.0 ** p) * float((weights * vols * _abs_pow(pc.values, p)).sum())
     return lhs, rhs
 
 
 def random_partition(rng: np.random.Generator, d: int, max_level: int) -> tuple:
-    """Random dyadic partition of the unit cube (tree of seeded subdivisions)."""
-    cubes = []
-    stack = [DyadicCube(0, (0,) * d)]
+    """Random dyadic partition of the unit cube (tree of seeded subdivisions),
+    as per-level (n_k, d) origin arrays in C order up to the deepest cube."""
+    levels = [[] for _ in range(max_level + 1)]
+    stack = [(0, (0,) * d)]
     while stack:
-        cube = stack.pop()
-        if cube.level < max_level and rng.random() < _SPLIT_PROB:
-            stack.extend(cube.children())
+        k, origin = stack.pop()
+        if k < max_level and rng.random() < _SPLIT_PROB:
+            stack.extend((k + 1, tuple(2 * o + b for o, b in zip(origin, bits)))
+                         for bits in product((0, 1), repeat=d))
         else:
-            cubes.append(cube)
-    cubes.sort(key=lambda c: (c.level, c.origin))
-    return tuple(cubes)
+            levels[k].append(origin)
+    while not levels[-1]:
+        levels.pop()
+    return tuple(np.array(sorted(level), dtype=np.intp).reshape(-1, d) for level in levels)
 
 
 def random_shift(rng: np.random.Generator, d: int, level: int) -> LatticeShift:
@@ -315,8 +299,8 @@ def shift_bound_suite(n_functions: int = 100, shifts_each: int = 10,
             m = 1 << k
             pc = PiecewiseConstant.from_uniform(d, k, rng.standard_normal((m,) * d))
         else:
-            cubes = random_partition(rng, d, k)
-            pc = PiecewiseConstant(d, cubes, rng.standard_normal(len(cubes)))
+            origins = random_partition(rng, d, k)
+            pc = PiecewiseConstant(d, origins, rng.standard_normal(sum(map(len, origins))))
         level = pc.max_level + 2
         for _ in range(shifts_each):
             shift = random_shift(rng, d, level)

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 MAX_DIM = 3
+# largest array a measurement may allocate: 2^27 float64 cells, 1 GiB
+_MAX_CELLS = 1 << 27
 
 
 def _check_lattice(d: int, level: int):

@@ -26,14 +26,12 @@ from scipy import ndimage, signal
 from scipy.special import erfcinv
 
 from .besov import fit_points
-from .grid import (ExtendedGridFunction, GridFunction, _shift_cells, lp_norm,
-                   zero_extend)
+from .grid import (_MAX_CELLS, ExtendedGridFunction, GridFunction, _shift_cells,
+                   lp_norm, zero_extend)
 from .moduli import hybrid_modulus, interior_ladder, whole_modulus
 
 FAMILIES = ("gauss", "poisson", "fejer_tensor")
 
-# largest zero-extension window a kernel may need: 2^27 float64 cells, 1 GiB
-_MAX_WINDOW_CELLS = 1 << 27
 # error/hybrid and modulus/hybrid log-log slopes below this fail the bound
 _SLOPE_FLOOR = -0.05
 _FFT_KERNEL_CUTOFF = 256  # 1-d kernels longer than this convolve via FFT
@@ -91,13 +89,13 @@ def truncation_radius(spec: KernelSpec, d: int) -> float:
 
 def kernel_radius_cells(spec: KernelSpec, d: int, level: int) -> int:
     """Truncation radius in cells; refuses a radius whose window, the cube
-    plus the radius on each side, would exceed ``_MAX_WINDOW_CELLS``."""
+    plus the radius on each side, would exceed ``_MAX_CELLS``."""
     r = max(int(math.ceil(truncation_radius(spec, d) * (1 << level))), 1)
     cells = ((1 << level) + 2 * r) ** d
-    if cells > _MAX_WINDOW_CELLS:
+    if cells > _MAX_CELLS:
         raise ValueError(
             f"tail budget {spec.truncation_tail:g} at t={spec.t:g} needs a {r}-cell "
-            f"radius, a window of {cells} cells (limit {_MAX_WINDOW_CELLS}); "
+            f"radius, a window of {cells} cells (limit {_MAX_CELLS}); "
             "relax the budget or coarsen the lattice")
     return r
 

@@ -41,8 +41,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import fft as sfft
 
-from .grid import (ExtendedGridFunction, GridFunction, _abs_pow, _shift_cells,
-                   lp_norm, shifted_samples)
+from .grid import (_MAX_CELLS, ExtendedGridFunction, GridFunction, _abs_pow,
+                   _shift_cells, lp_norm, shifted_samples)
 
 
 class ResolutionWarning(UserWarning):
@@ -232,12 +232,10 @@ def _enumerated_table(arr: np.ndarray, p: float, radii, cellvol: float,
                      len(shifts))
 
 
-def _autocorrelation(a: np.ndarray) -> tuple:
-    """Full linear autocorrelation via FFT; returns (array, padded shape)."""
-    shape = [sfft.next_fast_len(2 * n - 1) for n in a.shape]
+def _autocorrelation(a: np.ndarray, shape) -> np.ndarray:
+    """Full linear autocorrelation via FFT on the padded grid ``shape``."""
     fa = sfft.rfftn(a, shape)
-    corr = sfft.irfftn(fa * np.conj(fa), shape)
-    return corr, shape
+    return sfft.irfftn(fa * np.conj(fa), shape)
 
 
 def _box_sums(pref: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -315,12 +313,19 @@ def _corr_table(arr: np.ndarray, radii, cellvol: float, interior: bool) -> _SupT
     the last digits of values that the verify artifacts pin (on ``rand2_d2``
     at L = 10 and t = 2^-8 the interior modulus reads 0.10131710135113675
     screened and 0.10131710135111947 direct).
+
+    An input whose padded FFT grid exceeds ``_MAX_CELLS`` is refused first.
     """
     d, n = arr.ndim, arr.shape[0]
+    shape = [sfft.next_fast_len(2 * m - 1) for m in arr.shape]
+    if math.prod(shape) > _MAX_CELLS:
+        raise ValueError(
+            f"a p = 2 table on {arr.size} cells needs a {' x '.join(map(str, shape))} "
+            f"FFT grid of {math.prod(shape)} cells (limit {_MAX_CELLS}); coarsen the lattice")
     shifts = _half_shifts(d, max(radii), n - 1)
     if not len(shifts):
         return _SupTable((0.0,) * len(radii), True, "corr")
-    corr, shape = _autocorrelation(arr)
+    corr = _autocorrelation(arr, shape)
     sq = arr * arr
     if interior:
         pref = np.zeros(tuple(s + 1 for s in sq.shape))

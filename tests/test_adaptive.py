@@ -7,34 +7,40 @@ from zexlab.adaptive import (AdaptivePartition, ErrorPyramid, adaptive_error_rat
                              build_partition, count_bound_report, default_epsilons,
                              local_error, partition_objective, sobolev_seminorm,
                              verify_partition)
-from zexlab.dyadic import DyadicCube, block_means, random_partition
+from zexlab.dyadic import block_means, random_partition
 from zexlab.grid import const, corpus, cusp, indicator, linear, random_dyadic, sample
 
 
 def test_local_error_linear_root():
     f = sample(linear(), 1, 10)
-    got = local_error(f, DyadicCube(0, (0,)), 2)
+    got = local_error(f, 0, (0,), 2)
     assert got == pytest.approx(math.sqrt(1.0 / 12.0), abs=1e-4)
 
 
 def test_local_error_linear_half():
     f = sample(linear(), 1, 10)
-    got = local_error(f, DyadicCube(1, (0,)), 2)
+    got = local_error(f, 1, (0,), 2)
     assert got == pytest.approx(math.sqrt(0.5 ** 3 / 12.0), abs=1e-4)
 
 
 def test_local_error_constant():
     f = sample(const(9.0), 2, 5)
-    assert local_error(f, DyadicCube(1, (0, 1)), 3) == 0.0
+    assert local_error(f, 1, (0, 1), 3) == 0.0
+
+
+def test_local_error_rejects_cubes_off_the_lattice():
+    f = sample(linear(), 2, 4)
+    for level, origin in ((-1, (0, 0)), (1, (0, 2)), (1, (-1, 0)), (5, (0, 0))):
+        with pytest.raises(ValueError):
+            local_error(f, level, origin, 2)
 
 
 def test_pyramid_matches_local_error():
     f = sample(cusp(0.5), 2, 5)
     pyramid = ErrorPyramid(f, 2)
-    for cube in (DyadicCube(0, (0, 0)), DyadicCube(1, (1, 0)),
-                 DyadicCube(3, (5, 2))):
-        assert math.sqrt(pyramid.err_pow[cube.level][cube.origin]) == pytest.approx(
-            local_error(f, cube, 2), rel=1e-12, abs=1e-15)
+    for level, origin in ((0, (0, 0)), (1, (1, 0)), (3, (5, 2))):
+        assert math.sqrt(pyramid.err_pow[level][origin]) == pytest.approx(
+            local_error(f, level, origin, 2), rel=1e-12, abs=1e-15)
 
 
 def test_build_partition_worked_example():
@@ -129,28 +135,37 @@ def test_partition_dump_format():
     assert len([ln for ln in lines if ln.endswith("good")]) == 2
 
 
+def _uniform(d, k):
+    """Per-level origins of the uniform level-k grid."""
+    return (np.empty((0, d), dtype=int),) * k + (np.indices((1 << k,) * d).reshape(d, -1).T,)
+
+
 def test_objective_constant_uniform_partition():
     f = sample(const(1.0), 1, 8)
     for k in (1, 2, 3):
-        cubes = [DyadicCube(k, (i,)) for i in range(1 << k)]
         t = 2.0 ** -5
-        got = partition_objective(f, cubes, t, 2)
+        got = partition_objective(f, _uniform(1, k), t, 2)
         assert got == pytest.approx(math.sqrt(min(t * 2 ** k, 1.0)), rel=1e-12)
 
 
 def test_objective_zero_function():
     f = sample(const(0.0), 1, 6)
-    cubes = [DyadicCube(1, (0,)), DyadicCube(1, (1,))]
-    assert partition_objective(f, cubes, 0.25, 2) == 0.0
+    assert partition_objective(f, _uniform(1, 1), 0.25, 2) == 0.0
 
 
 def test_objective_rejects_non_tiling():
     f = sample(linear(), 1, 6)
+    none = np.empty((0, 1), dtype=int)
+    with pytest.raises(ValueError, match="tile"):  # a hole
+        partition_objective(f, [none, np.array([[0]])], 0.25, 2)
+    with pytest.raises(ValueError, match="tile"):  # the root over a half
+        partition_objective(f, [np.array([[0]]), np.array([[1]])], 0.25, 2)
+    with pytest.raises(ValueError):  # -1 would wrap to 1 and tile
+        partition_objective(f, [none, np.array([[0], [-1]])], 0.25, 2)
     with pytest.raises(ValueError):
-        partition_objective(f, [DyadicCube(1, (0,))], 0.25, 2)
+        partition_objective(f, [none, np.array([[0], [2]])], 0.25, 2)
     with pytest.raises(ValueError, match="finer than the lattice"):
-        partition_objective(sample(linear(), 1, 2),
-                            [DyadicCube(3, (i,)) for i in range(8)], 0.25, 2)
+        partition_objective(sample(linear(), 1, 2), _uniform(1, 3), 0.25, 2)
 
 
 def test_objective_matches_local_error_reference():
@@ -159,16 +174,18 @@ def test_objective_matches_local_error_reference():
                            (cusp(0.4), 3, 4)):
         f = sample(spec, d, level)
         for p in (1.0, 2.0, 3.0):
-            cubes = random_partition(rng, d, min(level, 4))
+            origins = random_partition(rng, d, min(level, 4))
             t = 2.0 ** -4
             total = 0.0
-            for cube in cubes:
-                block = f.samples[cube.cell_slices(level)]
-                mean = block_means(block, d, level - cube.level, 0).item()
-                total += local_error(f, cube, p) ** p
-                total += min(math.sqrt(d) * t / cube.side, 1.0) * cube.volume \
-                    * abs(mean) ** p
-            assert partition_objective(f, cubes, t, p) == pytest.approx(
+            for k, cubes in enumerate(origins):
+                side = 2.0 ** -k
+                for o in cubes.tolist():
+                    block = f.samples[tuple(slice(v << (level - k), (v + 1) << (level - k))
+                                            for v in o)]
+                    mean = block_means(block, d, level - k, 0).item()
+                    total += local_error(f, k, o, p) ** p
+                    total += min(math.sqrt(d) * t / side, 1.0) * side ** d * abs(mean) ** p
+            assert partition_objective(f, origins, t, p) == pytest.approx(
                 total ** (1.0 / p), rel=1e-12, abs=1e-15)
 
 
@@ -227,11 +244,10 @@ def test_objective_on_adaptive_vs_uniform_partition():
     f = sample(cusp(0.5), 1, 9)
     t = 2.0 ** -5
     part = build_partition(f, 2, 0.05)
-    adaptive_value = partition_objective(f, part.good_cubes(), t, 2)
+    adaptive_value = partition_objective(f, part.good, t, 2)
     _, s_opt = hybrid_modulus(f, 2, t)
     k = int(round(-math.log2(s_opt)))
-    uniform_value = partition_objective(
-        f, [DyadicCube(k, (i,)) for i in range(1 << k)], t, 2)
+    uniform_value = partition_objective(f, _uniform(1, k), t, 2)
     assert adaptive_value > 0 and uniform_value > 0
     assert math.isfinite(adaptive_value) and math.isfinite(uniform_value)
 

@@ -236,3 +236,22 @@ def test_meta_file_holds_timestamp_not_csv(tmp_path):
     assert "generated_unix=" in meta
     csv_body = (out / "modulus_interior_p2.csv").read_text()
     assert "generated_unix" not in csv_body
+
+
+@pytest.mark.parametrize("command, keys", [
+    ("adaptive", "L = 6\n"), ("embedding", "levels = 8,9\n")])
+def test_single_p_commands_refuse_a_p_list(tmp_path, capsys, command, keys):
+    cfg = _write_config(tmp_path, f"function = linear\nd = 1\n{keys}p = 2,3\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert "takes one p, got 2, 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_oversized_correlation_table_exits_2(tmp_path, capsys, monkeypatch):
+    from zexlab import moduli
+
+    monkeypatch.setattr(moduli, "_MAX_CELLS", 1 << 12)
+    cfg = _write_config(tmp_path, "function = linear\nd = 2\nL = 6\np = 2\n")
+    assert main(["modulus", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "128 x 128 FFT grid of 16384 cells (limit 4096)" in capsys.readouterr().err

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from zexlab.dyadic import (DyadicCube, PiecewiseConstant, _mean_pyramid,
+from zexlab.dyadic import (PiecewiseConstant, _mean_pyramid,
                            average_error_report, block_means, dyadic_average, equality_case, random_partition,
                            render_average, shift_bound_check, shift_bound_suite,
                            suite_to_csv, unit_ball_volume)
@@ -106,8 +106,8 @@ def test_shift_bound_uniform_and_general_forms():
         d = 1 + case % 2
         k = int(rng.integers(1, 4))
         if case % 3 == 0:
-            cubes = random_partition(rng, d, k)
-            pc = PiecewiseConstant(d, cubes, rng.standard_normal(len(cubes)))
+            origins = random_partition(rng, d, k)
+            pc = PiecewiseConstant(d, origins, rng.standard_normal(sum(map(len, origins))))
         else:
             m = 1 << k
             pc = PiecewiseConstant.from_uniform(d, k, rng.standard_normal((m,) * d))
@@ -139,25 +139,40 @@ def test_suite_deterministic():
 
 
 def test_partition_validation():
-    with pytest.raises(ValueError):
+    none = np.empty((0, 1), dtype=int)
+    with pytest.raises(ValueError, match="tile"):
         # two overlapping root cubes
-        PiecewiseConstant(1, (DyadicCube(0, (0,)), DyadicCube(0, (0,))),
-                          np.array([1.0, 2.0]))
-    with pytest.raises(ValueError):
+        PiecewiseConstant(1, (np.array([[0], [0]]),), np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match="tile"):
         # a hole: only half the cube covered
-        PiecewiseConstant(1, (DyadicCube(1, (0,)),), np.array([1.0]))
+        PiecewiseConstant(1, (none, np.array([[0]])), np.array([1.0]))
+    with pytest.raises(ValueError, match="tile"):
+        PiecewiseConstant(1, (), np.array([]))
+    for origin in (-1, 2):  # outside the level-1 lattice; -1 would wrap to 1
+        with pytest.raises(ValueError):
+            PiecewiseConstant(1, (none, np.array([[0], [origin]])), np.array([1.0, 2.0]))
+    with pytest.raises(ValueError):  # origins of the wrong dimension
+        PiecewiseConstant(2, (np.array([[0]]),), np.array([1.0]))
+    with pytest.raises(ValueError, match="uniform"):
+        PiecewiseConstant(1, (none, np.array([[0], [1]])), np.array([1.0, 2.0]),
+                          uniform_level=2)
 
 
 def test_render_round_trip():
     rng = np.random.default_rng(2)
-    cubes = random_partition(rng, 2, 3)
-    pc = PiecewiseConstant(2, cubes, rng.standard_normal(len(cubes)))
+    origins = random_partition(rng, 2, 3)
+    pc = PiecewiseConstant(2, origins, rng.standard_normal(sum(map(len, origins))))
     f = pc.render(5)
-    # averaging back at the partition's own levels reproduces the values
-    for cube, value in zip(pc.cubes, pc.values):
-        block = f.samples[cube.cell_slices(5)]
-        assert np.all(block == value)
+    # every cube's block of cells holds that cube's value
+    values = iter(pc.values)
+    for k, level in enumerate(origins):
+        b = 1 << (5 - k)
+        for o in level.tolist():
+            block = f.samples[tuple(slice(v * b, (v + 1) * b) for v in o)]
+            assert np.all(block == next(values))
     assert lp_norm(f, 2) ** 2 == pytest.approx(pc.norm_power(2), rel=1e-12)
+    with pytest.raises(ValueError):
+        pc.render(pc.max_level - 1)
 
 
 def test_mean_pyramid_matches_block_means_bit_exact():

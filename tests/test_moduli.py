@@ -355,3 +355,29 @@ def test_curve_csv_shape():
 def test_default_grid_bounds():
     grid = default_t_grid(12)
     assert grid[0] == 2.0 ** -10 and grid[-1] == 0.25
+
+
+def _no_fft(*args, **kwargs):
+    raise AssertionError("shifts or an FFT were computed")
+
+
+def test_oversized_correlation_table_refused_before_any_fft(monkeypatch):
+    monkeypatch.setattr(moduli, "_autocorrelation", _no_fft)
+    monkeypatch.setattr(moduli, "_half_shifts", _no_fft)
+    # 2-d L=13: an 8192^2 array pads to a 16384^2 grid, 2^28 cells; a zero-stride
+    # view stands in for the array, so nothing of that size is allocated
+    with pytest.raises(ValueError, match="16384 x 16384 FFT grid of 268435456 cells"):
+        moduli._build_table(np.broadcast_to(0.0, (8192, 8192)), 2, [1.0], 1.0, True)
+    monkeypatch.setattr(moduli, "_MAX_CELLS", 1 << 12)
+    f = sample(cusp(0.5), 2, 6)  # 64^2 cells pad to a 128^2 grid
+    with pytest.raises(ValueError, match="128 x 128 FFT grid of 16384 cells"):
+        interior_curve(f, 2, [0.25])
+    with pytest.raises(ValueError, match="FFT grid"):
+        whole_curve(zero_extend(f, 16), 2, [0.25])
+
+
+def test_correlation_tables_within_the_cap_pass_the_check(monkeypatch):
+    monkeypatch.setattr(moduli, "_half_shifts", _no_fft)
+    with pytest.raises(AssertionError, match="shifts or an FFT"):  # past the check
+        # 2-d L=12 pads to an 8192^2 grid, 2^26 cells
+        moduli._build_table(np.broadcast_to(0.0, (4096, 4096)), 2, [1.0], 1.0, True)
