@@ -114,10 +114,22 @@ def _write(out: Path, name: str, body: str):
     (out / name).write_text(body)
 
 
-def _write_meta(out: Path, config: dict):
+_PROVENANCE = ("method", "exact", "shifts", "rechecked", "upper")
+
+
+def _write_meta(out: Path, config: dict, curves=()):
+    """run_meta.txt: the time, the config, then each (name, curve)'s table
+    provenance as ``name.key=value`` lines."""
     lines = [f"generated_unix={time.time()!r}"]
     for key in sorted(config):
         lines.append(f"{key}={config[key]}")
+    for name, curve in curves:
+        for key in _PROVENANCE:
+            if key in curve.meta:
+                value = curve.meta[key]
+                if isinstance(value, tuple):
+                    value = ",".join(map(repr, value))
+                lines.append(f"{name}.{key}={value}")
     _write(out, "run_meta.txt", "\n".join(lines) + "\n")
 
 
@@ -148,6 +160,7 @@ def cmd_modulus(config) -> int:
     kind = config.get("kind", "interior")
     grid = _t_grid(config, f.level)
     out = _outdir(config)
+    curves = []
     for p in config.get("p", (2.0,)):
         if kind == "interior":
             curve = moduli.interior_curve(f, p, grid, name=spec.describe())
@@ -158,8 +171,10 @@ def cmd_modulus(config) -> int:
             curve = moduli.hybrid_curve(f, p, grid, name=spec.describe())
         else:
             raise ConfigError(f"unknown modulus kind {kind!r}")
-        _write(out, f"modulus_{kind}_p{p:g}.csv", curve.to_csv())
-    _write_meta(out, config)
+        name = f"modulus_{kind}_p{p:g}"
+        _write(out, f"{name}.csv", curve.to_csv())
+        curves.append((name, curve))
+    _write_meta(out, config, curves)
     return 0
 
 

@@ -23,6 +23,9 @@ def _check_lattice(d: int, level: int):
         raise ValueError(f"dimension must be in 1..{MAX_DIM}, got {d}")
     if level < 1:
         raise ValueError("resolution exponent must be >= 1")
+    if d * level >= _MAX_CELLS.bit_length():  # 2^(d level) > _MAX_CELLS
+        raise ValueError(f"a {d}-d lattice at level {level} has 2^{d * level} cells "
+                         f"(limit {_MAX_CELLS}); coarsen the lattice")
 
 
 def _readonly(a) -> np.ndarray:
@@ -184,6 +187,7 @@ def zero_extend(f: GridFunction, margin: int | None = None) -> ExtendedGridFunct
 
     The default margin is half a unit per side (2^(L-1) cells), enough for
     every truncated kernel and shift used by the default experiment grids.
+    A window over ``_MAX_CELLS`` cells is refused before it is allocated.
     """
     if margin is None:
         margin = 1 << (f.level - 1)
@@ -191,6 +195,9 @@ def zero_extend(f: GridFunction, margin: int | None = None) -> ExtendedGridFunct
     if margin < 0:
         raise ValueError("margin must be >= 0")
     size = f.n + 2 * margin
+    if size ** f.d > _MAX_CELLS:
+        raise ValueError(f"a margin of {margin} cells makes a window of {size}^{f.d} = "
+                         f"{size ** f.d} cells (limit {_MAX_CELLS}); narrow the margin")
     window = np.zeros((size,) * f.d)
     core = tuple(slice(margin, margin + f.n) for _ in range(f.d))
     window[core] = f.samples

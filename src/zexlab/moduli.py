@@ -16,21 +16,27 @@ supremum table: the largest p-th power difference norm over the shifts within
 each lookup radius t * n cells.  The input alone picks the table; callers
 cannot choose it:
 
-* p = 2, any d: the correlation engine.  It screens every shift of the
-  lattice half ball by overlap masses (summed-area tables) minus twice one
-  FFT autocorrelation; in d = 1 and 3 it then rechecks directly every shift
-  within the screening error bound of the maximum, so its values equal the
-  direct enumeration bit for bit; in d = 2 the screened values stand, within
-  that bound of the direct enumeration.  Exact.
-* d = 1, p != 2: direct enumeration of the lattice half ball, exact;
-* d = 2, p != 2: direct enumeration while shifts x cells stays within
-  ``_DIRECT_WORK_BUDGET``, else the structured direction set, a lower bound;
-* d = 3, p != 2: the structured direction set, a lower bound.
+* d = 2, p = 2: the correlation screen.  Every shift of the lattice half ball
+  reads its difference norm as overlap masses (summed-area tables) minus
+  twice one FFT autocorrelation, and these screened values are the table:
+  within a stated floating-point bound of the direct enumeration, not bit-equal
+  to it.
+* every other (d, p): branch and bound.  The same screen, extended to
+  sum |f(.+k) - f|^4 by two more FFT correlations, gives each shift a
+  certified upper bound on its computed difference norm (Hölder between the
+  2- and 4-norms, with a floating-point allowance); at each radius the shifts
+  are evaluated directly in descending bound until the bound falls to the
+  best value found.  The maximum is always evaluated, so the values equal
+  the direct enumeration bit for bit.  A half ball with fewer shifts than the
+  screen costs is enumerated directly.
 
-Lower-bound values carry the ``lower_bound`` flag and ``exact=False``; the
-single-scale queries emit a ``LowerBoundWarning`` for them.  Each curve's
-``meta`` records the table's method, the shifts it screened or evaluated and
-the shifts it rechecked.
+Direct evaluation is capped at ``_DIRECT_WORK_BUDGET`` cells of work.  A radius
+left unfinished at the cap keeps the best value found, a lower bound flagged
+``lower_bound`` and ``exact=False``, bracketed by a certified upper bound;
+``meta["upper"]`` holds one per point (equal to the value on exact points),
+and the single-scale queries emit a ``LowerBoundWarning``.  Each curve's
+``meta`` also records the table's method, the shifts of its half ball and the
+shifts it evaluated directly (``rechecked``).
 """
 from __future__ import annotations
 
@@ -50,17 +56,15 @@ class ResolutionWarning(UserWarning):
 
 
 class LowerBoundWarning(UserWarning):
-    """A single-scale modulus comes from a table that only bounds the
-    supremum from below (the structured direction set)."""
+    """A single-scale modulus is a lower bound: its table hit the direct
+    evaluation budget, and the message gives the certified bracket."""
 
 
 CURVE_KINDS = ("interior", "whole", "hybrid", "error_norm")
 CURVE_CSV_HEADER = "t,value,kind,p,d,L,function,flags"
 
-# exact-enumeration guard: shifts * cells of elementwise work
+# cap on direct evaluation: shifts * cells of elementwise work per table
 _DIRECT_WORK_BUDGET = 2 * 10 ** 8
-_N_RANDOM_DIRECTIONS = {2: 128, 3: 256}
-_DIRECTION_SEED = 1234509876
 
 
 @dataclass(frozen=True)
@@ -134,8 +138,15 @@ def default_t_grid(level: int) -> tuple:
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 # assumed relative 2-norm error of one FFT, in unit roundoffs per radix-2 stage
 _FFT_ULPS = 16
+# assumed relative error of one elementwise power, in unit roundoffs
+_POW_ULPS = 8
 # candidate shifts per _half_shifts block: bounds the candidate temporaries
 _SHIFT_BLOCK = 1 << 12
+
+
+def _gamma(k: float) -> float:
+    """Relative error bound of k successive roundings, k u / (1 - k u)."""
+    return k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
 
 
 def _rsq_bound(r: float) -> float:
@@ -145,14 +156,20 @@ def _rsq_bound(r: float) -> float:
 
 @dataclass(frozen=True)
 class _SupTable:
-    """Max of the p-th power difference norms over the shifts |k| <= r, one
-    per lookup radius r (in cells), in the order the radii were given."""
+    """Per lookup radius r (in cells), in the order the radii were given: the
+    largest p-th power difference norm found over the shifts |k| <= r, and a
+    certified upper bound on every shift's value there.  A radius is exact
+    when the two agree; its value is then the direct enumeration's maximum."""
 
     powers: tuple
-    exact: bool
-    method: str
-    shifts: int = 0      # shifts evaluated (direct, structured) or screened (corr)
-    rechecked: int = 0   # screened shifts recomputed by a direct difference norm
+    uppers: tuple
+    method: str          # direct, corr (d = 2, p = 2) or bound
+    shifts: int = 0      # shifts of the half ball
+    rechecked: int = 0   # shifts evaluated by a direct difference norm
+
+    @property
+    def exact(self) -> tuple:
+        return tuple(u == v for u, v in zip(self.uppers, self.powers))
 
 
 def _radius_max(ksq: np.ndarray, values: np.ndarray, radii) -> tuple:
@@ -218,24 +235,13 @@ def _direct_values(arr: np.ndarray, shifts: np.ndarray, p: float, cellvol: float
 
 
 def _enumerated_table(arr: np.ndarray, p: float, radii, cellvol: float,
-                      interior: bool, structured: bool) -> _SupTable:
-    """Evaluate every shift of the half ball (exact) or of the structured
-    direction set (lower bound), one difference norm per shift."""
-    d, rmax = arr.ndim, max(radii)
-    if structured:
-        shifts = np.array(_structured_shifts(d, rmax), dtype=np.int64).reshape(-1, d)
-    else:
-        shifts = _half_shifts(d, rmax, arr.shape[0] - 1)
+                      interior: bool) -> _SupTable:
+    """Evaluate every shift of the half ball, one difference norm per shift:
+    the reference that every other table reproduces."""
+    shifts = _half_shifts(arr.ndim, max(radii), arr.shape[0] - 1)
     values = _direct_values(arr, shifts, p, cellvol, interior)
-    return _SupTable(_radius_max((shifts * shifts).sum(axis=1), values, radii),
-                     not structured, "structured" if structured else "direct",
-                     len(shifts))
-
-
-def _autocorrelation(a: np.ndarray, shape) -> np.ndarray:
-    """Full linear autocorrelation via FFT on the padded grid ``shape``."""
-    fa = sfft.rfftn(a, shape)
-    return sfft.irfftn(fa * np.conj(fa), shape)
+    powers = _radius_max((shifts * shifts).sum(axis=1), values, radii)
+    return _SupTable(powers, powers, "direct", len(shifts), len(shifts))
 
 
 def _box_sums(pref: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -250,169 +256,279 @@ def _box_sums(pref: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return total
 
 
-def _screen_error(energy: float, shape, padded) -> float:
-    """Bound e on |screened - direct| for every shift, before the cell volume.
+def _overlap_mass(w: np.ndarray, shifts: np.ndarray, interior: bool):
+    """Per shift k, the sum of ``w`` over the cells i with i and i + k both in
+    the cube plus the same sum over the cells i + k: box sums read from d-dim
+    prefix sums (summed-area tables).  On a window, zero outside, every shift
+    sees both masses whole: the scalar 2 sum w."""
+    if not interior:
+        return 2.0 * float(w.sum())
+    d, n = w.ndim, w.shape[0]
+    pref = np.zeros(tuple(s + 1 for s in w.shape))
+    acc = w
+    for axis in range(d):
+        acc = acc.cumsum(axis=axis)
+    pref[(slice(1, None),) * d] = acc
+    lo = np.maximum(0, -shifts)
+    hi = n - 1 - np.maximum(0, shifts)
+    return _box_sums(pref, lo, hi) + _box_sums(pref, lo + shifts, hi + shifts)
 
-    Let Q = sum f^2, m the cells of the array, n_a its side on axis a, N the
-    cells of the padded FFT grid, u the unit roundoff and g(k) = k u/(1 - k u).
-    Exactly, each overlap mass is at most Q, |corr(k)| <= Q, and the
-    difference sum E(k) = sum (f(i+k) - f(i))^2 is at most 4 Q.
 
-    * Masses.  A prefix sum takes one product and n_a - 1 sequential
+def _screen_error(shape, padded, q: int, energy: float, weighted: float) -> float:
+    """Bound e on |screened E_q(k) - E_q(k)| for every shift, q = 2 or 4.
+
+    E_q(k) is the exact sum of |f(i+k) - f(i)|^q; the screen reads it off
+    f' = fl(f - mu) 2^-s, centred on a float mu (0 on a window) and scaled by
+    a power of two, and the bound is in those scaled units.  ``energy`` is
+    Q = sum f'^q and ``weighted`` is W, the screen's correlation weights times
+    ||a||_2 ||b||_2 of their factors: 2 Q for E2 (c11), and for E4
+    6 Q + 8 sqrt(sum f'^6 sum f'^2) (c22 and the pair of c31).  Exactly, each
+    overlap mass is at most Q and |c_ab(k)| <= ||a||_2 ||b||_2.  Let m be the
+    cells of the array, n_a its side on axis a, N the cells of the padded FFT
+    grid and u the unit roundoff; g(k) = k u/(1 - k u).
+
+    * Masses.  f'^q takes q - 1 products and a prefix sum n_a - 1 sequential
       additions along each axis, so its error is at most g(k_p) Q with
-      k_p = 1 + sum_a (n_a - 1).  A box sum adds 2^d corners by 2^d - 1
+      k_p = q - 1 + sum_a (n_a - 1).  A box sum adds 2^d corners by 2^d - 1
       operations on terms of size at most 2^d Q; two boxes and their sum
       give 2^(d+1) (g(k_p) + 2^d u) Q + 2 u Q.  On a window the mass is
-      2 fl(sum f^2): at most 2 g(m) Q in any summation order.  The
+      2 fl(sum f'^q): at most 2 g(m) Q in any summation order.  The
       interior bound covers both.
-    * Correlation.  Assume one FFT, forward or inverse, has relative 2-norm
+    * Correlations.  Assume one FFT, forward or inverse, has relative 2-norm
       error at most eta = _FFT_ULPS u (log2 N + 1); Higham (Accuracy and
       Stability of Numerical Algorithms, Thm 24.2) gives about 6.7 u per
-      radix-2 stage.  With F = DFT(a) and ||F||_2^2 = N Q, forming |F|^2
-      adds g(2) per entry, so the spectrum is off by at most
-      omega N Q in 2-norm, omega = eta (2 + eta) + g(2) (1 + eta)^2.  The
-      inverse transform and its 1/N scaling then bound the max error of
-      corr by its 2-norm error: sqrt(N) Q (omega + eta (1 + omega)) + u Q.
-    * The subtraction mass - 2 corr, of operands at most 4 Q: u 4 Q.
-    * Direct.  A difference, a square and a sum of at most m nonnegative
-      terms in any order: g(m + 2) E <= 4 g(m + 2) Q.
+      radix-2 stage.  With A = DFT(a) and ||A||_2^2 = N ||a||_2^2, forming
+      and combining the products A conj(B) adds g(4) per entry, so the
+      spectrum is off by at most omega N W in 2-norm,
+      omega = eta (2 + eta) + g(4) (1 + eta)^2.  The inverse transform and
+      its 1/N scaling then bound the max error by the 2-norm error:
+      sqrt(N) W (omega + eta (1 + omega)) + u W.  For E4 the factors f'^2
+      and f'^3 carry up to two roundings each: g(2) W more.
+    * The sum of masses and correlations, operands at most 2 Q and W:
+      u (2 Q + W).
+    * Centring.  f - mu = f' (1 + theta_i) 2^s with |theta_i| <= g(1), so by
+      Minkowski E_q(f)^(1/q) <= E_q(f')^(1/q) + 2 g(1) ||f'||_q in scaled
+      units, and E_q(f')^(1/q) <= 2 ||f'||_q: at most q 2^q g(q) Q more.
 
-    Clamping at zero cannot add error, since E >= 0.  The total is doubled
-    to cover the second-order terms and the rounding of Q itself.
+    The total is doubled to cover the second-order terms, the rounding of Q
+    and W themselves and any underflow in the scaling.
     """
     u = _UNIT_ROUNDOFF
-
-    def g(k):
-        return k * u / (1.0 - k * u)
-
     d, m, big_n = len(shape), math.prod(shape), math.prod(padded)
-    masses = max(2 ** (d + 1) * (g(1 + sum(n - 1 for n in shape)) + 2 ** d * u) + 2 * u,
-                 2 * g(m))
+    masses = max(2 ** (d + 1) * (_gamma(q - 1 + sum(n - 1 for n in shape)) + 2 ** d * u)
+                 + 2 * u, 2 * _gamma(m))
     eta = _FFT_ULPS * u * (math.log2(big_n) + 1)
-    omega = eta * (2 + eta) + g(2) * (1 + eta) ** 2
-    corr = math.sqrt(big_n) * (omega + eta * (1 + omega)) + u
-    return 2.0 * energy * (masses + 2 * corr + 4 * u + 4 * g(m + 2))
+    omega = eta * (2 + eta) + _gamma(4) * (1 + eta) ** 2
+    corr = math.sqrt(big_n) * (omega + eta * (1 + omega)) + u + _gamma(q - 2)
+    centre = q * 2 ** q * _gamma(q)
+    return 2.0 * (energy * (masses + 2 * u + centre) + weighted * (corr + u))
+
+
+def _screen(arr: np.ndarray, shifts: np.ndarray, interior: bool, shape,
+            orders) -> dict:
+    """For q in ``orders`` (2 and/or 4): the screened E_q(k) = sum over the
+    overlap of |f(i+k) - f(i)|^q at every shift, clamped at zero, with its
+    ``_screen_error`` bound, as {q: (values, error)}.
+
+    With c_ab(k) = sum_i f(i+k)^a f(i)^b, a correlation read off FFTs on the
+    padded grid ``shape``:
+
+        E2 = (f^2 masses) - 2 c11(k),
+        E4 = (f^4 masses) - 4 (c31(k) + c31(-k)) + 6 c22(k),
+
+    the masses from ``_overlap_mass``.  The E4 correlations are one inverse
+    FFT of the real spectrum 6 |F2|^2 - 8 Re(F3 conj F1), F_a = DFT(f^a).  A
+    grid of at least n + max |k_a| cells per axis holds every shift without
+    wrap-around."""
+    at = tuple(shifts[:, a] % s for a, s in enumerate(shape))
+    f1 = sfft.rfftn(arr, shape)
+    sq = arr * arr
+    out = {}
+    if 2 in orders:
+        c11 = sfft.irfftn(f1 * np.conj(f1), shape)[at]
+        energy = float(sq.sum())
+        out[2] = (np.maximum(_overlap_mass(sq, shifts, interior) - 2.0 * c11, 0.0),
+                  _screen_error(arr.shape, shape, 2, energy, 2.0 * energy))
+    if 4 in orders:
+        # one spectrum at a time beside f1, to keep the peak memory low
+        cube = sq * arr
+        weighted = 8.0 * math.sqrt(float((cube * cube).sum()) * float(sq.sum()))
+        spectrum = -8.0 * _real_product(sfft.rfftn(cube, shape), f1)
+        del cube, f1
+        f2 = sfft.rfftn(sq, shape)
+        spectrum += 6.0 * _real_product(f2, f2)
+        del f2
+        quart = np.multiply(sq, sq, out=sq)
+        energy = float(quart.sum())
+        mass = _overlap_mass(quart, shifts, interior)
+        out[4] = (np.maximum(mass + sfft.irfftn(spectrum, shape)[at], 0.0),
+                  _screen_error(arr.shape, shape, 4, energy, weighted + 6.0 * energy))
+    return out
+
+
+def _real_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re(a conj(b)), elementwise."""
+    out = a.real * b.real
+    out += a.imag * b.imag
+    return out
+
+
+def _upper_bounds(arr: np.ndarray, shifts: np.ndarray, p: float, interior: bool,
+                  shape) -> np.ndarray:
+    """A certified upper bound U(k) on the computed ``_direct_values`` sum at
+    every shift, before the cell volume.
+
+    Interior arrays are centred on their mean (differences do not change, and
+    an input near a constant keeps a usable bound); every array is scaled by a
+    power of two below 1 in magnitude.  With A_q = screened E_q + e_q >= E_q
+    (``_screen``), Hölder's inequality bounds E_p = sum |f(i+k) - f(i)|^p:
+
+    * 1 <= p <= 2: m_k^(1 - p/2) A_2^(p/2), m_k the cells of the overlap
+      (on a window, twice the nonzero cells);
+    * 2 < p < 4: A_2^((4 - p)/2) A_4^((p - 2)/2);
+    * p >= 4: osc^(p - 4) A_4, osc = max - min of the array (a window's
+      zeros count, as do the zeros read past its edge).
+
+    The computed sum rounds each difference once, raises it to p (at most
+    _POW_ULPS u), and adds at most m terms: at most E_p (1 + u)^p
+    (1 + _POW_ULPS u) (1 + g(m)), plus m subnormal spacings if terms
+    underflow.  Forming U itself takes up to three powers and three products.
+    The relative allowance (p + 4) u + 4 _POW_ULPS u + g(m), doubled, covers
+    both.  A constant array (all zero on a window) has no nonzero difference:
+    U = 0.
+    """
+    lo, hi = float(arr.min()), float(arr.max())
+    if not interior:
+        lo, hi = min(lo, 0.0), max(hi, 0.0)
+    if hi == lo:
+        return np.zeros(len(shifts))
+    work = arr - arr.mean() if interior else arr
+    _, scale = math.frexp(float(np.abs(work).max()))
+    work = np.ldexp(work, -scale, out=work if interior else None)
+    screen = _screen(work, shifts, interior, shape,
+                     [q for q, used in ((2, p < 4), (4, p > 2)) if used])
+    bounded = {q: values + error for q, (values, error) in screen.items()}
+    if p <= 2:
+        if interior:
+            m_k = np.prod(arr.shape[0] - np.abs(shifts), axis=1)
+        else:  # nonzero terms lie on the support or its shift
+            m_k = min(arr.size, 2 * np.count_nonzero(arr))
+        bound = m_k ** (1 - p / 2) * bounded[2] ** (p / 2)
+    elif p < 4:
+        bound = bounded[2] ** ((4 - p) / 2) * bounded[4] ** ((p - 2) / 2)
+    else:
+        osc = math.ldexp(hi - lo, -scale) * (1 + _gamma(1))
+        bound = osc ** (p - 4) * bounded[4]
+    u, m = _UNIT_ROUNDOFF, arr.size
+    slack = 2.0 * ((p + 4) * u + 4 * _POW_ULPS * u + _gamma(m))
+    with np.errstate(over="ignore"):
+        return (bound * (1.0 + slack) * np.exp2(scale * p)
+                + m * np.finfo(float).smallest_subnormal)
+
+
+def _bound_table(arr: np.ndarray, shifts: np.ndarray, upper: np.ndarray, p: float,
+                 radii, cellvol: float, interior: bool) -> _SupTable:
+    """Branch and bound over the half ball, given each shift's certified
+    upper bound ``upper`` (in the units of ``_direct_values``).
+
+    At each lookup radius, ascending, the shifts within it that are not yet
+    evaluated are evaluated by ``_direct_values`` in descending bound until
+    the bound falls to the best value found there; values found at smaller
+    radii count.  Every shift left out has a computed value at most its bound,
+    so at most the best: the maximum is always evaluated and each radius reads
+    the direct enumeration's maximum bit for bit.
+
+    Direct evaluation stops after ``_DIRECT_WORK_BUDGET`` cells of work
+    (shifts x array cells).  A radius left unfinished keeps the best value
+    found, a lower bound, with the certified upper bound max(best, largest
+    bound of a shift within it left out); every radius finished before the
+    cap is exact.
+    """
+    order = np.argsort(-upper, kind="stable")
+    shifts, upper = shifts[order], upper[order]
+    ksq = (shifts * shifts).sum(axis=1)
+    values = np.full(len(shifts), -np.inf)  # -inf: not evaluated
+    left = _DIRECT_WORK_BUDGET // arr.size
+    for r in sorted(radii):
+        inside = ksq <= _rsq_bound(r)
+        best = values[inside].max(initial=0.0)
+        for i in np.flatnonzero(inside & (values < 0) & (upper > best)):
+            if upper[i] <= best or not left:
+                break
+            values[i] = _direct_values(arr, shifts[i:i + 1], p, cellvol, interior)[0]
+            best = max(best, values[i])
+            left -= 1
+    powers, uppers = [], []
+    for r in radii:
+        inside = ksq <= _rsq_bound(r)
+        best = float(values[inside].max(initial=0.0))
+        powers.append(best)
+        uppers.append(max(best, float(upper[inside & (values < 0)].max(initial=0.0))))
+    return _SupTable(tuple(powers), tuple(uppers), "bound", len(shifts),
+                     int((values >= 0).sum()))
+
+
+def _check_grid(arr: np.ndarray, shape):
+    """Refuse a table whose padded FFT grid exceeds ``_MAX_CELLS``."""
+    cells = math.prod(shape)
+    if cells > _MAX_CELLS:
+        raise ValueError(
+            f"a supremum table on {arr.size} cells needs a {' x '.join(map(str, shape))} "
+            f"FFT grid of {cells} cells (limit {_MAX_CELLS}); coarsen the lattice")
 
 
 def _corr_table(arr: np.ndarray, radii, cellvol: float, interior: bool) -> _SupTable:
-    """p = 2 table: screen every shift by ||f(.+k) - f||_2^2 = (f^2 mass on
-    both overlaps) - 2 corr(k), then confirm the maxima directly.
+    """The d = 2, p = 2 table: the screened ||f(.+k) - f||_2^2 of every shift
+    (``_screen`` on the raw array, padded to 2 n - 1 per axis) is the value.
 
-    On a window (zero outside) both masses are ||g||^2; inside the cube they
-    are box sums of f^2 over the cells whose shift stays in Q, read from
-    d-dim prefix sums (summed-area tables).  corr is one FFT autocorrelation.
-
-    In d = 1 and 3 the maxima are confirmed.  With |screened - direct| <= e
-    for every shift (``_screen_error``), the shift whose direct value is
-    largest within radius r has a screened value at least the largest
-    screened value there minus 2 e.  Every shift within 2 e of that value at
-    some radius is recomputed directly and every other shift is dropped, so
-    each radius reads the direct enumeration's maximum bit for bit: max does
-    not depend on the order, and no other recomputed shift within r exceeds
-    it.  In d = 2 the screened values are the table: confirming would move
-    the last digits of values that the verify artifacts pin (on ``rand2_d2``
-    at L = 10 and t = 2^-8 the interior modulus reads 0.10131710135113675
-    screened and 0.10131710135111947 direct).
+    These values lie within ``_screen_error`` of the direct enumeration but
+    may differ from it in the last digits (on ``rand2_d2`` at L = 10 and
+    t = 2^-8 the interior modulus reads 0.10131710135113675 screened and
+    0.10131710135111947 direct), and the verify artifacts pin them, so this
+    table neither confirms them nor changes the screen's grid.
 
     An input whose padded FFT grid exceeds ``_MAX_CELLS`` is refused first.
     """
-    d, n = arr.ndim, arr.shape[0]
     shape = [sfft.next_fast_len(2 * m - 1) for m in arr.shape]
-    if math.prod(shape) > _MAX_CELLS:
-        raise ValueError(
-            f"a p = 2 table on {arr.size} cells needs a {' x '.join(map(str, shape))} "
-            f"FFT grid of {math.prod(shape)} cells (limit {_MAX_CELLS}); coarsen the lattice")
-    shifts = _half_shifts(d, max(radii), n - 1)
+    _check_grid(arr, shape)
+    shifts = _half_shifts(arr.ndim, max(radii), arr.shape[0] - 1)
     if not len(shifts):
-        return _SupTable((0.0,) * len(radii), True, "corr")
-    corr = _autocorrelation(arr, shape)
-    sq = arr * arr
-    if interior:
-        pref = np.zeros(tuple(s + 1 for s in sq.shape))
-        acc = sq
-        for axis in range(d):
-            acc = acc.cumsum(axis=axis)
-        pref[(slice(1, None),) * d] = acc
-        lo = np.maximum(0, -shifts)
-        hi = n - 1 - np.maximum(0, shifts)
-        mass = _box_sums(pref, lo, hi) + _box_sums(pref, lo + shifts, hi + shifts)
-    else:
-        mass = 2.0 * float(sq.sum())
-    c = corr[tuple(shifts[:, a] % s for a, s in enumerate(shape))]
-    screened = np.maximum(mass - 2.0 * c, 0.0)
-    ksq = (shifts * shifts).sum(axis=1)
-    if d == 2:
-        return _SupTable(_radius_max(ksq, screened * cellvol, radii), True, "corr",
-                         len(shifts))
-    err = _screen_error(float(sq.sum()), arr.shape, shape)
-    near = np.zeros(len(shifts), dtype=bool)
-    for r, top in zip(radii, _radius_max(ksq, screened, radii)):
-        near |= (ksq <= _rsq_bound(r)) & (screened >= top - 2.0 * err)
-    values = np.full(len(shifts), -np.inf)
-    values[near] = _direct_values(arr, shifts[near], 2, cellvol, interior)
-    return _SupTable(_radius_max(ksq, values, radii), True, "corr", len(shifts),
-                     int(near.sum()))
+        return _SupTable((0.0,) * len(radii), (0.0,) * len(radii), "corr")
+    screened = _screen(arr, shifts, interior, shape, (2,))[2][0]
+    powers = _radius_max((shifts * shifts).sum(axis=1), screened * cellvol, radii)
+    return _SupTable(powers, powers, "corr", len(shifts))
 
 
-def _structured_shifts(d: int, rmax: float):
-    """Axis, diagonal, and seeded random lattice directions with a radius ladder.
-
-    A documented lower bound on the supremum: every multiple ladder is fixed,
-    so the shift set is nested as the radius grows.
-    """
-    dirs = set()
-    for axis in range(d):
-        u = [0] * d
-        u[axis] = 1
-        dirs.add(tuple(u))
-    # all diagonal sign patterns with at least two nonzero components,
-    # one representative per opposite pair (leading nonzero positive)
-    from itertools import product
-
-    for signs in product((-1, 0, 1), repeat=d):
-        nz = [s for s in signs if s]
-        if len(nz) >= 2 and nz[0] > 0:
-            dirs.add(signs)
-    rng = np.random.default_rng(_DIRECTION_SEED)
-    wanted = _N_RANDOM_DIRECTIONS.get(d, 128)
-    attempts = 0
-    while len(dirs) < wanted + 2 * d and attempts < 40 * wanted:
-        attempts += 1
-        cand = rng.integers(-16, 17, size=d)
-        if not cand.any():
-            continue
-        g = int(np.gcd.reduce(np.abs(cand[cand != 0])))
-        cand = tuple(int(v // g) for v in cand)
-        lead = next(v for v in cand if v)
-        if lead < 0:
-            cand = tuple(-v for v in cand)
-        dirs.add(cand)
-    # radius ladder ~ powers of sqrt(2), deduplicated
-    radii = sorted({int(round(2.0 ** (j / 2.0))) for j in range(0, 64)})
-    shifts = set()
-    bound = _rsq_bound(rmax)
-    for u in sorted(dirs):
-        norm_u = math.sqrt(sum(v * v for v in u))
-        for r in radii:
-            m = max(1, int(round(r / norm_u)))
-            k = tuple(v * m for v in u)
-            if sum(v * v for v in k) <= bound:
-                shifts.add(k)
-    return sorted(shifts)
+def _screen_grid(arr: np.ndarray, radii) -> list:
+    """The upper-bound screen's FFT grid: n + the largest shift component
+    cells per axis, which holds every shift without wrap-around.  A grid over
+    ``_MAX_CELLS`` is refused."""
+    reach = min(arr.shape[0] - 1, math.floor(max(radii) + 1e-9))
+    shape = [sfft.next_fast_len(m + reach) for m in arr.shape]
+    _check_grid(arr, shape)
+    return shape
 
 
 def _build_table(arr: np.ndarray, p: float, radii, cellvol: float,
                  interior: bool) -> _SupTable:
-    """The table for this input at ``radii``: corr for p = 2; otherwise direct
-    enumeration in d = 1, and in d = 2 while half-ball shifts x cells stays
-    within ``_DIRECT_WORK_BUDGET``; else the structured direction set, a lower
-    bound by design (d = 3 is the experimental dimension)."""
-    if p == 2:
+    """The table for this input at ``radii``: ``_corr_table`` for d = 2 and
+    p = 2; for every other input the upper-bound screen (``_upper_bounds``)
+    and branch and bound (``_bound_table``).  A half ball whose shifts x cells
+    of direct work cost no more than the screen's transforms (about N log2 N
+    each on its grid of N cells), and fit ``_DIRECT_WORK_BUDGET``, is
+    enumerated directly instead.  A grid over ``_MAX_CELLS`` is refused
+    before any shift or FFT."""
+    if arr.ndim == 2 and p == 2:
         return _corr_table(arr, radii, cellvol, interior)
-    d, rmax = arr.ndim, max(radii)
-    work = math.pi * rmax * rmax / 2.0 * arr.size  # half-ball shifts x cells
-    structured = d > 2 or (d == 2 and work > _DIRECT_WORK_BUDGET)
-    return _enumerated_table(arr, p, radii, cellvol, interior, structured)
+    shape = _screen_grid(arr, radii)
+    shifts = _half_shifts(arr.ndim, max(radii), arr.shape[0] - 1)
+    transforms = 1 + (p < 4) + 3 * (p > 2)  # forward and inverse FFTs of _screen
+    big_n = math.prod(shape)
+    work = len(shifts) * arr.size
+    if work <= min(transforms * big_n * math.log2(big_n), _DIRECT_WORK_BUDGET):
+        return _enumerated_table(arr, p, radii, cellvol, interior)
+    upper = _upper_bounds(arr, shifts, p, interior, shape) * cellvol
+    return _bound_table(arr, shifts, upper, p, radii, cellvol, interior)
 
 
 # ---------------------------------------------------------------------------
@@ -481,25 +597,32 @@ def _curve(kind: str, arr, p: float, t_grid, name: str = "") -> ModulusCurve:
         _require_margin(arr, _shift_cells(max(ts), arr.n))
     radii = [t * arr.n for t in ts]
     table = _build_table(arr.samples, p, radii, arr.cell_volume, interior)
-    points, flags = [], []
-    for t, r, power in zip(ts, radii, table.powers):
+    points, flags, uppers = [], [], []
+    for t, r, power, upper, exact in zip(ts, radii, table.powers, table.uppers,
+                                         table.exact):
         if r < 1.0 - 1e-9:
             points.append((t, 0.0))
             flags.append("below_resolution")
+            uppers.append(0.0)
         else:
             points.append((t, power ** (1.0 / p)))
-            flags.append("" if table.exact else "lower_bound")
+            flags.append("" if exact else "lower_bound")
+            uppers.append(upper ** (1.0 / p))
     meta = {"d": arr.d, "L": arr.level, "function": name, **extra,
-            "exact": table.exact, "method": table.method, "shifts": table.shifts,
-            "rechecked": table.rechecked}
+            "exact": all(table.exact), "method": table.method, "shifts": table.shifts,
+            "rechecked": table.rechecked, "upper": tuple(uppers)}
     return ModulusCurve(kind, p, tuple(points), meta, tuple(flags))
 
 
 def _flagged_points(curve: ModulusCurve) -> tuple:
-    """The curve's points, warning when they are lower bounds."""
+    """The curve's points, warning when some are lower bounds."""
     if not curve.meta["exact"]:
-        warnings.warn(f"{curve.kind} modulus from the {curve.meta['method']} table "
-                      "is a lower bound on the supremum", LowerBoundWarning,
+        brackets = "; ".join(
+            f"t={t!r}: [{v!r}, {upper!r}]"
+            for (t, v), flag, upper in zip(curve.points, curve.flags, curve.meta["upper"])
+            if flag == "lower_bound")
+        warnings.warn(f"{curve.kind} modulus hit the direct-evaluation budget; it lies "
+                      f"in the certified bracket {brackets}", LowerBoundWarning,
                       stacklevel=3)
     return curve.points
 

@@ -255,3 +255,57 @@ def test_oversized_correlation_table_exits_2(tmp_path, capsys, monkeypatch):
     cfg = _write_config(tmp_path, "function = linear\nd = 2\nL = 6\np = 2\n")
     assert main(["modulus", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "128 x 128 FFT grid of 16384 cells (limit 4096)" in capsys.readouterr().err
+
+
+def test_modulus_meta_records_table_provenance(tmp_path):
+    cfg = _write_config(tmp_path, "function = cusp alpha=0.5\nd = 1\nL = 10\np = 1,3\n")
+    out = tmp_path / "out"
+    assert main(["modulus", "--config", cfg, "--out", str(out)]) == 0
+    meta = dict(line.split("=", 1) for line in
+                (out / "run_meta.txt").read_text().splitlines())
+    for p in ("1", "3"):
+        name = f"modulus_interior_p{p}"
+        rows = (out / f"{name}.csv").read_text().strip().split("\n")[1:]
+        assert meta[f"{name}.method"] == "bound"
+        assert meta[f"{name}.exact"] == "True"
+        assert meta[f"{name}.shifts"] == "256"
+        assert 0 < int(meta[f"{name}.rechecked"]) < 256
+        # exact rows: the certified upper bound is the value itself
+        assert meta[f"{name}.upper"].split(",") == [row.split(",")[1] for row in rows]
+
+
+def _no_alloc(*args, **kwargs):
+    raise AssertionError("an oversized array was allocated")
+
+
+def test_oversized_lattice_exits_2_before_sampling(tmp_path, capsys, monkeypatch):
+    import numpy as np
+
+    monkeypatch.setattr(np, "meshgrid", _no_alloc)
+    cfg = _write_config(tmp_path, "function = cusp alpha=0.5\nd = 3\nL = 10\np = 2\n")
+    assert main(["modulus", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "a 3-d lattice at level 10 has 2^30 cells (limit 134217728)" in \
+        capsys.readouterr().err
+
+
+def test_oversized_window_exits_2_before_allocating(tmp_path, capsys, monkeypatch):
+    from zexlab import grid
+
+    monkeypatch.setattr(grid, "_MAX_CELLS", 1 << 12)  # a 32^2 lattice still fits
+    cfg = _write_config(tmp_path, "function = linear\nd = 2\nL = 5\np = 2\n"
+                                  "kind = whole\nwindow = 0.0625:1\n")
+    assert main(["modulus", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "a margin of 32 cells makes a window of 96^2 = 9216 cells (limit 4096)" in \
+        capsys.readouterr().err
+
+
+def test_oversized_bound_screen_exits_2_before_any_fft(tmp_path, capsys, monkeypatch):
+    from zexlab import moduli
+
+    monkeypatch.setattr(moduli, "_MAX_CELLS", 1 << 12)
+    monkeypatch.setattr(moduli, "_half_shifts", _no_alloc)
+    monkeypatch.setattr(moduli, "_screen", _no_alloc)
+    cfg = _write_config(tmp_path, "function = linear\nd = 1\nL = 12\np = 3\n")
+    assert main(["modulus", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "on 4096 cells needs a 5120 FFT grid of 5120 cells (limit 4096)" in \
+        capsys.readouterr().err

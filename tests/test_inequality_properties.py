@@ -27,12 +27,12 @@ def _samples(data, d: int, level: int) -> np.ndarray:
 
 
 def _exact_powers(arr, p: float, radii, interior: bool) -> tuple:
-    """The supremum table at ``radii``; direct enumeration where the engine
-    serves only a lower bound."""
+    """The supremum table at ``radii``; direct enumeration where the table
+    stopped at the direct-evaluation budget."""
     table = moduli._build_table(arr.samples, p, radii, arr.cell_volume, interior)
-    if not table.exact:
+    if not all(table.exact):
         table = moduli._enumerated_table(arr.samples, p, radii, arr.cell_volume,
-                                         interior, False)
+                                         interior)
     return table.powers
 
 

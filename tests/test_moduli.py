@@ -125,13 +125,13 @@ def test_doubling_inequality_on_corpus():
 
 
 def _engine(arr, p, t, n, cellvol, interior, engine):
-    """One supremum engine's value at scale t, bypassing the table choice."""
+    """One supremum table's value at scale t, bypassing the table choice:
+    the d = 2 correlation screen (corr) or plain enumeration (direct)."""
     radii = [t * n]
     if engine == "corr":
         table = moduli._corr_table(arr, radii, cellvol, interior)
     else:
-        table = moduli._enumerated_table(arr, p, radii, cellvol, interior,
-                                         engine == "structured")
+        table = moduli._enumerated_table(arr, p, radii, cellvol, interior)
     return table.powers[0] ** (1.0 / p)
 
 
@@ -152,26 +152,38 @@ def test_correlation_method_matches_direct():
             assert whole_modulus(g, 2, t) == b
 
 
-def test_structured_method_is_lower_bound():
+def test_budget_capped_table_is_bracketed(monkeypatch):
     rng = np.random.default_rng(11)
     f = GridFunction(2, 5, rng.standard_normal((32, 32)))
+    grid = [2.0 ** -3, 2.0 ** -2]
+    exact = {p: [_engine(f.samples, p, t, f.n, f.cell_volume, True, "direct")
+                 for t in grid] for p in (1.0, 3.0)}
     for p in (1.0, 3.0):
-        for t in (2.0 ** -3, 2.0 ** -2):
-            exact = _engine(f.samples, p, t, f.n, f.cell_volume, True, "direct")
-            lower = _engine(f.samples, p, t, f.n, f.cell_volume, True, "structured")
-            assert lower <= exact + 1e-12
-            assert lower >= 0.25 * exact  # direction set catches the bulk
-            assert interior_modulus(f, p, t) == exact  # small enough for direct
+        assert [interior_modulus(f, p, t) for t in grid] == exact[p]  # certified
+    # two direct evaluations per table: every row stops short of certainty
+    monkeypatch.setattr(moduli, "_DIRECT_WORK_BUDGET", 2 * f.samples.size)
+    for p in (1.0, 3.0):
+        curve = interior_curve(f, p, grid)
+        assert curve.meta["exact"] is False and curve.meta["rechecked"] == 2
+        assert curve.flags == ("lower_bound",) * len(grid)
+        for lower, value, upper in zip(curve.values, exact[p], curve.meta["upper"]):
+            assert lower <= value <= upper
+            assert lower >= 0.25 * value  # the largest bounds catch the bulk
 
 
-def test_three_d_uses_flagged_direction_set():
+def test_three_d_p_not_2_is_exact():
     rng = np.random.default_rng(4)
     f = GridFunction(3, 3, rng.standard_normal((8, 8, 8)))
+    g = zero_extend(f, 4)
+    grid = [0.25, 0.5]
     for p in (1.0, 3.0):
-        curve = interior_curve(f, p, [0.25, 0.5])
-        assert curve.meta["exact"] is False
-        assert curve.meta["method"] == "structured"
-        assert all(flag == "lower_bound" for flag in curve.flags)
+        for arr, curve in ((f, interior_curve(f, p, grid)), (g, whole_curve(g, p, grid))):
+            assert curve.meta["exact"] is True
+            assert curve.flags == ("",) * len(grid)
+            assert curve.meta["upper"] == tuple(curve.values)
+            for t, value in zip(grid, curve.values):
+                assert value == _engine(arr.samples, p, t, arr.n, arr.cell_volume,
+                                        curve.kind == "interior", "direct")
 
 
 def test_three_d_p2_is_exact():
@@ -185,37 +197,37 @@ def test_three_d_p2_is_exact():
         for arr, curve in ((f, interior_curve(f, 2, grid)),
                            (g, whole_curve(g, 2, grid))):
             interior = curve.kind == "interior"
-            assert curve.meta["exact"] is True and curve.meta["method"] == "corr"
+            assert curve.meta["exact"] is True and curve.meta["method"] == "bound"
             assert curve.flags == ("",) * len(grid)
             for t, value in zip(grid, curve.values):
                 args = (arr.samples, 2, t, arr.n, arr.cell_volume, interior)
                 assert value == _engine(*args, "direct")
-                assert value >= _engine(*args, "structured")
 
 
 def test_correlation_confirm_survives_cancellation():
-    # on 1e4 + cusp the screened values lose about eight digits, so many
-    # shifts fall within the screening bound and are rechecked directly
+    # on 1e4 + cusp a screen of the raw samples loses about eight digits;
+    # centred on their mean, interior samples keep bounds that rule out most
+    # shifts.  A window is not centred: there the bounds only grow looser.
     level = 12
     f = GridFunction(1, level, sample(cusp(0.5), 1, level).samples + 1e4)
     grid = default_t_grid(level)
     g = zero_extend(f, int(max(grid) * f.n))
-    for arr, curve in ((f, interior_curve(f, 2, grid)), (g, whole_curve(g, 2, grid))):
-        direct = moduli._enumerated_table(arr.samples, 2, [t * arr.n for t in grid],
-                                          arr.cell_volume, curve.kind == "interior",
-                                          False)
-        assert curve.meta["method"] == "corr"
-        assert list(curve.values) == [power ** 0.5 for power in direct.powers]
-    assert interior_curve(f, 2, grid).meta["rechecked"] > 100
+    for p in (1.0, 2.0, 3.0):
+        for arr, curve in ((f, interior_curve(f, p, grid)), (g, whole_curve(g, p, grid))):
+            direct = moduli._enumerated_table(arr.samples, p, [t * arr.n for t in grid],
+                                              arr.cell_volume, curve.kind == "interior")
+            assert curve.meta["method"] == "bound" and curve.meta["exact"] is True
+            assert list(curve.values) == [power ** (1 / p) for power in direct.powers]
+        assert interior_curve(f, p, grid).meta["rechecked"] < direct.shifts // 3
 
 
 @pytest.mark.parametrize("d, level, p, kind, method, exact, shifts, rechecked", [
-    (1, 8, 2, "interior", "corr", True, 128, 7),
-    (1, 8, 2, "whole", "corr", True, 128, 7),
-    (2, 5, 1, "interior", "direct", True, 398, 0),
+    (1, 8, 2, "interior", "bound", True, 128, 7),
+    (1, 8, 2, "whole", "bound", True, 128, 7),
+    (2, 5, 1, "interior", "bound", True, 398, 192),
     (2, 5, 2, "interior", "corr", True, 398, 0),
-    (3, 3, 1, "interior", "structured", False, 36, 0),
-    (3, 3, 2, "interior", "corr", True, 128, 4),
+    (3, 3, 1, "interior", "bound", True, 128, 56),
+    (3, 3, 2, "interior", "bound", True, 128, 4),
 ])
 def test_curve_provenance_counts(d, level, p, kind, method, exact, shifts, rechecked):
     f = sample(cusp(0.5, 0.3), d, level)
@@ -229,21 +241,25 @@ def test_curve_provenance_counts(d, level, p, kind, method, exact, shifts, reche
         (method, exact, shifts, rechecked)
 
 
-def test_single_scale_queries_flag_lower_bounds():
+def test_single_scale_queries_flag_lower_bounds(monkeypatch):
     rng = np.random.default_rng(4)
     f = GridFunction(3, 3, rng.standard_normal((8, 8, 8)))
     g = zero_extend(f, 4)
-    with pytest.warns(LowerBoundWarning):
-        interior_modulus(f, 3, 0.5)
-    with pytest.warns(LowerBoundWarning):
-        whole_modulus(g, 3, 0.5)
-    with pytest.warns(LowerBoundWarning):
-        interior_dyadic_values(f, 3, [1, 2])
     with warnings.catch_warnings():
         warnings.simplefilter("error", LowerBoundWarning)
-        interior_modulus(f, 2, 0.5)
-        whole_modulus(g, 2, 0.5)
-        interior_dyadic_values(f, 2, [1, 2])
+        for p in (2, 3):
+            interior_modulus(f, p, 0.5)
+            whole_modulus(g, p, 0.5)
+            interior_dyadic_values(f, p, [1, 2])
+    # at most one direct evaluation per table: the 3-d tables stop at the budget
+    monkeypatch.setattr(moduli, "_DIRECT_WORK_BUDGET", f.samples.size)
+    bracket = r"direct-evaluation budget; it lies in the certified bracket t=0\.5: \["
+    with pytest.warns(LowerBoundWarning, match=bracket):
+        interior_modulus(f, 3, 0.5)
+    with pytest.warns(LowerBoundWarning, match=bracket):
+        whole_modulus(g, 3, 0.5)
+    with pytest.warns(LowerBoundWarning, match="certified bracket"):
+        interior_dyadic_values(f, 3, [1, 2])
 
 
 def test_hybrid_constant_attains_unit_scale():
@@ -362,7 +378,7 @@ def _no_fft(*args, **kwargs):
 
 
 def test_oversized_correlation_table_refused_before_any_fft(monkeypatch):
-    monkeypatch.setattr(moduli, "_autocorrelation", _no_fft)
+    monkeypatch.setattr(moduli, "_screen", _no_fft)
     monkeypatch.setattr(moduli, "_half_shifts", _no_fft)
     # 2-d L=13: an 8192^2 array pads to a 16384^2 grid, 2^28 cells; a zero-stride
     # view stands in for the array, so nothing of that size is allocated
