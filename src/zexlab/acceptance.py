@@ -16,7 +16,7 @@ from scipy.integrate import quad
 from scipy.special import ndtr
 
 from . import adaptive, besov, dyadic, kernels, moduli
-from .grid import (_shift_cells, boundary_power, const, corpus, cusp,
+from .grid import (_csv, _shift_cells, boundary_power, const, corpus, cusp,
                    indicator, linear, lp_norm, sample, zero_extend)
 
 DEFAULT_SEED = 7
@@ -84,7 +84,7 @@ def gate_average_error() -> GateResult:
     def run():
         failures = []
         needed_constant = 0.0
-        rows = ["d,function,p,N,error,bound,constant,pass"]
+        rows = []
         for member in corpus():
             level = 10
             f = sample(member.spec, member.d, level)
@@ -105,9 +105,8 @@ def gate_average_error() -> GateResult:
                         failures.append((member.name, p, n_level, err, bound))
                     if zvals[n_level] > 0:
                         needed_constant = max(needed_constant, err / zvals[n_level])
-                    rows.append(f"{member.d},{member.name},{p!r},{n_level},"
-                                f"{err!r},{bound!r},{constant!r},"
-                                f"{'true' if ok else 'false'}")
+                    rows.append((member.d, member.name, p, n_level, err, bound,
+                                 constant, ok))
         # the continuum value needs a fine lattice: the discrete error is
         # sqrt(1/48 - 2^(-2L-1)/6), within 1e-10 of 1/(4 sqrt(3)) once L >= 17
         f20 = sample(linear(), 1, 20)
@@ -115,11 +114,12 @@ def gate_average_error() -> GateResult:
         target = 1.0 / (4.0 * math.sqrt(3.0))
         exact_ok = abs(exact - target) <= 1e-10
         passed = not failures and exact_ok
-        details = (f"{len(rows) - 1} inequality cases, {len(failures)} failures; "
+        details = (f"{len(rows)} inequality cases, {len(failures)} failures; "
                    f"linear halves error {exact:.12f} vs {target:.12f} "
                    f"(|diff|={abs(exact - target):.2e}); smallest constant that "
                    f"still dominates: {needed_constant:.4f}")
-        return passed, details, {"average_error.csv": "\n".join(rows) + "\n"}
+        return passed, details, {"average_error.csv": _csv(
+            "d,function,p,N,error,bound,constant,pass", rows)}
 
     return _gate("averaging error bound", 30.0, run)
 
@@ -161,7 +161,7 @@ def gate_extension_bounds() -> GateResult:
         level = 11
         grid = [2.0 ** (-j) for j in range(7, 1, -1)]
         problems = []
-        lines = ["function,p,error_slope,modulus_slope,max_error_ratio,max_modulus_ratio"]
+        rows = []
         for member in corpus(d=1):
             f = sample(member.spec, 1, level)
             for p in (2.0, 3.0):
@@ -175,12 +175,13 @@ def gate_extension_bounds() -> GateResult:
                     if max(band) > 0.05:
                         problems.append(
                             f"constant ratio drifts {max(band):.3f} from sqrt(2)")
-                lines.append(f"{member.name},{p!r},{rep.error_slope!r},"
-                             f"{rep.modulus_slope!r},{rep.max_error_ratio!r},"
-                             f"{rep.max_modulus_ratio!r}")
+                rows.append((member.name, p, rep.error_slope, rep.modulus_slope,
+                             rep.max_error_ratio, rep.max_modulus_ratio))
         details = "; ".join(problems) if problems else \
             "all ratio slopes >= -0.05; constant case flat at sqrt(2)"
-        return not problems, details, {"extension_bounds.csv": "\n".join(lines) + "\n"}
+        return not problems, details, {"extension_bounds.csv": _csv(
+            "function,p,error_slope,modulus_slope,max_error_ratio,max_modulus_ratio",
+            rows)}
 
     return _gate("extension-modulus boundedness", 300.0, run)
 
@@ -195,7 +196,7 @@ def gate_exponent_drop() -> GateResult:
         specs = [("cusp03", cusp(0.3)), ("cusp05", cusp(0.5)),
                  ("cusp07", cusp(0.7)), ("edge08", boundary_power(0.8))]
         problems = []
-        lines = ["function,p,alpha,beta_measured,beta_predicted,pass"]
+        rows = []
         for name, spec in specs:
             f = sample(spec, 1, level)
             for p in (2.0, 3.0):
@@ -205,12 +206,12 @@ def gate_exponent_drop() -> GateResult:
                     problems.append(
                         f"{name} p={p}: beta {rep.beta.slope:.3f} < "
                         f"{rep.beta_predicted:.3f} - 0.05")
-                lines.append(f"{name},{p!r},{rep.alpha.slope!r},"
-                             f"{rep.beta.slope!r},{rep.beta_predicted!r},"
-                             f"{'true' if rep.passed else 'false'}")
+                rows.append((name, p, rep.alpha.slope, rep.beta.slope,
+                             rep.beta_predicted, rep.passed))
         details = "; ".join(problems) if problems else \
             "measured extension exponents dominate the predicted drop"
-        return not problems, details, {"exponent_drop.csv": "\n".join(lines) + "\n"}
+        return not problems, details, {"exponent_drop.csv": _csv(
+            "function,p,alpha,beta_measured,beta_predicted,pass", rows)}
 
     return _gate("exponent drop of the extension", 300.0, run)
 
@@ -298,7 +299,7 @@ def gate_kernel_hypotheses() -> GateResult:
         problems = []
         tails = {"gauss": 1e-6, "poisson": 1e-3, "fejer_tensor": 1e-3}
         tails_2d = {"gauss": 1e-6, "poisson": 1e-2, "fejer_tensor": 2e-2}
-        lines = ["d,function,family,t,p,norm_in,norm_out,gap"]
+        rows = []
         for member in corpus():
             level = 10 if member.d == 1 else 8
             f = sample(member.spec, member.d, level)
@@ -318,8 +319,8 @@ def gate_kernel_hypotheses() -> GateResult:
                             problems.append(
                                 f"{member.name} {family} t={t:g} p={p}: "
                                 f"contraction violated by {gap:.2e}")
-                        lines.append(f"{member.d},{member.name},{family},{t!r},"
-                                     f"{p!r},{n_in!r},{n_out!r},{gap!r}")
+                        rows.append((member.d, member.name, family, t, p, n_in,
+                                     n_out, gap))
         # equivalence band for the smooth family
         grid = [2.0 ** (-j) for j in range(7, 2, -1)]
         for member in corpus(d=1):
@@ -341,7 +342,8 @@ def gate_kernel_hypotheses() -> GateResult:
         details = "; ".join(problems) if problems else (
             f"contractions hold to 1e-9 on all families; gauss band within 10; "
             f"indicator error {measured:.6f} matches quadrature {oracle:.6f}")
-        return not problems, details, {"kernel_contraction.csv": "\n".join(lines) + "\n"}
+        return not problems, details, {"kernel_contraction.csv": _csv(
+            "d,function,family,t,p,norm_in,norm_out,gap", rows)}
 
     return _gate("kernel hypotheses", 300.0, run)
 

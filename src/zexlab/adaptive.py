@@ -22,12 +22,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .besov import FitResult, fit_points
 from .dyadic import _cells, _cover, _mean_pyramid, _refine, _sum_pyramid, block_means
-from .grid import GridFunction, _abs_pow, lp_norm
+from .grid import GridFunction, _abs_pow, _check_exponent, _csv, lp_norm
+from .kernels import KernelSpec, error_norm
 
 PARTITION_DUMP_HEADER = "level,origin_indices,S,status"
 COUNT_CSV_HEADER = "epsilon,N_total,depth,min_side,count_envelope,min_side_bound"
@@ -37,8 +39,7 @@ class ErrorPyramid:
     """Per-level cube means and local error powers for every dyadic cube."""
 
     def __init__(self, f: GridFunction, p: float):
-        if p < 1:
-            raise ValueError("p must be >= 1")
+        _check_exponent(p)
         self.f = f
         self.p = float(p)
         d, L = f.d, f.level
@@ -58,8 +59,7 @@ class ErrorPyramid:
 def local_error(f: GridFunction, level: int, origin, p: float) -> float:
     """S(Q) for the level-``level`` cube Q at lattice corner ``origin``: the L^p
     distance on Q between f and its mean over Q (exact cell sum)."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    _check_exponent(p)
     if level > f.level:
         raise ValueError("cube finer than the lattice")
     _cells([origin], level, f.d)  # ValueError outside the 2^level lattice
@@ -111,11 +111,12 @@ class AdaptivePartition:
         return 2.0 ** -self.depth
 
     def to_text(self) -> str:
-        lines = [PARTITION_DUMP_HEADER]
-        for k, level in enumerate(zip(self.origins, self.s_values, self.is_good)):
-            for o, s, g in zip(*(a.tolist() for a in level)):
-                lines.append(f"{k},{':'.join(map(str, o))},{s!r},{'good' if g else 'bad'}")
-        return "\n".join(lines) + "\n"
+        # columns are built per level in numpy: a dump runs to ~10^5 rows
+        return _csv(PARTITION_DUMP_HEADER, (
+            row for k, (o, s, g) in enumerate(zip(self.origins, self.s_values, self.is_good))
+            for row in zip([k] * len(s),
+                           reduce(lambda a, b: a + ":" + b, o.T.astype(str)).tolist(),
+                           s.tolist(), np.where(g, "good", "bad").tolist())))
 
 
 def build_partition(f: GridFunction, p: float, epsilon: float,
@@ -182,8 +183,7 @@ def verify_partition(part: AdaptivePartition, f: GridFunction) -> list:
 def partition_objective(f: GridFunction, origins, t: float, p: float) -> float:
     """Evaluate the two-term objective on a partition of Q given as per-level
     origin arrays (``AdaptivePartition.good`` as is, for one)."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    _check_exponent(p)
     origins = tuple(np.asarray(o) for o in origins)
     if len(origins) > f.level + 1:
         raise ValueError("cube finer than the lattice")
@@ -225,8 +225,7 @@ def gradient_magnitude(f: GridFunction) -> np.ndarray:
 
 def sobolev_seminorm(f: GridFunction, q: float) -> float:
     """L^q norm of the gradient magnitude over the unit cube."""
-    if q < 1:
-        raise ValueError("q must be >= 1")
+    _check_exponent(q, "q")
     mag = gradient_magnitude(f)
     return float((f.cell_volume * (mag ** q).sum()) ** (1.0 / q))
 
@@ -253,12 +252,9 @@ class CountReport:
     partitions: tuple              # the AdaptivePartition behind each row
 
     def to_csv(self) -> str:
-        lines = [COUNT_CSV_HEADER]
-        for r in self.rows:
-            lines.append(",".join([
-                repr(r.epsilon), str(r.n_total), str(r.depth), repr(r.min_side),
-                repr(r.count_envelope), repr(r.min_side_bound)]))
-        return "\n".join(lines) + "\n"
+        return _csv(COUNT_CSV_HEADER, ((r.epsilon, r.n_total, r.depth, r.min_side,
+                                        r.count_envelope, r.min_side_bound)
+                                       for r in self.rows))
 
 
 def count_bound_report(f: GridFunction, p: float, q: float, epsilons) -> CountReport:
@@ -268,6 +264,8 @@ def count_bound_report(f: GridFunction, p: float, q: float, epsilons) -> CountRe
     L^p).  The envelope and the minimum-side threshold are printed with the
     empirically observed ratio constant; no constant from theory is assumed.
     """
+    _check_exponent(p)
+    _check_exponent(q, "q")
     eta = 1.0 / f.d - 1.0 / q + 1.0 / p
     if eta <= 0:
         raise ValueError(f"scaling exponent eta = {eta:g} must be positive")
@@ -333,8 +331,6 @@ def adaptive_error_rate(f: GridFunction, p: float, q: float, t_grid,
     The surrogate at scale t and threshold eps is
         (eps^p N_eps + sum_{good Q} min{sqrt(d) t / l(Q), 1} int_Q |f|^p)^(1/p).
     """
-    from .kernels import KernelSpec, error_norm
-
     t_grid = tuple(sorted(t_grid))
     if lp_norm(f, p) == 0.0:
         zeros = (0.0,) * len(t_grid)

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction, _shift_cells, lp_norm, zero_extend
+from .grid import (GridFunction, _check_exponent, _shift_cells, lp_norm, sample,
+                   zero_extend)
 from .moduli import (ModulusCurve, _dyadic_grid, interior_curve,
                      interior_ladder, interior_modulus, whole_curve)
 
@@ -50,9 +51,8 @@ class BesovParams:
     def __post_init__(self):
         if not 0.0 < self.s < 1.0:
             raise ValueError("smoothness must lie in (0,1)")
-        if self.p < 1:
-            raise ValueError("p must be >= 1")
-        if not (self.q >= 1 or math.isinf(self.q)):
+        _check_exponent(self.p)
+        if not self.q >= 1:
             raise ValueError("q must be >= 1 or infinity")
 
 
@@ -95,11 +95,11 @@ def besov_seminorm(curve: ModulusCurve, s: float, q: float) -> float:
         raise ValueError("empty curve")
     ts = curve.t_values
     vs = curve.values
+    if not q >= 1:
+        raise ValueError("q must be >= 1 or infinity")
     weighted = vs * ts ** (-s)
     if math.isinf(q):
         return float(weighted.max())
-    if q < 1:
-        raise ValueError("q must be >= 1 or infinity")
     if len(ts) < 2:
         raise ValueError("need at least two grid points to integrate")
     integrand = weighted ** q
@@ -177,8 +177,7 @@ class BalancedEnvelope:
     """
 
     def __init__(self, f: GridFunction, p: float, ladder=None):
-        if p < 1:
-            raise ValueError("p must be >= 1")
+        _check_exponent(p)
         self.p = float(p)
         self.norm = lp_norm(f, p)
         if self.norm <= 0:
@@ -266,8 +265,7 @@ def besov_embedding_check(spec, d: int, p: float, q: float, levels) -> Embedding
     seminorm is converging) and the ratio against the interpolation-type
     product ||f||^(alpha p/(1+alpha p)) |f|^(1/(1+alpha p)).
     """
-    from .grid import sample
-
+    _check_exponent(p)
     if p <= 1:
         raise ValueError("needs p > 1")
     levels = tuple(sorted(int(x) for x in levels))

@@ -28,14 +28,14 @@ import time
 from pathlib import Path
 
 from . import acceptance, adaptive, besov, dyadic, kernels, moduli
-from .grid import _shift_cells, parse_spec, sample, zero_extend
+from .grid import _csv, _shift_cells, parse_spec, sample, zero_extend
 
 _KNOWN_KEYS = {
     "function", "d", "L", "p", "q", "kernel", "window", "epsilons", "kind",
-    "out", "seed", "beta", "tail", "cases", "levels", "epsilon",
+    "out", "seed", "tail", "cases", "levels", "epsilon",
 }
 _INT_KEYS = {"d", "L", "seed", "cases"}
-_FLOAT_KEYS = {"q", "beta", "tail", "epsilon"}
+_FLOAT_KEYS = {"q", "tail", "epsilon"}
 _LIST_KEYS = {"p", "epsilons", "levels"}
 
 
@@ -187,16 +187,15 @@ def cmd_hybrid(config) -> int:
 def cmd_dyadic(config) -> int:
     f, spec = _function(config)
     out = _outdir(config)
-    rows = ["p,N,error,bound,constant,pass"]
+    rows = []
     ok = True
     for p in config.get("p", (2.0,)):
         for n_level in range(0, f.level - 1):
             err, bound, constant = dyadic.average_error_report(f, n_level, p)
             good = err <= bound + 1e-12
             ok = ok and good
-            rows.append(f"{p!r},{n_level},{err!r},{bound!r},{constant!r},"
-                        f"{'true' if good else 'false'}")
-    _write(out, "average_error.csv", "\n".join(rows) + "\n")
+            rows.append((p, n_level, err, bound, constant, good))
+    _write(out, "average_error.csv", _csv("p,N,error,bound,constant,pass", rows))
     _write_meta(out, config)
     return 0 if ok else 1
 

@@ -27,8 +27,8 @@ from itertools import product
 
 import numpy as np
 
-from .grid import (GridFunction, LatticeShift, _abs_pow, difference, lp_norm,
-                   zero_extend)
+from .grid import (GridFunction, LatticeShift, _abs_pow, _check_exponent, _csv,
+                   difference, lp_norm, zero_extend)
 from .moduli import interior_modulus
 
 SUITE_CSV_HEADER = "seed,d,k,p,h,lhs,rhs,pass"
@@ -219,8 +219,7 @@ def shift_bound_check(pc: PiecewiseConstant, shift: LatticeShift, p: float) -> t
     window.  rhs: 2^p min{|h| 2^k sqrt(d), 1} ||psi||_p^p when the partition
     is the uniform level-k grid, otherwise the cube-by-cube form.
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    _check_exponent(p)
     if shift.level < pc.max_level:
         raise ValueError("shift resolution must refine the partition")
     if shift.d != pc.d:
@@ -317,11 +316,5 @@ def shift_bound_suite(n_functions: int = 100, shifts_each: int = 10,
 
 
 def suite_to_csv(rows) -> str:
-    lines = [SUITE_CSV_HEADER]
-    for r in rows:
-        lines.append(",".join([
-            str(r["seed"]), str(r["d"]), str(r["k"]), repr(r["p"]),
-            repr(r["h"]), repr(r["lhs"]), repr(r["rhs"]),
-            "true" if r["pass"] else "false",
-        ]))
-    return "\n".join(lines) + "\n"
+    return _csv(SUITE_CSV_HEADER, ([r[key] for key in SUITE_CSV_HEADER.split(",")]
+                                   for r in rows))

@@ -9,7 +9,7 @@ other modules are checked in exact cell arithmetic (floating point aside).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,6 +28,22 @@ def _check_lattice(d: int, level: int):
                          f"(limit {_MAX_CELLS}); coarsen the lattice")
 
 
+def _check_exponent(value: float, name: str = "p"):
+    """The one rule for an integrability exponent: finite and >= 1."""
+    if not (math.isfinite(value) and value >= 1):
+        raise ValueError(f"{name} must be finite and >= 1, got {value:g}")
+
+
+def _csv(header: str, rows) -> str:
+    """CSV text, each row as wide as the header: booleans as true/false,
+    strings as they are, any other cell by ``repr`` (numpy scalars print as
+    such).  One stream of cells is cut into lines, with no call per row."""
+    cells = (v if isinstance(v, str) else ("true" if v else "false") if isinstance(v, bool)
+             else repr(v) for row in rows for v in row)
+    width = header.count(",") + 1
+    return "\n".join([header, *map(",".join, zip(*[cells] * width))]) + "\n"
+
+
 def _readonly(a) -> np.ndarray:
     out = np.ascontiguousarray(np.asarray(a, dtype=float))
     out.setflags(write=False)
@@ -35,23 +51,22 @@ def _readonly(a) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class GridFunction:
-    """Samples at the cell midpoints of the dyadic lattice on [0,1]^d.
+class _Lattice:
+    """A function sampled on the level-``level`` dyadic lattice of [0,1]^d.
 
-    ``level`` is the resolution exponent: the lattice has 2^level cells per
-    axis, each of side 2^-level.  Immutable after construction.
+    Subclasses add their own fields and ``shape``, ending with ``samples``;
+    the samples are stored read-only and must be finite.  Arithmetic pairs
+    only functions of one type and one geometry.
     """
 
     d: int
     level: int
-    samples: np.ndarray
 
     def __post_init__(self):
         _check_lattice(self.d, self.level)
         a = _readonly(self.samples)
-        n = 1 << self.level
-        if a.shape != (n,) * self.d:
-            raise ValueError(f"expected samples of shape {(n,) * self.d}, got {a.shape}")
+        if a.shape != self.shape:
+            raise ValueError(f"expected samples of shape {self.shape}, got {a.shape}")
         if not np.all(np.isfinite(a)):
             raise ValueError("samples must be finite")
         object.__setattr__(self, "samples", a)
@@ -64,13 +79,13 @@ class GridFunction:
     def cell_volume(self) -> float:
         return 2.0 ** (-self.d * self.level)
 
-    def _like(self, samples) -> "GridFunction":
-        return GridFunction(self.d, self.level, samples)
+    def _like(self, samples):
+        return replace(self, samples=samples)
 
     def _check_same(self, other):
-        if not isinstance(other, GridFunction):
-            raise TypeError("expected a GridFunction")
-        if (other.d, other.level) != (self.d, self.level):
+        if type(other) is not type(self):
+            raise TypeError(f"expected a {type(self).__name__}")
+        if (other.d, other.level, other.shape) != (self.d, self.level, self.shape):
             raise ValueError("grid geometry mismatch")
 
     def __add__(self, other):
@@ -91,7 +106,22 @@ class GridFunction:
 
 
 @dataclass(frozen=True)
-class ExtendedGridFunction:
+class GridFunction(_Lattice):
+    """Samples at the cell midpoints of the dyadic lattice on [0,1]^d.
+
+    ``level`` is the resolution exponent: the lattice has 2^level cells per
+    axis, each of side 2^-level.  Immutable after construction.
+    """
+
+    samples: np.ndarray
+
+    @property
+    def shape(self) -> tuple:
+        return (self.n,) * self.d
+
+
+@dataclass(frozen=True)
+class ExtendedGridFunction(_Lattice):
     """Zero-extension window: ``margin`` extra cells per side along each axis.
 
     Samples cover [-margin*2^-L, 1 + margin*2^-L]^d.  For windows produced by
@@ -100,61 +130,27 @@ class ExtendedGridFunction:
     central block.
     """
 
-    d: int
-    level: int
     margin: int
     samples: np.ndarray
 
     def __post_init__(self):
-        _check_lattice(self.d, self.level)
         if self.margin < 0:
             raise ValueError("margin must be >= 0")
-        a = _readonly(self.samples)
-        if a.shape != (self.size,) * self.d:
-            raise ValueError(f"expected window of shape {(self.size,) * self.d}, got {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("samples must be finite")
-        object.__setattr__(self, "samples", a)
-
-    @property
-    def n(self) -> int:
-        return 1 << self.level
+        super().__post_init__()
 
     @property
     def size(self) -> int:
         return self.n + 2 * self.margin
 
     @property
-    def cell_volume(self) -> float:
-        return 2.0 ** (-self.d * self.level)
+    def shape(self) -> tuple:
+        return (self.size,) * self.d
 
     @property
     def base(self) -> GridFunction:
         """The central block: the samples on the unit cube."""
         core = tuple(slice(self.margin, self.margin + self.n) for _ in range(self.d))
         return GridFunction(self.d, self.level, self.samples[core])
-
-    def _like(self, samples) -> "ExtendedGridFunction":
-        return ExtendedGridFunction(self.d, self.level, self.margin, samples)
-
-    def _check_same(self, other):
-        if not isinstance(other, ExtendedGridFunction):
-            raise TypeError("expected an ExtendedGridFunction")
-        if (other.d, other.level, other.margin) != (self.d, self.level, self.margin):
-            raise ValueError("window geometry mismatch")
-
-    def __add__(self, other):
-        self._check_same(other)
-        return self._like(self.samples + other.samples)
-
-    def __sub__(self, other):
-        self._check_same(other)
-        return self._like(self.samples - other.samples)
-
-    def __mul__(self, c):
-        return self._like(self.samples * float(c))
-
-    __rmul__ = __mul__
 
 
 @dataclass(frozen=True)
@@ -222,8 +218,7 @@ def _abs_pow(a: np.ndarray, p: float, out: np.ndarray | None = None) -> np.ndarr
 
 def lp_norm(f, p: float) -> float:
     """Midpoint-sum L^p norm; exact for functions constant on cells."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    _check_exponent(p)
     return float((f.cell_volume * _abs_pow(f.samples, p).sum()) ** (1.0 / p))
 
 

@@ -26,9 +26,9 @@ from scipy import ndimage, signal
 from scipy.special import erfcinv
 
 from .besov import fit_points
-from .grid import (_MAX_CELLS, ExtendedGridFunction, GridFunction, _shift_cells,
-                   lp_norm, zero_extend)
-from .moduli import hybrid_modulus, interior_ladder, whole_modulus
+from .grid import (_MAX_CELLS, ExtendedGridFunction, GridFunction, _check_exponent,
+                   _shift_cells, lp_norm, shifted_samples, zero_extend)
+from .moduli import ModulusCurve, hybrid_modulus, interior_ladder, whole_modulus
 
 FAMILIES = ("gauss", "poisson", "fejer_tensor")
 
@@ -174,8 +174,6 @@ def apply_kernel_direct(spec: KernelSpec, g: ExtendedGridFunction) -> ExtendedGr
         full = weights
     out = np.zeros_like(g.samples)
     r = (full.shape[0] - 1) // 2
-    from .grid import shifted_samples
-
     for idx in np.ndindex(*full.shape):
         k = tuple(int(i) - r for i in idx)
         out += full[idx] * shifted_samples(g.samples, k)
@@ -184,6 +182,7 @@ def apply_kernel_direct(spec: KernelSpec, g: ExtendedGridFunction) -> ExtendedGr
 
 def error_norm(spec: KernelSpec, f: GridFunction, p: float) -> float:
     """L^p size of (smoothing - identity) applied to the zero-extension."""
+    _check_exponent(p)
     g = zero_extend(f, kernel_radius_cells(spec, f.d, f.level))
     return lp_norm(apply_kernel(spec, g) - g, p)
 
@@ -248,6 +247,7 @@ def error_modulus_ratio(family: str, f: GridFunction, p: float, t_grid,
     are equivalent for this kernel family.  Rows where the modulus vanishes
     (globally constant window) are flagged undefined rather than infinite.
     """
+    _check_exponent(p)
     if p <= 1:
         raise ValueError("the equivalence band applies to p > 1")
     rows = []
@@ -346,8 +346,6 @@ def extension_bound_check(family: str, f: GridFunction, p: float, t_grid,
 def error_curve(family: str, f: GridFunction, p: float, t_grid,
                 truncation_tail: float = 1e-6, name: str = ""):
     """Error-norm curve in the standard modulus-curve container."""
-    from .moduli import ModulusCurve
-
     points = [(spec.t, error_norm(spec, f, p))
               for spec in _kernel_specs(family, f, t_grid, truncation_tail)]
     meta = {"d": f.d, "L": f.level, "function": name, "kernel": family,

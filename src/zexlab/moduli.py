@@ -48,7 +48,7 @@ import numpy as np
 from scipy import fft as sfft
 
 from .grid import (_MAX_CELLS, ExtendedGridFunction, GridFunction, _abs_pow,
-                   _shift_cells, lp_norm, shifted_samples)
+                   _check_exponent, _csv, _shift_cells, lp_norm, shifted_samples)
 
 
 class ResolutionWarning(UserWarning):
@@ -106,14 +106,10 @@ class ModulusCurve:
 
     def to_csv(self) -> str:
         meta = self.meta
-        rows = [CURVE_CSV_HEADER]
-        for (t, v), flag in zip(self.points, self.flags):
-            rows.append(",".join([
-                repr(t), repr(v), self.kind, repr(float(self.p)),
-                str(meta.get("d", "")), str(meta.get("L", "")),
-                str(meta.get("function", "")).replace(",", ";"), flag,
-            ]))
-        return "\n".join(rows) + "\n"
+        function = str(meta.get("function", "")).replace(",", ";")
+        return _csv(CURVE_CSV_HEADER, ((t, v, self.kind, float(self.p), meta.get("d", ""),
+                                        meta.get("L", ""), function, flag)
+                                       for (t, v), flag in zip(self.points, self.flags)))
 
 
 def _dyadic_grid(level: int, t_min: float, t_max: float) -> tuple:
@@ -535,18 +531,13 @@ def _build_table(arr: np.ndarray, p: float, radii, cellvol: float,
 # public moduli
 
 
-def _check_p(p: float):
-    if p < 1:
-        raise ValueError("p must be >= 1")
-
-
 def interior_modulus(f: GridFunction, p: float, t: float) -> float:
     """Largest ||f(.+h) - f(.)||_p over lattice shifts |h| <= t staying in Q.
 
     Scales below the lattice resolution have no admissible shift; they warn
     and evaluate to zero.
     """
-    _check_p(p)
+    _check_exponent(p)
     if not 0 < t <= math.sqrt(f.d) * (1 + 1e-9):
         raise ValueError("scale t must lie in (0, sqrt(d)]")
     if t * f.n < 1.0 - 1e-9:
@@ -576,7 +567,7 @@ def whole_modulus(g: ExtendedGridFunction, p: float, t: float) -> float:
     Requires the margin to absorb every admissible shift so the window norm
     equals the whole-space norm; otherwise the caller must re-extend.
     """
-    _check_p(p)
+    _check_exponent(p)
     if t <= 0:
         raise ValueError("scale t must be positive")
     if _shift_cells(t, g.n) < 1:
@@ -589,7 +580,7 @@ def whole_modulus(g: ExtendedGridFunction, p: float, t: float) -> float:
 def _curve(kind: str, arr, p: float, t_grid, name: str = "") -> ModulusCurve:
     """Every modulus query: one supremum table for the lookup radii t * n
     cells, then one lookup per t."""
-    _check_p(p)
+    _check_exponent(p)
     ts = tuple(sorted(t_grid)) if t_grid is not None else default_t_grid(arr.level)
     interior = kind == "interior"
     extra = {} if interior else {"margin": arr.margin}
@@ -667,7 +658,7 @@ def hybrid_modulus(f: GridFunction, p: float, t: float, ladder=None,
     evaluated literally; the log factor vanishes when s equals sqrt(d) t.
     Returns (value, minimizing s); ties resolve to the smaller s.
     """
-    _check_p(p)
+    _check_exponent(p)
     if t <= 0:
         raise ValueError("scale t must be positive")
     if ladder is None:

@@ -33,9 +33,13 @@ def test_gate(gate):
     assert produced == recorded
 
 
-def test_verify_cli_runs_everything(tmp_path):
+def test_verify_cli_runs_everything(tmp_path, monkeypatch):
     from zexlab.cli import main
 
+    # test_gate runs and pins every gate; two real gates that write the
+    # asserted files exercise the command's plumbing
+    monkeypatch.setattr(acceptance, "GATES",
+                        (acceptance.gate_shift_bounds, acceptance.gate_adaptive))
     out = tmp_path / "verify"
     assert main(["verify", "--out", str(out)]) == 0
     assert (out / "shift_bound_suite.csv").exists()

@@ -47,6 +47,11 @@ def test_besov_params_validation():
         BesovParams(1.5, 2.0, 2.0)
     with pytest.raises(ValueError):
         BesovParams(0.5, 2.0, 0.5)
+    for bad in (math.nan, -math.inf):
+        with pytest.raises(ValueError, match="q must be"):
+            BesovParams(0.5, 2.0, bad)
+        with pytest.raises(ValueError, match="p must be"):
+            BesovParams(0.5, bad, 2.0)
 
 
 def test_seminorm_zero_curve():
@@ -86,8 +91,9 @@ def test_seminorm_monotone_in_smoothness():
 
 def test_seminorm_rejects_empty_and_bad_q():
     curve = _power_curve(0.5)
-    with pytest.raises(ValueError):
-        besov_seminorm(curve, 0.5, 0.5)
+    for bad in (0.5, math.nan, -math.inf):
+        with pytest.raises(ValueError):
+            besov_seminorm(curve, 0.5, bad)
     with pytest.raises(ValueError):
         besov_seminorm(ModulusCurve("whole", 2.0, ()), 0.5, 2.0)
 

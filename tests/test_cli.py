@@ -65,6 +65,12 @@ def test_unknown_config_key_exits_2(tmp_path):
     assert main(["modulus", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+def test_config_key_beta_is_unknown(tmp_path, capsys):
+    cfg = _write_config(tmp_path, "function = linear\nd = 1\nL = 8\nbeta = 0.5\n")
+    assert main(["modulus", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "unknown key 'beta'" in capsys.readouterr().err
+
+
 def test_missing_required_key_exits_2(tmp_path):
     cfg = _write_config(tmp_path, "d = 1\nL = 8\n")
     assert main(["modulus", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -309,3 +315,21 @@ def test_oversized_bound_screen_exits_2_before_any_fft(tmp_path, capsys, monkeyp
     assert main(["modulus", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "on 4096 cells needs a 5120 FFT grid of 5120 cells (limit 4096)" in \
         capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("modulus", "p", "nan"), ("besov-fit", "p", "nan"), ("dyadic", "p", "nan"),
+    ("adaptive", "p", "nan"), ("modulus", "p", "inf"), ("kernel-error", "p", "inf"),
+    ("adaptive", "q", "0"),
+])
+def test_invalid_exponent_exits_2(tmp_path, capsys, monkeypatch, command, key, value):
+    from zexlab import kernels, moduli
+
+    monkeypatch.setattr(moduli, "_build_table", _no_alloc)
+    monkeypatch.setattr(kernels, "zero_extend", _no_alloc)
+    cfg = _write_config(tmp_path, f"function = cusp alpha=0.5\nd = 1\nL = 8\n"
+                                  f"{key} = {value}\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert f"{key} must be finite and >= 1, got {value}" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from zexlab.grid import (ExtendedGridFunction, GridFunction, LatticeShift,
+from zexlab import adaptive, besov, dyadic, kernels, moduli
+from zexlab.grid import (ExtendedGridFunction, GridFunction, LatticeShift, _csv,
                          boundary_power, const, corpus, cusp, difference,
                          indicator, linear, lp_norm, parse_spec, random_dyadic,
                          sample, tensor_product, zero_extend)
@@ -82,8 +83,65 @@ def test_lp_norm_linear_matches_integral():
 
 
 def test_lp_norm_rejects_small_p():
-    with pytest.raises(ValueError):
-        lp_norm(sample(const(1.0), 1, 2), 0.5)
+    for p in (0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="p must be finite and >= 1"):
+            lp_norm(sample(const(1.0), 1, 2), p)
+
+
+_F = sample(cusp(0.5), 2, 3)
+_EXPONENT_TAKERS = {
+    "interior_curve": lambda p: moduli.interior_curve(_F, p, (0.25,)),
+    "whole_modulus": lambda p: moduli.whole_modulus(zero_extend(_F, 2), p, 0.25),
+    "hybrid_modulus": lambda p: moduli.hybrid_modulus(_F, p, 0.25),
+    "shift_bound_check": lambda p: dyadic.shift_bound_check(
+        dyadic.dyadic_average(_F, 1), LatticeShift((1, 0), 3), p),
+    "ErrorPyramid": lambda p: adaptive.ErrorPyramid(_F, p),
+    "local_error": lambda p: adaptive.local_error(_F, 1, (0, 1), p),
+    "partition_objective": lambda p: adaptive.partition_objective(
+        _F, (np.zeros((1, 2), dtype=int),), 0.25, p),
+    "sobolev_seminorm": lambda q: adaptive.sobolev_seminorm(_F, q),
+    "count_bound_report.p": lambda p: adaptive.count_bound_report(_F, p, 2.0, (0.1,)),
+    "count_bound_report.q": lambda q: adaptive.count_bound_report(_F, 2.0, q, (0.1,)),
+    "BesovParams": lambda p: besov.BesovParams(0.5, p, 2.0),
+    "BalancedEnvelope": lambda p: besov.BalancedEnvelope(_F, p),
+    "error_norm": lambda p: kernels.error_norm(kernels.KernelSpec("gauss", 0.25), _F, p),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EXPONENT_TAKERS))
+@pytest.mark.parametrize("value", [0.0, 0.5, math.nan, math.inf])
+def test_every_exponent_passes_one_guard(name, value):
+    exponent = "q" if name in ("sobolev_seminorm", "count_bound_report.q") else "p"
+    with pytest.raises(ValueError, match=f"{exponent} must be finite and >= 1"):
+        _EXPONENT_TAKERS[name](value)
+
+
+def test_csv_prints_bools_strings_and_reprs():
+    rows = [(True, "x:1", 0.1, np.float64(0.5), None, 3), (False, "", 1e-05, 2, 1.0, -1)]
+    assert _csv("a,b,c,d,e,f", rows) == ("a,b,c,d,e,f\n"
+                                         "true,x:1,0.1,np.float64(0.5),None,3\n"
+                                         "false,,1e-05,2,1.0,-1\n")
+    assert _csv("a,b", iter(())) == "a,b\n"
+
+
+def test_lattice_arithmetic_pairs_one_type_and_one_geometry():
+    f = sample(linear(), 1, 3)
+    g = zero_extend(f, 2)
+    assert np.array_equal((f + f).samples, 2 * f.samples)
+    assert (g - 3 * g).margin == 2 and np.array_equal((-g).samples, -g.samples)
+    with pytest.raises(TypeError):
+        f + g
+    with pytest.raises(TypeError):
+        g - f
+    with pytest.raises(ValueError, match="geometry mismatch"):
+        f - sample(linear(), 1, 4)
+    with pytest.raises(ValueError, match="geometry mismatch"):
+        f + sample(linear(), 2, 3)
+    with pytest.raises(ValueError, match="geometry mismatch"):
+        g + zero_extend(f, 3)
+    # one window size, two geometries: 8 + 2*4 cells against 16 + 2*0
+    with pytest.raises(ValueError, match="geometry mismatch"):
+        zero_extend(f, 4) - zero_extend(sample(linear(), 1, 4), 0)
 
 
 def test_lp_norm_homogeneous_and_triangle():
