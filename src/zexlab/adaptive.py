@@ -322,7 +322,7 @@ class RateReport:
     best_epsilons: tuple
 
 
-def adaptive_error_rate(f: GridFunction, p: float, q: float, t_grid,
+def adaptive_error_rate(f: GridFunction, p: float, t_grid,
                         kernel_family: str = "gauss", epsilons=None,
                         truncation_tail: float = 1e-6) -> RateReport:
     """Partition-based error surrogate minimized over a threshold ladder,

@@ -23,6 +23,12 @@ class VanishingModulusError(ValueError):
     """A modulus vanishes where a rate is asked of it: no rate exists."""
 
 
+def _check_q(q: float, name: str = "q"):
+    """The Besov fine index: >= 1, where inf encodes the sup-scale case."""
+    if not q >= 1:  # NaN fails too
+        raise ValueError(f"{name} must be >= 1 or infinity, got {q:g}")
+
+
 @dataclass(frozen=True)
 class FitResult:
     """Least-squares line through (log t, log value); natural-log scale."""
@@ -52,8 +58,7 @@ class BesovParams:
         if not 0.0 < self.s < 1.0:
             raise ValueError("smoothness must lie in (0,1)")
         _check_exponent(self.p)
-        if not self.q >= 1:
-            raise ValueError("q must be >= 1 or infinity")
+        _check_q(self.q)
 
 
 def fit_points(ts, vs, window=None) -> FitResult:
@@ -95,8 +100,7 @@ def besov_seminorm(curve: ModulusCurve, s: float, q: float) -> float:
         raise ValueError("empty curve")
     ts = curve.t_values
     vs = curve.values
-    if not q >= 1:
-        raise ValueError("q must be >= 1 or infinity")
+    _check_q(q)
     weighted = vs * ts ** (-s)
     if math.isinf(q):
         return float(weighted.max())
@@ -265,6 +269,7 @@ def besov_embedding_check(spec, d: int, p: float, q: float, levels) -> Embedding
     seminorm is converging) and the ratio against the interpolation-type
     product ||f||^(alpha p/(1+alpha p)) |f|^(1/(1+alpha p)).
     """
+    _check_q(q)
     _check_exponent(p)
     if p <= 1:
         raise ValueError("needs p > 1")
@@ -280,6 +285,7 @@ def besov_embedding_check(spec, d: int, p: float, q: float, levels) -> Embedding
     alpha = fit_exponent(interior_curve(f_fine, p, fine_grid), window).slope
     beta = alpha / (alpha * p + 1.0)
     r = q * (1.0 + alpha * p)
+    _check_q(r, "r")
     BesovParams(beta, p, r)  # transferred indices must be admissible
     seminorms, domain_seminorms, ratios, floors = [], [], [], []
     for L in levels:

@@ -22,12 +22,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft as sfft
 from scipy import ndimage, signal
 from scipy.special import erfcinv
 
 from .besov import fit_points
-from .grid import (_MAX_CELLS, ExtendedGridFunction, GridFunction, _check_exponent,
-                   _shift_cells, lp_norm, shifted_samples, zero_extend)
+from .grid import (_MAX_CELLS, _WORKERS, ExtendedGridFunction, GridFunction,
+                   _check_exponent, _shift_cells, lp_norm, shifted_samples, zero_extend)
 from .moduli import ModulusCurve, hybrid_modulus, interior_ladder, whole_modulus
 
 FAMILIES = ("gauss", "poisson", "fejer_tensor")
@@ -135,8 +136,51 @@ def _convolve_axis(a: np.ndarray, w: np.ndarray, axis: int) -> np.ndarray:
         return ndimage.convolve1d(a, w, axis=axis, mode="constant", cval=0.0)
     moved = np.moveaxis(a, axis, -1)
     flat = moved.reshape(-1, moved.shape[-1])
-    out = signal.fftconvolve(flat, w[None, :], mode="same", axes=1)
+    with sfft.set_workers(_WORKERS):
+        out = signal.fftconvolve(flat, w[None, :], mode="same", axes=1)
     return np.moveaxis(out.reshape(moved.shape), -1, axis)
+
+
+def _convolve_separable(g: ExtendedGridFunction, weights) -> np.ndarray:
+    """Axis by axis: before axis a is smoothed the window vanishes off the
+    core [margin, margin + n) on axes a+1..d-1, so only those lines are
+    convolved, at full window length, into one zero window."""
+    core = slice(g.margin, g.margin + g.n)
+    out = g.samples
+    for axis, w in enumerate(weights[:-1]):
+        lines = (slice(None),) * (axis + 1) + (core,) * (g.d - axis - 1)
+        smoothed = _convolve_axis(out[lines], w, axis)
+        if out is g.samples:
+            out = np.zeros_like(out)
+        out[lines] = smoothed
+    return _convolve_axis(out, weights[-1], g.d - 1)
+
+
+def _convolve_full(g: ExtendedGridFunction, w: np.ndarray) -> np.ndarray:
+    """``signal.fftconvolve(g.samples, w, "same")`` bit for bit.  Its rfftn
+    transforms the last axis, then axes 0..d-2; its irfftn axes 0..d-2, then
+    the last axis with the 1/N scaling as one product per value.  The same
+    passes run here, skipping the lines that are zero going in (off the
+    support on the axes still to come) or cropped coming out."""
+    d, k = g.d, w.shape[0]
+    fast = sfft.next_fast_len(g.size + k - 1, True)
+
+    def spectrum(x, support):
+        out = np.zeros((fast,) * (d - 1) + (fast // 2 + 1,), complex)
+        lines = (support,) * (d - 1)
+        out[lines] = sfft.rfft(x[lines], fast, axis=-1, workers=_WORKERS)
+        for axis in range(d - 1):
+            lines = (slice(None),) * (axis + 1) + (support,) * (d - 2 - axis)
+            out[lines] = sfft.fft(out[lines], axis=axis, workers=_WORKERS)
+        return out
+
+    prod = spectrum(g.samples, slice(g.margin, g.margin + g.n)) * spectrum(w, slice(0, k))
+    crop = slice((k - 1) // 2, (k - 1) // 2 + g.size)
+    for axis in range(d - 1):
+        prod = sfft.ifft(prod, axis=axis, norm="forward", overwrite_x=True,
+                         workers=_WORKERS)[(slice(None),) * axis + (crop,)]
+    out = sfft.irfft(prod, fast, axis=-1, norm="forward", workers=_WORKERS)[..., crop]
+    return out * np.float64(1 / np.longdouble(fast ** d))
 
 
 def apply_kernel(spec: KernelSpec, g: ExtendedGridFunction) -> ExtendedGridFunction:
@@ -144,7 +188,13 @@ def apply_kernel(spec: KernelSpec, g: ExtendedGridFunction) -> ExtendedGridFunct
 
     Linear, and an exact L^p contraction for every p >= 1.  Requires the
     margin to cover the truncation radius so the smoothed support stays
-    inside the window.
+    inside the window.  Separable kernels convolve, on each axis but the
+    last, only the lines that meet the cube's support: n^(d-1) of the
+    W^(d-1) lines on the first axis, W the window side.  The d-dim Poisson
+    kernel runs each FFT pass only over the lines that can be nonzero or are
+    kept (``_convolve_full``).  Every line is computed as over the whole
+    window, so the output is bit for bit the same.  Batched FFTs run on
+    every usable core (``grid._WORKERS``).
     """
     radius = kernel_radius_cells(spec, g.d, g.level)
     if radius > g.margin:
@@ -152,11 +202,9 @@ def apply_kernel(spec: KernelSpec, g: ExtendedGridFunction) -> ExtendedGridFunct
             f"kernel radius {radius} cells exceeds margin {g.margin}; re-extend")
     mode, weights = kernel_weights(spec, g.d, g.level)
     if mode == "separable":
-        out = g.samples
-        for axis, w in enumerate(weights):
-            out = _convolve_axis(out, w, axis)
+        out = _convolve_separable(g, weights)
     else:
-        out = signal.fftconvolve(g.samples, weights, mode="same")
+        out = _convolve_full(g, weights)
     return ExtendedGridFunction(g.d, g.level, g.margin, out)
 
 

@@ -254,7 +254,7 @@ def test_objective_on_adaptive_vs_uniform_partition():
 
 def test_adaptive_error_rate_zero_function():
     f = sample(const(0.0), 1, 8)
-    report = adaptive_error_rate(f, 2, 2, [2.0 ** -j for j in range(6, 2, -1)])
+    report = adaptive_error_rate(f, 2, [2.0 ** -j for j in range(6, 2, -1)])
     assert all(v == 0.0 for v in report.surrogate)
     assert all(v == 0.0 for v in report.measured)
     assert report.surrogate_fit is None and report.measured_fit is None
@@ -263,7 +263,7 @@ def test_adaptive_error_rate_zero_function():
 def test_adaptive_error_rate_indicator_slope():
     f = sample(const(1.0), 1, 10)
     grid = [2.0 ** -j for j in range(7, 2, -1)]
-    report = adaptive_error_rate(f, 2, 2, grid)
+    report = adaptive_error_rate(f, 2, grid)
     assert report.measured_fit is not None
     assert report.measured_fit.slope == pytest.approx(0.5, abs=0.05)
 
@@ -273,6 +273,6 @@ def test_adaptive_error_rate_ramp_beats_supplied_rate():
     beta_user = 1.0 / (2.0 + 3.0 / 2.0)
     f = sample(linear(), 1, 10)
     grid = [2.0 ** -j for j in range(7, 2, -1)]
-    report = adaptive_error_rate(f, 2, 2, grid)
+    report = adaptive_error_rate(f, 2, grid)
     assert report.measured_fit.slope >= beta_user - 0.05
     assert all(v > 0 for v in report.surrogate)

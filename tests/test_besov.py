@@ -227,3 +227,15 @@ def test_fit_linear_interior_slope():
     oracle = fit_points(grid, [t * math.sqrt(1.0 - t) for t in grid])
     assert fit.slope == pytest.approx(oracle.slope, abs=1e-3)
     assert fit.slope == pytest.approx(1.0, abs=0.05)
+
+
+@pytest.mark.parametrize("q", [math.nan, 0.5, -math.inf])
+def test_embedding_check_refuses_q_before_sampling(monkeypatch, q):
+    import zexlab.besov
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before checking q")
+
+    monkeypatch.setattr(zexlab.besov, "sample", no_sampling)
+    with pytest.raises(ValueError, match=f"q must be >= 1 or infinity, got {q:g}"):
+        besov_embedding_check(cusp(0.5), 1, 2.0, q, (8, 9))

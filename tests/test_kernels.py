@@ -231,3 +231,61 @@ def test_oversized_window_refused_before_any_window(monkeypatch, measure):
     with pytest.raises(ValueError, match="a window of"):
         measure(sample(cusp(0.5), 1, 6), (2.0 ** -10, 1.0))
     assert calls == []
+
+
+def _whole_window(spec, g):
+    """Reference: every axis convolved over every line of the window."""
+    from zexlab.kernels import _convolve_axis
+
+    out = g.samples
+    for axis, w in enumerate(kernel_weights(spec, g.d, g.level)[1]):
+        out = _convolve_axis(out, w, axis)
+    return out
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+@pytest.mark.parametrize("cutoff", (256, 4), ids=["default", "fft"])
+@pytest.mark.parametrize("family, d, level, t, tail", [
+    ("gauss", 1, 8, 2.0 ** -5, 1e-6), ("gauss", 2, 5, 2.0 ** -3, 1e-6),
+    ("gauss", 3, 3, 2.0 ** -2, 1e-6), ("fejer_tensor", 1, 6, 2.0 ** -4, 2e-2),
+    ("fejer_tensor", 2, 5, 2.0 ** -4, 2e-2), ("fejer_tensor", 3, 2, 2.0 ** -2, 2e-1),
+])
+def test_support_only_passes_match_whole_window_bit_for_bit(monkeypatch, workers, cutoff,
+                                                            family, d, level, t, tail):
+    # cutoff 4 sends every separable kernel down the FFT branch; a 3-d window
+    # under the cell cap never reaches it at the default cutoff
+    import zexlab.kernels
+
+    monkeypatch.setattr(zexlab.kernels, "_FFT_KERNEL_CUTOFF", cutoff)
+    spec = KernelSpec(family, t, tail)
+    radius = kernel_radius_cells(spec, d, level)
+    rng = np.random.default_rng(d * 10 + level)
+    f = GridFunction(d, level, rng.standard_normal(((1 << level),) * d))
+    # a margin of exactly the radius, and a wider one as _error_and_modulus builds
+    for margin in (radius, radius + (1 << level) + 3):
+        g = zero_extend(f, margin)
+        monkeypatch.setattr(zexlab.kernels, "_WORKERS", 1)
+        reference = _whole_window(spec, g)
+        monkeypatch.setattr(zexlab.kernels, "_WORKERS", workers)
+        assert np.array_equal(apply_kernel(spec, g).samples, reference)
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+@pytest.mark.parametrize("d, level, t", [(2, 4, 0.125), (2, 6, 0.0625), (3, 3, 0.125)])
+def test_poisson_full_path_matches_fftconvolve_bit_for_bit(monkeypatch, workers, d, level,
+                                                           t):
+    from scipy import signal
+
+    import zexlab.kernels
+
+    spec = KernelSpec("poisson", t, 5e-2)
+    mode, w = kernel_weights(spec, d, level)
+    assert mode == "full"
+    rng = np.random.default_rng(d * 10 + level)
+    f = GridFunction(d, level, rng.standard_normal(((1 << level),) * d))
+    radius = kernel_radius_cells(spec, d, level)
+    monkeypatch.setattr(zexlab.kernels, "_WORKERS", workers)
+    for margin in (radius, radius + (1 << level) + 3):
+        g = zero_extend(f, margin)
+        reference = signal.fftconvolve(g.samples, w, mode="same")  # one worker
+        assert np.array_equal(apply_kernel(spec, g).samples, reference)
