@@ -16,9 +16,8 @@ from .moduli import (LowerBoundWarning, ModulusCurve, ResolutionWarning,
                      interior_curve, interior_ladder, interior_modulus,
                      whole_curve, whole_modulus)
 from .dyadic import (PiecewiseConstant, average_error_constant,
-                     average_error_report, average_error_reports, dyadic_average,
-                     render_average, shift_bound_check, shift_bound_suite,
-                     unit_ball_volume)
+                     average_error_report, dyadic_average, render_average,
+                     shift_bound_check, shift_bound_suite, unit_ball_volume)
 from .adaptive import (AdaptivePartition, ErrorPyramid, adaptive_error_rate,
                        build_partition, count_bound_report, default_epsilons,
                        local_error, partition_objective, sobolev_seminorm,

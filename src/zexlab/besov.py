@@ -23,10 +23,10 @@ class VanishingModulusError(ValueError):
     """A modulus vanishes where a rate is asked of it: no rate exists."""
 
 
-def _check_q(q: float, name: str = "q"):
+def _check_q(q: float):
     """The Besov fine index: >= 1, where inf encodes the sup-scale case."""
     if not q >= 1:  # NaN fails too
-        raise ValueError(f"{name} must be >= 1 or infinity, got {q:g}")
+        raise ValueError(f"q must be >= 1 or infinity, got {q:g}")
 
 
 @dataclass(frozen=True)
@@ -285,7 +285,6 @@ def besov_embedding_check(spec, d: int, p: float, q: float, levels) -> Embedding
     alpha = fit_exponent(interior_curve(f_fine, p, fine_grid), window).slope
     beta = alpha / (alpha * p + 1.0)
     r = q * (1.0 + alpha * p)
-    _check_q(r, "r")
     BesovParams(beta, p, r)  # transferred indices must be admissible
     seminorms, domain_seminorms, ratios, floors = [], [], [], []
     for L in levels:

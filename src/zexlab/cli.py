@@ -190,8 +190,8 @@ def cmd_dyadic(config) -> int:
     rows = []
     ok = True
     for p in config.get("p", (2.0,)):
-        reports = dyadic.average_error_reports(f, p, range(0, f.level - 1))
-        for n_level, (err, bound, constant) in reports.items():
+        for n_level in range(0, f.level - 1):
+            err, bound, constant = dyadic.average_error_report(f, n_level, p)
             good = err <= bound + 1e-12
             ok = ok and good
             rows.append((p, n_level, err, bound, constant, good))

@@ -4,10 +4,9 @@ The level-N average projection replaces a grid function by its mean on each
 of the 2^(dN) dyadic cubes of side 2^-N.  Two exact inequality checkers live
 here:
 
-* ``average_error_reports``: the averaging error in L^p against the interior
+* ``average_error_report``: the averaging error in L^p against the interior
   modulus at the cube scale, with the explicit constant
-  (v_d * d^((d+p)/2))^(1/p), v_d the unit-ball volume; one supremum table
-  serves every level.
+  (v_d * d^((d+p)/2))^(1/p), v_d the unit-ball volume.
 * ``shift_bound_check``: for a piecewise constant extended by zero, the p-th
   power of a shifted difference against 2^p min{|h| 2^k sqrt(d), 1} times the
   p-th power norm (uniform grids), or the cube-by-cube form
@@ -30,7 +29,7 @@ import numpy as np
 
 from .grid import (GridFunction, LatticeShift, _abs_pow, _check_exponent, _csv,
                    difference, lp_norm, zero_extend)
-from .moduli import interior_curve, interior_modulus
+from .moduli import interior_modulus
 
 SUITE_CSV_HEADER = "seed,d,k,p,h,lhs,rhs,pass"
 # random_partition splits a cube below its level cap with this probability
@@ -199,36 +198,17 @@ def average_error_constant(d: int, p: float) -> float:
 
 
 def average_error_report(f: GridFunction, level: int, p: float) -> tuple:
-    """(error, bound, constant) for the level-`level` average projection."""
-    return average_error_reports(f, p, (level,))[level]
-
-
-def average_error_reports(f: GridFunction, p: float, levels) -> dict:
-    """{level: (error, bound, constant)} for each level's average projection.
+    """(error, bound, constant) for the level-`level` average projection.
 
     error is ||f - f_avg||_p as an exact cell sum; bound is the constant
-    times the interior modulus at scale 2^-level.  One supremum table serves
-    every level.  That table shares the direct-evaluation budget across the
-    levels, so a level it leaves bracketed gets a table of its own: every
-    bound is the one a single-level call reads.
+    times the interior modulus at scale 2^-level.
     """
-    _check_exponent(p)
-    levels = tuple(levels)
-    if levels and max(levels) > f.level - 2:
+    if level > f.level - 2:
         raise ValueError("need level <= L-2 so the modulus scale is resolvable")
+    error = lp_norm(f - render_average(f, level), p)
     constant = average_error_constant(f.d, p)
-    shared = {}
-    if len(levels) > 1:
-        curve = interior_curve(f, p, [2.0 ** (-level) for level in levels])
-        shared = {t: value for (t, value), flag in zip(curve.points, curve.flags)
-                  if not flag}
-    reports = {}
-    for level in levels:
-        t = 2.0 ** (-level)
-        modulus = shared[t] if t in shared else interior_modulus(f, p, t)
-        reports[level] = (lp_norm(f - render_average(f, level), p), constant * modulus,
-                          constant)
-    return reports
+    bound = constant * interior_modulus(f, p, 2.0 ** (-level))
+    return error, bound, constant
 
 
 def shift_bound_check(pc: PiecewiseConstant, shift: LatticeShift, p: float) -> tuple:

@@ -193,7 +193,7 @@ def apply_kernel(spec: KernelSpec, g: ExtendedGridFunction) -> ExtendedGridFunct
     W^(d-1) lines on the first axis, W the window side.  The d-dim Poisson
     kernel runs each FFT pass only over the lines that can be nonzero or are
     kept (``_convolve_full``).  Every line is computed as over the whole
-    window, so the output is bit for bit the same.  Batched FFTs run on
+    window, so the output is bit for bit the same.  The FFT passes run on
     every usable core (``grid._WORKERS``).
     """
     radius = kernel_radius_cells(spec, g.d, g.level)

@@ -47,9 +47,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import fft as sfft
 
-from .grid import (_MAX_CELLS, _WORKERS, ExtendedGridFunction, GridFunction,
-                   _abs_pow, _check_exponent, _csv, _shift_cells, lp_norm,
-                   shifted_samples)
+from .grid import (_MAX_CELLS, ExtendedGridFunction, GridFunction, _abs_pow,
+                   _check_exponent, _csv, _shift_cells, lp_norm, shifted_samples)
 
 
 class ResolutionWarning(UserWarning):
@@ -338,11 +337,11 @@ def _screen(arr: np.ndarray, shifts: np.ndarray, interior: bool, shape,
     grid of at least n + max |k_a| cells per axis holds every shift without
     wrap-around."""
     at = tuple(shifts[:, a] % s for a, s in enumerate(shape))
-    f1 = sfft.rfftn(arr, shape, workers=_WORKERS)
+    f1 = sfft.rfftn(arr, shape)
     sq = arr * arr
     out = {}
     if 2 in orders:
-        c11 = sfft.irfftn(f1 * np.conj(f1), shape, workers=_WORKERS)[at]
+        c11 = sfft.irfftn(f1 * np.conj(f1), shape)[at]
         energy = float(sq.sum())
         out[2] = (np.maximum(_overlap_mass(sq, shifts, interior) - 2.0 * c11, 0.0),
                   _screen_error(arr.shape, shape, 2, energy, 2.0 * energy))
@@ -350,16 +349,15 @@ def _screen(arr: np.ndarray, shifts: np.ndarray, interior: bool, shape,
         # one spectrum at a time beside f1, to keep the peak memory low
         cube = sq * arr
         weighted = 8.0 * math.sqrt(float((cube * cube).sum()) * float(sq.sum()))
-        spectrum = -8.0 * _real_product(sfft.rfftn(cube, shape, workers=_WORKERS), f1)
+        spectrum = -8.0 * _real_product(sfft.rfftn(cube, shape), f1)
         del cube, f1
-        f2 = sfft.rfftn(sq, shape, workers=_WORKERS)
+        f2 = sfft.rfftn(sq, shape)
         spectrum += 6.0 * _real_product(f2, f2)
         del f2
         quart = np.multiply(sq, sq, out=sq)
         energy = float(quart.sum())
         mass = _overlap_mass(quart, shifts, interior)
-        corr = sfft.irfftn(spectrum, shape, workers=_WORKERS)[at]
-        out[4] = (np.maximum(mass + corr, 0.0),
+        out[4] = (np.maximum(mass + sfft.irfftn(spectrum, shape)[at], 0.0),
                   _screen_error(arr.shape, shape, 4, energy, weighted + 6.0 * energy))
     return out
 

@@ -346,18 +346,3 @@ def test_embedding_nan_q_exits_2_before_sampling(tmp_path, capsys, monkeypatch):
     assert "q must be >= 1 or infinity, got nan" in capsys.readouterr().err
     assert not (out / "embedding.txt").exists()
 
-
-def test_dyadic_serves_every_level_from_one_table(tmp_path, monkeypatch):
-    from zexlab import moduli
-
-    tables = []
-
-    def counting(*args, **kwargs):
-        tables.append(args[2])
-        return build(*args, **kwargs)
-
-    build = moduli._build_table
-    monkeypatch.setattr(moduli, "_build_table", counting)
-    cfg = _write_config(tmp_path, "function = cusp alpha=0.5\nd = 2\nL = 7\np = 1,3\n")
-    assert main(["dyadic", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-    assert len(tables) == 2 and all(len(radii) == 6 for radii in tables)

@@ -1,13 +1,10 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
 
-from zexlab import moduli
 from zexlab.dyadic import (PiecewiseConstant, _mean_pyramid,
-                           average_error_report, average_error_reports, block_means,
-                           dyadic_average, equality_case, random_partition,
+                           average_error_report, block_means, dyadic_average, equality_case, random_partition,
                            render_average, shift_bound_check, shift_bound_suite,
                            suite_to_csv, unit_ball_volume)
 from zexlab.grid import (LatticeShift, const, corpus, cusp, linear, lp_norm,
@@ -83,20 +80,6 @@ def test_average_error_bounded_by_modulus():
                 err, bound, constant = average_error_report(f, n, p)
                 assert err <= bound + 1e-12
                 assert constant == pytest.approx((2.0 * 1.0) ** (1.0 / p))
-
-
-@pytest.mark.parametrize("evaluations", [20, 10 ** 6])
-def test_average_error_reports_read_single_level_values(monkeypatch, evaluations):
-    # at 20 direct evaluations the shared table leaves levels 0..3 bracketed
-    # and reads levels 0..2 lower than their own tables; each must still read
-    # what a single-level call reads, bit for bit
-    f = sample(cusp(0.5), 2, 6)
-    monkeypatch.setattr(moduli, "_DIRECT_WORK_BUDGET", evaluations * f.samples.size)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", moduli.LowerBoundWarning)
-        reports = average_error_reports(f, 1.0, range(5))
-        singles = {n: average_error_report(f, n, 1.0) for n in range(5)}
-    assert reports == singles
 
 
 def test_average_error_level_guard():

@@ -397,36 +397,3 @@ def test_correlation_tables_within_the_cap_pass_the_check(monkeypatch):
     with pytest.raises(AssertionError, match="shifts or an FFT"):  # past the check
         # 2-d L=12 pads to an 8192^2 grid, 2^26 cells
         moduli._build_table(np.broadcast_to(0.0, (4096, 4096)), 2, [1.0], 1.0, True)
-
-
-def _random_array(d, level, interior, seed):
-    rng = np.random.default_rng(seed)
-    f = GridFunction(d, level, rng.standard_normal((1 << level,) * d))
-    return f.samples if interior else zero_extend(f, 1 << (level - 1)).samples
-
-
-@pytest.mark.parametrize("d, level", [(1, 10), (2, 6), (3, 4)])
-@pytest.mark.parametrize("interior", [True, False], ids=["interior", "window"])
-def test_screen_same_bits_on_one_and_two_workers(monkeypatch, d, level, interior):
-    arr = _random_array(d, level, interior, d + level)
-    radius = 0.25 * (1 << level)
-    shifts = moduli._half_shifts(d, radius, arr.shape[0] - 1)
-    shape = moduli._screen_grid(arr, [radius])
-    screens = []
-    for workers in (1, 2):
-        monkeypatch.setattr(moduli, "_WORKERS", workers)
-        screens.append(moduli._screen(arr, shifts, interior, shape, (2, 4)))
-    for q in (2, 4):
-        assert np.array_equal(screens[0][q][0], screens[1][q][0])
-        assert screens[0][q][1] == screens[1][q][1]
-
-
-@pytest.mark.parametrize("interior", [True, False], ids=["interior", "window"])
-def test_corr_table_same_bits_on_one_and_two_workers(monkeypatch, interior):
-    arr = _random_array(2, 6, interior, 5)
-    radii = [2.0, 8.0, 16.0]
-    tables = []
-    for workers in (1, 2):
-        monkeypatch.setattr(moduli, "_WORKERS", workers)
-        tables.append(moduli._corr_table(arr, radii, 2.0 ** -12, interior))
-    assert tables[0].powers == tables[1].powers
