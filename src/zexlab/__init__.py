@@ -18,16 +18,15 @@ from .moduli import (LowerBoundWarning, ModulusCurve, ResolutionWarning,
 from .dyadic import (PiecewiseConstant, average_error_constant,
                      average_error_report, dyadic_average, render_average,
                      shift_bound_check, shift_bound_suite, unit_ball_volume)
-from .adaptive import (AdaptivePartition, ErrorPyramid, adaptive_error_rate,
-                       build_partition, count_bound_report, default_epsilons,
-                       local_error, partition_objective, sobolev_seminorm,
-                       verify_partition)
+from .adaptive import (AdaptivePartition, ErrorPyramid, build_partition,
+                       count_bound_report, default_epsilons, local_error,
+                       sobolev_seminorm, verify_partition)
 from .kernels import (KernelSpec, apply_kernel, error_curve, error_modulus_ratio,
-                      error_norm, extension_bound_check, l1_log_ratio)
+                      error_norm, extension_bound_check)
 from .besov import (BalancedEnvelope, BesovParams, FitResult,
                     VanishingModulusError, besov_seminorm,
                     besov_embedding_check, divergence_witness,
                     envelope_ladder_report, exponent_drop_check, fit_exponent,
-                    fit_points, scale_profile)
+                    fit_points)
 
 __version__ = "0.1.0"

@@ -9,14 +9,8 @@ partition is held as per-level arrays read off the ``ErrorPyramid``, its
 cubes as ``dyadic``'s per-level origin arrays; ``local_error(f, level, origin,
 p)`` computes one cube's S(Q) directly from the samples.
 
-The module also evaluates the partition objective
-
-    (sum_Q S(Q)^p + sum_Q min{sqrt(d) t / l(Q), 1} |Q| |f_Q|^p)^(1/p)
-
-for any partition in that format (``AdaptivePartition.good`` as is), reports
-how the good-cube count scales with the threshold against its predicted
-envelope, and fits the decay of the kernel approximation error alongside the
-partition-based surrogate.
+The module also reports how the good-cube count scales with the threshold
+against its predicted envelope.
 """
 from __future__ import annotations
 
@@ -29,7 +23,6 @@ import numpy as np
 from .besov import FitResult, fit_points
 from .dyadic import _cells, _cover, _mean_pyramid, _refine, _sum_pyramid, block_means
 from .grid import GridFunction, _abs_pow, _check_exponent, _csv, lp_norm
-from .kernels import KernelSpec, error_norm
 
 PARTITION_DUMP_HEADER = "level,origin_indices,S,status"
 COUNT_CSV_HEADER = "epsilon,N_total,depth,min_side,count_envelope,min_side_bound"
@@ -119,11 +112,16 @@ class AdaptivePartition:
                            s.tolist(), np.where(g, "good", "bad").tolist())))
 
 
+def _check_epsilon(epsilon: float):
+    """A threshold must be > 0; inf keeps the root, NaN would classify nothing."""
+    if not epsilon > 0:  # NaN fails too
+        raise ValueError(f"epsilon must be > 0, got {epsilon!r}")
+
+
 def build_partition(f: GridFunction, p: float, epsilon: float,
                     pyramid: ErrorPyramid | None = None) -> AdaptivePartition:
     """Level-by-level good/bad classification down to single cells at worst."""
-    if epsilon <= 0:
-        raise ValueError("threshold must be positive")
+    _check_epsilon(epsilon)
     if pyramid is None:
         pyramid = ErrorPyramid(f, p)
     elif pyramid.f is not f or pyramid.p != float(p):
@@ -178,26 +176,6 @@ def verify_partition(part: AdaptivePartition, f: GridFunction) -> list:
     if k > f.level:
         problems.append(f"depth: level {k} is finer than the lattice level {f.level}")
     return problems
-
-
-def partition_objective(f: GridFunction, origins, t: float, p: float) -> float:
-    """Evaluate the two-term objective on a partition of Q given as per-level
-    origin arrays (``AdaptivePartition.good`` as is, for one)."""
-    _check_exponent(p)
-    origins = tuple(np.asarray(o) for o in origins)
-    if len(origins) > f.level + 1:
-        raise ValueError("cube finer than the lattice")
-    if not np.all(_cover(f.d, origins) == 1):
-        raise ValueError("cubes do not tile the unit cube exactly")
-    pyramid = ErrorPyramid(f, p)
-    root_d = math.sqrt(f.d)
-    total = 0.0
-    for k, o in enumerate(origins):
-        cubes = tuple(o.T)
-        weight = min(root_d * t * (1 << k), 1.0) * 2.0 ** (-f.d * k)  # min{.} |Q|
-        total += pyramid.err_pow[k][cubes].sum()  # sum of S(Q)^p
-        total += weight * _abs_pow(pyramid.means[k][cubes], p).sum()
-    return float(total ** (1.0 / p))
 
 
 def default_epsilons(f: GridFunction, p: float) -> tuple:
@@ -269,12 +247,14 @@ def count_bound_report(f: GridFunction, p: float, q: float, epsilons) -> CountRe
     eta = 1.0 / f.d - 1.0 / q + 1.0 / p
     if eta <= 0:
         raise ValueError(f"scaling exponent eta = {eta:g} must be positive")
+    epsilons = sorted({float(e) for e in epsilons})
+    for e in epsilons:
+        _check_epsilon(e)
     seminorm = sobolev_seminorm(f, q)
     # block sums of |grad f|^q: each cube's local seminorm restricts the
     # global gradient field, which makes it monotone under taking subcubes
     local = _sum_pyramid(gradient_magnitude(f) ** q * f.cell_volume, f.d, f.level)
     pyramid = ErrorPyramid(f, p)
-    epsilons = sorted({float(e) for e in epsilons})
     parts = {e: build_partition(f, p, e, pyramid) for e in epsilons}
     ratio_constant = 0.0
     bad_constant = 0.0
@@ -306,64 +286,3 @@ def count_bound_report(f: GridFunction, p: float, q: float, epsilons) -> CountRe
         slope = fit_points(inv_eps, ns)  # flat counts fit to slope 0
     return CountReport(eta, seminorm, tuple(rows), ratio_constant, bad_constant, slope,
                        tuple(parts[r.epsilon] for r in rows))
-
-
-# ---------------------------------------------------------------------------
-# threshold-minimized error surrogate against the measured kernel error
-
-
-@dataclass(frozen=True)
-class RateReport:
-    t_values: tuple
-    surrogate: tuple
-    measured: tuple
-    surrogate_fit: FitResult | None
-    measured_fit: FitResult | None
-    best_epsilons: tuple
-
-
-def adaptive_error_rate(f: GridFunction, p: float, t_grid,
-                        kernel_family: str = "gauss", epsilons=None,
-                        truncation_tail: float = 1e-6) -> RateReport:
-    """Partition-based error surrogate minimized over a threshold ladder,
-    next to the measured kernel approximation error, with fitted decay rates.
-
-    The surrogate at scale t and threshold eps is
-        (eps^p N_eps + sum_{good Q} min{sqrt(d) t / l(Q), 1} int_Q |f|^p)^(1/p).
-    """
-    t_grid = tuple(sorted(t_grid))
-    if lp_norm(f, p) == 0.0:
-        zeros = (0.0,) * len(t_grid)
-        return RateReport(t_grid, zeros, zeros, None, None,
-                          (math.nan,) * len(t_grid))
-    if epsilons is None:
-        epsilons = default_epsilons(f, p)
-    pyramid = ErrorPyramid(f, p)
-    fp = _abs_pow(f.samples, p) * f.cell_volume
-    fp_levels = _sum_pyramid(fp, f.d, f.level)
-    per_eps = []
-    for e in epsilons:
-        part = build_partition(f, p, e, pyramid)
-        masses = tuple(float(fp_levels[k][tuple(o.T)].sum()) for k, o in enumerate(part.good))
-        per_eps.append((e, part.n_total, masses))
-    root_d = math.sqrt(f.d)
-    surrogate, best_eps = [], []
-    for t in t_grid:
-        best, arg = math.inf, epsilons[0]
-        for e, n_total, masses in per_eps:
-            boundary = sum(min(root_d * t * (1 << k), 1.0) * m
-                           for k, m in enumerate(masses))
-            value = (e ** p * n_total + boundary) ** (1.0 / p)
-            if value < best:
-                best, arg = value, e
-        surrogate.append(best)
-        best_eps.append(arg)
-    measured = [error_norm(KernelSpec(kernel_family, t, truncation_tail), f, p)
-                for t in t_grid]
-    sfit = mfit = None
-    if all(v > 0 for v in surrogate) and len(surrogate) >= 4:
-        sfit = fit_points(t_grid, surrogate)
-    if all(v > 0 for v in measured) and len(measured) >= 4:
-        mfit = fit_points(t_grid, measured)
-    return RateReport(t_grid, tuple(surrogate), tuple(measured), sfit, mfit,
-                      tuple(best_eps))

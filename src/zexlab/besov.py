@@ -16,7 +16,7 @@ import numpy as np
 from .grid import (GridFunction, _check_exponent, _shift_cells, lp_norm, sample,
                    zero_extend)
 from .moduli import (ModulusCurve, _dyadic_grid, interior_curve,
-                     interior_ladder, interior_modulus, whole_curve)
+                     interior_ladder, whole_curve)
 
 
 class VanishingModulusError(ValueError):
@@ -160,11 +160,6 @@ def exponent_drop_check(f: GridFunction, p: float, window=None,
 
 # ---------------------------------------------------------------------------
 # profile inversion and the balanced envelope
-
-
-def scale_profile(f: GridFunction, p: float, s: float) -> float:
-    """s^(1/p) times the interior modulus at scale s (direct evaluation)."""
-    return s ** (1.0 / p) * interior_modulus(f, p, s)
 
 
 class BalancedEnvelope:

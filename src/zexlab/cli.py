@@ -93,8 +93,7 @@ def load_config(args) -> dict:
     if args.seed is not None:
         config["seed"] = args.seed
     if args.window:
-        lo, hi = args.window.split(":")
-        config["window"] = (float(lo), float(hi))
+        config.update(_coerce({"window": args.window}))
     return config
 
 

@@ -15,6 +15,10 @@ radius carried in :class:`KernelSpec`.
 
 The error operator is smoothing minus identity applied to zero-extensions,
 measured in L^p over the padded window.
+
+Short separable kernels convolve by direct sums (``ndimage``); long ones and
+the d-dim Poisson kernel by one FFT routine that repeats
+``scipy.signal.fftconvolve``'s passes bit for bit without importing it.
 """
 from __future__ import annotations
 
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as sfft
-from scipy import ndimage, signal
+from scipy import ndimage
 from scipy.special import erfcinv
 
 from .besov import fit_points
@@ -134,11 +138,7 @@ def kernel_weights(spec: KernelSpec, d: int, level: int):
 def _convolve_axis(a: np.ndarray, w: np.ndarray, axis: int) -> np.ndarray:
     if len(w) <= 2 * _FFT_KERNEL_CUTOFF + 1:
         return ndimage.convolve1d(a, w, axis=axis, mode="constant", cval=0.0)
-    moved = np.moveaxis(a, axis, -1)
-    flat = moved.reshape(-1, moved.shape[-1])
-    with sfft.set_workers(_WORKERS):
-        out = signal.fftconvolve(flat, w[None, :], mode="same", axes=1)
-    return np.moveaxis(out.reshape(moved.shape), -1, axis)
+    return np.moveaxis(_fft_convolve(np.moveaxis(a, axis, -1), w), -1, axis)
 
 
 def _convolve_separable(g: ExtendedGridFunction, weights) -> np.ndarray:
@@ -156,31 +156,37 @@ def _convolve_separable(g: ExtendedGridFunction, weights) -> np.ndarray:
     return _convolve_axis(out, weights[-1], g.d - 1)
 
 
-def _convolve_full(g: ExtendedGridFunction, w: np.ndarray) -> np.ndarray:
-    """``signal.fftconvolve(g.samples, w, "same")`` bit for bit.  Its rfftn
-    transforms the last axis, then axes 0..d-2; its irfftn axes 0..d-2, then
-    the last axis with the 1/N scaling as one product per value.  The same
-    passes run here, skipping the lines that are zero going in (off the
-    support on the axes still to come) or cropped coming out."""
-    d, k = g.d, w.shape[0]
-    fast = sfft.next_fast_len(g.size + k - 1, True)
+def _fft_convolve(x: np.ndarray, w: np.ndarray, support: slice | None = None) -> np.ndarray:
+    """``signal.fftconvolve(x, w, "same")`` over the last ``m = w.ndim`` axes
+    of x, bit for bit; the leading axes are a batch, and the m axes are all
+    as long as x's last.  Its rfftn transforms the last axis, then the other
+    m - 1 in order; its irfftn those m - 1, then the last with the 1/N
+    scaling as one product per value.  The same passes run here, skipping
+    the lines that are zero going in (off ``support`` on the axes still to
+    come, all of x's by default) or cropped coming out."""
+    m, n, k = w.ndim, x.shape[-1], w.shape[0]
+    fast = sfft.next_fast_len(n + k - 1, True)
 
-    def spectrum(x, support):
-        out = np.zeros((fast,) * (d - 1) + (fast // 2 + 1,), complex)
-        lines = (support,) * (d - 1)
-        out[lines] = sfft.rfft(x[lines], fast, axis=-1, workers=_WORKERS)
-        for axis in range(d - 1):
-            lines = (slice(None),) * (axis + 1) + (support,) * (d - 2 - axis)
-            out[lines] = sfft.fft(out[lines], axis=axis, workers=_WORKERS)
+    def spectrum(y, support):
+        if m == 1:
+            return sfft.rfft(y, fast, axis=-1, workers=_WORKERS)
+        out = np.zeros(y.shape[:-m] + (fast,) * (m - 1) + (fast // 2 + 1,), complex)
+        lines = (..., *(support,) * (m - 1), slice(None))
+        out[lines] = sfft.rfft(y[lines], fast, axis=-1, workers=_WORKERS)
+        for axis in range(m - 1):
+            lines = (..., *(slice(None),) * (axis + 1), *(support,) * (m - 2 - axis),
+                     slice(None))
+            out[lines] = sfft.fft(out[lines], axis=axis - m, workers=_WORKERS)
         return out
 
-    prod = spectrum(g.samples, slice(g.margin, g.margin + g.n)) * spectrum(w, slice(0, k))
-    crop = slice((k - 1) // 2, (k - 1) // 2 + g.size)
-    for axis in range(d - 1):
-        prod = sfft.ifft(prod, axis=axis, norm="forward", overwrite_x=True,
-                         workers=_WORKERS)[(slice(None),) * axis + (crop,)]
+    prod = spectrum(x, slice(0, n) if support is None else support)
+    prod *= spectrum(w, slice(0, k))
+    crop = slice((k - 1) // 2, (k - 1) // 2 + n)
+    for axis in range(m - 1):
+        prod = sfft.ifft(prod, axis=axis - m, norm="forward", overwrite_x=True,
+                         workers=_WORKERS)[(..., crop, *(slice(None),) * (m - 1 - axis))]
     out = sfft.irfft(prod, fast, axis=-1, norm="forward", workers=_WORKERS)[..., crop]
-    return out * np.float64(1 / np.longdouble(fast ** d))
+    return out * np.float64(1 / np.longdouble(fast ** m))
 
 
 def apply_kernel(spec: KernelSpec, g: ExtendedGridFunction) -> ExtendedGridFunction:
@@ -190,11 +196,12 @@ def apply_kernel(spec: KernelSpec, g: ExtendedGridFunction) -> ExtendedGridFunct
     margin to cover the truncation radius so the smoothed support stays
     inside the window.  Separable kernels convolve, on each axis but the
     last, only the lines that meet the cube's support: n^(d-1) of the
-    W^(d-1) lines on the first axis, W the window side.  The d-dim Poisson
-    kernel runs each FFT pass only over the lines that can be nonzero or are
-    kept (``_convolve_full``).  Every line is computed as over the whole
-    window, so the output is bit for bit the same.  The FFT passes run on
-    every usable core (``grid._WORKERS``).
+    W^(d-1) lines on the first axis, W the window side.  Long separable
+    kernels and the d-dim Poisson kernel share one FFT routine
+    (``_fft_convolve``), which runs each pass only over the lines that can be
+    nonzero or are kept.  Every line is computed as over the whole window, so
+    the output is bit for bit the same.  The FFT passes run on every usable
+    core (``grid._WORKERS``).
     """
     radius = kernel_radius_cells(spec, g.d, g.level)
     if radius > g.margin:
@@ -204,7 +211,7 @@ def apply_kernel(spec: KernelSpec, g: ExtendedGridFunction) -> ExtendedGridFunct
     if mode == "separable":
         out = _convolve_separable(g, weights)
     else:
-        out = _convolve_full(g, weights)
+        out = _fft_convolve(g.samples, weights, slice(g.margin, g.margin + g.n))
     return ExtendedGridFunction(g.d, g.level, g.margin, out)
 
 
@@ -306,36 +313,6 @@ def error_modulus_ratio(family: str, f: GridFunction, p: float, t_grid,
         else:
             rows.append(RatioRow(spec.t, err, om, err / om, ""))
     return RatioTable(family, p, tuple(rows))
-
-
-@dataclass(frozen=True)
-class LogRatioRow:
-    t: float
-    error: float
-    modulus: float
-    log_term: float
-    ratio: float
-    flag: str
-
-
-def l1_log_ratio(family: str, f: GridFunction, t_grid,
-                 truncation_tail: float = 1e-3) -> tuple:
-    """L^1 smoothing error against modulus times log(norm/modulus).
-
-    Rows where the log argument is not above one are flagged; the remaining
-    ratios should stay within a fixed band if the log-weighted comparison
-    holds for this family.
-    """
-    norm1 = lp_norm(f, 1.0)
-    rows = []
-    for spec in _kernel_specs(family, f, t_grid, truncation_tail):
-        err, om = _error_and_modulus(spec, f, 1.0)
-        if om <= 0 or om >= norm1:
-            rows.append(LogRatioRow(spec.t, err, om, math.nan, math.nan, "flagged"))
-            continue
-        log_term = om * math.log(norm1 / om)
-        rows.append(LogRatioRow(spec.t, err, om, log_term, err / log_term, ""))
-    return tuple(rows)
 
 
 @dataclass(frozen=True)

@@ -3,12 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from zexlab.adaptive import (AdaptivePartition, ErrorPyramid, adaptive_error_rate,
-                             build_partition, count_bound_report, default_epsilons,
-                             local_error, partition_objective, sobolev_seminorm,
-                             verify_partition)
-from zexlab.dyadic import block_means, random_partition
-from zexlab.grid import const, corpus, cusp, indicator, linear, random_dyadic, sample
+from zexlab.adaptive import (AdaptivePartition, ErrorPyramid, build_partition,
+                             count_bound_report, default_epsilons, local_error,
+                             sobolev_seminorm, verify_partition)
+from zexlab.grid import const, corpus, cusp, indicator, linear, sample
 
 
 def test_local_error_linear_root():
@@ -135,60 +133,6 @@ def test_partition_dump_format():
     assert len([ln for ln in lines if ln.endswith("good")]) == 2
 
 
-def _uniform(d, k):
-    """Per-level origins of the uniform level-k grid."""
-    return (np.empty((0, d), dtype=int),) * k + (np.indices((1 << k,) * d).reshape(d, -1).T,)
-
-
-def test_objective_constant_uniform_partition():
-    f = sample(const(1.0), 1, 8)
-    for k in (1, 2, 3):
-        t = 2.0 ** -5
-        got = partition_objective(f, _uniform(1, k), t, 2)
-        assert got == pytest.approx(math.sqrt(min(t * 2 ** k, 1.0)), rel=1e-12)
-
-
-def test_objective_zero_function():
-    f = sample(const(0.0), 1, 6)
-    assert partition_objective(f, _uniform(1, 1), 0.25, 2) == 0.0
-
-
-def test_objective_rejects_non_tiling():
-    f = sample(linear(), 1, 6)
-    none = np.empty((0, 1), dtype=int)
-    with pytest.raises(ValueError, match="tile"):  # a hole
-        partition_objective(f, [none, np.array([[0]])], 0.25, 2)
-    with pytest.raises(ValueError, match="tile"):  # the root over a half
-        partition_objective(f, [np.array([[0]]), np.array([[1]])], 0.25, 2)
-    with pytest.raises(ValueError):  # -1 would wrap to 1 and tile
-        partition_objective(f, [none, np.array([[0], [-1]])], 0.25, 2)
-    with pytest.raises(ValueError):
-        partition_objective(f, [none, np.array([[0], [2]])], 0.25, 2)
-    with pytest.raises(ValueError, match="finer than the lattice"):
-        partition_objective(sample(linear(), 1, 2), _uniform(1, 3), 0.25, 2)
-
-
-def test_objective_matches_local_error_reference():
-    rng = np.random.default_rng(5)
-    for spec, d, level in ((cusp(0.5), 1, 9), (random_dyadic(3, 4), 2, 6),
-                           (cusp(0.4), 3, 4)):
-        f = sample(spec, d, level)
-        for p in (1.0, 2.0, 3.0):
-            origins = random_partition(rng, d, min(level, 4))
-            t = 2.0 ** -4
-            total = 0.0
-            for k, cubes in enumerate(origins):
-                side = 2.0 ** -k
-                for o in cubes.tolist():
-                    block = f.samples[tuple(slice(v << (level - k), (v + 1) << (level - k))
-                                            for v in o)]
-                    mean = block_means(block, d, level - k, 0).item()
-                    total += local_error(f, k, o, p) ** p
-                    total += min(math.sqrt(d) * t / side, 1.0) * side ** d * abs(mean) ** p
-            assert partition_objective(f, origins, t, p) == pytest.approx(
-                total ** (1.0 / p), rel=1e-12, abs=1e-15)
-
-
 def test_sobolev_seminorm_values():
     assert sobolev_seminorm(sample(const(3.0), 1, 7), 2) == 0.0
     assert sobolev_seminorm(sample(linear(), 1, 9), 2) == pytest.approx(1.0, abs=1e-9)
@@ -203,6 +147,18 @@ def test_partition_invariants_in_three_dimensions():
     part = build_partition(f, 2, 0.01)
     assert verify_partition(part, f) == []
     assert part.n_total >= 8
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, 0.0, -1.0, -math.inf])
+def test_build_partition_refuses_bad_threshold_before_the_pyramid(monkeypatch, epsilon):
+    from zexlab import adaptive
+
+    def no_pyramid(*args, **kwargs):
+        raise AssertionError("a pyramid was built")
+
+    monkeypatch.setattr(adaptive, "ErrorPyramid", no_pyramid)
+    with pytest.raises(ValueError, match=f"epsilon must be > 0, got {epsilon!r}"):
+        build_partition(sample(cusp(0.5), 1, 6), 2, epsilon)
 
 
 def test_count_report_eta_guard():
@@ -235,44 +191,3 @@ def test_count_report_constant_function():
     report = count_bound_report(f, 2, 2, [0.5, 0.25, 0.125, 0.0625])
     assert all(r.n_total == 1 for r in report.rows)
     assert report.slope.slope == pytest.approx(0.0, abs=1e-12)
-
-
-def test_objective_on_adaptive_vs_uniform_partition():
-    # both partition styles evaluate; no ordering is promised between them
-    from zexlab.moduli import hybrid_modulus
-
-    f = sample(cusp(0.5), 1, 9)
-    t = 2.0 ** -5
-    part = build_partition(f, 2, 0.05)
-    adaptive_value = partition_objective(f, part.good, t, 2)
-    _, s_opt = hybrid_modulus(f, 2, t)
-    k = int(round(-math.log2(s_opt)))
-    uniform_value = partition_objective(f, _uniform(1, k), t, 2)
-    assert adaptive_value > 0 and uniform_value > 0
-    assert math.isfinite(adaptive_value) and math.isfinite(uniform_value)
-
-
-def test_adaptive_error_rate_zero_function():
-    f = sample(const(0.0), 1, 8)
-    report = adaptive_error_rate(f, 2, [2.0 ** -j for j in range(6, 2, -1)])
-    assert all(v == 0.0 for v in report.surrogate)
-    assert all(v == 0.0 for v in report.measured)
-    assert report.surrogate_fit is None and report.measured_fit is None
-
-
-def test_adaptive_error_rate_indicator_slope():
-    f = sample(const(1.0), 1, 10)
-    grid = [2.0 ** -j for j in range(7, 2, -1)]
-    report = adaptive_error_rate(f, 2, grid)
-    assert report.measured_fit is not None
-    assert report.measured_fit.slope == pytest.approx(0.5, abs=0.05)
-
-
-def test_adaptive_error_rate_ramp_beats_supplied_rate():
-    # compound predicted exponent at alpha=1, p=q=2, d=1 is 2/7
-    beta_user = 1.0 / (2.0 + 3.0 / 2.0)
-    f = sample(linear(), 1, 10)
-    grid = [2.0 ** -j for j in range(7, 2, -1)]
-    report = adaptive_error_rate(f, 2, grid)
-    assert report.measured_fit.slope >= beta_user - 0.05
-    assert all(v > 0 for v in report.surrogate)

@@ -6,8 +6,7 @@ import pytest
 from zexlab.besov import (BalancedEnvelope, BesovParams, FitResult,
                           besov_embedding_check, besov_seminorm,
                           divergence_witness, envelope_ladder_report,
-                          exponent_drop_check, fit_exponent, fit_points,
-                          scale_profile)
+                          exponent_drop_check, fit_exponent, fit_points)
 from zexlab.grid import (boundary_power, const, cusp, linear, lp_norm, sample,
                          zero_extend)
 from zexlab.moduli import ModulusCurve, whole_modulus
@@ -96,15 +95,6 @@ def test_seminorm_rejects_empty_and_bad_q():
             besov_seminorm(curve, 0.5, bad)
     with pytest.raises(ValueError):
         besov_seminorm(ModulusCurve("whole", 2.0, ()), 0.5, 2.0)
-
-
-def test_scale_profile_direct_value():
-    f = sample(cusp(0.5), 1, 10)
-    from zexlab.moduli import interior_modulus
-
-    s = 2.0 ** -4
-    assert scale_profile(f, 2, s) == pytest.approx(
-        math.sqrt(s) * interior_modulus(f, 2, s), rel=1e-12)
 
 
 def test_envelope_synthetic_power_ladder():

@@ -76,9 +76,27 @@ def test_missing_required_key_exits_2(tmp_path):
     assert main(["modulus", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
-def test_bad_window_exits_2(tmp_path):
+def test_bad_window_exits_2(tmp_path, capsys):
+    # the flag and the config key share one parse, so one message
     cfg = _write_config(tmp_path, "function = linear\nd = 1\nL = 8\nwindow = upside\n")
     assert main(["modulus", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    from_key = capsys.readouterr().err
+    assert "bad value for 'window': 'upside'" in from_key
+    cfg = _write_config(tmp_path, "function = linear\nd = 1\nL = 8\n")
+    assert main(["modulus", "--config", cfg, "--window", "upside",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == from_key
+
+
+def test_window_flag_and_key_parse_alike(tmp_path):
+    from zexlab.cli import build_parser, load_config
+
+    cfg = _write_config(tmp_path, "function = linear\nd = 1\nL = 8\nwindow = 0.03125:0.25\n")
+    from_key = load_config(build_parser().parse_args(["modulus", "--config", cfg]))
+    cfg = _write_config(tmp_path, "function = linear\nd = 1\nL = 8\n")
+    from_flag = load_config(build_parser().parse_args(
+        ["modulus", "--config", cfg, "--window", "0.03125:0.25"]))
+    assert from_key["window"] == from_flag["window"] == (0.03125, 0.25)
 
 
 def test_shift_bound_subcommand(tmp_path):
@@ -152,6 +170,47 @@ def test_adaptive_eta_guard_exits_2_before_writing(tmp_path):
     out = tmp_path / "out"
     assert main(["adaptive", "--config", cfg, "--out", str(out)]) == 2
     assert not list(out.glob("partition_eps*.txt"))
+
+
+@pytest.mark.parametrize("line, shown", [
+    ("epsilon = nan", "nan"), ("epsilons = 0.1,nan", "nan"), ("epsilon = 0", "0.0"),
+    ("epsilons = 0.1,-1", "-1.0"),
+])
+def test_adaptive_bad_threshold_exits_2_before_the_pyramid(tmp_path, capsys, monkeypatch,
+                                                           line, shown):
+    from zexlab import adaptive
+
+    monkeypatch.setattr(adaptive, "_mean_pyramid", _no_alloc)
+    cfg = _write_config(tmp_path, f"function = cusp alpha=0.5\nd = 1\nL = 8\n{line}\n")
+    out = tmp_path / "out"
+    assert main(["adaptive", "--config", cfg, "--out", str(out)]) == 2
+    assert f"epsilon must be > 0, got {shown}" in capsys.readouterr().err
+    assert not list(out.glob("partition_eps*.txt"))
+
+
+def test_adaptive_infinite_threshold_keeps_the_root(tmp_path):
+    cfg = _write_config(tmp_path, "function = cusp alpha=0.5\nd = 1\nL = 8\nepsilon = inf\n")
+    out = tmp_path / "out"
+    assert main(["adaptive", "--config", cfg, "--out", str(out)]) == 0
+    dump = (out / "partition_epsinf.txt").read_text().strip().split("\n")
+    assert len(dump) == 2 and dump[1].startswith("0,0,") and dump[1].endswith("good")
+
+
+def test_cli_import_leaves_scipy_signal_and_stats_out():
+    # a fresh interpreter: other tests in this run import them as references
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import zexlab
+
+    env = dict(os.environ, PYTHONPATH=str(Path(zexlab.__file__).parents[1]))
+    code = ("import sys, zexlab.cli; "
+            "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 def test_hybrid_subcommand(tmp_path):

@@ -97,8 +97,8 @@ _EXPONENT_TAKERS = {
         dyadic.dyadic_average(_F, 1), LatticeShift((1, 0), 3), p),
     "ErrorPyramid": lambda p: adaptive.ErrorPyramid(_F, p),
     "local_error": lambda p: adaptive.local_error(_F, 1, (0, 1), p),
-    "partition_objective": lambda p: adaptive.partition_objective(
-        _F, (np.zeros((1, 2), dtype=int),), 0.25, p),
+    "build_partition": lambda p: adaptive.build_partition(_F, p, 0.1),
+    "default_epsilons": lambda p: adaptive.default_epsilons(_F, p),
     "sobolev_seminorm": lambda q: adaptive.sobolev_seminorm(_F, q),
     "count_bound_report.p": lambda p: adaptive.count_bound_report(_F, p, 2.0, (0.1,)),
     "count_bound_report.q": lambda q: adaptive.count_bound_report(_F, 2.0, q, (0.1,)),

@@ -10,7 +10,7 @@ from zexlab.kernels import (FAMILIES, KernelSpec, apply_kernel,
                             apply_kernel_direct, error_curve,
                             error_modulus_ratio, error_norm,
                             extension_bound_check, kernel_radius_cells,
-                            kernel_weights, l1_log_ratio)
+                            kernel_weights)
 
 
 def test_kernel_spec_validation():
@@ -169,22 +169,6 @@ def test_ratio_band_and_flat_slope_for_cusp():
     assert -0.1 <= slope <= 0.1
 
 
-def test_l1_log_ratio_indicator():
-    f = sample(const(1.0), 1, 10)
-    grid = [2.0 ** -j for j in range(7, 2, -1)]
-    rows = l1_log_ratio("fejer_tensor", f, grid, truncation_tail=1e-3)
-    ratios = [r.ratio for r in rows if not r.flag]
-    assert len(ratios) == len(grid)
-    assert all(math.isfinite(r) and r > 0 for r in ratios)
-    assert max(ratios) / min(ratios) <= 4.0
-
-
-def test_l1_log_ratio_zero_function():
-    f = sample(const(0.0), 1, 8)
-    rows = l1_log_ratio("fejer_tensor", f, [2.0 ** -4], truncation_tail=1e-2)
-    assert rows[0].flag == "flagged"
-
-
 def test_extension_bound_zero_function_flagged():
     f = sample(const(0.0), 1, 9)
     grid = [2.0 ** -j for j in range(6, 1, -1)]
@@ -214,9 +198,8 @@ def test_error_curve_container():
 @pytest.mark.parametrize("measure", [
     lambda f, grid: error_curve("fejer_tensor", f, 2, grid, 1e-6),
     lambda f, grid: error_modulus_ratio("fejer_tensor", f, 2, grid, 1e-6),
-    lambda f, grid: l1_log_ratio("fejer_tensor", f, grid, 1e-6),
     lambda f, grid: extension_bound_check("fejer_tensor", f, 2, grid, 1e-6),
-], ids=["error_curve", "error_modulus_ratio", "l1_log_ratio", "extension_bound_check"])
+], ids=["error_curve", "error_modulus_ratio", "extension_bound_check"])
 def test_oversized_window_refused_before_any_window(monkeypatch, measure):
     # at L=6 the fejer_tensor window fits at t = 2^-10 but not at t = 1
     import zexlab.kernels
@@ -234,12 +217,20 @@ def test_oversized_window_refused_before_any_window(monkeypatch, measure):
 
 
 def _whole_window(spec, g):
-    """Reference: every axis convolved over every line of the window."""
-    from zexlab.kernels import _convolve_axis
+    """Reference: every axis convolved over every line of the window, by
+    ``ndimage`` or, past the cutoff, by ``scipy.signal.fftconvolve`` (which
+    the library never imports) on one worker."""
+    from scipy import ndimage, signal
+
+    import zexlab.kernels
 
     out = g.samples
     for axis, w in enumerate(kernel_weights(spec, g.d, g.level)[1]):
-        out = _convolve_axis(out, w, axis)
+        if len(w) <= 2 * zexlab.kernels._FFT_KERNEL_CUTOFF + 1:
+            out = ndimage.convolve1d(out, w, axis=axis, mode="constant", cval=0.0)
+        else:
+            line = w.reshape([-1 if a == axis else 1 for a in range(g.d)])
+            out = signal.fftconvolve(out, line, mode="same", axes=axis)
     return out
 
 
@@ -252,11 +243,12 @@ def _whole_window(spec, g):
 ])
 def test_support_only_passes_match_whole_window_bit_for_bit(monkeypatch, workers, cutoff,
                                                             family, d, level, t, tail):
-    # cutoff 4 sends every separable kernel down the FFT branch; a 3-d window
+    # cutoff 4 sends every kernel here down the FFT branch; a 3-d window
     # under the cell cap never reaches it at the default cutoff
     import zexlab.kernels
 
     monkeypatch.setattr(zexlab.kernels, "_FFT_KERNEL_CUTOFF", cutoff)
+    monkeypatch.setattr(zexlab.kernels, "_WORKERS", workers)
     spec = KernelSpec(family, t, tail)
     radius = kernel_radius_cells(spec, d, level)
     rng = np.random.default_rng(d * 10 + level)
@@ -264,10 +256,7 @@ def test_support_only_passes_match_whole_window_bit_for_bit(monkeypatch, workers
     # a margin of exactly the radius, and a wider one as _error_and_modulus builds
     for margin in (radius, radius + (1 << level) + 3):
         g = zero_extend(f, margin)
-        monkeypatch.setattr(zexlab.kernels, "_WORKERS", 1)
-        reference = _whole_window(spec, g)
-        monkeypatch.setattr(zexlab.kernels, "_WORKERS", workers)
-        assert np.array_equal(apply_kernel(spec, g).samples, reference)
+        assert np.array_equal(apply_kernel(spec, g).samples, _whole_window(spec, g))
 
 
 @pytest.mark.parametrize("workers", (1, 2))
@@ -289,3 +278,24 @@ def test_poisson_full_path_matches_fftconvolve_bit_for_bit(monkeypatch, workers,
         g = zero_extend(f, margin)
         reference = signal.fftconvolve(g.samples, w, mode="same")  # one worker
         assert np.array_equal(apply_kernel(spec, g).samples, reference)
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+def test_fft_convolve_batches_leading_axes_bit_for_bit(monkeypatch, workers):
+    # leading axes are a batch; a support only skips lines that are zero anyway
+    from scipy import signal
+
+    import zexlab.kernels
+    from zexlab.kernels import _fft_convolve
+
+    monkeypatch.setattr(zexlab.kernels, "_WORKERS", workers)
+    rng = np.random.default_rng(11)
+    n, support = 24, slice(5, 17)
+    for w in (rng.standard_normal(31), rng.standard_normal((9, 9))):
+        m = w.ndim
+        x = np.zeros((3,) + (n,) * m)
+        x[(slice(None),) + (support,) * m] = rng.standard_normal((3,) + (12,) * m)
+        axes = tuple(range(1, m + 1))
+        reference = signal.fftconvolve(x, w[None], mode="same", axes=axes)  # one worker
+        assert np.array_equal(_fft_convolve(x, w), reference)
+        assert np.array_equal(_fft_convolve(x, w, support), reference)
