@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from itertools import repeat
 
 import numpy as np
 
@@ -104,12 +104,15 @@ class AdaptivePartition:
         return 2.0 ** -self.depth
 
     def to_text(self) -> str:
-        # columns are built per level in numpy: a dump runs to ~10^5 rows
-        return _csv(PARTITION_DUMP_HEADER, (
-            row for k, (o, s, g) in enumerate(zip(self.origins, self.s_values, self.is_good))
-            for row in zip([k] * len(s),
-                           reduce(lambda a, b: a + ":" + b, o.T.astype(str)).tolist(),
-                           s.tolist(), np.where(g, "good", "bad").tolist())))
+        """The dump ``_csv`` would print for rows (level, origin indices
+        joined by ":", S, good/bad); a dump runs to ~10^5 rows, so each
+        level's lines are joined from its columns by C-level map and zip."""
+        lines = [PARTITION_DUMP_HEADER]
+        for k, (o, s, g) in enumerate(zip(self.origins, self.s_values, self.is_good)):
+            origins = map(":".join, zip(*(map(str, axis) for axis in o.T.tolist())))
+            lines += map(",".join, zip(repeat(str(k)), origins, map(repr, s.tolist()),
+                                       np.where(g, "good", "bad").tolist()))
+        return "\n".join(lines) + "\n"
 
 
 def _check_epsilon(epsilon: float):

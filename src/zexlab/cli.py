@@ -113,7 +113,7 @@ def _write(out: Path, name: str, body: str):
     (out / name).write_text(body)
 
 
-_PROVENANCE = ("method", "exact", "shifts", "rechecked", "upper")
+_PROVENANCE = ("method", "exact", "shifts", "rechecked", "upper", "elapsed")
 
 
 def _write_meta(out: Path, config: dict, curves=()):
@@ -186,16 +186,18 @@ def cmd_hybrid(config) -> int:
 def cmd_dyadic(config) -> int:
     f, spec = _function(config)
     out = _outdir(config)
-    rows = []
+    rows, curves = [], []
     ok = True
     for p in config.get("p", (2.0,)):
         for n_level in range(0, f.level - 1):
-            err, bound, constant = dyadic.average_error_report(f, n_level, p)
+            curve = moduli.interior_curve(f, p, [2.0 ** (-n_level)], name=spec.describe())
+            err, bound, constant = dyadic.average_error_report(f, n_level, p, curve)
             good = err <= bound + 1e-12
             ok = ok and good
             rows.append((p, n_level, err, bound, constant, good))
+            curves.append((f"average_error_p{p:g}_N{n_level}", curve))
     _write(out, "average_error.csv", _csv("p,N,error,bound,constant,pass", rows))
-    _write_meta(out, config)
+    _write_meta(out, config, curves)
     return 0 if ok else 1
 
 

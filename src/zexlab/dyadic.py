@@ -29,7 +29,7 @@ import numpy as np
 
 from .grid import (GridFunction, LatticeShift, _abs_pow, _check_exponent, _csv,
                    difference, lp_norm, zero_extend)
-from .moduli import interior_modulus
+from .moduli import ModulusCurve, _flagged_points, interior_curve
 
 SUITE_CSV_HEADER = "seed,d,k,p,h,lhs,rhs,pass"
 # random_partition splits a cube below its level cap with this probability
@@ -197,17 +197,22 @@ def average_error_constant(d: int, p: float) -> float:
     return (unit_ball_volume(d) * d ** ((d + p) / 2.0)) ** (1.0 / p)
 
 
-def average_error_report(f: GridFunction, level: int, p: float) -> tuple:
+def average_error_report(f: GridFunction, level: int, p: float,
+                         modulus: ModulusCurve | None = None) -> tuple:
     """(error, bound, constant) for the level-`level` average projection.
 
     error is ||f - f_avg||_p as an exact cell sum; bound is the constant
-    times the interior modulus at scale 2^-level.
+    times the interior modulus at scale 2^-level, read from ``modulus``, that
+    scale's interior curve, built here when not given; a value its table
+    left bracketed warns (``LowerBoundWarning``).
     """
     if level > f.level - 2:
         raise ValueError("need level <= L-2 so the modulus scale is resolvable")
+    if modulus is None:
+        modulus = interior_curve(f, p, [2.0 ** (-level)])
     error = lp_norm(f - render_average(f, level), p)
     constant = average_error_constant(f.d, p)
-    bound = constant * interior_modulus(f, p, 2.0 ** (-level))
+    bound = constant * _flagged_points(modulus)[0][1]
     return error, bound, constant
 
 

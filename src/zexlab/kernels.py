@@ -33,7 +33,8 @@ from scipy.special import erfcinv
 from .besov import fit_points
 from .grid import (_MAX_CELLS, _WORKERS, ExtendedGridFunction, GridFunction,
                    _check_exponent, _shift_cells, lp_norm, shifted_samples, zero_extend)
-from .moduli import ModulusCurve, hybrid_modulus, interior_ladder, whole_modulus
+from .moduli import (ModulusCurve, _irfftn_kept, hybrid_modulus, interior_ladder,
+                     whole_modulus)
 
 FAMILIES = ("gauss", "poisson", "fejer_tensor")
 
@@ -161,9 +162,10 @@ def _fft_convolve(x: np.ndarray, w: np.ndarray, support: slice | None = None) ->
     of x, bit for bit; the leading axes are a batch, and the m axes are all
     as long as x's last.  Its rfftn transforms the last axis, then the other
     m - 1 in order; its irfftn those m - 1, then the last with the 1/N
-    scaling as one product per value.  The same passes run here, skipping
-    the lines that are zero going in (off ``support`` on the axes still to
-    come, all of x's by default) or cropped coming out."""
+    scaling as one product per value (``moduli._irfftn_kept``).  The same
+    passes run here, skipping the lines that are zero going in (off
+    ``support`` on the axes still to come, all of x's by default) or cropped
+    coming out."""
     m, n, k = w.ndim, x.shape[-1], w.shape[0]
     fast = sfft.next_fast_len(n + k - 1, True)
 
@@ -182,11 +184,7 @@ def _fft_convolve(x: np.ndarray, w: np.ndarray, support: slice | None = None) ->
     prod = spectrum(x, slice(0, n) if support is None else support)
     prod *= spectrum(w, slice(0, k))
     crop = slice((k - 1) // 2, (k - 1) // 2 + n)
-    for axis in range(m - 1):
-        prod = sfft.ifft(prod, axis=axis - m, norm="forward", overwrite_x=True,
-                         workers=_WORKERS)[(..., crop, *(slice(None),) * (m - 1 - axis))]
-    out = sfft.irfft(prod, fast, axis=-1, norm="forward", workers=_WORKERS)[..., crop]
-    return out * np.float64(1 / np.longdouble(fast ** m))
+    return _irfftn_kept(prod, (fast,) * m, (crop,) * m, _WORKERS)
 
 
 def apply_kernel(spec: KernelSpec, g: ExtendedGridFunction) -> ExtendedGridFunction:

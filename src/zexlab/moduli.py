@@ -30,17 +30,30 @@ cannot choose it:
   the direct enumeration bit for bit.  A half ball with fewer shifts than the
   screen costs is enumerated directly.
 
+  A whole table splits each shift's window sum as E_p(k) = E_p^int(k) +
+  2 M_p - O_p(k) over the smallest box B of the window that holds its
+  support: the interior sum of B, which the screen bounds on B's own
+  n + reach grid (0 for a shift that leaves B), plus the boundary layer,
+  the mass M_p of |f|^p on B twice less its overlap mass O_p(k), read from
+  prefix sums with a derived allowance.  Only the bounds use B; every value
+  is evaluated on the window.
+
+Every screen's inverse FFT runs irfftn's own passes and keeps only the rows
+0 <= k_0 <= max k_0 that hold half-ball shifts, bit for bit the same.
+
 Direct evaluation is capped at ``_DIRECT_WORK_BUDGET`` cells of work.  A radius
 left unfinished at the cap keeps the best value found, a lower bound flagged
 ``lower_bound`` and ``exact=False``, bracketed by a certified upper bound;
 ``meta["upper"]`` holds one per point (equal to the value on exact points),
 and the single-scale queries emit a ``LowerBoundWarning``.  Each curve's
-``meta`` also records the table's method, the shifts of its half ball and the
-shifts it evaluated directly (``rechecked``).
+``meta`` also records the table's method, the shifts of its half ball, the
+shifts it evaluated directly (``rechecked``) and the seconds it took to build
+(``elapsed``, which no CSV prints).
 """
 from __future__ import annotations
 
 import math
+import time
 import warnings
 from dataclasses import dataclass, field
 
@@ -254,19 +267,19 @@ def _box_sums(pref: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 def _overlap_mass(w: np.ndarray, shifts: np.ndarray, interior: bool):
     """Per shift k, the sum of ``w`` over the cells i with i and i + k both in
-    the cube plus the same sum over the cells i + k: box sums read from d-dim
+    the box plus the same sum over the cells i + k: box sums read from d-dim
     prefix sums (summed-area tables).  On a window, zero outside, every shift
     sees both masses whole: the scalar 2 sum w."""
     if not interior:
         return 2.0 * float(w.sum())
-    d, n = w.ndim, w.shape[0]
+    d = w.ndim
     pref = np.zeros(tuple(s + 1 for s in w.shape))
     acc = w
     for axis in range(d):
         acc = acc.cumsum(axis=axis)
     pref[(slice(1, None),) * d] = acc
     lo = np.maximum(0, -shifts)
-    hi = n - 1 - np.maximum(0, shifts)
+    hi = np.array(w.shape) - 1 - np.maximum(0, shifts)
     return _box_sums(pref, lo, hi) + _box_sums(pref, lo + shifts, hi + shifts)
 
 
@@ -335,13 +348,16 @@ def _screen(arr: np.ndarray, shifts: np.ndarray, interior: bool, shape,
     the masses from ``_overlap_mass``.  The E4 correlations are one inverse
     FFT of the real spectrum 6 |F2|^2 - 8 Re(F3 conj F1), F_a = DFT(f^a).  A
     grid of at least n + max |k_a| cells per axis holds every shift without
-    wrap-around."""
+    wrap-around.  Half-ball shifts have 0 <= k_0, so each inverse keeps only
+    the rows k_0 <= max k_0 (``_irfftn_kept``)."""
     at = tuple(shifts[:, a] % s for a, s in enumerate(shape))
+    rows = int(shifts[:, 0].max(initial=0)) + 1
+    keep = (slice(0, rows),) + (slice(None),) * (len(shape) - 1)
     f1 = sfft.rfftn(arr, shape)
     sq = arr * arr
     out = {}
     if 2 in orders:
-        c11 = sfft.irfftn(f1 * np.conj(f1), shape)[at]
+        c11 = _irfftn_kept(f1 * np.conj(f1), shape, keep)[at]
         energy = float(sq.sum())
         out[2] = (np.maximum(_overlap_mass(sq, shifts, interior) - 2.0 * c11, 0.0),
                   _screen_error(arr.shape, shape, 2, energy, 2.0 * energy))
@@ -357,9 +373,28 @@ def _screen(arr: np.ndarray, shifts: np.ndarray, interior: bool, shape,
         quart = np.multiply(sq, sq, out=sq)
         energy = float(quart.sum())
         mass = _overlap_mass(quart, shifts, interior)
-        out[4] = (np.maximum(mass + sfft.irfftn(spectrum, shape)[at], 0.0),
+        out[4] = (np.maximum(mass + _irfftn_kept(spectrum, shape, keep)[at], 0.0),
                   _screen_error(arr.shape, shape, 4, energy, weighted + 6.0 * energy))
     return out
+
+
+def _irfftn_kept(spectrum: np.ndarray, shape, keep, workers=None) -> np.ndarray:
+    """``sfft.irfftn(spectrum, shape)`` over the last ``m = len(shape)`` axes,
+    cut to ``keep`` (one slice per axis), bit for bit.  irfftn's own passes
+    run one at a time: the leading m - 1 axes in order, unscaled, each cut to
+    its ``keep`` as soon as it is transformed; then the last axis; then the
+    1/N scaling as one product per value.  A real spectrum is made complex
+    first, as irfftn does (a real input takes another path through ``ifft``,
+    with other bits).  ``spectrum`` may be overwritten."""
+    m = len(shape)
+    spectrum = spectrum.astype(complex, copy=False)
+    for axis in range(m - 1):
+        spectrum = sfft.ifft(spectrum, axis=axis - m, norm="forward", overwrite_x=True,
+                             workers=workers)[(..., keep[axis],
+                                               *(slice(None),) * (m - 1 - axis))]
+    out = sfft.irfft(spectrum, shape[-1], axis=-1, norm="forward",
+                     workers=workers)[..., keep[-1]]
+    return out * np.float64(1 / np.longdouble(math.prod(shape)))
 
 
 def _real_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -369,57 +404,116 @@ def _real_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _upper_bounds(arr: np.ndarray, shifts: np.ndarray, p: float, interior: bool,
-                  shape) -> np.ndarray:
-    """A certified upper bound U(k) on the computed ``_direct_values`` sum at
-    every shift, before the cell volume.
+def _holder(arr: np.ndarray, shifts: np.ndarray, p: float, shape):
+    """(H, s) with H(k) 2^(s p) an upper bound on the exact
+    E_p(k) = sum |f(i+k) - f(i)|^p over the cells i with i and i + k both in
+    the box ``arr``, up to the rounding of forming it; None when ``arr`` is
+    constant (no difference is nonzero).
 
-    Interior arrays are centred on their mean (differences do not change, and
-    an input near a constant keeps a usable bound); every array is scaled by a
-    power of two below 1 in magnitude.  With A_q = screened E_q + e_q >= E_q
-    (``_screen``), Hölder's inequality bounds E_p = sum |f(i+k) - f(i)|^p:
+    The array is centred on its mean (differences do not change, and an
+    input near a constant keeps a usable bound) and scaled by 2^-s, a power
+    of two below 1 in magnitude.  With A_q = screened E_q + e_q >= E_q
+    (``_screen`` on the grid ``shape``), Hölder's inequality gives H:
 
-    * 1 <= p <= 2: m_k^(1 - p/2) A_2^(p/2), m_k the cells of the overlap
-      (on a window, twice the nonzero cells);
+    * 1 <= p <= 2: m_k^(1 - p/2) A_2^(p/2), m_k the cells of the overlap;
     * 2 < p < 4: A_2^((4 - p)/2) A_4^((p - 2)/2);
-    * p >= 4: osc^(p - 4) A_4, osc = max - min of the array (a window's
-      zeros count, as do the zeros read past its edge).
+    * p >= 4: osc^(p - 4) A_4, osc = max - min of the array.
 
-    The computed sum rounds each difference once, raises it to p (at most
-    _POW_ULPS u), and adds at most m terms: at most E_p (1 + u)^p
-    (1 + _POW_ULPS u) (1 + g(m)), plus m subnormal spacings if terms
-    underflow.  Forming U itself takes up to three powers and three products.
-    The relative allowance (p + 4) u + 4 _POW_ULPS u + g(m), doubled, covers
-    both.  A constant array (all zero on a window) has no nonzero difference:
-    U = 0.
+    Forming H 2^(s p) takes up to three powers and three products.
     """
     lo, hi = float(arr.min()), float(arr.max())
-    if not interior:
-        lo, hi = min(lo, 0.0), max(hi, 0.0)
     if hi == lo:
-        return np.zeros(len(shifts))
-    work = arr - arr.mean() if interior else arr
+        return None
+    work = arr - arr.mean()
     _, scale = math.frexp(float(np.abs(work).max()))
-    work = np.ldexp(work, -scale, out=work if interior else None)
-    screen = _screen(work, shifts, interior, shape,
+    work = np.ldexp(work, -scale, out=work)
+    screen = _screen(work, shifts, True, shape,
                      [q for q, used in ((2, p < 4), (4, p > 2)) if used])
     bounded = {q: values + error for q, (values, error) in screen.items()}
     if p <= 2:
-        if interior:
-            m_k = np.prod(arr.shape[0] - np.abs(shifts), axis=1)
-        else:  # nonzero terms lie on the support or its shift
-            m_k = min(arr.size, 2 * np.count_nonzero(arr))
-        bound = m_k ** (1 - p / 2) * bounded[2] ** (p / 2)
-    elif p < 4:
-        bound = bounded[2] ** ((4 - p) / 2) * bounded[4] ** ((p - 2) / 2)
-    else:
-        osc = math.ldexp(hi - lo, -scale) * (1 + _gamma(1))
-        bound = osc ** (p - 4) * bounded[4]
-    u, m = _UNIT_ROUNDOFF, arr.size
-    slack = 2.0 * ((p + 4) * u + 4 * _POW_ULPS * u + _gamma(m))
+        m_k = np.prod(np.array(arr.shape) - np.abs(shifts), axis=1)
+        return m_k ** (1 - p / 2) * bounded[2] ** (p / 2), scale
+    if p < 4:
+        return bounded[2] ** ((4 - p) / 2) * bounded[4] ** ((p - 2) / 2), scale
+    osc = math.ldexp(hi - lo, -scale) * (1 + _gamma(1))
+    return osc ** (p - 4) * bounded[4], scale
+
+
+def _layer(b: np.ndarray, shifts: np.ndarray, inside: np.ndarray, p: float) -> np.ndarray:
+    """Per shift k, an upper bound on the boundary layer 2 M - O(k): the sum
+    of w = fl(|f|^p) over the cells i of the box ``b`` whose partner i + k or
+    i - k leaves it, which are exactly the window terms |0 - f|^p.  M is the
+    sum of w over the box and O(k) ``_overlap_mass`` of w where ``inside``
+    (0 for a shift that leaves the box).
+
+    The allowance.  Let S be the exact sum of w, m the box's cells, n_a its
+    side on axis a and u the unit roundoff.  fl(M) is off by at most g(m) S
+    in any summation order, 2 fl(M) by twice that.  fl(O) is off by at most
+    (2^(d+1) (g(sum_a (n_a - 1)) + 2^d u) + 2 u) S, as the masses of
+    ``_screen_error`` (without the powers, which w already holds).  The
+    difference rounds once more, on operands at most 2 S: 2 u S.  The total,
+    e = (2 g(m) + 2^(d+1) (g(sum_a (n_a - 1)) + 2^d u) + 4 u) S, is read with
+    fl(M) for S and doubled, which covers the second-order terms and
+    S <= fl(M) (1 + 2 g(m)).  The difference is clamped at zero first, as
+    the exact layer is nonnegative.
+    """
+    u, d = _UNIT_ROUNDOFF, b.ndim
+    w = _abs_pow(b, p)
+    mass = float(w.sum())
+    layer = np.full(len(shifts), 2.0 * mass)
+    if inside.any():
+        layer[inside] -= _overlap_mass(w, shifts[inside], True)
+    error = (2 * _gamma(b.size) + 2 ** (d + 1) * (_gamma(sum(n - 1 for n in b.shape))
+                                                  + 2 ** d * u) + 4 * u)
+    return np.maximum(layer, 0.0) + 2.0 * error * mass
+
+
+def _upper_bounds(arr: np.ndarray, shifts: np.ndarray, p: float, interior: bool,
+                  plan) -> np.ndarray:
+    """A certified upper bound U(k) on the computed ``_direct_values`` sum at
+    every shift, before the cell volume, from the screen ``plan``
+    (``_screen_plan``).
+
+    Interior: U = H 2^(s p) (``_holder``).  The computed sum rounds each
+    difference once, raises it to p (at most _POW_ULPS u), and adds at most
+    m terms, m the array's cells: at most E_p (1 + u)^p (1 + _POW_ULPS u)
+    (1 + g(m)), plus m subnormal spacings if terms underflow.  With forming
+    H, the relative allowance (p + 4) u + 4 _POW_ULPS u + g(m), doubled,
+    covers both.  A constant array has no nonzero difference: U = 0.
+
+    Whole: let B be the plan's box, the smallest box of the window holding
+    its support.  Every window cell i with i or i + k in B has the term
+    |f(i+k) - f(i)|^p when both are in B, else |f|^p of the one that is,
+    which the window computes exactly as fl(|f|^p); every other term is 0.
+    So the computed sum is at most (E_int(k) (1 + u)^p (1 + _POW_ULPS u)
+    + layer(k)) (1 + g(m)), m the window's cells, with E_int the exact
+    interior sum of B (0 for a shift that leaves B) and layer ``_layer``.
+    U = (H 2^(s p) + layer(k)) (1 + slack) + m subnormal spacings, where
+    slack doubles (p + 7) u + 4 _POW_ULPS u + g(m): the sum's rounding,
+    forming H, and the two additions and the product that form U.  An
+    all-zero window has U = 0.
+    """
+    box, grid = plan
+    u, m, tiny = _UNIT_ROUNDOFF, arr.size, np.finfo(float).smallest_subnormal
+    if interior:
+        held = _holder(arr, shifts, p, grid)
+        if held is None:
+            return np.zeros(len(shifts))
+        bound, scale = held
+        slack = 2.0 * ((p + 4) * u + 4 * _POW_ULPS * u + _gamma(m))
+        with np.errstate(over="ignore"):
+            return bound * (1.0 + slack) * np.exp2(scale * p) + m * tiny
+    if box is None:
+        return np.zeros(len(shifts))
+    b = arr[box]
+    inside = np.all(np.abs(shifts) < b.shape, axis=1)
+    bound = _layer(b, shifts, inside, p)
+    held = _holder(b, shifts[inside], p, grid) if inside.any() else None
+    slack = 2.0 * ((p + 7) * u + 4 * _POW_ULPS * u + _gamma(m))
     with np.errstate(over="ignore"):
-        return (bound * (1.0 + slack) * np.exp2(scale * p)
-                + m * np.finfo(float).smallest_subnormal)
+        if held is not None:
+            bound[inside] += held[0] * np.exp2(held[1] * p)
+        return bound * (1.0 + slack) + m * tiny
 
 
 def _bound_table(arr: np.ndarray, shifts: np.ndarray, upper: np.ndarray, p: float,
@@ -496,13 +590,35 @@ def _corr_table(arr: np.ndarray, radii, cellvol: float, interior: bool) -> _SupT
 
 
 def _screen_grid(arr: np.ndarray, radii) -> list:
-    """The upper-bound screen's FFT grid: n + the largest shift component
-    cells per axis, which holds every shift without wrap-around.  A grid over
-    ``_MAX_CELLS`` is refused."""
-    reach = min(arr.shape[0] - 1, math.floor(max(radii) + 1e-9))
-    shape = [sfft.next_fast_len(m + reach) for m in arr.shape]
+    """The upper-bound screen's FFT grid: per axis, the array's side plus the
+    largest shift component that keeps an overlap, which holds every such
+    shift without wrap-around.  A grid over ``_MAX_CELLS`` is refused."""
+    reach = math.floor(max(radii) + 1e-9)
+    shape = [sfft.next_fast_len(m + min(m - 1, reach)) for m in arr.shape]
     _check_grid(arr, shape)
     return shape
+
+
+def _support_box(window: np.ndarray):
+    """Slices of the smallest box of ``window`` that holds its nonzero
+    cells; None when there are none."""
+    box = []
+    for axis in range(window.ndim):
+        hit = np.flatnonzero(np.any(window, axis=tuple(
+            a for a in range(window.ndim) if a != axis)))
+        if not len(hit):
+            return None
+        box.append(slice(int(hit[0]), int(hit[-1]) + 1))
+    return tuple(box)
+
+
+def _screen_plan(arr: np.ndarray, radii, interior: bool) -> tuple:
+    """(box, grid) for ``_upper_bounds``: the slices of ``arr`` that the
+    screen transforms (all of a cube; of a window, ``_support_box``, None
+    when it is all zero) and their FFT grid (``_screen_grid``; empty for
+    none)."""
+    box = (slice(None),) * arr.ndim if interior else _support_box(arr)
+    return box, [] if box is None else _screen_grid(arr[box], radii)
 
 
 def _build_table(arr: np.ndarray, p: float, radii, cellvol: float,
@@ -516,14 +632,14 @@ def _build_table(arr: np.ndarray, p: float, radii, cellvol: float,
     before any shift or FFT."""
     if arr.ndim == 2 and p == 2:
         return _corr_table(arr, radii, cellvol, interior)
-    shape = _screen_grid(arr, radii)
+    plan = _screen_plan(arr, radii, interior)
     shifts = _half_shifts(arr.ndim, max(radii), arr.shape[0] - 1)
     transforms = 1 + (p < 4) + 3 * (p > 2)  # forward and inverse FFTs of _screen
-    big_n = math.prod(shape)
+    big_n = math.prod(plan[1])
     work = len(shifts) * arr.size
     if work <= min(transforms * big_n * math.log2(big_n), _DIRECT_WORK_BUDGET):
         return _enumerated_table(arr, p, radii, cellvol, interior)
-    upper = _upper_bounds(arr, shifts, p, interior, shape) * cellvol
+    upper = _upper_bounds(arr, shifts, p, interior, plan) * cellvol
     return _bound_table(arr, shifts, upper, p, radii, cellvol, interior)
 
 
@@ -587,7 +703,9 @@ def _curve(kind: str, arr, p: float, t_grid, name: str = "") -> ModulusCurve:
     if not interior:
         _require_margin(arr, _shift_cells(max(ts), arr.n))
     radii = [t * arr.n for t in ts]
+    start = time.perf_counter()
     table = _build_table(arr.samples, p, radii, arr.cell_volume, interior)
+    elapsed = time.perf_counter() - start
     points, flags, uppers = [], [], []
     for t, r, power, upper, exact in zip(ts, radii, table.powers, table.uppers,
                                          table.exact):
@@ -601,7 +719,7 @@ def _curve(kind: str, arr, p: float, t_grid, name: str = "") -> ModulusCurve:
             uppers.append(upper ** (1.0 / p))
     meta = {"d": arr.d, "L": arr.level, "function": name, **extra,
             "exact": all(table.exact), "method": table.method, "shifts": table.shifts,
-            "rechecked": table.rechecked, "upper": tuple(uppers)}
+            "rechecked": table.rechecked, "upper": tuple(uppers), "elapsed": elapsed}
     return ModulusCurve(kind, p, tuple(points), meta, tuple(flags))
 
 

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from zexlab.adaptive import (AdaptivePartition, ErrorPyramid, build_partition,
+from zexlab.adaptive import (PARTITION_DUMP_HEADER, AdaptivePartition, ErrorPyramid,
+                             build_partition,
                              count_bound_report, default_epsilons, local_error,
                              sobolev_seminorm, verify_partition)
-from zexlab.grid import const, corpus, cusp, indicator, linear, sample
+from zexlab.grid import _csv, const, corpus, cusp, indicator, linear, sample
 
 
 def test_local_error_linear_root():
@@ -131,6 +132,16 @@ def test_partition_dump_format():
     assert lines[0] == "level,origin_indices,S,status"
     assert lines[1].startswith("0,0,") and lines[1].endswith("bad")
     assert len([ln for ln in lines if ln.endswith("good")]) == 2
+
+
+@pytest.mark.parametrize("d, level, eps", [(1, 8, 0.01), (2, 6, 0.05)])
+def test_partition_dump_equals_the_csv_writer(d, level, eps):
+    part = build_partition(sample(cusp(0.5), d, level), 2, eps)
+    rows = [(k, ":".join(map(str, origin)), s, "good" if good else "bad")
+            for k, (o, s_k, g) in enumerate(zip(part.origins, part.s_values, part.is_good))
+            for origin, s, good in zip(o.tolist(), s_k.tolist(), g.tolist())]
+    assert len(part.origins) > 2 and len(rows) > 10
+    assert part.to_text() == _csv(PARTITION_DUMP_HEADER, rows)
 
 
 def test_sobolev_seminorm_values():

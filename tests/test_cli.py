@@ -337,6 +337,38 @@ def test_modulus_meta_records_table_provenance(tmp_path):
         assert 0 < int(meta[f"{name}.rechecked"]) < 256
         # exact rows: the certified upper bound is the value itself
         assert meta[f"{name}.upper"].split(",") == [row.split(",")[1] for row in rows]
+        assert float(meta[f"{name}.elapsed"]) > 0.0
+        assert "elapsed" not in (out / f"{name}.csv").read_text()
+
+
+def test_dyadic_meta_marks_bracketed_rows(tmp_path, monkeypatch):
+    from zexlab import moduli
+
+    cfg = _write_config(tmp_path, "function = cusp alpha=0.5\nd = 1\nL = 8\np = 1\n")
+    full, capped = tmp_path / "full", tmp_path / "capped"
+    assert main(["dyadic", "--config", cfg, "--out", str(full)]) == 0
+    # two direct evaluations per table: the coarse levels' tables stop short
+    monkeypatch.setattr(moduli, "_DIRECT_WORK_BUDGET", 2 * 256)
+    with pytest.warns(moduli.LowerBoundWarning):
+        main(["dyadic", "--config", cfg, "--out", str(capped)])
+    rows = {}
+    for out in (full, capped):
+        meta = dict(line.split("=", 1) for line in
+                    (out / "run_meta.txt").read_text().splitlines())
+        body = (out / "average_error.csv").read_text().strip().split("\n")[1:]
+        rows[out] = [(meta[f"average_error_p1_N{n}.exact"],
+                      float(meta[f"average_error_p1_N{n}.upper"]),
+                      int(meta[f"average_error_p1_N{n}.rechecked"]),
+                      float(row.split(",")[3]) / float(row.split(",")[4]))
+                     for n, row in enumerate(body)]
+    assert len(rows[full]) == 7 and all(exact == "True" for exact, *_ in rows[full])
+    assert {exact for exact, *_ in rows[capped]} == {"True", "False"}
+    for (exact, upper, rechecked, value), (_, _, _, true) in zip(rows[capped], rows[full]):
+        assert rechecked <= 2
+        if exact == "True":
+            assert value == pytest.approx(upper, rel=1e-15) and value == true
+        else:  # the bound read is a lower bound; the upper bound is marked
+            assert value <= true <= upper and value < upper
 
 
 def _no_alloc(*args, **kwargs):

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import fft as sfft
 
 from zexlab import moduli
 from zexlab.grid import (ExtendedGridFunction, GridFunction, const, corpus,
@@ -219,6 +220,35 @@ def test_correlation_confirm_survives_cancellation():
             assert curve.meta["method"] == "bound" and curve.meta["exact"] is True
             assert list(curve.values) == [power ** (1 / p) for power in direct.powers]
         assert interior_curve(f, p, grid).meta["rechecked"] < direct.shifts // 3
+
+
+@pytest.mark.parametrize("shape", [(4096,), (3072, 3072), (1036, 1036), (640, 640),
+                                   (112, 112, 112)])
+def test_row_restricted_inverse_equals_irfftn_bit_for_bit(shape):
+    rng = np.random.default_rng(len(shape))
+    spectrum_shape = (*shape[:-1], shape[-1] // 2 + 1)
+    rows = shape[0] // 4 + 1
+    keep = (slice(0, rows),) + (slice(None),) * (len(shape) - 1)
+    for real in (False, True):
+        spectrum = rng.standard_normal(spectrum_shape)
+        if not real:
+            spectrum = spectrum + 1j * rng.standard_normal(spectrum_shape)
+        expected = sfft.irfftn(spectrum, shape)[:rows]
+        got = moduli._irfftn_kept(spectrum.copy(), shape, keep)
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e4])
+def test_whole_p1_table_rechecks_a_fraction_of_its_half_ball(offset):
+    # the boundary layer is added exactly, so Hölder bounds only the interior
+    # part: the window screen's bounds had every shift evaluated
+    level = 12
+    f = GridFunction(1, level, sample(cusp(0.5), 1, level).samples + offset)
+    grid = default_t_grid(level)
+    curve = whole_curve(zero_extend(f, int(max(grid) * f.n)), 1.0, grid)
+    assert curve.meta["exact"] is True and curve.meta["shifts"] == 1024
+    assert curve.meta["rechecked"] <= curve.meta["shifts"] // 4
 
 
 @pytest.mark.parametrize("d, level, p, kind, method, exact, shifts, rechecked", [

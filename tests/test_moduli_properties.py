@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from zexlab import moduli
-from zexlab.grid import GridFunction, cusp, linear, sample, zero_extend
+from zexlab.grid import ExtendedGridFunction, GridFunction, cusp, linear, sample, zero_extend
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -54,7 +54,8 @@ def _certified(arr, p: float, radii, interior: bool):
     """Branch and bound on the screen's bounds, whatever the half ball's size."""
     a = arr.samples
     shifts = moduli._half_shifts(a.ndim, max(radii), a.shape[0] - 1)
-    upper = moduli._upper_bounds(a, shifts, p, interior, moduli._screen_grid(a, radii))
+    upper = moduli._upper_bounds(a, shifts, p, interior,
+                                  moduli._screen_plan(a, radii, interior))
     return moduli._bound_table(a, shifts, upper * arr.cell_volume, p, radii,
                                arr.cell_volume, interior)
 
@@ -93,7 +94,8 @@ def test_upper_bounds_hold_every_computed_value(d, p, data):
     arr, radii, interior = _draw_input(data, d)
     a = arr.samples
     shifts = moduli._half_shifts(a.ndim, max(radii), a.shape[0] - 1)
-    upper = moduli._upper_bounds(a, shifts, p, interior, moduli._screen_grid(a, radii))
+    upper = moduli._upper_bounds(a, shifts, p, interior,
+                                  moduli._screen_plan(a, radii, interior))
     values = moduli._direct_values(a, shifts, p, 1.0, interior)
     assert np.all(values <= upper)
 
@@ -130,7 +132,55 @@ def test_upper_bounds_hold_on_ramps(d, level):
             a = arr.samples
             radii = [f.n / 2]
             shifts = moduli._half_shifts(d, radii[0], a.shape[0] - 1)
-            grid = moduli._screen_grid(a, radii)
+            plan = moduli._screen_plan(a, radii, interior)
             for p in POWERS:
                 values = moduli._direct_values(a, shifts, p, 1.0, interior)
-                assert np.all(values <= moduli._upper_bounds(a, shifts, p, interior, grid))
+                assert np.all(values <= moduli._upper_bounds(a, shifts, p, interior, plan))
+
+
+@SETTINGS
+@hypothesis.given(d=st.sampled_from([1, 2, 3]), p=st.sampled_from(POWERS),
+                  data=st.data())
+def test_whole_bounds_hold_every_window_value(d, p, data):
+    # interior bound of the support's box plus the boundary layer: samples
+    # whose layer cancels at short shifts (offset 1e4, ramp), constant cubes
+    # (the bound is the layer alone), all-zero cubes, and windows with extra
+    # mass in the margin, outside the cube
+    level = data.draw(st.integers(*LEVELS[d]), "level")
+    kind = data.draw(st.sampled_from(SAMPLES + ("constant", "zero")), "samples")
+    seed = data.draw(st.integers(0, 2 ** 32 - 1), "seed")
+    n = 1 << level
+    radii = data.draw(st.lists(st.floats(0.5, float(n)), min_size=1, max_size=4),
+                      "radii")
+    cap = math.floor(max(radii) + 1e-9)
+    margin = cap + data.draw(st.integers(0, 3), "spare margin")
+    if kind in ("constant", "zero"):
+        cube = np.full((n,) * d, data.draw(st.floats(0.1, 10.0), "value") * (kind != "zero"))
+    else:
+        cube = _samples(kind, d, level, seed)
+    window = zero_extend(GridFunction(d, level, cube), margin).samples.copy()
+    rng = np.random.default_rng(seed)
+    for _ in range(data.draw(st.integers(0, 3), "margin cells")):
+        window[tuple(rng.integers(cap, window.shape[0] - cap, d))] = rng.normal(0, 10)
+    a = ExtendedGridFunction(d, level, margin, window).samples
+    shifts = moduli._half_shifts(d, max(radii), a.shape[0] - 1)
+    upper = moduli._upper_bounds(a, shifts, p, False,
+                                  moduli._screen_plan(a, radii, False))
+    assert np.all(moduli._direct_values(a, shifts, p, 1.0, False) <= upper)
+
+
+
+@pytest.mark.parametrize("d, level", [(1, 5), (1, 6), (2, 3)])
+def test_whole_bounds_hold_on_constant_cubes(d, level):
+    # no interior difference is nonzero, so the bound is the boundary layer
+    # alone, read as 2 M - O(k) from prefix sums: the window sum of the same
+    # terms can exceed that reading by rounding, which the allowance covers
+    rng = np.random.default_rng(level)
+    n = 1 << level
+    for value in rng.uniform(0.1, 10.0, 8):
+        a = zero_extend(GridFunction(d, level, np.full((n,) * d, value)), n).samples
+        shifts = moduli._half_shifts(d, n, a.shape[0] - 1)
+        plan = moduli._screen_plan(a, [n], False)
+        for p in POWERS:
+            values = moduli._direct_values(a, shifts, p, 1.0, False)
+            assert np.all(values <= moduli._upper_bounds(a, shifts, p, False, plan))
