@@ -27,16 +27,15 @@ cannot choose it:
   2- and 4-norms, with a floating-point allowance); at each radius the shifts
   are evaluated directly in descending bound until the bound falls to the
   best value found.  The maximum is always evaluated, so the values equal
-  the direct enumeration bit for bit.  A half ball with fewer shifts than the
-  screen costs is enumerated directly.
+  the direct enumeration bit for bit.
 
-  A whole table splits each shift's window sum as E_p(k) = E_p^int(k) +
-  2 M_p - O_p(k) over the smallest box B of the window that holds its
-  support: the interior sum of B, which the screen bounds on B's own
-  n + reach grid (0 for a shift that leaves B), plus the boundary layer,
-  the mass M_p of |f|^p on B twice less its overlap mass O_p(k), read from
-  prefix sums with a derived allowance.  Only the bounds use B; every value
-  is evaluated on the window.
+Every whole table, of either kind, splits each shift's window sum as
+E_p(k) = E_p^int(k) + 2 M_p - O_p(k) over the smallest box B of the window
+that holds its support: the interior sum of B, which the screen reads on B's
+own grid (0 for a shift that leaves B), plus the boundary layer, the mass
+M_p of |f|^p on B twice less its overlap mass O_p(k), read from prefix sums.
+The bounds add a derived allowance to the layer; every value they certify is
+evaluated on the window.  No FFT grid is sized from the window.
 
 Every screen's inverse FFT runs irfftn's own passes and keeps only the rows
 0 <= k_0 <= max k_0 that hold half-ball shifts, bit for bit the same.
@@ -172,7 +171,7 @@ class _SupTable:
 
     powers: tuple
     uppers: tuple
-    method: str          # direct, corr (d = 2, p = 2) or bound
+    method: str          # corr (d = 2, p = 2), bound, or direct (the reference)
     shifts: int = 0      # shifts of the half ball
     rechecked: int = 0   # shifts evaluated by a direct difference norm
 
@@ -265,13 +264,10 @@ def _box_sums(pref: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return total
 
 
-def _overlap_mass(w: np.ndarray, shifts: np.ndarray, interior: bool):
+def _overlap_mass(w: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """Per shift k, the sum of ``w`` over the cells i with i and i + k both in
     the box plus the same sum over the cells i + k: box sums read from d-dim
-    prefix sums (summed-area tables).  On a window, zero outside, every shift
-    sees both masses whole: the scalar 2 sum w."""
-    if not interior:
-        return 2.0 * float(w.sum())
+    prefix sums (summed-area tables)."""
     d = w.ndim
     pref = np.zeros(tuple(s + 1 for s in w.shape))
     acc = w
@@ -287,8 +283,8 @@ def _screen_error(shape, padded, q: int, energy: float, weighted: float) -> floa
     """Bound e on |screened E_q(k) - E_q(k)| for every shift, q = 2 or 4.
 
     E_q(k) is the exact sum of |f(i+k) - f(i)|^q; the screen reads it off
-    f' = fl(f - mu) 2^-s, centred on a float mu (0 on a window) and scaled by
-    a power of two, and the bound is in those scaled units.  ``energy`` is
+    f' = fl(f - mu) 2^-s, centred on a float mu (0 for raw samples) and scaled
+    by a power of two, and the bound is in those scaled units.  ``energy`` is
     Q = sum f'^q and ``weighted`` is W, the screen's correlation weights times
     ||a||_2 ||b||_2 of their factors: 2 Q for E2 (c11), and for E4
     6 Q + 8 sqrt(sum f'^6 sum f'^2) (c22 and the pair of c31).  Exactly, each
@@ -300,9 +296,10 @@ def _screen_error(shape, padded, q: int, energy: float, weighted: float) -> floa
       additions along each axis, so its error is at most g(k_p) Q with
       k_p = q - 1 + sum_a (n_a - 1).  A box sum adds 2^d corners by 2^d - 1
       operations on terms of size at most 2^d Q; two boxes and their sum
-      give 2^(d+1) (g(k_p) + 2^d u) Q + 2 u Q.  On a window the mass is
-      2 fl(sum f'^q): at most 2 g(m) Q in any summation order.  The
-      interior bound covers both.
+      give 2^(d+1) (g(k_p) + 2^d u) Q + 2 u Q.  The bound takes the larger
+      of this and 2 g(m) Q, the error of 2 fl(sum f'^q) in any order.  For
+      d >= 2 that is the larger term; dropping it would tighten every d >= 2
+      bound and so move the tables' ``rechecked`` and ``upper``.
     * Correlations.  Assume one FFT, forward or inverse, has relative 2-norm
       error at most eta = _FFT_ULPS u (log2 N + 1); Higham (Accuracy and
       Stability of Numerical Algorithms, Thm 24.2) gives about 6.7 u per
@@ -333,8 +330,7 @@ def _screen_error(shape, padded, q: int, energy: float, weighted: float) -> floa
     return 2.0 * (energy * (masses + 2 * u + centre) + weighted * (corr + u))
 
 
-def _screen(arr: np.ndarray, shifts: np.ndarray, interior: bool, shape,
-            orders) -> dict:
+def _screen(arr: np.ndarray, shifts: np.ndarray, shape, orders) -> dict:
     """For q in ``orders`` (2 and/or 4): the screened E_q(k) = sum over the
     overlap of |f(i+k) - f(i)|^q at every shift, clamped at zero, with its
     ``_screen_error`` bound, as {q: (values, error)}.
@@ -359,7 +355,7 @@ def _screen(arr: np.ndarray, shifts: np.ndarray, interior: bool, shape,
     if 2 in orders:
         c11 = _irfftn_kept(f1 * np.conj(f1), shape, keep)[at]
         energy = float(sq.sum())
-        out[2] = (np.maximum(_overlap_mass(sq, shifts, interior) - 2.0 * c11, 0.0),
+        out[2] = (np.maximum(_overlap_mass(sq, shifts) - 2.0 * c11, 0.0),
                   _screen_error(arr.shape, shape, 2, energy, 2.0 * energy))
     if 4 in orders:
         # one spectrum at a time beside f1, to keep the peak memory low
@@ -372,7 +368,7 @@ def _screen(arr: np.ndarray, shifts: np.ndarray, interior: bool, shape,
         del f2
         quart = np.multiply(sq, sq, out=sq)
         energy = float(quart.sum())
-        mass = _overlap_mass(quart, shifts, interior)
+        mass = _overlap_mass(quart, shifts)
         out[4] = (np.maximum(mass + _irfftn_kept(spectrum, shape, keep)[at], 0.0),
                   _screen_error(arr.shape, shape, 4, energy, weighted + 6.0 * energy))
     return out
@@ -427,7 +423,7 @@ def _holder(arr: np.ndarray, shifts: np.ndarray, p: float, shape):
     work = arr - arr.mean()
     _, scale = math.frexp(float(np.abs(work).max()))
     work = np.ldexp(work, -scale, out=work)
-    screen = _screen(work, shifts, True, shape,
+    screen = _screen(work, shifts, shape,
                      [q for q, used in ((2, p < 4), (4, p > 2)) if used])
     bounded = {q: values + error for q, (values, error) in screen.items()}
     if p <= 2:
@@ -439,12 +435,12 @@ def _holder(arr: np.ndarray, shifts: np.ndarray, p: float, shape):
     return osc ** (p - 4) * bounded[4], scale
 
 
-def _layer(b: np.ndarray, shifts: np.ndarray, inside: np.ndarray, p: float) -> np.ndarray:
-    """Per shift k, an upper bound on the boundary layer 2 M - O(k): the sum
-    of w = fl(|f|^p) over the cells i of the box ``b`` whose partner i + k or
-    i - k leaves it, which are exactly the window terms |0 - f|^p.  M is the
-    sum of w over the box and O(k) ``_overlap_mass`` of w where ``inside``
-    (0 for a shift that leaves the box).
+def _layer(w: np.ndarray, shifts: np.ndarray, inside: np.ndarray) -> tuple:
+    """(layer, e): per shift k, fl(2 M - O(k)) clamped at zero, as the exact
+    layer is nonnegative, and a bound e on its rounding.  The layer sums
+    w = fl(|f|^p) over the cells i of the box whose partner i + k or i - k
+    leaves it: exactly the window terms |0 - f|^p.  M sums w over the box;
+    O(k) is ``_overlap_mass`` of w where ``inside``, else 0.
 
     The allowance.  Let S be the exact sum of w, m the box's cells, n_a its
     side on axis a and u the unit roundoff.  fl(M) is off by at most g(m) S
@@ -454,18 +450,16 @@ def _layer(b: np.ndarray, shifts: np.ndarray, inside: np.ndarray, p: float) -> n
     difference rounds once more, on operands at most 2 S: 2 u S.  The total,
     e = (2 g(m) + 2^(d+1) (g(sum_a (n_a - 1)) + 2^d u) + 4 u) S, is read with
     fl(M) for S and doubled, which covers the second-order terms and
-    S <= fl(M) (1 + 2 g(m)).  The difference is clamped at zero first, as
-    the exact layer is nonnegative.
+    S <= fl(M) (1 + 2 g(m)).
     """
-    u, d = _UNIT_ROUNDOFF, b.ndim
-    w = _abs_pow(b, p)
+    u, d = _UNIT_ROUNDOFF, w.ndim
     mass = float(w.sum())
     layer = np.full(len(shifts), 2.0 * mass)
     if inside.any():
-        layer[inside] -= _overlap_mass(w, shifts[inside], True)
-    error = (2 * _gamma(b.size) + 2 ** (d + 1) * (_gamma(sum(n - 1 for n in b.shape))
+        layer[inside] -= _overlap_mass(w, shifts[inside])
+    error = (2 * _gamma(w.size) + 2 ** (d + 1) * (_gamma(sum(n - 1 for n in w.shape))
                                                   + 2 ** d * u) + 4 * u)
-    return np.maximum(layer, 0.0) + 2.0 * error * mass
+    return np.maximum(layer, 0.0), 2.0 * error * mass
 
 
 def _upper_bounds(arr: np.ndarray, shifts: np.ndarray, p: float, interior: bool,
@@ -487,11 +481,11 @@ def _upper_bounds(arr: np.ndarray, shifts: np.ndarray, p: float, interior: bool,
     which the window computes exactly as fl(|f|^p); every other term is 0.
     So the computed sum is at most (E_int(k) (1 + u)^p (1 + _POW_ULPS u)
     + layer(k)) (1 + g(m)), m the window's cells, with E_int the exact
-    interior sum of B (0 for a shift that leaves B) and layer ``_layer``.
-    U = (H 2^(s p) + layer(k)) (1 + slack) + m subnormal spacings, where
-    slack doubles (p + 7) u + 4 _POW_ULPS u + g(m): the sum's rounding,
-    forming H, and the two additions and the product that form U.  An
-    all-zero window has U = 0.
+    interior sum of B (0 for a shift that leaves B) and layer(k) ``_layer``
+    plus its allowance.  U = (H 2^(s p) + layer(k)) (1 + slack) + m
+    subnormal spacings, where slack doubles (p + 7) u + 4 _POW_ULPS u + g(m):
+    the sum's rounding, forming H, and the two additions and the product that
+    form U.  An all-zero window has U = 0.
     """
     box, grid = plan
     u, m, tiny = _UNIT_ROUNDOFF, arr.size, np.finfo(float).smallest_subnormal
@@ -507,7 +501,7 @@ def _upper_bounds(arr: np.ndarray, shifts: np.ndarray, p: float, interior: bool,
         return np.zeros(len(shifts))
     b = arr[box]
     inside = np.all(np.abs(shifts) < b.shape, axis=1)
-    bound = _layer(b, shifts, inside, p)
+    bound = np.add(*_layer(_abs_pow(b, p), shifts, inside))  # layer + allowance
     held = _holder(b, shifts[inside], p, grid) if inside.any() else None
     slack = 2.0 * ((p + 7) * u + 4 * _POW_ULPS * u + _gamma(m))
     with np.errstate(over="ignore"):
@@ -558,45 +552,28 @@ def _bound_table(arr: np.ndarray, shifts: np.ndarray, upper: np.ndarray, p: floa
                      int((values >= 0).sum()))
 
 
-def _check_grid(arr: np.ndarray, shape):
-    """Refuse a table whose padded FFT grid exceeds ``_MAX_CELLS``."""
-    cells = math.prod(shape)
-    if cells > _MAX_CELLS:
-        raise ValueError(
-            f"a supremum table on {arr.size} cells needs a {' x '.join(map(str, shape))} "
-            f"FFT grid of {cells} cells (limit {_MAX_CELLS}); coarsen the lattice")
-
-
-def _corr_table(arr: np.ndarray, radii, cellvol: float, interior: bool) -> _SupTable:
+def _corr_table(arr: np.ndarray, shifts: np.ndarray, plan, radii, cellvol: float,
+                interior: bool) -> _SupTable:
     """The d = 2, p = 2 table: the screened ||f(.+k) - f||_2^2 of every shift
-    (``_screen`` on the raw array, padded to 2 n - 1 per axis) is the value.
+    (``_screen`` of the plan's box on its 2 n - 1 grid, plus ``_layer`` for a
+    whole table: 2 M where a shift leaves the box, 0 for no box) is the value.
 
     These values lie within ``_screen_error`` of the direct enumeration but
     may differ from it in the last digits (on ``rand2_d2`` at L = 10 and
     t = 2^-8 the interior modulus reads 0.10131710135113675 screened and
     0.10131710135111947 direct), and the verify artifacts pin them, so this
     table neither confirms them nor changes the screen's grid.
-
-    An input whose padded FFT grid exceeds ``_MAX_CELLS`` is refused first.
     """
-    shape = [sfft.next_fast_len(2 * m - 1) for m in arr.shape]
-    _check_grid(arr, shape)
-    shifts = _half_shifts(arr.ndim, max(radii), arr.shape[0] - 1)
-    if not len(shifts):
-        return _SupTable((0.0,) * len(radii), (0.0,) * len(radii), "corr")
-    screened = _screen(arr, shifts, interior, shape, (2,))[2][0]
-    powers = _radius_max((shifts * shifts).sum(axis=1), screened * cellvol, radii)
+    box, grid = plan
+    values = np.zeros(len(shifts))
+    if box is not None:
+        b = arr[box]
+        inside = np.all(np.abs(shifts) < b.shape, axis=1)
+        values[inside] = _screen(b, shifts[inside], grid, (2,))[2][0]
+        if not interior:
+            values += _layer(_abs_pow(b, 2), shifts, inside)[0]
+    powers = _radius_max((shifts * shifts).sum(axis=1), values * cellvol, radii)
     return _SupTable(powers, powers, "corr", len(shifts))
-
-
-def _screen_grid(arr: np.ndarray, radii) -> list:
-    """The upper-bound screen's FFT grid: per axis, the array's side plus the
-    largest shift component that keeps an overlap, which holds every such
-    shift without wrap-around.  A grid over ``_MAX_CELLS`` is refused."""
-    reach = math.floor(max(radii) + 1e-9)
-    shape = [sfft.next_fast_len(m + min(m - 1, reach)) for m in arr.shape]
-    _check_grid(arr, shape)
-    return shape
 
 
 def _support_box(window: np.ndarray):
@@ -612,39 +589,59 @@ def _support_box(window: np.ndarray):
     return tuple(box)
 
 
-def _screen_plan(arr: np.ndarray, radii, interior: bool) -> tuple:
-    """(box, grid) for ``_upper_bounds``: the slices of ``arr`` that the
-    screen transforms (all of a cube; of a window, ``_support_box``, None
-    when it is all zero) and their FFT grid (``_screen_grid``; empty for
-    none)."""
+def _screen_plan(arr: np.ndarray, rmax: float, interior: bool) -> tuple:
+    """(box, grid): the slices of ``arr`` that the screen transforms (a cube
+    whole; a window's ``_support_box``, None when it is all zero) and their
+    FFT grid: per axis the box's side plus the largest shift component within
+    ``rmax`` that keeps an overlap, holding every such shift without
+    wrap-around.  A grid over ``_MAX_CELLS`` is refused."""
     box = (slice(None),) * arr.ndim if interior else _support_box(arr)
-    return box, [] if box is None else _screen_grid(arr[box], radii)
+    if box is None:
+        return None, []
+    b, reach = arr[box], math.floor(rmax + 1e-9)
+    grid = [sfft.next_fast_len(m + min(m - 1, reach)) for m in b.shape]
+    cells = math.prod(grid)
+    if cells > _MAX_CELLS:
+        raise ValueError(
+            f"a supremum table on {b.size} cells needs a {' x '.join(map(str, grid))} "
+            f"FFT grid of {cells} cells (limit {_MAX_CELLS}); coarsen the lattice")
+    return box, grid
 
 
 def _build_table(arr: np.ndarray, p: float, radii, cellvol: float,
                  interior: bool) -> _SupTable:
-    """The table for this input at ``radii``: ``_corr_table`` for d = 2 and
-    p = 2; for every other input the upper-bound screen (``_upper_bounds``)
-    and branch and bound (``_bound_table``).  A half ball whose shifts x cells
-    of direct work cost no more than the screen's transforms (about N log2 N
-    each on its grid of N cells), and fit ``_DIRECT_WORK_BUDGET``, is
-    enumerated directly instead.  A grid over ``_MAX_CELLS`` is refused
-    before any shift or FFT."""
-    if arr.ndim == 2 and p == 2:
-        return _corr_table(arr, radii, cellvol, interior)
-    plan = _screen_plan(arr, radii, interior)
+    """The table for this input at ``radii``, screened on the plan's box
+    (``_screen_plan``).  For d = 2 and p = 2 the screened values are the
+    table (``_corr_table``, on a grid that holds every shift of the box);
+    every other input takes the upper-bound screen (``_upper_bounds``) and
+    branch and bound (``_bound_table``).  A grid over ``_MAX_CELLS`` is
+    refused before any shift or FFT."""
+    corr = arr.ndim == 2 and p == 2
+    plan = _screen_plan(arr, arr.shape[0] if corr else max(radii), interior)
     shifts = _half_shifts(arr.ndim, max(radii), arr.shape[0] - 1)
-    transforms = 1 + (p < 4) + 3 * (p > 2)  # forward and inverse FFTs of _screen
-    big_n = math.prod(plan[1])
-    work = len(shifts) * arr.size
-    if work <= min(transforms * big_n * math.log2(big_n), _DIRECT_WORK_BUDGET):
-        return _enumerated_table(arr, p, radii, cellvol, interior)
+    if corr:
+        return _corr_table(arr, shifts, plan, radii, cellvol, interior)
     upper = _upper_bounds(arr, shifts, p, interior, plan) * cellvol
     return _bound_table(arr, shifts, upper, p, radii, cellvol, interior)
 
 
 # ---------------------------------------------------------------------------
 # public moduli
+
+
+def _scales(kind: str, arr, t_grid) -> tuple:
+    """The scales of a modulus query, ascending (None: the default grid).  An
+    empty grid and any t that is not finite and > 0 are refused, and so is
+    an interior t > sqrt(d), past every shift that stays in the cube."""
+    ts = tuple(sorted(t_grid)) if t_grid is not None else default_t_grid(arr.level)
+    if not ts:
+        raise ValueError("a modulus curve needs at least one scale t")
+    top = math.sqrt(arr.d) * (1 + 1e-9) if kind == "interior" else math.inf
+    for t in ts:
+        if not (math.isfinite(t) and 0 < t <= top):
+            bound = "(0, sqrt(d)]" if kind == "interior" else "finite and > 0"
+            raise ValueError(f"scale t must be {bound}, got t={t!r}")
+    return ts
 
 
 def interior_modulus(f: GridFunction, p: float, t: float) -> float:
@@ -654,8 +651,7 @@ def interior_modulus(f: GridFunction, p: float, t: float) -> float:
     and evaluate to zero.
     """
     _check_exponent(p)
-    if not 0 < t <= math.sqrt(f.d) * (1 + 1e-9):
-        raise ValueError("scale t must lie in (0, sqrt(d)]")
+    _scales("interior", f, (t,))
     if t * f.n < 1.0 - 1e-9:
         warnings.warn("scale below lattice resolution; interior modulus set to 0",
                       ResolutionWarning, stacklevel=2)
@@ -667,14 +663,9 @@ def _require_margin(g: ExtendedGridFunction, cap: int):
     if g.margin < cap:
         raise ValueError(
             f"margin {g.margin} cells cannot hold shifts of {cap} cells; re-extend")
-    edges = (slice(0, cap), slice(g.size - cap, g.size)) if cap > 0 else ()
-    for axis in range(g.d):
-        for edge in edges:
-            slab = [slice(None)] * g.d
-            slab[axis] = edge
-            if np.any(g.samples[tuple(slab)]):
-                raise ValueError(
-                    "window carries mass within shift range of its edge; re-extend")
+    box = _support_box(g.samples)
+    if box is not None and any(s.start < cap or s.stop > g.size - cap for s in box):
+        raise ValueError("window carries mass within shift range of its edge; re-extend")
 
 
 def whole_modulus(g: ExtendedGridFunction, p: float, t: float) -> float:
@@ -684,8 +675,7 @@ def whole_modulus(g: ExtendedGridFunction, p: float, t: float) -> float:
     equals the whole-space norm; otherwise the caller must re-extend.
     """
     _check_exponent(p)
-    if t <= 0:
-        raise ValueError("scale t must be positive")
+    _scales("whole", g, (t,))
     if _shift_cells(t, g.n) < 1:
         warnings.warn("scale below lattice resolution; whole modulus set to 0",
                       ResolutionWarning, stacklevel=2)
@@ -697,7 +687,7 @@ def _curve(kind: str, arr, p: float, t_grid, name: str = "") -> ModulusCurve:
     """Every modulus query: one supremum table for the lookup radii t * n
     cells, then one lookup per t."""
     _check_exponent(p)
-    ts = tuple(sorted(t_grid)) if t_grid is not None else default_t_grid(arr.level)
+    ts = _scales(kind, arr, t_grid)
     interior = kind == "interior"
     extra = {} if interior else {"margin": arr.margin}
     if not interior:
@@ -777,8 +767,7 @@ def hybrid_modulus(f: GridFunction, p: float, t: float, ladder=None,
     Returns (value, minimizing s); ties resolve to the smaller s.
     """
     _check_exponent(p)
-    if t <= 0:
-        raise ValueError("scale t must be positive")
+    _scales("hybrid", f, (t,))
     if ladder is None:
         ladder = interior_ladder(f, p)
     if norm is None:
@@ -798,7 +787,7 @@ def hybrid_modulus(f: GridFunction, p: float, t: float, ladder=None,
 
 
 def hybrid_curve(f: GridFunction, p: float, t_grid=None, name: str = "") -> ModulusCurve:
-    ts = tuple(sorted(t_grid)) if t_grid is not None else default_t_grid(f.level)
+    ts = _scales("hybrid", f, t_grid)
     ladder = interior_ladder(f, p)
     norm = lp_norm(f, p)
     points, flags, s_opt = [], [], []

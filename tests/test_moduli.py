@@ -10,7 +10,7 @@ from zexlab.grid import (ExtendedGridFunction, GridFunction, const, corpus,
                          cusp, linear, lp_norm, random_dyadic, sample,
                          zero_extend)
 from zexlab.moduli import (LowerBoundWarning, ModulusCurve, ResolutionWarning,
-                           default_t_grid, hybrid_modulus, interior_curve,
+                           default_t_grid, hybrid_curve, hybrid_modulus, interior_curve,
                            interior_dyadic_values, interior_ladder,
                            interior_modulus, whole_curve, whole_modulus)
 
@@ -89,9 +89,29 @@ def test_interior_below_whole():
                 assert zeta <= omega + 1e-12
 
 
-def test_curve_flags_scales_below_resolution():
+@pytest.mark.parametrize("kind, grid, refused", [
+    ("interior", [2.0 ** -8, 2.0 ** -3], None),
+    ("whole", [2.0 ** -8, 2.0 ** -3], None),
+    ("interior", [], "at least one scale"),
+    ("interior", [math.nan], "t=nan"),
+    ("interior", [-0.25, 0.25], "t=-0.25"),
+    ("interior", [0.25, 1.5], "t=1.5"),
+    ("whole", [0.0, 0.25], "t=0.0"),
+    ("whole", [0.25, math.inf], "t=inf"),
+    ("hybrid", [], "at least one scale"),
+    ("hybrid", [math.nan], "t=nan"),
+])
+def test_curve_flags_scales_below_resolution(kind, grid, refused, monkeypatch):
     f = sample(cusp(0.5), 1, 6)
-    curve = interior_curve(f, 2, [2.0 ** -8, 2.0 ** -3])
+    build = {"interior": lambda: interior_curve(f, 2, grid),
+             "whole": lambda: whole_curve(zero_extend(f, 16), 2, grid),
+             "hybrid": lambda: hybrid_curve(f, 2, grid)}[kind]
+    if refused:  # before any table or ladder is built
+        monkeypatch.setattr(moduli, "_build_table", _no_fft)
+        with pytest.raises(ValueError, match=refused):
+            build()
+        return
+    curve = build()
     assert curve.flags[0] == "below_resolution"
     assert curve.values[0] == 0.0 and curve.values[1] > 0.0
 
@@ -126,14 +146,28 @@ def test_doubling_inequality_on_corpus():
 
 
 def _engine(arr, p, t, n, cellvol, interior, engine):
-    """One supremum table's value at scale t, bypassing the table choice:
-    the d = 2 correlation screen (corr) or plain enumeration (direct)."""
+    """One supremum table's value at scale t: the table the input selects
+    (table) or plain enumeration (direct)."""
     radii = [t * n]
-    if engine == "corr":
-        table = moduli._corr_table(arr, radii, cellvol, interior)
+    if engine == "table":
+        table = moduli._build_table(arr, p, radii, cellvol, interior)
     else:
         table = moduli._enumerated_table(arr, p, radii, cellvol, interior)
     return table.powers[0] ** (1.0 / p)
+
+
+def _hand_built_windows(rng):
+    """2-d windows at L = 5 with 12 cells of margin, each carrying mass the
+    whole table must split as support box plus boundary layer."""
+    def window(cells):
+        samples = np.zeros((56, 56))
+        samples[cells] = rng.standard_normal(samples[cells].shape)
+        return ExtendedGridFunction(2, 5, 12, samples)
+    # mass off-centre, so the support box is not the cube; a single cell; a
+    # support that reaches the 8 cells shifts of t = 1/4 take; nothing
+    return (window((slice(14, 25), slice(30, 47))), window((31, 20)),
+            window((np.array([8, 47, 30, 20]), np.array([30, 10, 8, 47]))),
+            window((slice(0, 0), slice(0, 0))))
 
 
 def test_correlation_method_matches_direct():
@@ -142,15 +176,31 @@ def test_correlation_method_matches_direct():
         f = GridFunction(2, 5, rng.standard_normal((32, 32)))
         for t in (2.0 ** -4, 2.0 ** -2, 0.5):
             a = _engine(f.samples, 2, t, f.n, f.cell_volume, True, "direct")
-            b = _engine(f.samples, 2, t, f.n, f.cell_volume, True, "corr")
+            b = _engine(f.samples, 2, t, f.n, f.cell_volume, True, "table")
             assert b == pytest.approx(a, rel=1e-9, abs=1e-12)
-            assert interior_modulus(f, 2, t) == b  # d = 2, p = 2 picks corr
-        g = zero_extend(f, 16)
+            assert interior_modulus(f, 2, t) == b
+    for g in [zero_extend(GridFunction(2, 5, rng.standard_normal((32, 32))), 16)
+              for _ in range(4)] + list(_hand_built_windows(rng)):
         for t in (2.0 ** -4, 2.0 ** -2):
             a = _engine(g.samples, 2, t, g.n, g.cell_volume, False, "direct")
-            b = _engine(g.samples, 2, t, g.n, g.cell_volume, False, "corr")
+            b = _engine(g.samples, 2, t, g.n, g.cell_volume, False, "table")
             assert b == pytest.approx(a, rel=1e-9, abs=1e-12)
             assert whole_modulus(g, 2, t) == b
+
+
+def test_whole_correlation_screen_runs_on_the_support_box(monkeypatch):
+    grids = []
+    screen = moduli._screen
+
+    def recorded(arr, shifts, shape, orders):
+        grids.append(list(shape))
+        return screen(arr, shifts, shape, orders)
+
+    monkeypatch.setattr(moduli, "_screen", recorded)
+    f = sample(cusp(0.5), 2, 5)  # a 32^2 cube in a 64^2 window
+    curve = whole_curve(zero_extend(f, 16), 2, [0.25])
+    # 2 n - 1 cells of the cube per axis, a fast length; the window's: 128
+    assert curve.meta["method"] == "corr" and grids == [[63, 63]]
 
 
 def test_budget_capped_table_is_bracketed(monkeypatch):
@@ -253,6 +303,7 @@ def test_whole_p1_table_rechecks_a_fraction_of_its_half_ball(offset):
 
 @pytest.mark.parametrize("d, level, p, kind, method, exact, shifts, rechecked", [
     (1, 8, 2, "interior", "bound", True, 128, 7),
+    (2, 4, 3, "interior", "bound", True, 98, 6),
     (1, 8, 2, "whole", "bound", True, 128, 7),
     (2, 5, 1, "interior", "bound", True, 398, 192),
     (2, 5, 2, "interior", "corr", True, 398, 0),
@@ -262,13 +313,15 @@ def test_whole_p1_table_rechecks_a_fraction_of_its_half_ball(offset):
 def test_curve_provenance_counts(d, level, p, kind, method, exact, shifts, rechecked):
     f = sample(cusp(0.5, 0.3), d, level)
     grid = [2.0 ** -j for j in range(level - 1, 0, -1)]
-    if kind == "whole":
-        curve = whole_curve(zero_extend(f, f.n // 2), p, grid)
-    else:
-        curve = interior_curve(f, p, grid)
+    arr = zero_extend(f, f.n // 2) if kind == "whole" else f
+    curve = (whole_curve if kind == "whole" else interior_curve)(arr, p, grid)
     meta = curve.meta
     assert (meta["method"], meta["exact"], meta["shifts"], meta["rechecked"]) == \
         (method, exact, shifts, rechecked)
+    if method == "bound":
+        direct = moduli._enumerated_table(arr.samples, p, [t * f.n for t in grid],
+                                          arr.cell_volume, kind == "interior")
+        assert list(curve.values) == [power ** (1 / p) for power in direct.powers]
 
 
 def test_single_scale_queries_flag_lower_bounds(monkeypatch):

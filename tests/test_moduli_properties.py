@@ -51,24 +51,23 @@ def _draw_input(data, d: int):
 
 
 def _certified(arr, p: float, radii, interior: bool):
-    """Branch and bound on the screen's bounds, whatever the half ball's size."""
+    """Branch and bound on the screen's bounds."""
     a = arr.samples
     shifts = moduli._half_shifts(a.ndim, max(radii), a.shape[0] - 1)
     upper = moduli._upper_bounds(a, shifts, p, interior,
-                                  moduli._screen_plan(a, radii, interior))
+                                  moduli._screen_plan(a, max(radii), interior))
     return moduli._bound_table(a, shifts, upper * arr.cell_volume, p, radii,
                                arr.cell_volume, interior)
 
 
 def _assert_certified(arr, p: float, radii, interior: bool):
-    """The table the input selects and forced branch and bound both equal
-    direct enumeration bit for bit, every radius exact."""
+    """The table the input selects, branch and bound, equals direct
+    enumeration bit for bit, every radius exact."""
     direct = moduli._enumerated_table(arr.samples, p, radii, arr.cell_volume, interior)
-    for table in (_certified(arr, p, radii, interior),
-                  moduli._build_table(arr.samples, p, radii, arr.cell_volume, interior)):
-        assert all(table.exact)
-        assert table.powers == direct.powers
-        assert table.uppers == table.powers
+    table = moduli._build_table(arr.samples, p, radii, arr.cell_volume, interior)
+    assert table.method == "bound" and all(table.exact)
+    assert table.powers == direct.powers
+    assert table.uppers == table.powers
 
 
 @SETTINGS
@@ -95,7 +94,7 @@ def test_upper_bounds_hold_every_computed_value(d, p, data):
     a = arr.samples
     shifts = moduli._half_shifts(a.ndim, max(radii), a.shape[0] - 1)
     upper = moduli._upper_bounds(a, shifts, p, interior,
-                                  moduli._screen_plan(a, radii, interior))
+                                  moduli._screen_plan(a, max(radii), interior))
     values = moduli._direct_values(a, shifts, p, 1.0, interior)
     assert np.all(values <= upper)
 
@@ -132,7 +131,7 @@ def test_upper_bounds_hold_on_ramps(d, level):
             a = arr.samples
             radii = [f.n / 2]
             shifts = moduli._half_shifts(d, radii[0], a.shape[0] - 1)
-            plan = moduli._screen_plan(a, radii, interior)
+            plan = moduli._screen_plan(a, max(radii), interior)
             for p in POWERS:
                 values = moduli._direct_values(a, shifts, p, 1.0, interior)
                 assert np.all(values <= moduli._upper_bounds(a, shifts, p, interior, plan))
@@ -165,7 +164,7 @@ def test_whole_bounds_hold_every_window_value(d, p, data):
     a = ExtendedGridFunction(d, level, margin, window).samples
     shifts = moduli._half_shifts(d, max(radii), a.shape[0] - 1)
     upper = moduli._upper_bounds(a, shifts, p, False,
-                                  moduli._screen_plan(a, radii, False))
+                                  moduli._screen_plan(a, max(radii), False))
     assert np.all(moduli._direct_values(a, shifts, p, 1.0, False) <= upper)
 
 
@@ -180,7 +179,7 @@ def test_whole_bounds_hold_on_constant_cubes(d, level):
     for value in rng.uniform(0.1, 10.0, 8):
         a = zero_extend(GridFunction(d, level, np.full((n,) * d, value)), n).samples
         shifts = moduli._half_shifts(d, n, a.shape[0] - 1)
-        plan = moduli._screen_plan(a, [n], False)
+        plan = moduli._screen_plan(a, n, False)
         for p in POWERS:
             values = moduli._direct_values(a, shifts, p, 1.0, False)
             assert np.all(values <= moduli._upper_bounds(a, shifts, p, False, plan))

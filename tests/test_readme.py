@@ -1,6 +1,9 @@
-"""The README's library sketch runs as written, so a stale name in it fails."""
+"""The README's library sketch runs as written and its command and config key
+lists match the CLI, so a stale name in either fails."""
 import re
 from pathlib import Path
+
+from zexlab import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -9,3 +12,14 @@ def test_readme_python_block_runs():
     blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {})
+
+
+def _listed(label: str) -> list:
+    """The backquoted names of the README paragraph that starts with ``label``."""
+    paragraph = re.search(rf"^{label}(.*?)\n\n", README.read_text(), re.S | re.M).group(1)
+    return re.findall(r"`([^`]+)`", paragraph)
+
+
+def test_readme_lists_every_command_and_config_key():
+    assert _listed("Commands:") == list(cli._COMMANDS)
+    assert sorted(_listed("Known keys:")) == sorted(cli._KNOWN_KEYS)
