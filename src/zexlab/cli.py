@@ -28,7 +28,7 @@ import time
 from pathlib import Path
 
 from . import acceptance, adaptive, besov, dyadic, kernels, moduli
-from .grid import _csv, _shift_cells, parse_spec, sample, zero_extend
+from .grid import _check_exponent, _csv, _shift_cells, parse_spec, sample, zero_extend
 
 _KNOWN_KEYS = {
     "function", "d", "L", "p", "q", "kernel", "window", "epsilons", "kind",
@@ -70,6 +70,9 @@ def _coerce(config: dict) -> dict:
                 out[key] = float(value)
             elif key in _LIST_KEYS:
                 out[key] = tuple(float(v) for v in value.split(","))
+                if key == "p":  # every command reads p by the one exponent rule
+                    for v in out[key]:
+                        _check_exponent(v)
             elif key == "window":
                 lo, hi = value.split(":")
                 out[key] = (float(lo), float(hi))
@@ -155,8 +158,10 @@ def _t_grid(config, level):
 
 
 def cmd_modulus(config) -> int:
-    f, spec = _function(config)
     kind = config.get("kind", "interior")
+    if kind not in ("interior", "whole", "hybrid"):
+        raise ConfigError(f"unknown modulus kind {kind!r}")
+    f, spec = _function(config)
     grid = _t_grid(config, f.level)
     out = _outdir(config)
     curves = []
@@ -166,10 +171,8 @@ def cmd_modulus(config) -> int:
         elif kind == "whole":
             g = zero_extend(f, max(1, _shift_cells(max(grid), f.n)))
             curve = moduli.whole_curve(g, p, grid, name=spec.describe())
-        elif kind == "hybrid":
-            curve = moduli.hybrid_curve(f, p, grid, name=spec.describe())
         else:
-            raise ConfigError(f"unknown modulus kind {kind!r}")
+            curve = moduli.hybrid_curve(f, p, grid, name=spec.describe())
         name = f"modulus_{kind}_p{p:g}"
         _write(out, f"{name}.csv", curve.to_csv())
         curves.append((name, curve))
@@ -212,9 +215,10 @@ def cmd_shift_bound(config) -> int:
 
 
 def cmd_adaptive(config) -> int:
-    f, spec = _function(config)
     p = _single_p(config)
     q = config.get("q", 2.0)
+    _check_exponent(q, "q")
+    f, spec = _function(config)
     out = _outdir(config)
     if "epsilon" in config:
         eps_list = (config["epsilon"],)
@@ -233,9 +237,10 @@ def cmd_adaptive(config) -> int:
 
 
 def cmd_kernel_error(config) -> int:
-    f, spec = _function(config)
     family = config.get("kernel", "gauss")
     tail = config.get("tail", 1e-6 if family == "gauss" else 1e-3)
+    kernels.KernelSpec(family, 1.0, tail)  # the family and tail rules
+    f, spec = _function(config)
     grid = _t_grid(config, f.level)
     out = _outdir(config)
     for p in config.get("p", (2.0,)):

@@ -34,6 +34,16 @@ def _check_lattice(d: int, level: int):
                          f"(limit {_MAX_CELLS}); coarsen the lattice")
 
 
+def _check_random_level(level: int, d: int = 1):
+    """The one rule for a random spec's level: >= 0, with a table of
+    (2^level)^d cells, d >= 1, within ``_MAX_CELLS``."""
+    if level < 0:
+        raise ValueError(f"random level must be >= 0, got level={level}")
+    if d * level >= _MAX_CELLS.bit_length():  # 2^(d level) > _MAX_CELLS
+        raise ValueError(f"random level={level} needs a {d}-d table of 2^{d * level} cells "
+                         f"(limit {_MAX_CELLS}); lower the level")
+
+
 def _check_exponent(value: float, name: str = "p"):
     """The one rule for an integrability exponent: finite and >= 1."""
     if not (math.isfinite(value) and value >= 1):
@@ -284,7 +294,9 @@ class FunctionSpec:
     (product of |x_i - c|^a); ``boundary-power alpha=a`` (x_1^a);
     ``random level=k seed=s`` (seeded piecewise constant on the level-k
     dyadic cells); ``tensor base=<tag> ...`` (product of the base's
-    one-dimensional profile over the axes).
+    one-dimensional profile over the axes).  Construction checks each
+    tag's ranges, a tensor's base included, so every spec that exists can
+    be sampled.
     """
 
     tag: str
@@ -298,6 +310,20 @@ class FunctionSpec:
             if key not in _TAG_KEYS[self.tag]:
                 raise ValueError(f"key {key!r} not valid for tag {self.tag!r}")
         object.__setattr__(self, "params", items)
+        if self.tag == "indicator":
+            lo, hi = self.param("lo", 0.0), self.param("hi", 0.5)
+            if not 0.0 <= lo < hi <= 1.0:
+                raise ValueError(f"indicator box must satisfy 0 <= lo < hi <= 1, "
+                                 f"got lo={lo:g} hi={hi:g}")
+        elif self.tag == "cusp":
+            if not 0.0 < self.param("alpha") < 1.0:
+                raise ValueError(f"cusp exponent must lie in (0,1), "
+                                 f"got alpha={self.param('alpha'):g}")
+        elif self.tag == "random":
+            self.param("seed")  # random specs must carry an explicit seed
+            _check_random_level(self.param("level"))
+        elif self.tag == "tensor":
+            _base_spec(self)
 
     def param(self, name, default=None):
         for key, value in self.params:
@@ -316,11 +342,6 @@ class FunctionSpec:
                 parts.append(f"{key}={value:g}")
         return " ".join(parts)
 
-    @property
-    def is_random(self) -> bool:
-        return self.tag == "random" or (
-            self.tag == "tensor" and self.param("base") == "random")
-
     def values(self, pts: np.ndarray) -> np.ndarray:
         """Evaluate at points of shape (..., d)."""
         pts = np.asarray(pts, dtype=float)
@@ -336,8 +357,6 @@ class FunctionSpec:
             return inside.astype(float)
         if self.tag == "cusp":
             alpha = float(self.param("alpha"))
-            if not 0.0 < alpha < 1.0:
-                raise ValueError("cusp exponent must lie in (0,1)")
             center = float(self.param("center", 0.5))
             return np.prod(np.abs(pts - center) ** alpha, axis=-1)
         if self.tag == "boundary-power":
@@ -359,6 +378,7 @@ class FunctionSpec:
     def _random_values(self, pts, d):
         k = int(self.param("level"))
         seed = int(self.param("seed"))
+        _check_random_level(k, d)  # before the draw
         m = 1 << k
         rng = np.random.default_rng(seed)
         table = rng.standard_normal((m,) * d)
@@ -385,8 +405,6 @@ def linear() -> FunctionSpec:
 
 
 def indicator(lo: float = 0.0, hi: float = 0.5) -> FunctionSpec:
-    if not (0.0 <= lo < hi <= 1.0):
-        raise ValueError("indicator box must satisfy 0 <= lo < hi <= 1")
     return FunctionSpec("indicator", (("lo", float(lo)), ("hi", float(hi))))
 
 
@@ -399,8 +417,6 @@ def boundary_power(alpha: float) -> FunctionSpec:
 
 
 def random_dyadic(level: int, seed: int) -> FunctionSpec:
-    if level < 0:
-        raise ValueError("level must be >= 0")
     return FunctionSpec("random", (("level", int(level)), ("seed", int(seed))))
 
 
@@ -428,10 +444,7 @@ def parse_spec(text: str) -> FunctionSpec:
         else:
             value = float(raw)
         params.append((key, value))
-    spec = FunctionSpec(tag, tuple(params))
-    if spec.is_random:
-        spec.param("seed")  # random specs must carry an explicit seed
-    return spec
+    return FunctionSpec(tag, tuple(params))
 
 
 def sample(spec: FunctionSpec, d: int, level: int) -> GridFunction:

@@ -57,7 +57,8 @@ class KernelSpec:
         if self.t <= 0:
             raise ValueError("kernel scale must be positive")
         if not 0 < self.truncation_tail < 0.5:
-            raise ValueError("truncation tail budget must lie in (0, 0.5)")
+            raise ValueError(f"truncation tail budget must lie in (0, 0.5), "
+                             f"got {self.truncation_tail:g}")
 
 
 def _poisson3_radius_factor(tail: float) -> float:

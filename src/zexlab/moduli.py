@@ -12,30 +12,34 @@ Three quantities per function f and scale t:
 
 Shifts are lattice multiples of the cell side, so each candidate difference
 norm is an exact cell sum.  Every query, single-scale or curve, reads one
-supremum table: the largest p-th power difference norm over the shifts within
-each lookup radius t * n cells.  The input alone picks the table; callers
-cannot choose it:
+supremum table: per lookup radius t * n cells, the largest cell sum
+E_p(k) = sum_i |f(i+k) - f(i)|^p over the shifts |k| within it.  Tables
+count in cell sums; the curve builder alone multiplies by the cell volume,
+a power of two, so exactly.  A single-scale query is the row of a one-point
+curve.
 
-* d = 2, p = 2: the correlation screen.  Every shift of the lattice half ball
-  reads its difference norm as overlap masses (summed-area tables) minus
-  twice one FFT autocorrelation, and these screened values are the table:
-  within a stated floating-point bound of the direct enumeration, not bit-equal
-  to it.
+Every table reads one box split.  B is the array's box: the cube for an
+interior table, the smallest box of the window that holds its support for a
+whole one.  Each shift's sum splits as E_p(k) = E_p^int(k) + layer(k): the
+interior sum of B (0 for a shift that leaves B), which an FFT screen reads
+on B's own grid, plus B's boundary layer 2 M_p - O_p(k), the mass M_p of
+|f|^p on B twice less its overlap mass O_p(k), read from prefix sums, with a
+derived allowance.  An interior table has no layer.  No FFT grid is sized
+from a window, and a table with no shift runs no screen or FFT.  The input
+alone picks what the table does with the split; callers cannot choose it:
+
+* d = 2, p = 2: the screened values are the table.  Each shift's interior
+  sum is read as overlap masses (summed-area tables) minus twice one FFT
+  autocorrelation, and the layer is added: within a stated floating-point
+  bound of the direct enumeration, not bit-equal to it.
 * every other (d, p): branch and bound.  The same screen, extended to
   sum |f(.+k) - f|^4 by two more FFT correlations, gives each shift a
-  certified upper bound on its computed difference norm (Hölder between the
-  2- and 4-norms, with a floating-point allowance); at each radius the shifts
-  are evaluated directly in descending bound until the bound falls to the
-  best value found.  The maximum is always evaluated, so the values equal
-  the direct enumeration bit for bit.
-
-Every whole table, of either kind, splits each shift's window sum as
-E_p(k) = E_p^int(k) + 2 M_p - O_p(k) over the smallest box B of the window
-that holds its support: the interior sum of B, which the screen reads on B's
-own grid (0 for a shift that leaves B), plus the boundary layer, the mass
-M_p of |f|^p on B twice less its overlap mass O_p(k), read from prefix sums.
-The bounds add a derived allowance to the layer; every value they certify is
-evaluated on the window.  No FFT grid is sized from the window.
+  certified upper bound on its computed sum (Hölder between the 2- and
+  4-norms on the interior sum, plus the layer, with floating-point
+  allowances); at each radius the shifts are evaluated directly, on the
+  cube or the window, in descending bound until the bound falls to the best
+  value found.  The maximum is always evaluated, so the values equal the
+  direct enumeration bit for bit.
 
 Every screen's inverse FFT runs irfftn's own passes and keeps only the rows
 0 <= k_0 <= max k_0 that hold half-ball shifts, bit for bit the same.
@@ -165,28 +169,30 @@ def _rsq_bound(r: float) -> float:
 @dataclass(frozen=True)
 class _SupTable:
     """Per lookup radius r (in cells), in the order the radii were given: the
-    largest p-th power difference norm found over the shifts |k| <= r, and a
-    certified upper bound on every shift's value there.  A radius is exact
-    when the two agree; its value is then the direct enumeration's maximum."""
+    largest difference sum found over the shifts |k| <= r, and a certified
+    upper bound on every shift's sum there.  A radius is exact when the two
+    agree; its value is then the direct enumeration's maximum.  The sums are
+    cell sums, before the cell volume."""
 
     powers: tuple
     uppers: tuple
     method: str          # corr (d = 2, p = 2), bound, or direct (the reference)
     shifts: int = 0      # shifts of the half ball
-    rechecked: int = 0   # shifts evaluated by a direct difference norm
+    rechecked: int = 0   # shifts evaluated by a direct difference sum
 
     @property
     def exact(self) -> tuple:
         return tuple(u == v for u, v in zip(self.uppers, self.powers))
 
 
-def _radius_max(ksq: np.ndarray, values: np.ndarray, radii) -> tuple:
-    """Max of ``values`` over the shifts with squared length ``ksq`` within
-    each radius; 0.0 where no shift fits."""
+def _radius_max(ksq: np.ndarray, radii, *columns) -> tuple:
+    """Per column of per-shift values, the max over the shifts with squared
+    length ``ksq`` within each radius (0.0 where no shift fits), as one tuple
+    per column.  The lengths are sorted once for every column."""
     order = np.argsort(ksq, kind="stable")
-    best = np.maximum.accumulate(values[order])
     counts = np.searchsorted(ksq[order], [_rsq_bound(r) for r in radii], side="right")
-    return tuple(float(best[c - 1]) if c else 0.0 for c in counts)
+    return tuple(tuple(float(best[c - 1]) if c else 0.0 for c in counts)
+                 for best in (np.maximum.accumulate(v[order]) for v in columns))
 
 
 def _half_shifts(d: int, rmax: float, per_axis: int) -> np.ndarray:
@@ -234,21 +240,20 @@ def _diff_power_window(window: np.ndarray, k, p: float) -> float:
     return float(_abs_pow(diff, p, out=diff).sum())
 
 
-def _direct_values(arr: np.ndarray, shifts: np.ndarray, p: float, cellvol: float,
+def _direct_values(arr: np.ndarray, shifts: np.ndarray, p: float,
                    interior: bool) -> np.ndarray:
-    """||f(.+k) - f||_p^p for each shift k, one difference norm per shift,
-    inside the cube or over the whole window."""
+    """The cell sum of |f(i+k) - f(i)|^p for each shift k, one difference
+    sum per shift, inside the cube or over the whole window."""
     evaluate = _diff_power_interior if interior else _diff_power_window
-    return np.array([evaluate(arr, k, p) for k in shifts]) * cellvol
+    return np.array([evaluate(arr, k, p) for k in shifts])
 
 
-def _enumerated_table(arr: np.ndarray, p: float, radii, cellvol: float,
-                      interior: bool) -> _SupTable:
-    """Evaluate every shift of the half ball, one difference norm per shift:
+def _enumerated_table(arr: np.ndarray, p: float, radii, interior: bool) -> _SupTable:
+    """Evaluate every shift of the half ball, one difference sum per shift:
     the reference that every other table reproduces."""
     shifts = _half_shifts(arr.ndim, max(radii), arr.shape[0] - 1)
-    values = _direct_values(arr, shifts, p, cellvol, interior)
-    powers = _radius_max((shifts * shifts).sum(axis=1), values, radii)
+    powers, = _radius_max((shifts * shifts).sum(axis=1), radii,
+                          _direct_values(arr, shifts, p, interior))
     return _SupTable(powers, powers, "direct", len(shifts), len(shifts))
 
 
@@ -403,8 +408,8 @@ def _real_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _holder(arr: np.ndarray, shifts: np.ndarray, p: float, shape):
     """(H, s) with H(k) 2^(s p) an upper bound on the exact
     E_p(k) = sum |f(i+k) - f(i)|^p over the cells i with i and i + k both in
-    the box ``arr``, up to the rounding of forming it; None when ``arr`` is
-    constant (no difference is nonzero).
+    the box ``arr``, up to the rounding of forming it.  ``arr`` is not
+    constant: the split (``_split``) screens no box without a difference.
 
     The array is centred on its mean (differences do not change, and an
     input near a constant keeps a usable bound) and scaled by 2^-s, a power
@@ -417,9 +422,6 @@ def _holder(arr: np.ndarray, shifts: np.ndarray, p: float, shape):
 
     Forming H 2^(s p) takes up to three powers and three products.
     """
-    lo, hi = float(arr.min()), float(arr.max())
-    if hi == lo:
-        return None
     work = arr - arr.mean()
     _, scale = math.frexp(float(np.abs(work).max()))
     work = np.ldexp(work, -scale, out=work)
@@ -431,7 +433,7 @@ def _holder(arr: np.ndarray, shifts: np.ndarray, p: float, shape):
         return m_k ** (1 - p / 2) * bounded[2] ** (p / 2), scale
     if p < 4:
         return bounded[2] ** ((4 - p) / 2) * bounded[4] ** ((p - 2) / 2), scale
-    osc = math.ldexp(hi - lo, -scale) * (1 + _gamma(1))
+    osc = math.ldexp(float(arr.max()) - float(arr.min()), -scale) * (1 + _gamma(1))
     return osc ** (p - 4) * bounded[4], scale
 
 
@@ -462,120 +464,6 @@ def _layer(w: np.ndarray, shifts: np.ndarray, inside: np.ndarray) -> tuple:
     return np.maximum(layer, 0.0), 2.0 * error * mass
 
 
-def _upper_bounds(arr: np.ndarray, shifts: np.ndarray, p: float, interior: bool,
-                  plan) -> np.ndarray:
-    """A certified upper bound U(k) on the computed ``_direct_values`` sum at
-    every shift, before the cell volume, from the screen ``plan``
-    (``_screen_plan``).
-
-    Interior: U = H 2^(s p) (``_holder``).  The computed sum rounds each
-    difference once, raises it to p (at most _POW_ULPS u), and adds at most
-    m terms, m the array's cells: at most E_p (1 + u)^p (1 + _POW_ULPS u)
-    (1 + g(m)), plus m subnormal spacings if terms underflow.  With forming
-    H, the relative allowance (p + 4) u + 4 _POW_ULPS u + g(m), doubled,
-    covers both.  A constant array has no nonzero difference: U = 0.
-
-    Whole: let B be the plan's box, the smallest box of the window holding
-    its support.  Every window cell i with i or i + k in B has the term
-    |f(i+k) - f(i)|^p when both are in B, else |f|^p of the one that is,
-    which the window computes exactly as fl(|f|^p); every other term is 0.
-    So the computed sum is at most (E_int(k) (1 + u)^p (1 + _POW_ULPS u)
-    + layer(k)) (1 + g(m)), m the window's cells, with E_int the exact
-    interior sum of B (0 for a shift that leaves B) and layer(k) ``_layer``
-    plus its allowance.  U = (H 2^(s p) + layer(k)) (1 + slack) + m
-    subnormal spacings, where slack doubles (p + 7) u + 4 _POW_ULPS u + g(m):
-    the sum's rounding, forming H, and the two additions and the product that
-    form U.  An all-zero window has U = 0.
-    """
-    box, grid = plan
-    u, m, tiny = _UNIT_ROUNDOFF, arr.size, np.finfo(float).smallest_subnormal
-    if interior:
-        held = _holder(arr, shifts, p, grid)
-        if held is None:
-            return np.zeros(len(shifts))
-        bound, scale = held
-        slack = 2.0 * ((p + 4) * u + 4 * _POW_ULPS * u + _gamma(m))
-        with np.errstate(over="ignore"):
-            return bound * (1.0 + slack) * np.exp2(scale * p) + m * tiny
-    if box is None:
-        return np.zeros(len(shifts))
-    b = arr[box]
-    inside = np.all(np.abs(shifts) < b.shape, axis=1)
-    bound = np.add(*_layer(_abs_pow(b, p), shifts, inside))  # layer + allowance
-    held = _holder(b, shifts[inside], p, grid) if inside.any() else None
-    slack = 2.0 * ((p + 7) * u + 4 * _POW_ULPS * u + _gamma(m))
-    with np.errstate(over="ignore"):
-        if held is not None:
-            bound[inside] += held[0] * np.exp2(held[1] * p)
-        return bound * (1.0 + slack) + m * tiny
-
-
-def _bound_table(arr: np.ndarray, shifts: np.ndarray, upper: np.ndarray, p: float,
-                 radii, cellvol: float, interior: bool) -> _SupTable:
-    """Branch and bound over the half ball, given each shift's certified
-    upper bound ``upper`` (in the units of ``_direct_values``).
-
-    At each lookup radius, ascending, the shifts within it that are not yet
-    evaluated are evaluated by ``_direct_values`` in descending bound until
-    the bound falls to the best value found there; values found at smaller
-    radii count.  Every shift left out has a computed value at most its bound,
-    so at most the best: the maximum is always evaluated and each radius reads
-    the direct enumeration's maximum bit for bit.
-
-    Direct evaluation stops after ``_DIRECT_WORK_BUDGET`` cells of work
-    (shifts x array cells).  A radius left unfinished keeps the best value
-    found, a lower bound, with the certified upper bound max(best, largest
-    bound of a shift within it left out); every radius finished before the
-    cap is exact.
-    """
-    order = np.argsort(-upper, kind="stable")
-    shifts, upper = shifts[order], upper[order]
-    ksq = (shifts * shifts).sum(axis=1)
-    values = np.full(len(shifts), -np.inf)  # -inf: not evaluated
-    left = _DIRECT_WORK_BUDGET // arr.size
-    for r in sorted(radii):
-        inside = ksq <= _rsq_bound(r)
-        best = values[inside].max(initial=0.0)
-        for i in np.flatnonzero(inside & (values < 0) & (upper > best)):
-            if upper[i] <= best or not left:
-                break
-            values[i] = _direct_values(arr, shifts[i:i + 1], p, cellvol, interior)[0]
-            best = max(best, values[i])
-            left -= 1
-    powers, uppers = [], []
-    for r in radii:
-        inside = ksq <= _rsq_bound(r)
-        best = float(values[inside].max(initial=0.0))
-        powers.append(best)
-        uppers.append(max(best, float(upper[inside & (values < 0)].max(initial=0.0))))
-    return _SupTable(tuple(powers), tuple(uppers), "bound", len(shifts),
-                     int((values >= 0).sum()))
-
-
-def _corr_table(arr: np.ndarray, shifts: np.ndarray, plan, radii, cellvol: float,
-                interior: bool) -> _SupTable:
-    """The d = 2, p = 2 table: the screened ||f(.+k) - f||_2^2 of every shift
-    (``_screen`` of the plan's box on its 2 n - 1 grid, plus ``_layer`` for a
-    whole table: 2 M where a shift leaves the box, 0 for no box) is the value.
-
-    These values lie within ``_screen_error`` of the direct enumeration but
-    may differ from it in the last digits (on ``rand2_d2`` at L = 10 and
-    t = 2^-8 the interior modulus reads 0.10131710135113675 screened and
-    0.10131710135111947 direct), and the verify artifacts pin them, so this
-    table neither confirms them nor changes the screen's grid.
-    """
-    box, grid = plan
-    values = np.zeros(len(shifts))
-    if box is not None:
-        b = arr[box]
-        inside = np.all(np.abs(shifts) < b.shape, axis=1)
-        values[inside] = _screen(b, shifts[inside], grid, (2,))[2][0]
-        if not interior:
-            values += _layer(_abs_pow(b, 2), shifts, inside)[0]
-    powers = _radius_max((shifts * shifts).sum(axis=1), values * cellvol, radii)
-    return _SupTable(powers, powers, "corr", len(shifts))
-
-
 def _support_box(window: np.ndarray):
     """Slices of the smallest box of ``window`` that holds its nonzero
     cells; None when there are none."""
@@ -589,40 +477,151 @@ def _support_box(window: np.ndarray):
     return tuple(box)
 
 
-def _screen_plan(arr: np.ndarray, rmax: float, interior: bool) -> tuple:
-    """(box, grid): the slices of ``arr`` that the screen transforms (a cube
-    whole; a window's ``_support_box``, None when it is all zero) and their
-    FFT grid: per axis the box's side plus the largest shift component within
-    ``rmax`` that keeps an overlap, holding every such shift without
-    wrap-around.  A grid over ``_MAX_CELLS`` is refused."""
+@dataclass(frozen=True)
+class _Split:
+    """One table's split of every shift's difference sum over B, the array's
+    box: the cube for an interior table, the window's ``_support_box`` for a
+    whole one.  A window cell i with i or i + k in B holds the term
+    |f(i+k) - f(i)|^p when both are in B, else |f|^p of the one that is,
+    which the window computes exactly as fl(|f|^p); every other term is 0.
+    So E_p(k) = E_p^int(k) + layer(k): the interior sum of B (0 for a shift
+    that leaves B) plus B's boundary layer (``_layer``), which an interior
+    table does not have."""
+
+    shifts: np.ndarray          # the half ball, (m, d)
+    box: np.ndarray | None      # B; None when it is absent or constant
+    grid: list                  # B's FFT grid
+    inside: np.ndarray | slice  # the shifts that keep an overlap in B; all: slice(None)
+    layer: np.ndarray           # per shift, the layer; 0 for an interior table
+    allowance: float            # the layer's rounding bound; 0 for an interior table
+    cells: int                  # the array's cells: the cube's or the window's
+    interior: bool
+
+
+def _split(arr: np.ndarray, p: float, rmax: float, interior: bool, reach=None) -> _Split:
+    """The box split of the table of ``arr`` over the half ball of radius
+    ``rmax``.  B's FFT grid takes per axis B's side plus the largest shift
+    component within ``reach`` (default ``rmax``) that keeps an overlap, so
+    it holds every such shift without wrap-around; a grid over ``_MAX_CELLS``
+    is refused before any shift or FFT.  A constant B has no interior
+    difference: ``box`` is None and nothing is screened."""
     box = (slice(None),) * arr.ndim if interior else _support_box(arr)
-    if box is None:
-        return None, []
-    b, reach = arr[box], math.floor(rmax + 1e-9)
-    grid = [sfft.next_fast_len(m + min(m - 1, reach)) for m in b.shape]
-    cells = math.prod(grid)
-    if cells > _MAX_CELLS:
-        raise ValueError(
-            f"a supremum table on {b.size} cells needs a {' x '.join(map(str, grid))} "
-            f"FFT grid of {cells} cells (limit {_MAX_CELLS}); coarsen the lattice")
-    return box, grid
+    b, grid = None, []
+    if box is not None:
+        b, steps = arr[box], math.floor((rmax if reach is None else reach) + 1e-9)
+        grid = [sfft.next_fast_len(m + min(m - 1, steps)) for m in b.shape]
+        cells = math.prod(grid)
+        if cells > _MAX_CELLS:
+            raise ValueError(
+                f"a supremum table on {b.size} cells needs a {' x '.join(map(str, grid))} "
+                f"FFT grid of {cells} cells (limit {_MAX_CELLS}); coarsen the lattice")
+    shifts = _half_shifts(arr.ndim, rmax, arr.shape[0] - 1)
+    # every shift of the half ball keeps an overlap in the cube: views, not copies
+    inside, layer, allowance = slice(None), np.broadcast_to(0.0, len(shifts)), 0.0
+    if b is not None and not interior:
+        inside = np.all(np.abs(shifts) < b.shape, axis=1)
+        layer, allowance = _layer(_abs_pow(b, p), shifts, inside)
+    if b is not None and b.min() == b.max():
+        b = None
+    return _Split(shifts, b, grid, inside, layer, allowance, arr.size, interior)
 
 
-def _build_table(arr: np.ndarray, p: float, radii, cellvol: float,
-                 interior: bool) -> _SupTable:
-    """The table for this input at ``radii``, screened on the plan's box
-    (``_screen_plan``).  For d = 2 and p = 2 the screened values are the
-    table (``_corr_table``, on a grid that holds every shift of the box);
-    every other input takes the upper-bound screen (``_upper_bounds``) and
-    branch and bound (``_bound_table``).  A grid over ``_MAX_CELLS`` is
-    refused before any shift or FFT."""
-    corr = arr.ndim == 2 and p == 2
-    plan = _screen_plan(arr, arr.shape[0] if corr else max(radii), interior)
-    shifts = _half_shifts(arr.ndim, max(radii), arr.shape[0] - 1)
-    if corr:
-        return _corr_table(arr, shifts, plan, radii, cellvol, interior)
-    upper = _upper_bounds(arr, shifts, p, interior, plan) * cellvol
-    return _bound_table(arr, shifts, upper, p, radii, cellvol, interior)
+def _upper_bounds(split: _Split, p: float) -> np.ndarray:
+    """A certified upper bound U(k) on the computed ``_direct_values`` sum at
+    every shift of the split.
+
+    The computed sum rounds each difference in B once, raises it to p (at
+    most _POW_ULPS u), and adds at most m terms, m the array's cells, the
+    layer's terms among them: at most (E_int(k) (1 + u)^p (1 + _POW_ULPS u)
+    + layer(k)) (1 + g(m)), plus m subnormal spacings if terms underflow,
+    with E_int the exact interior sum of B and layer(k) ``_layer`` plus its
+    allowance.  U = (H 2^(s p) + layer(k)) (1 + slack) + m subnormal
+    spacings, with H 2^(s p) from ``_holder``; multiplying by the power of
+    two 2^(s p) is exact.  The slack doubles (p + 4) u + 4 _POW_ULPS u + g(m)
+    for an interior table: the sum's rounding and forming H.  A whole table
+    adds 3 u to it for the two additions and the product that form U.  With
+    no interior sum to screen and no layer mass, every computed difference
+    is 0: U = 0.
+    """
+    u, m, tiny = _UNIT_ROUNDOFF, split.cells, np.finfo(float).smallest_subnormal
+    if split.box is None and not split.allowance:
+        return np.zeros(len(split.shifts))
+    inner = 0.0  # H 2^(s p), screened before the bound's array is allocated
+    if split.box is not None:
+        held, scale = _holder(split.box, split.shifts[split.inside], p, split.grid)
+        with np.errstate(over="ignore"):
+            inner = held * np.exp2(scale * p)
+    slack = 2.0 * ((p + (4 if split.interior else 7)) * u + 4 * _POW_ULPS * u + _gamma(m))
+    bound = split.layer + split.allowance
+    with np.errstate(over="ignore"):
+        bound[split.inside] += inner
+        return bound * (1.0 + slack) + m * tiny
+
+
+def _bound_table(arr: np.ndarray, shifts: np.ndarray, upper: np.ndarray, p: float,
+                 radii, interior: bool) -> _SupTable:
+    """Branch and bound over the half ball, given each shift's certified
+    upper bound ``upper`` on its ``_direct_values`` sum.
+
+    At each lookup radius, ascending, the shifts within it that are not yet
+    evaluated are evaluated by ``_direct_values`` in descending bound until
+    the bound falls to the best value found there; values found at smaller
+    radii count.  Every shift left out has a computed value at most its bound,
+    so at most the best: the maximum is always evaluated and each radius reads
+    the direct enumeration's maximum bit for bit.
+
+    Direct evaluation stops after ``_DIRECT_WORK_BUDGET`` cells of work
+    (shifts x array cells).  A radius left unfinished keeps the best value
+    found, a lower bound, with the certified upper bound max(best, largest
+    bound of a shift within it left out); every radius finished before the
+    cap is exact.  Both are read by ``_radius_max``.
+    """
+    order = np.argsort(-upper, kind="stable")
+    shifts, upper = shifts[order], upper[order]
+    ksq = (shifts * shifts).sum(axis=1)
+    values = np.full(len(shifts), -np.inf)  # -inf: not evaluated
+    left = _DIRECT_WORK_BUDGET // arr.size
+    for r in sorted(radii):
+        inside = ksq <= _rsq_bound(r)
+        best = values[inside].max(initial=0.0)
+        for i in np.flatnonzero(inside & (values < 0) & (upper > best)):
+            if upper[i] <= best or not left:
+                break
+            values[i] = _direct_values(arr, shifts[i:i + 1], p, interior)[0]
+            best = max(best, values[i])
+            left -= 1
+    done = values >= 0
+    powers, uppers = _radius_max(ksq, radii, np.maximum(values, 0.0),
+                                 np.where(done, values, upper))
+    return _SupTable(powers, uppers, "bound", len(shifts), int(done.sum()))
+
+
+def _build_table(arr: np.ndarray, p: float, radii, interior: bool) -> _SupTable:
+    """The table for this input at ``radii``, from one box split
+    (``_split``).  A table with no shift runs no screen or FFT.  Every input
+    but d = 2, p = 2 takes the upper-bound screen (``_upper_bounds``) and
+    branch and bound (``_bound_table``).
+
+    For d = 2 and p = 2 the screened values are the table: the layer plus
+    B's interior sums (``_screen`` on a grid that holds every shift of B).
+    They lie within ``_screen_error`` of the direct enumeration but may
+    differ from it in the last digits (on ``rand2_d2`` at L = 10 and
+    t = 2^-8 the interior modulus reads 0.10131710135113675 screened and
+    0.10131710135111947 direct), and the verify artifacts pin them, so this
+    table neither confirms them nor changes the screen's grid."""
+    method = "corr" if arr.ndim == 2 and p == 2 else "bound"
+    if max(radii) < 1.0 - 1e-9:
+        zeros = (0.0,) * len(radii)
+        return _SupTable(zeros, zeros, method)
+    split = _split(arr, p, max(radii), interior, arr.shape[0] if method == "corr" else None)
+    if method == "bound":
+        return _bound_table(arr, split.shifts, _upper_bounds(split, p), p, radii, interior)
+    values = split.layer.copy()
+    if split.box is not None:
+        values[split.inside] += _screen(split.box, split.shifts[split.inside], split.grid,
+                                        (2,))[2][0]
+    powers, = _radius_max((split.shifts * split.shifts).sum(axis=1), radii, values)
+    return _SupTable(powers, powers, method, len(values))
 
 
 # ---------------------------------------------------------------------------
@@ -650,12 +649,6 @@ def interior_modulus(f: GridFunction, p: float, t: float) -> float:
     Scales below the lattice resolution have no admissible shift; they warn
     and evaluate to zero.
     """
-    _check_exponent(p)
-    _scales("interior", f, (t,))
-    if t * f.n < 1.0 - 1e-9:
-        warnings.warn("scale below lattice resolution; interior modulus set to 0",
-                      ResolutionWarning, stacklevel=2)
-        return 0.0
     return _flagged_points(_curve("interior", f, p, (t,)))[0][1]
 
 
@@ -673,19 +666,15 @@ def whole_modulus(g: ExtendedGridFunction, p: float, t: float) -> float:
 
     Requires the margin to absorb every admissible shift so the window norm
     equals the whole-space norm; otherwise the caller must re-extend.
+    Scales below the lattice resolution warn and evaluate to zero.
     """
-    _check_exponent(p)
-    _scales("whole", g, (t,))
-    if _shift_cells(t, g.n) < 1:
-        warnings.warn("scale below lattice resolution; whole modulus set to 0",
-                      ResolutionWarning, stacklevel=2)
-        return 0.0
     return _flagged_points(_curve("whole", g, p, (t,)))[0][1]
 
 
 def _curve(kind: str, arr, p: float, t_grid, name: str = "") -> ModulusCurve:
     """Every modulus query: one supremum table for the lookup radii t * n
-    cells, then one lookup per t."""
+    cells, then one lookup per t.  The table's cell sums become integrals
+    here, times the cell volume, a power of two, so exactly."""
     _check_exponent(p)
     ts = _scales(kind, arr, t_grid)
     interior = kind == "interior"
@@ -694,8 +683,9 @@ def _curve(kind: str, arr, p: float, t_grid, name: str = "") -> ModulusCurve:
         _require_margin(arr, _shift_cells(max(ts), arr.n))
     radii = [t * arr.n for t in ts]
     start = time.perf_counter()
-    table = _build_table(arr.samples, p, radii, arr.cell_volume, interior)
+    table = _build_table(arr.samples, p, radii, interior)
     elapsed = time.perf_counter() - start
+    vol = arr.cell_volume
     points, flags, uppers = [], [], []
     for t, r, power, upper, exact in zip(ts, radii, table.powers, table.uppers,
                                          table.exact):
@@ -704,9 +694,9 @@ def _curve(kind: str, arr, p: float, t_grid, name: str = "") -> ModulusCurve:
             flags.append("below_resolution")
             uppers.append(0.0)
         else:
-            points.append((t, power ** (1.0 / p)))
+            points.append((t, (power * vol) ** (1.0 / p)))
             flags.append("" if exact else "lower_bound")
-            uppers.append(upper ** (1.0 / p))
+            uppers.append((upper * vol) ** (1.0 / p))
     meta = {"d": arr.d, "L": arr.level, "function": name, **extra,
             "exact": all(table.exact), "method": table.method, "shifts": table.shifts,
             "rechecked": table.rechecked, "upper": tuple(uppers), "elapsed": elapsed}
@@ -714,7 +704,12 @@ def _curve(kind: str, arr, p: float, t_grid, name: str = "") -> ModulusCurve:
 
 
 def _flagged_points(curve: ModulusCurve) -> tuple:
-    """The curve's points, warning when some are lower bounds."""
+    """The curve's points, warning once when some are below the lattice
+    resolution and once when some are lower bounds, at the caller of the
+    caller (a single-scale query's or ``interior_dyadic_values``'s)."""
+    if "below_resolution" in curve.flags:
+        warnings.warn(f"scale below lattice resolution; {curve.kind} modulus set to 0",
+                      ResolutionWarning, stacklevel=3)
     if not curve.meta["exact"]:
         brackets = "; ".join(
             f"t={t!r}: [{v!r}, {upper!r}]"

@@ -437,3 +437,40 @@ def test_embedding_nan_q_exits_2_before_sampling(tmp_path, capsys, monkeypatch):
     assert "q must be >= 1 or infinity, got nan" in capsys.readouterr().err
     assert not (out / "embedding.txt").exists()
 
+
+
+@pytest.mark.parametrize("command, line, message", [
+    ("modulus", "kind = bogus", "unknown modulus kind 'bogus'"),
+    ("modulus", "p = 2,nan", "p must be finite and >= 1, got nan"),
+    ("dyadic", "p = 0.5", "p must be finite and >= 1, got 0.5"),
+    ("kernel-error", "kernel = bogus", "unknown kernel family 'bogus'"),
+    ("kernel-error", "tail = 0.7", "tail budget must lie in (0, 0.5), got 0.7"),
+    ("kernel-error", "tail = 0", "tail budget must lie in (0, 0.5), got 0"),
+    ("adaptive", "q = 0", "q must be finite and >= 1, got 0"),
+    ("adaptive", "p = 2,3", "this command takes one p, got 2, 3"),
+])
+def test_config_errors_exit_2_before_sampling(tmp_path, capsys, monkeypatch, command,
+                                              line, message):
+    monkeypatch.setattr("zexlab.cli.sample", _no_alloc)
+    cfg = _write_config(tmp_path, f"function = cusp alpha=0.5\nd = 2\nL = 10\n{line}\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("function, message", [
+    ("indicator lo=0.7 hi=0.2", "0 <= lo < hi <= 1, got lo=0.7 hi=0.2"),
+    ("indicator lo=-0.5", "0 <= lo < hi <= 1, got lo=-0.5 hi=0.5"),
+    ("tensor base=indicator lo=0.7 hi=0.2", "0 <= lo < hi <= 1, got lo=0.7 hi=0.2"),
+    ("cusp alpha=1.5", "cusp exponent must lie in (0,1), got alpha=1.5"),
+    ("random level=-1 seed=1", "random level must be >= 0, got level=-1"),
+    # 2^40 cells: refused before any draw, where numpy alone would raise MemoryError
+    ("random level=40 seed=1", "random level=40 needs a 1-d table of 2^40 cells"),
+    ("tensor base=random level=40 seed=1", "random level=40 needs a 1-d table"),
+    ("random level=3", "missing parameter 'seed'"),
+])
+def test_function_spec_ranges_exit_2_before_sampling(tmp_path, capsys, monkeypatch,
+                                                     function, message):
+    monkeypatch.setattr("zexlab.cli.sample", _no_alloc)
+    cfg = _write_config(tmp_path, f"function = {function}\nd = 1\nL = 8\n")
+    assert main(["modulus", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err

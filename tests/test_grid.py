@@ -1,11 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from zexlab import adaptive, besov, dyadic, kernels, moduli
-from zexlab.grid import (ExtendedGridFunction, GridFunction, LatticeShift, _csv,
-                         boundary_power, const, corpus, cusp, difference,
+from zexlab.grid import (ExtendedGridFunction, FunctionSpec, GridFunction, LatticeShift,
+                         _csv, boundary_power, const, corpus, cusp, difference,
                          indicator, linear, lp_norm, parse_spec, random_dyadic,
                          sample, tensor_product, zero_extend)
 
@@ -229,6 +230,30 @@ def test_parse_spec_rejects_garbage():
         parse_spec("cusp alpha")
     with pytest.raises(KeyError):
         parse_spec("random level=3")  # random specs must carry a seed
+
+
+def test_spec_ranges_are_one_rule_for_constructors_grammar_and_tensor_bases():
+    for bad, message in (
+            ((lambda: indicator(0.7, 0.2), lambda: parse_spec("indicator lo=0.7 hi=0.2"),
+              lambda: FunctionSpec("indicator", (("lo", 0.7), ("hi", 0.2))),
+              lambda: parse_spec("tensor base=indicator lo=0.7 hi=0.2")),
+             "got lo=0.7 hi=0.2"),
+            ((lambda: random_dyadic(-1, 1), lambda: parse_spec("random level=-1 seed=1"),
+              lambda: parse_spec("tensor base=random level=-1 seed=1")),
+             "random level must be >= 0, got level=-1")):
+        for build in bad:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                build()
+
+
+def test_random_table_over_the_cell_limit_is_refused_before_any_draw(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a random table was drawn")
+
+    spec = random_dyadic(20, 1)  # 2^20 cells in 1-d, 2^40 in 2-d
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    with pytest.raises(ValueError, match=r"level=20 needs a 2-d table of 2\^40 cells"):
+        sample(spec, 2, 2)
 
 
 def test_corpus_shape():

@@ -29,10 +29,9 @@ def _samples(data, d: int, level: int) -> np.ndarray:
 def _exact_powers(arr, p: float, radii, interior: bool) -> tuple:
     """The supremum table at ``radii``; direct enumeration where the table
     stopped at the direct-evaluation budget."""
-    table = moduli._build_table(arr.samples, p, radii, arr.cell_volume, interior)
+    table = moduli._build_table(arr.samples, p, radii, interior)
     if not all(table.exact):
-        table = moduli._enumerated_table(arr.samples, p, radii, arr.cell_volume,
-                                         interior)
+        table = moduli._enumerated_table(arr.samples, p, radii, interior)
     return table.powers
 
 

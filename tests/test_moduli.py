@@ -1,3 +1,4 @@
+import inspect
 import math
 import warnings
 
@@ -7,7 +8,7 @@ from scipy import fft as sfft
 
 from zexlab import moduli
 from zexlab.grid import (ExtendedGridFunction, GridFunction, const, corpus,
-                         cusp, linear, lp_norm, random_dyadic, sample,
+                         cusp, indicator, linear, lp_norm, random_dyadic, sample,
                          zero_extend)
 from zexlab.moduli import (LowerBoundWarning, ModulusCurve, ResolutionWarning,
                            default_t_grid, hybrid_curve, hybrid_modulus, interior_curve,
@@ -24,6 +25,20 @@ def test_interior_modulus_of_cube_indicator_vanishes():
 def test_interior_modulus_of_any_constant_vanishes():
     f = sample(const(3.7), 2, 5)
     assert interior_modulus(f, 1, 0.25) == 0.0
+
+
+def test_constant_box_is_not_screened():
+    # d = 2, p = 2 reads screened values, which on a constant cube were
+    # rounding noise (2.4e-7 here); a constant box has no interior difference
+    f = sample(const(3.7), 2, 6)
+    assert list(interior_curve(f, 2, [0.0625, 0.25]).values) == [0.0, 0.0]
+    # an indicator's support box is constant: its whole table is the exact
+    # layer, equal here to direct enumeration
+    g = zero_extend(sample(indicator(0.25, 0.5), 2, 7), 32)
+    grid = [2.0 ** -j for j in range(6, 1, -1)]
+    direct = moduli._enumerated_table(g.samples, 2, [t * g.n for t in grid], False)
+    assert list(whole_curve(g, 2, grid).values) == [(power * g.cell_volume) ** 0.5
+                                                    for power in direct.powers]
 
 
 def test_interior_modulus_linear_matches_analytic():
@@ -150,10 +165,10 @@ def _engine(arr, p, t, n, cellvol, interior, engine):
     (table) or plain enumeration (direct)."""
     radii = [t * n]
     if engine == "table":
-        table = moduli._build_table(arr, p, radii, cellvol, interior)
+        table = moduli._build_table(arr, p, radii, interior)
     else:
-        table = moduli._enumerated_table(arr, p, radii, cellvol, interior)
-    return table.powers[0] ** (1.0 / p)
+        table = moduli._enumerated_table(arr, p, radii, interior)
+    return (table.powers[0] * cellvol) ** (1.0 / p)
 
 
 def _hand_built_windows(rng):
@@ -266,9 +281,10 @@ def test_correlation_confirm_survives_cancellation():
     for p in (1.0, 2.0, 3.0):
         for arr, curve in ((f, interior_curve(f, p, grid)), (g, whole_curve(g, p, grid))):
             direct = moduli._enumerated_table(arr.samples, p, [t * arr.n for t in grid],
-                                              arr.cell_volume, curve.kind == "interior")
+                                              curve.kind == "interior")
             assert curve.meta["method"] == "bound" and curve.meta["exact"] is True
-            assert list(curve.values) == [power ** (1 / p) for power in direct.powers]
+            assert list(curve.values) == [(power * arr.cell_volume) ** (1 / p)
+                                          for power in direct.powers]
         assert interior_curve(f, p, grid).meta["rechecked"] < direct.shifts // 3
 
 
@@ -320,8 +336,9 @@ def test_curve_provenance_counts(d, level, p, kind, method, exact, shifts, reche
         (method, exact, shifts, rechecked)
     if method == "bound":
         direct = moduli._enumerated_table(arr.samples, p, [t * f.n for t in grid],
-                                          arr.cell_volume, kind == "interior")
-        assert list(curve.values) == [power ** (1 / p) for power in direct.powers]
+                                          kind == "interior")
+        assert list(curve.values) == [(power * arr.cell_volume) ** (1 / p)
+                                      for power in direct.powers]
 
 
 def test_single_scale_queries_flag_lower_bounds(monkeypatch):
@@ -343,6 +360,35 @@ def test_single_scale_queries_flag_lower_bounds(monkeypatch):
         whole_modulus(g, 3, 0.5)
     with pytest.warns(LowerBoundWarning, match="certified bracket"):
         interior_dyadic_values(f, 3, [1, 2])
+
+
+@pytest.mark.parametrize("kind", ["interior", "whole"])
+@pytest.mark.parametrize("d, p", [(1, 3), (2, 2), (3, 1)])
+def test_below_resolution_single_scale_query_builds_no_fft(kind, d, p, monkeypatch):
+    f = sample(cusp(0.5), d, 3)
+    arr = f if kind == "interior" else zero_extend(f, 2)
+    query = interior_modulus if kind == "interior" else whole_modulus
+    for name in ("_split", "_half_shifts", "_screen"):
+        monkeypatch.setattr(moduli, name, _no_fft)
+    monkeypatch.setattr(moduli.sfft, "rfftn", _no_fft)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert query(arr, p, 2.0 ** -5) == 0.0
+    assert [w.category for w in caught] == [ResolutionWarning]
+    assert caught[0].filename == __file__
+
+
+def test_bracketed_single_scale_query_warns_at_the_callers_line(monkeypatch):
+    rng = np.random.default_rng(4)
+    f = GridFunction(3, 3, rng.standard_normal((8, 8, 8)))
+    monkeypatch.setattr(moduli, "_DIRECT_WORK_BUDGET", f.samples.size)
+    for query, arr in ((interior_modulus, f), (whole_modulus, zero_extend(f, 4))):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            line = inspect.currentframe().f_lineno + 1
+            query(arr, 3, 0.5)
+        assert [w.category for w in caught] == [LowerBoundWarning]
+        assert (caught[0].filename, caught[0].lineno) == (__file__, line)
 
 
 def test_hybrid_constant_attains_unit_scale():
@@ -466,7 +512,7 @@ def test_oversized_correlation_table_refused_before_any_fft(monkeypatch):
     # 2-d L=13: an 8192^2 array pads to a 16384^2 grid, 2^28 cells; a zero-stride
     # view stands in for the array, so nothing of that size is allocated
     with pytest.raises(ValueError, match="16384 x 16384 FFT grid of 268435456 cells"):
-        moduli._build_table(np.broadcast_to(0.0, (8192, 8192)), 2, [1.0], 1.0, True)
+        moduli._build_table(np.broadcast_to(0.0, (8192, 8192)), 2, [1.0], True)
     monkeypatch.setattr(moduli, "_MAX_CELLS", 1 << 12)
     f = sample(cusp(0.5), 2, 6)  # 64^2 cells pad to a 128^2 grid
     with pytest.raises(ValueError, match="128 x 128 FFT grid of 16384 cells"):
@@ -479,4 +525,4 @@ def test_correlation_tables_within_the_cap_pass_the_check(monkeypatch):
     monkeypatch.setattr(moduli, "_half_shifts", _no_fft)
     with pytest.raises(AssertionError, match="shifts or an FFT"):  # past the check
         # 2-d L=12 pads to an 8192^2 grid, 2^26 cells
-        moduli._build_table(np.broadcast_to(0.0, (4096, 4096)), 2, [1.0], 1.0, True)
+        moduli._build_table(np.broadcast_to(0.0, (4096, 4096)), 2, [1.0], True)

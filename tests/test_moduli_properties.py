@@ -52,19 +52,16 @@ def _draw_input(data, d: int):
 
 def _certified(arr, p: float, radii, interior: bool):
     """Branch and bound on the screen's bounds."""
-    a = arr.samples
-    shifts = moduli._half_shifts(a.ndim, max(radii), a.shape[0] - 1)
-    upper = moduli._upper_bounds(a, shifts, p, interior,
-                                  moduli._screen_plan(a, max(radii), interior))
-    return moduli._bound_table(a, shifts, upper * arr.cell_volume, p, radii,
-                               arr.cell_volume, interior)
+    split = moduli._split(arr.samples, p, max(radii), interior)
+    return moduli._bound_table(arr.samples, split.shifts, moduli._upper_bounds(split, p),
+                               p, radii, interior)
 
 
 def _assert_certified(arr, p: float, radii, interior: bool):
     """The table the input selects, branch and bound, equals direct
     enumeration bit for bit, every radius exact."""
-    direct = moduli._enumerated_table(arr.samples, p, radii, arr.cell_volume, interior)
-    table = moduli._build_table(arr.samples, p, radii, arr.cell_volume, interior)
+    direct = moduli._enumerated_table(arr.samples, p, radii, interior)
+    table = moduli._build_table(arr.samples, p, radii, interior)
     assert table.method == "bound" and all(table.exact)
     assert table.powers == direct.powers
     assert table.uppers == table.powers
@@ -91,12 +88,9 @@ def test_certified_tables_equal_direct_enumeration_bit_for_bit(d, p, data):
                   data=st.data())
 def test_upper_bounds_hold_every_computed_value(d, p, data):
     arr, radii, interior = _draw_input(data, d)
-    a = arr.samples
-    shifts = moduli._half_shifts(a.ndim, max(radii), a.shape[0] - 1)
-    upper = moduli._upper_bounds(a, shifts, p, interior,
-                                  moduli._screen_plan(a, max(radii), interior))
-    values = moduli._direct_values(a, shifts, p, 1.0, interior)
-    assert np.all(values <= upper)
+    split = moduli._split(arr.samples, p, max(radii), interior)
+    values = moduli._direct_values(arr.samples, split.shifts, p, interior)
+    assert np.all(values <= moduli._upper_bounds(split, p))
 
 
 @SETTINGS
@@ -104,7 +98,7 @@ def test_upper_bounds_hold_every_computed_value(d, p, data):
                   evaluations=st.integers(0, 12), data=st.data())
 def test_budget_brackets_every_row(d, p, evaluations, data):
     arr, radii, interior = _draw_input(data, d)
-    direct = moduli._enumerated_table(arr.samples, p, radii, arr.cell_volume, interior)
+    direct = moduli._enumerated_table(arr.samples, p, radii, interior)
     ascending = sorted(radii)
     # evaluations an uncapped run needs to finish each radius, ascending
     needed = [_certified(arr, p, ascending[:i + 1], interior).rechecked
@@ -129,12 +123,10 @@ def test_upper_bounds_hold_on_ramps(d, level):
         f = GridFunction(d, level, sample(linear(), d, level).samples + offset)
         for arr, interior in ((f, True), (zero_extend(f, f.n // 2), False)):
             a = arr.samples
-            radii = [f.n / 2]
-            shifts = moduli._half_shifts(d, radii[0], a.shape[0] - 1)
-            plan = moduli._screen_plan(a, max(radii), interior)
             for p in POWERS:
-                values = moduli._direct_values(a, shifts, p, 1.0, interior)
-                assert np.all(values <= moduli._upper_bounds(a, shifts, p, interior, plan))
+                split = moduli._split(a, p, f.n / 2, interior)
+                values = moduli._direct_values(a, split.shifts, p, interior)
+                assert np.all(values <= moduli._upper_bounds(split, p))
 
 
 @SETTINGS
@@ -162,10 +154,9 @@ def test_whole_bounds_hold_every_window_value(d, p, data):
     for _ in range(data.draw(st.integers(0, 3), "margin cells")):
         window[tuple(rng.integers(cap, window.shape[0] - cap, d))] = rng.normal(0, 10)
     a = ExtendedGridFunction(d, level, margin, window).samples
-    shifts = moduli._half_shifts(d, max(radii), a.shape[0] - 1)
-    upper = moduli._upper_bounds(a, shifts, p, False,
-                                  moduli._screen_plan(a, max(radii), False))
-    assert np.all(moduli._direct_values(a, shifts, p, 1.0, False) <= upper)
+    split = moduli._split(a, p, max(radii), False)
+    assert np.all(moduli._direct_values(a, split.shifts, p, False)
+                  <= moduli._upper_bounds(split, p))
 
 
 
@@ -178,8 +169,7 @@ def test_whole_bounds_hold_on_constant_cubes(d, level):
     n = 1 << level
     for value in rng.uniform(0.1, 10.0, 8):
         a = zero_extend(GridFunction(d, level, np.full((n,) * d, value)), n).samples
-        shifts = moduli._half_shifts(d, n, a.shape[0] - 1)
-        plan = moduli._screen_plan(a, n, False)
         for p in POWERS:
-            values = moduli._direct_values(a, shifts, p, 1.0, False)
-            assert np.all(values <= moduli._upper_bounds(a, shifts, p, False, plan))
+            split = moduli._split(a, p, n, False)
+            values = moduli._direct_values(a, split.shifts, p, False)
+            assert np.all(values <= moduli._upper_bounds(split, p))

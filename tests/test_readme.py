@@ -1,9 +1,9 @@
-"""The README's library sketch runs as written and its command and config key
-lists match the CLI, so a stale name in either fails."""
+"""The README's library sketch runs as written, and its command, config key
+and function-expression lists match the code, so a stale name in any fails."""
 import re
 from pathlib import Path
 
-from zexlab import cli
+from zexlab import cli, grid
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -23,3 +23,9 @@ def _listed(label: str) -> list:
 def test_readme_lists_every_command_and_config_key():
     assert _listed("Commands:") == list(cli._COMMANDS)
     assert sorted(_listed("Known keys:")) == sorted(cli._KNOWN_KEYS)
+
+
+def test_readme_function_table_lists_every_tag():
+    section = README.read_text().split("Function expressions follow the grammar", 1)[1]
+    rows = re.findall(r"^\| `([^`]+)` \|", section.split("\n\n", 2)[1], re.M)
+    assert [row.split()[0] for row in rows] == list(grid._TAG_KEYS)
