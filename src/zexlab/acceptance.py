@@ -297,17 +297,15 @@ def _gauss_indicator_error_oracle(t: float, p: float) -> float:
 def gate_kernel_hypotheses() -> GateResult:
     def run():
         problems = []
-        tails = {"gauss": 1e-6, "poisson": 1e-3, "fejer_tensor": 1e-3}
-        tails_2d = {"gauss": 1e-6, "poisson": 1e-2, "fejer_tensor": 2e-2}
         rows = []
         for member in corpus():
             level = 10 if member.d == 1 else 8
             f = sample(member.spec, member.d, level)
             t_list = (2.0 ** -5, 2.0 ** -3) if member.d == 1 else (2.0 ** -5,)
-            budget = tails if member.d == 1 else tails_2d
             for family in kernels.FAMILIES:
                 for t in t_list:
-                    spec = kernels.KernelSpec(family, t, budget[family])
+                    spec = kernels.KernelSpec(family, t,
+                                              kernels.default_tail(family, member.d))
                     margin = kernels.kernel_radius_cells(spec, f.d, f.level)
                     g = zero_extend(f, margin)
                     smoothed = kernels.apply_kernel(spec, g)

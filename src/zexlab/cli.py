@@ -237,9 +237,11 @@ def cmd_adaptive(config) -> int:
 
 
 def cmd_kernel_error(config) -> int:
+    _require(config, "function", "d", "L")
     family = config.get("kernel", "gauss")
-    tail = config.get("tail", 1e-6 if family == "gauss" else 1e-3)
-    kernels.KernelSpec(family, 1.0, tail)  # the family and tail rules
+    kernels.KernelSpec(family, 1.0)  # the family rule, before its default tail
+    tail = config.get("tail", kernels.default_tail(family, config["d"]))
+    kernels.KernelSpec(family, 1.0, tail)  # the tail rule
     f, spec = _function(config)
     grid = _t_grid(config, f.level)
     out = _outdir(config)
@@ -247,7 +249,7 @@ def cmd_kernel_error(config) -> int:
         curve = kernels.error_curve(family, f, p, grid, truncation_tail=tail,
                                     name=spec.describe())
         _write(out, f"kernel_error_{family}_p{p:g}.csv", curve.to_csv())
-    _write_meta(out, config)
+    _write_meta(out, {**config, "tail": tail})  # a default tail is recorded too
     return 0
 
 

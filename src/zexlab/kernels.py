@@ -18,7 +18,8 @@ measured in L^p over the padded window.
 
 Short separable kernels convolve by direct sums (``ndimage``); long ones and
 the d-dim Poisson kernel by one FFT routine that repeats
-``scipy.signal.fftconvolve``'s passes bit for bit without importing it.
+``scipy.signal.fftconvolve``'s passes bit for bit without importing it, over
+blocks of lines of a fixed byte budget rather than over full spectra.
 """
 from __future__ import annotations
 
@@ -33,14 +34,21 @@ from scipy.special import erfcinv
 from .besov import fit_points
 from .grid import (_MAX_CELLS, _WORKERS, ExtendedGridFunction, GridFunction,
                    _check_exponent, _shift_cells, lp_norm, shifted_samples, zero_extend)
-from .moduli import (ModulusCurve, _irfftn_kept, hybrid_modulus, interior_ladder,
-                     whole_modulus)
+from .moduli import (ModulusCurve, _ifft_kept, _irfft_kept, hybrid_modulus,
+                     interior_ladder, whole_modulus)
 
 FAMILIES = ("gauss", "poisson", "fejer_tensor")
 
 # error/hybrid and modulus/hybrid log-log slopes below this fail the bound
 _SLOPE_FLOOR = -0.05
 _FFT_KERNEL_CUTOFF = 256  # 1-d kernels longer than this convolve via FFT
+# The bytes of complex spectrum one block of an FFT convolution holds
+# (``_fft_convolve``).  On gate 7's 1856^2 Poisson window (FFT side 3456)
+# that is 12 blocks of 151 frequencies, then 7 blocks of 303 lines: under a
+# tenth of one full spectrum (91 MiB), so the blocks add little to the
+# window, output and kept lines the call holds anyway, while each pass still
+# runs over hundreds of lines at once.
+_BLOCK_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -59,6 +67,19 @@ class KernelSpec:
         if not 0 < self.truncation_tail < 0.5:
             raise ValueError(f"truncation tail budget must lie in (0, 0.5), "
                              f"got {self.truncation_tail:g}")
+
+
+# the truncation tail budget of a run that names none: (on the line, from d = 2
+# on).  The heavy-tailed families' radius grows like 1/tail from d = 2 on (the
+# 2-d Poisson radius is t sqrt(1/tail^2 - 1)), so their 1-d budget of 1e-3
+# would ask a 2-d window of 2.6e8 cells at t = 1/4 and L = 5.
+_DEFAULT_TAILS = {"gauss": (1e-6, 1e-6), "poisson": (1e-3, 1e-2),
+                  "fejer_tensor": (1e-3, 2e-2)}
+
+
+def default_tail(family: str, d: int) -> float:
+    """Truncation tail budget for ``family`` in dimension d when none is given."""
+    return _DEFAULT_TAILS[family][d >= 2]
 
 
 def _poisson3_radius_factor(tail: float) -> float:
@@ -131,22 +152,30 @@ def kernel_weights(spec: KernelSpec, d: int, level: int):
     if d == 1:
         w = t / (t * t + offsets ** 2)
         return "separable", [w / w.sum()]
-    grids = np.meshgrid(*([offsets] * d), indexing="ij")
-    rsq = sum(g * g for g in grids)
-    w = t / (t * t + rsq) ** ((d + 1) / 2.0)
-    return "full", w / w.sum()
+    # t / (t^2 + |x|^2)^((d+1)/2), finished in place on one window-sized array
+    grids = np.meshgrid(*([offsets] * d), indexing="ij", sparse=True)
+    w = sum(g * g for g in grids)
+    w += t * t
+    np.power(w, (d + 1) / 2.0, out=w)
+    np.divide(t, w, out=w)
+    w /= w.sum()
+    return "full", w
 
 
-def _convolve_axis(a: np.ndarray, w: np.ndarray, axis: int) -> np.ndarray:
+def _convolve_axis(a: np.ndarray, w: np.ndarray, axis: int,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """a convolved with w along ``axis``; into ``out`` (which may be a) only
+    when ``axis`` is the last."""
     if len(w) <= 2 * _FFT_KERNEL_CUTOFF + 1:
-        return ndimage.convolve1d(a, w, axis=axis, mode="constant", cval=0.0)
-    return np.moveaxis(_fft_convolve(np.moveaxis(a, axis, -1), w), -1, axis)
+        return ndimage.convolve1d(a, w, axis=axis, output=out, mode="constant", cval=0.0)
+    return np.moveaxis(_fft_convolve(np.moveaxis(a, axis, -1), w, out=out), -1, axis)
 
 
 def _convolve_separable(g: ExtendedGridFunction, weights) -> np.ndarray:
     """Axis by axis: before axis a is smoothed the window vanishes off the
     core [margin, margin + n) on axes a+1..d-1, so only those lines are
-    convolved, at full window length, into one zero window."""
+    convolved, at full window length, into one zero window.  The last axis
+    runs over every line of that window in place; ``g.samples`` is only read."""
     core = slice(g.margin, g.margin + g.n)
     out = g.samples
     for axis, w in enumerate(weights[:-1]):
@@ -155,37 +184,74 @@ def _convolve_separable(g: ExtendedGridFunction, weights) -> np.ndarray:
         if out is g.samples:
             out = np.zeros_like(out)
         out[lines] = smoothed
-    return _convolve_axis(out, weights[-1], g.d - 1)
+    return _convolve_axis(out, weights[-1], g.d - 1, None if out is g.samples else out)
 
 
-def _fft_convolve(x: np.ndarray, w: np.ndarray, support: slice | None = None) -> np.ndarray:
+def _blocks(count: int, line_bytes: int):
+    """Slices over ``count`` lines of ``line_bytes`` each, at most
+    ``_BLOCK_BYTES`` (and at least one line) a slice."""
+    step = max(_BLOCK_BYTES // line_bytes, 1)
+    return (slice(i, min(i + step, count)) for i in range(0, count, step))
+
+
+def _spread(lines: np.ndarray, m: int, support: slice, fast: int) -> np.ndarray:
+    """rfftn's passes after the last axis's, on one block of last-axis
+    frequencies: ``lines``, the spectra of the support lines, go to
+    ``support`` on the m - 1 axes before the last of a zero block of side
+    ``fast``, and those axes are transformed in order, each only over the
+    lines that are nonzero on the axes still to come."""
+    out = np.zeros(lines.shape[:-m] + (fast,) * (m - 1) + lines.shape[-1:], complex)
+    out[(..., *(support,) * (m - 1), slice(None))] = lines
+    for axis in range(m - 1):
+        sel = (..., *(slice(None),) * (axis + 1), *(support,) * (m - 2 - axis), slice(None))
+        out[sel] = sfft.fft(out[sel], axis=axis - m, overwrite_x=True, workers=_WORKERS)
+    return out
+
+
+def _fft_convolve(x: np.ndarray, w: np.ndarray, support: slice | None = None,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """``signal.fftconvolve(x, w, "same")`` over the last ``m = w.ndim`` axes
-    of x, bit for bit; the leading axes are a batch, and the m axes are all
-    as long as x's last.  Its rfftn transforms the last axis, then the other
-    m - 1 in order; its irfftn those m - 1, then the last with the 1/N
-    scaling as one product per value (``moduli._irfftn_kept``).  The same
-    passes run here, skipping the lines that are zero going in (off
-    ``support`` on the axes still to come, all of x's by default) or cropped
-    coming out."""
+    of x, bit for bit, into ``out`` (C-contiguous; it may be x) if given; the
+    leading axes are a batch, and the m axes are all as long as x's last.
+    Its rfftn transforms the last axis, then the other m - 1 in order; its
+    irfftn those m - 1, then the last with the 1/N scaling as one product per
+    value (``moduli._irfftn_kept``).  The same passes run here, skipping the
+    lines that are zero going in (off ``support`` on the axes still to come,
+    all of x's by default) or cropped coming out, and over blocks of at most
+    ``_BLOCK_BYTES``: for m > 1, the last axis's spectra of x's support lines
+    and of the kernel's lines, then each block of last-axis frequencies
+    through the other axes' passes into one n^(m-1) x (fast/2 + 1) array,
+    then the last inverse pass over blocks of its lines.  Every FFT line is
+    transformed alone, so the blocks move no bit."""
     m, n, k = w.ndim, x.shape[-1], w.shape[0]
     fast = sfft.next_fast_len(n + k - 1, True)
-
-    def spectrum(y, support):
-        if m == 1:
-            return sfft.rfft(y, fast, axis=-1, workers=_WORKERS)
-        out = np.zeros(y.shape[:-m] + (fast,) * (m - 1) + (fast // 2 + 1,), complex)
-        lines = (..., *(support,) * (m - 1), slice(None))
-        out[lines] = sfft.rfft(y[lines], fast, axis=-1, workers=_WORKERS)
-        for axis in range(m - 1):
-            lines = (..., *(slice(None),) * (axis + 1), *(support,) * (m - 2 - axis),
-                     slice(None))
-            out[lines] = sfft.fft(out[lines], axis=axis - m, workers=_WORKERS)
-        return out
-
-    prod = spectrum(x, slice(0, n) if support is None else support)
-    prod *= spectrum(w, slice(0, k))
+    half = fast // 2 + 1
     crop = slice((k - 1) // 2, (k - 1) // 2 + n)
-    return _irfftn_kept(prod, (fast,) * m, (crop,) * m, _WORKERS)
+    kernel = sfft.rfft(w, fast, axis=-1, workers=_WORKERS)
+    if m == 1:
+        rows = x.reshape(-1, n)
+
+        def spectrum(block):
+            prod = sfft.rfft(rows[block], fast, axis=-1, workers=_WORKERS)
+            prod *= kernel
+            return prod
+    else:
+        batch = x.shape[:-m]
+        support = slice(0, n) if support is None else support
+        lines = sfft.rfft(x[(..., *(support,) * (m - 1), slice(None))], fast, axis=-1,
+                          workers=_WORKERS)
+        kept = np.empty(batch + (n,) * (m - 1) + (half,), complex)
+        for cols in _blocks(half, 16 * math.prod(batch) * fast ** (m - 1)):
+            prod = _spread(lines[..., cols], m, support, fast)
+            prod *= _spread(kernel[..., cols], m, slice(0, k), fast)
+            kept[..., cols] = _ifft_kept(prod, (crop,) * (m - 1), _WORKERS)
+        del lines, kernel, prod
+        spectrum = kept.reshape(-1, half).__getitem__
+    out = np.empty(x.shape) if out is None else out
+    out_rows = out.reshape(-1, n)
+    for block in _blocks(len(out_rows), 16 * half):
+        _irfft_kept(spectrum(block), fast, crop, fast ** m, _WORKERS, out_rows[block])
+    return out
 
 
 def apply_kernel(spec: KernelSpec, g: ExtendedGridFunction) -> ExtendedGridFunction:
@@ -198,9 +264,12 @@ def apply_kernel(spec: KernelSpec, g: ExtendedGridFunction) -> ExtendedGridFunct
     W^(d-1) lines on the first axis, W the window side.  Long separable
     kernels and the d-dim Poisson kernel share one FFT routine
     (``_fft_convolve``), which runs each pass only over the lines that can be
-    nonzero or are kept.  Every line is computed as over the whole window, so
-    the output is bit for bit the same.  The FFT passes run on every usable
-    core (``grid._WORKERS``).
+    nonzero or are kept, in blocks of at most ``_BLOCK_BYTES``: besides the
+    window and the output, the d-dim Poisson kernel holds its weights, the
+    last-axis spectra of the kernel's and the cube's lines, one
+    W^(d-1) x (fast/2 + 1) array and one block.  Every line is computed as
+    over the whole window, so the output is bit for bit the same.  The FFT
+    passes run on every usable core (``grid._WORKERS``).
     """
     radius = kernel_radius_cells(spec, g.d, g.level)
     if radius > g.margin:
@@ -234,11 +303,20 @@ def apply_kernel_direct(spec: KernelSpec, g: ExtendedGridFunction) -> ExtendedGr
     return ExtendedGridFunction(g.d, g.level, g.margin, out)
 
 
+def _smoothing_error(spec: KernelSpec, g: ExtendedGridFunction) -> ExtendedGridFunction:
+    """(smoothing - identity) g: ``g.samples`` subtracted in place from the
+    smoothed window, which ``apply_kernel`` made and nothing else holds."""
+    err = apply_kernel(spec, g).samples
+    err.setflags(write=True)
+    err -= g.samples
+    return ExtendedGridFunction(g.d, g.level, g.margin, err)
+
+
 def error_norm(spec: KernelSpec, f: GridFunction, p: float) -> float:
     """L^p size of (smoothing - identity) applied to the zero-extension."""
     _check_exponent(p)
     g = zero_extend(f, kernel_radius_cells(spec, f.d, f.level))
-    return lp_norm(apply_kernel(spec, g) - g, p)
+    return lp_norm(_smoothing_error(spec, g), p)
 
 
 def _kernel_specs(family: str, f: GridFunction, t_grid, truncation_tail: float) -> list:
@@ -259,7 +337,7 @@ def _error_and_modulus(spec: KernelSpec, f: GridFunction, p: float) -> tuple:
     """
     radius = kernel_radius_cells(spec, f.d, f.level)
     g = zero_extend(f, max(radius, _shift_cells(spec.t, f.n), 1))
-    err = lp_norm(apply_kernel(spec, g) - g, p)
+    err = lp_norm(_smoothing_error(spec, g), p)
     return err, whole_modulus(g, p, spec.t)
 
 

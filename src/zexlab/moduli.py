@@ -382,20 +382,34 @@ def _screen(arr: np.ndarray, shifts: np.ndarray, shape, orders) -> dict:
 def _irfftn_kept(spectrum: np.ndarray, shape, keep, workers=None) -> np.ndarray:
     """``sfft.irfftn(spectrum, shape)`` over the last ``m = len(shape)`` axes,
     cut to ``keep`` (one slice per axis), bit for bit.  irfftn's own passes
-    run one at a time: the leading m - 1 axes in order, unscaled, each cut to
-    its ``keep`` as soon as it is transformed; then the last axis; then the
-    1/N scaling as one product per value.  A real spectrum is made complex
-    first, as irfftn does (a real input takes another path through ``ifft``,
-    with other bits).  ``spectrum`` may be overwritten."""
-    m = len(shape)
-    spectrum = spectrum.astype(complex, copy=False)
-    for axis in range(m - 1):
+    run one at a time: the leading m - 1 axes in order (``_ifft_kept``), then
+    the last axis with the 1/N scaling (``_irfft_kept``).  A real spectrum is
+    made complex first, as irfftn does (a real input takes another path
+    through ``ifft``, with other bits).  ``spectrum`` may be overwritten."""
+    spectrum = _ifft_kept(spectrum.astype(complex, copy=False), keep[:-1], workers)
+    return _irfft_kept(spectrum, shape[-1], keep[-1], math.prod(shape), workers)
+
+
+def _ifft_kept(spectrum: np.ndarray, keep, workers=None) -> np.ndarray:
+    """irfftn's unscaled inverse passes over the ``len(keep)`` axes before the
+    last, in order, each cut to its ``keep`` as soon as it is transformed.
+    The last axis may hold any subset of the frequencies: each line is
+    transformed alone.  A complex ``spectrum`` may be overwritten."""
+    m = len(keep) + 1
+    for axis, kept in enumerate(keep):
         spectrum = sfft.ifft(spectrum, axis=axis - m, norm="forward", overwrite_x=True,
-                             workers=workers)[(..., keep[axis],
-                                               *(slice(None),) * (m - 1 - axis))]
-    out = sfft.irfft(spectrum, shape[-1], axis=-1, norm="forward",
-                     workers=workers)[..., keep[-1]]
-    return out * np.float64(1 / np.longdouble(math.prod(shape)))
+                             workers=workers)[(..., kept, *(slice(None),) * (m - 1 - axis))]
+    return spectrum
+
+
+def _irfft_kept(spectrum: np.ndarray, size: int, keep: slice, total: int, workers=None,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """irfftn's last pass: the length-``size`` irfft of every line on the last
+    axis, cut to ``keep``, then the 1/``total`` scaling of an irfftn over
+    ``total`` points as one product per value, into ``out`` if given.  The
+    lines are independent, so any block of them gives the same bits."""
+    kept = sfft.irfft(spectrum, size, axis=-1, norm="forward", workers=workers)[..., keep]
+    return np.multiply(kept, np.float64(1 / np.longdouble(total)), out=out)
 
 
 def _real_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -245,9 +245,19 @@ def test_kernel_error_refuses_oversized_window(tmp_path, capsys, monkeypatch,
 
     monkeypatch.setattr("zexlab.kernels.zero_extend", no_window)
     cfg = _write_config(tmp_path, f"function = cusp alpha=0.5\nd = 2\nL = 10\n"
-                                  f"kernel = {kernel}\n")
+                                  f"kernel = {kernel}\ntail = 0.001\n")
     assert main(["kernel-error", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert f"a window of {cells} cells" in capsys.readouterr().err
+
+
+def test_kernel_error_default_tail_serves_2d_poisson(tmp_path):
+    # the 1-d default (1e-3) would ask a 2.6e8-cell window here
+    cfg = _write_config(tmp_path, "function = cusp alpha=0.5\nd = 2\nL = 5\n"
+                                  "kernel = poisson\n")
+    out = tmp_path / "out"
+    assert main(["kernel-error", "--config", cfg, "--out", str(out)]) == 0
+    assert ",error_norm," in (out / "kernel_error_poisson_p2.csv").read_text()
+    assert "\ntail=0.01\n" in (out / "run_meta.txt").read_text()
 
 
 def test_besov_fit_subcommand(tmp_path, capsys):

@@ -259,10 +259,18 @@ def test_support_only_passes_match_whole_window_bit_for_bit(monkeypatch, workers
         assert np.array_equal(apply_kernel(spec, g).samples, _whole_window(spec, g))
 
 
+# _BLOCK_BYTES values that give one-line blocks, blocks whose last one is
+# shorter on every pass below, and one block for everything
+_BUDGETS = pytest.mark.parametrize("budget", (1, 4000, 1 << 40),
+                                   ids=["one-line", "uneven", "one-block"])
+
+
+@pytest.mark.parametrize("budget", (4000, 8 << 20), ids=["small", "default"])
 @pytest.mark.parametrize("workers", (1, 2))
-@pytest.mark.parametrize("d, level, t", [(2, 4, 0.125), (2, 6, 0.0625), (3, 3, 0.125)])
-def test_poisson_full_path_matches_fftconvolve_bit_for_bit(monkeypatch, workers, d, level,
-                                                           t):
+@pytest.mark.parametrize("d, level, t", [(2, 4, 0.125), (2, 6, 0.0625), (3, 3, 0.125),
+                                         (3, 4, 0.0625)])
+def test_poisson_full_path_matches_fftconvolve_bit_for_bit(monkeypatch, workers, budget, d,
+                                                           level, t):
     from scipy import signal
 
     import zexlab.kernels
@@ -274,28 +282,79 @@ def test_poisson_full_path_matches_fftconvolve_bit_for_bit(monkeypatch, workers,
     f = GridFunction(d, level, rng.standard_normal(((1 << level),) * d))
     radius = kernel_radius_cells(spec, d, level)
     monkeypatch.setattr(zexlab.kernels, "_WORKERS", workers)
+    monkeypatch.setattr(zexlab.kernels, "_BLOCK_BYTES", budget)
     for margin in (radius, radius + (1 << level) + 3):
         g = zero_extend(f, margin)
         reference = signal.fftconvolve(g.samples, w, mode="same")  # one worker
         assert np.array_equal(apply_kernel(spec, g).samples, reference)
 
 
+@_BUDGETS
 @pytest.mark.parametrize("workers", (1, 2))
-def test_fft_convolve_batches_leading_axes_bit_for_bit(monkeypatch, workers):
-    # leading axes are a batch; a support only skips lines that are zero anyway
+@pytest.mark.parametrize("batch, n, k", [((3, 5), 40, (31,)), ((3,), 24, (9, 9)),
+                                         ((2,), 12, (5, 5, 5))], ids=["m1", "m2", "m3"])
+def test_fft_convolve_batches_leading_axes_bit_for_bit(monkeypatch, workers, budget, batch,
+                                                       n, k):
+    # leading axes are a batch; a support only skips lines that are zero anyway;
+    # the blocks split lines, never a line, so no budget moves a bit
     from scipy import signal
 
     import zexlab.kernels
     from zexlab.kernels import _fft_convolve
 
     monkeypatch.setattr(zexlab.kernels, "_WORKERS", workers)
+    monkeypatch.setattr(zexlab.kernels, "_BLOCK_BYTES", budget)
     rng = np.random.default_rng(11)
-    n, support = 24, slice(5, 17)
-    for w in (rng.standard_normal(31), rng.standard_normal((9, 9))):
-        m = w.ndim
-        x = np.zeros((3,) + (n,) * m)
-        x[(slice(None),) + (support,) * m] = rng.standard_normal((3,) + (12,) * m)
-        axes = tuple(range(1, m + 1))
-        reference = signal.fftconvolve(x, w[None], mode="same", axes=axes)  # one worker
-        assert np.array_equal(_fft_convolve(x, w), reference)
-        assert np.array_equal(_fft_convolve(x, w, support), reference)
+    w, m, support = rng.standard_normal(k), len(k), slice(n // 4, n // 4 + n // 2)
+    x = np.zeros(batch + (n,) * m)
+    x[(..., *(support,) * m)] = rng.standard_normal(batch + (n // 2,) * m)
+    axes = tuple(range(len(batch), len(batch) + m))
+    reference = signal.fftconvolve(x, w.reshape((1,) * len(batch) + k), mode="same",
+                                   axes=axes)  # one worker
+    assert np.array_equal(_fft_convolve(x, w), reference)
+    assert np.array_equal(_fft_convolve(x, w, support), reference)
+    out = x.copy()  # in place, as the separable kernels' last axis runs
+    assert _fft_convolve(out, w, out=out) is out
+    assert np.array_equal(out, reference)
+
+
+@pytest.mark.parametrize("family, d, level, tail", [
+    ("gauss", 1, 8, 1e-6), ("gauss", 2, 5, 1e-6), ("fejer_tensor", 1, 6, 2e-2),
+    ("fejer_tensor", 2, 5, 2e-2), ("fejer_tensor", 3, 2, 2e-1)])
+def test_separable_passes_only_read_the_window(family, d, level, tail):
+    # the last axis runs in place in the intermediate window, never in g's
+    g = zero_extend(sample(cusp(0.5), d, level),
+                    kernel_radius_cells(KernelSpec(family, 0.125, tail), d, level))
+    before = g.samples.copy()
+    out = apply_kernel(KernelSpec(family, 0.125, tail), g).samples
+    assert not np.shares_memory(out, g.samples)
+    assert np.array_equal(g.samples, before) and not g.samples.flags.writeable
+
+
+def test_poisson_convolution_peak_memory():
+    # gate 7's 2-d Poisson window: the call holds the weights, the kernel's
+    # and the support lines' last-axis spectra, the n^(m-1) x (fast/2 + 1)
+    # array of kept lines and the output, plus a few blocks; before blocking
+    # it held three full fast x (fast/2 + 1) spectra
+    import tracemalloc
+
+    from scipy import fft as sfft
+
+    import zexlab.kernels
+
+    spec = KernelSpec("poisson", 2.0 ** -5, 1e-2)
+    g = zero_extend(sample(cusp(0.5), 2, 8), kernel_radius_cells(spec, 2, 8))
+    side, n, k = g.samples.shape[0], g.n, kernel_weights(spec, 2, 8)[1].shape[0]
+    fast = sfft.next_fast_len(side + k - 1, True)
+    half = fast // 2 + 1
+    held = k * k * 8 + (k + n + side) * half * 16 + g.samples.nbytes
+    bound = held + 4 * zexlab.kernels._BLOCK_BYTES
+    multiple = bound / g.samples.nbytes
+    assert bound < 3 * fast * half * 16
+    tracemalloc.start()
+    try:
+        apply_kernel(spec, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < multiple * g.samples.nbytes
