@@ -8,6 +8,7 @@ import json
 from pathlib import Path
 
 import pytest
+from scipy.special import ndtr
 
 from zexlab import acceptance
 
@@ -31,6 +32,32 @@ def test_gate(gate):
     produced = {name: hashlib.sha256(body.encode()).hexdigest()
                 for name, body in result.artifacts.items()}
     assert produced == recorded
+
+
+def _quad_indicator_error(t, p):
+    from scipy.integrate import quad
+
+    def err(x):
+        smooth = ndtr(x / t) - ndtr((x - 1.0) / t)
+        return abs(smooth - (1.0 if 0.0 <= x <= 1.0 else 0.0)) ** p
+
+    return sum(quad(err, a, b, limit=200)[0]
+               for a, b in ((-1.0, 0.0), (0.0, 1.0), (1.0, 2.0))) ** (1.0 / p)
+
+
+@pytest.mark.parametrize("p", (1.0, 2.0, 3.0))
+@pytest.mark.parametrize("t", (2.0 ** -3, 2.0 ** -4, 2.0 ** -5))
+def test_indicator_oracle_matches_quad_and_its_refinement(t, p):
+    oracle = acceptance._gauss_indicator_error_oracle(t, p)
+    # 1e-9, not tighter: at p=2 quad itself sits about 2e-12 from the rule
+    assert oracle == pytest.approx(_quad_indicator_error(t, p), rel=1e-9, abs=0.0)
+    # doubling the nodes per panel shows the rule's own error
+    refined = acceptance._gauss_indicator_error_oracle(t, p, nodes=64)
+    assert abs(oracle - refined) < 1e-12 * refined
+
+
+def test_indicator_oracle_prints_the_gate_digits():
+    assert f"{acceptance._gauss_indicator_error_oracle(2.0 ** -4, 2.0):.6f}" == "0.170915"
 
 
 def test_verify_cli_runs_everything(tmp_path, monkeypatch):

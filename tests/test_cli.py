@@ -213,6 +213,25 @@ def test_cli_import_leaves_scipy_signal_and_stats_out():
     assert result.stdout.strip() == "[]"
 
 
+def test_cli_import_leaves_scipy_integrate_optimize_linalg_sparse_out():
+    # a fresh interpreter: gate 7's oracle is numpy-only, and nothing else
+    # in src needs these modules
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import zexlab
+
+    env = dict(os.environ, PYTHONPATH=str(Path(zexlab.__file__).parents[1]))
+    code = ("import sys, zexlab.cli; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', "
+            "'scipy.linalg', 'scipy.sparse') if m in sys.modules))")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "[]"
+
+
 def test_hybrid_subcommand(tmp_path):
     cfg = _write_config(tmp_path, "function = cusp alpha=0.5\nd = 1\nL = 8\np = 2\n")
     out = tmp_path / "out"
