@@ -60,8 +60,7 @@ def _gate(name, limit, fn) -> GateResult:
 
 def gate_shift_bounds(seed: int = DEFAULT_SEED) -> GateResult:
     def run():
-        rows = dyadic.shift_bound_suite(n_functions=100, shifts_each=10,
-                                        p_values=(1.0, 2.0, 3.0), seed=seed)
+        rows = dyadic.shift_bound_suite(n_functions=100, shifts_each=10, seed=seed)
         suite_rows = rows[:-1]
         eq = rows[-1]
         failures = [r for r in suite_rows if not r["pass"]]
@@ -95,22 +94,22 @@ def gate_average_error() -> GateResult:
                     ns = range(1, level - 1)
                 else:
                     ns = (level - 2,)  # exact direct enumeration stays affordable
-                zvals = moduli.interior_dyadic_values(f, p, ns)
-                constant = dyadic.average_error_constant(member.d, p)
+                # one curve serves every level N: its scales 2^-N
+                curve = moduli.interior_curve(f, p, [2.0 ** (-n) for n in ns])
+                zvals = dict(curve.points)
                 for n_level in ns:
-                    err = lp_norm(f - dyadic.render_average(f, n_level), p)
-                    bound = constant * zvals[n_level]
+                    err, bound, constant = dyadic.average_error_report(f, n_level, p, curve)
                     ok = err <= bound + 1e-12
                     if not ok:
                         failures.append((member.name, p, n_level, err, bound))
-                    if zvals[n_level] > 0:
-                        needed_constant = max(needed_constant, err / zvals[n_level])
+                    zeta = zvals[2.0 ** (-n_level)]
+                    if zeta > 0:
+                        needed_constant = max(needed_constant, err / zeta)
                     rows.append((member.d, member.name, p, n_level, err, bound,
                                  constant, ok))
         # the continuum value needs a fine lattice: the discrete error is
         # sqrt(1/48 - 2^(-2L-1)/6), within 1e-10 of 1/(4 sqrt(3)) once L >= 17
-        f20 = sample(linear(), 1, 20)
-        exact = lp_norm(f20 - dyadic.render_average(f20, 1), 2.0)
+        exact = dyadic.average_error(sample(linear(), 1, 20), 1, 2.0)
         target = 1.0 / (4.0 * math.sqrt(3.0))
         exact_ok = abs(exact - target) <= 1e-10
         passed = not failures and exact_ok
@@ -275,19 +274,23 @@ def gate_adaptive() -> GateResult:
 # gate 7: kernel hypotheses
 
 
-def _gauss_indicator_error_oracle(t: float, p: float, nodes: int = 32) -> float:
+# Gauss-Legendre nodes per panel of the quadrature oracle
+_ORACLE_NODES = 32
+
+
+def _gauss_indicator_error_oracle(t: float, p: float) -> float:
     """Quadrature value of the smoothing error on the unit indicator (d=1).
 
     Independent of the lattice path: the smoothed indicator has the closed
     form ndtr(x/t) - ndtr((x-1)/t), and the error power integrates by a fixed
-    composite Gauss-Legendre rule (``nodes`` per panel) on the three smooth
-    pieces of [-1, 2], with panel breaks at distance t*2^j (j = -6..5) from
-    the jumps at 0 and 1.
+    composite Gauss-Legendre rule (``_ORACLE_NODES`` per panel) on the three
+    smooth pieces of [-1, 2], with panel breaks at distance t*2^j
+    (j = -6..5) from the jumps at 0 and 1.
     """
     gaps = t * 2.0 ** np.arange(-6, 6)
     cuts = np.concatenate(([-1.0, 0.0, 1.0, 2.0], -gaps, gaps, 1.0 - gaps, 1.0 + gaps))
     cuts = np.unique(cuts[(cuts >= -1.0) & (cuts <= 2.0)])
-    x0, w0 = np.polynomial.legendre.leggauss(nodes)
+    x0, w0 = np.polynomial.legendre.leggauss(_ORACLE_NODES)
     a, b = cuts[:-1, None], cuts[1:, None]
     x = 0.5 * (a + b) + 0.5 * (b - a) * x0
     inside = (x > 0.0) & (x < 1.0)

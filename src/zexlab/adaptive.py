@@ -20,8 +20,8 @@ from itertools import repeat
 
 import numpy as np
 
-from .besov import FitResult, fit_points
-from .dyadic import _cells, _cover, _mean_pyramid, _refine, _sum_pyramid, block_means
+from .besov import FitResult, VanishingModulusError, fit_points
+from .dyadic import _cells, _cover, _mean_pyramid, _refine, _sum_pyramid
 from .grid import GridFunction, _abs_pow, _check_exponent, _csv, lp_norm
 
 PARTITION_DUMP_HEADER = "level,origin_indices,S,status"
@@ -58,7 +58,7 @@ def local_error(f: GridFunction, level: int, origin, p: float) -> float:
     _cells([origin], level, f.d)  # ValueError outside the 2^level lattice
     b = 1 << (f.level - level)
     block = f.samples[tuple(slice(o * b, (o + 1) * b) for o in origin)]
-    mean = block_means(block, f.d, f.level - level, 0).item()
+    mean = _mean_pyramid(block, f.d, f.level - level)[0].item()
     dev = _abs_pow(block - mean, p)
     return float((dev.sum() * f.cell_volume) ** (1.0 / p))
 
@@ -182,8 +182,12 @@ def verify_partition(part: AdaptivePartition, f: GridFunction) -> list:
 
 
 def default_epsilons(f: GridFunction, p: float) -> tuple:
-    """Scale-relative threshold ladder eps_j = 2^-j ||f||_p, j = 1..8."""
+    """Scale-relative threshold ladder eps_j = 2^-j ||f||_p, j = 1..8.  The
+    zero function has no such ladder: every threshold would be 0."""
     norm = lp_norm(f, p)
+    if norm == 0:
+        raise VanishingModulusError(f"||f||_p = 0 at p={p:g}: the default thresholds "
+                                    "2^-j ||f||_p vanish; set 'epsilon' or 'epsilons'")
     return tuple(norm * 2.0 ** (-j) for j in range(1, 9))
 
 

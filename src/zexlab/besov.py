@@ -175,15 +175,13 @@ class BalancedEnvelope:
     psi(t_j) = zeta_j up to interpolation error.
     """
 
-    def __init__(self, f: GridFunction, p: float, ladder=None):
+    def __init__(self, f: GridFunction, p: float):
         _check_exponent(p)
         self.p = float(p)
         self.norm = lp_norm(f, p)
         if self.norm <= 0:
             raise ValueError("zero function has no envelope")
-        if ladder is None:
-            ladder = interior_ladder(f, p)
-        ladder = np.asarray(ladder, dtype=float)
+        ladder = interior_ladder(f, p)
         js = np.arange(len(ladder))
         s = 2.0 ** (-js)
         phi = s ** (1.0 / self.p) * ladder

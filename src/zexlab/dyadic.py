@@ -1,11 +1,13 @@
 """Piecewise constants on dyadic cubes: averaging, error, and shift bounds.
 
 The level-N average projection replaces a grid function by its mean on each
-of the 2^(dN) dyadic cubes of side 2^-N.  Two exact inequality checkers live
-here:
+of the 2^(dN) dyadic cubes of side 2^-N.  Every dyadic mean, of one level or
+of all, is read off one pairwise-halving pyramid (``_mean_pyramid``).  Two
+exact inequality checkers live here:
 
-* ``average_error_report``: the averaging error in L^p against the interior
-  modulus at the cube scale, with the explicit constant
+* ``average_error_report``: the averaging error in L^p (``average_error``)
+  against the interior modulus at the cube scale, read from an interior
+  curve that may hold many scales, with the explicit constant
   (v_d * d^((d+p)/2))^(1/p), v_d the unit-ball volume.
 * ``shift_bound_check``: for a piecewise constant extended by zero, the p-th
   power of a shifted difference against 2^p min{|h| 2^k sqrt(d), 1} times the
@@ -36,6 +38,8 @@ SUITE_CSV_HEADER = "seed,d,k,p,h,lhs,rhs,pass"
 _SPLIT_PROB = 0.55
 # shift_bound_suite draws partition levels k = 1 .. _SUITE_MAX_LEVEL
 _SUITE_MAX_LEVEL = 5
+# and checks every case at these exponents
+_SUITE_P = (1.0, 2.0, 3.0)
 
 
 def unit_ball_volume(d: int) -> float:
@@ -128,20 +132,6 @@ class PiecewiseConstant:
         return float((vols * _abs_pow(self.values, p)).sum())
 
 
-def block_means(samples: np.ndarray, d: int, from_level: int, to_level: int) -> np.ndarray:
-    """Means over dyadic blocks via successive pairwise averaging.
-
-    Pairwise halving keeps the projection property bit-exact: averaging an
-    already block-constant array returns it unchanged.
-    """
-    if to_level > from_level:
-        raise ValueError("target level must not exceed the source level")
-    a = samples
-    for _ in range(from_level - to_level):
-        a = _halve(a, d)
-    return a
-
-
 def _halve(a: np.ndarray, d: int) -> np.ndarray:
     """Means over the 2^d-cell blocks: one level up the dyadic tree."""
     for axis in range(d):
@@ -154,10 +144,12 @@ def _halve(a: np.ndarray, d: int) -> np.ndarray:
 
 
 def _mean_pyramid(samples: np.ndarray, d: int, level: int) -> list:
-    """Block means of every level 0..level; entry k holds the level-k means.
+    """Block means of every level 0..level of a level-``level`` array; entry
+    k holds the level-k means.  Every dyadic mean is read off it.
 
-    Each level is halved from the one below it, so entry k equals
-    ``block_means(samples, d, level, k)`` bit for bit.
+    Each level is halved pairwise from the one below it, which keeps the
+    projection exact to the bit: any level's means, refined back to the
+    lattice, are that same level of their own pyramid.
     """
     levels = [samples]
     for _ in range(level):
@@ -180,17 +172,22 @@ def _sum_pyramid(samples: np.ndarray, d: int, level: int) -> list:
 
 
 def dyadic_average(f: GridFunction, level: int) -> PiecewiseConstant:
-    """Project onto constants over the level-`level` dyadic cubes (exact means)."""
+    """Project onto constants over the level-`level` dyadic cubes: exact
+    means, the coarsest entry of the pyramid ``f.level - level`` halvings deep."""
     if not 0 <= level <= f.level:
         raise ValueError("average level must lie in 0..L")
-    means = block_means(f.samples, f.d, f.level, level)
+    means = _mean_pyramid(f.samples, f.d, f.level - level)[0]
     return PiecewiseConstant.from_uniform(f.d, level, means)
 
 
 def render_average(f: GridFunction, level: int) -> GridFunction:
     """The level-`level` average projection, re-rendered on f's own lattice."""
-    means = block_means(f.samples, f.d, f.level, level)
-    return GridFunction(f.d, f.level, _refine(means, 1 << (f.level - level)))
+    return dyadic_average(f, level).render(f.level)
+
+
+def average_error(f: GridFunction, level: int, p: float) -> float:
+    """||f - f_avg||_p for the level-`level` average projection, an exact cell sum."""
+    return lp_norm(f - render_average(f, level), p)
 
 
 def average_error_constant(d: int, p: float) -> float:
@@ -201,19 +198,23 @@ def average_error_report(f: GridFunction, level: int, p: float,
                          modulus: ModulusCurve | None = None) -> tuple:
     """(error, bound, constant) for the level-`level` average projection.
 
-    error is ||f - f_avg||_p as an exact cell sum; bound is the constant
-    times the interior modulus at scale 2^-level, read from ``modulus``, that
-    scale's interior curve, built here when not given; a value its table
-    left bracketed warns (``LowerBoundWarning``).
+    error is ``average_error``; bound is the constant times the interior
+    modulus at scale 2^-level, looked up in ``modulus``, an interior curve
+    of f that holds that scale among any others (one curve serves every
+    level), or that scale's one-point curve, built here when not given.  A
+    value its table left bracketed warns (``LowerBoundWarning``); a curve
+    without the scale is refused.
     """
     if level > f.level - 2:
         raise ValueError("need level <= L-2 so the modulus scale is resolvable")
+    scale = 2.0 ** (-level)
     if modulus is None:
-        modulus = interior_curve(f, p, [2.0 ** (-level)])
-    error = lp_norm(f - render_average(f, level), p)
+        modulus = interior_curve(f, p, [scale])
+    row = _flagged_points(modulus, (scale,))
+    if not row:
+        raise ValueError(f"the modulus curve holds no point at the scale t={scale!r}")
     constant = average_error_constant(f.d, p)
-    bound = constant * _flagged_points(modulus)[0][1]
-    return error, bound, constant
+    return average_error(f, level, p), constant * row[0][1], constant
 
 
 def shift_bound_check(pc: PiecewiseConstant, shift: LatticeShift, p: float) -> tuple:
@@ -285,12 +286,16 @@ def equality_case() -> dict:
 
 
 def shift_bound_suite(n_functions: int = 100, shifts_each: int = 10,
-                      p_values=(1.0, 2.0, 3.0), seed: int = 7) -> list:
+                      seed: int = 7) -> list:
     """Seeded randomized suite over uniform and arbitrary partitions.
 
-    Returns one row dict per (function, shift, p) case plus the equality
-    instance; rows carry both sides so slack can be studied downstream.
+    Returns one row dict per (function, shift, p) case, p in ``_SUITE_P``,
+    plus the equality instance; rows carry both sides so slack can be
+    studied downstream.  Negative counts are refused before any draw.
     """
+    for key, count in (("n_functions", n_functions), ("shifts_each", shifts_each)):
+        if count < 0:
+            raise ValueError(f"{key} must be >= 0, got {count}")
     master = np.random.default_rng(seed)
     case_seeds = master.integers(0, 2 ** 31 - 1, size=n_functions)
     rows = []
@@ -308,7 +313,7 @@ def shift_bound_suite(n_functions: int = 100, shifts_each: int = 10,
         level = pc.max_level + 2
         for _ in range(shifts_each):
             shift = random_shift(rng, d, level)
-            for p in p_values:
+            for p in _SUITE_P:
                 lhs, rhs = shift_bound_check(pc, shift, p)
                 rows.append({
                     "seed": int(case_seed), "d": d,

@@ -8,15 +8,16 @@ Three quantities per function f and scale t:
 * hybrid modulus    inf over dyadic s of
                         interior(s) + min{(sqrt(d) t / s)^(1/p), 1} ||f||_p
                     for p > 1, and for p = 1 the variant with
-                        max{sqrt(d) t / s, 1} |log(s / (sqrt(d) t))| ||f||_1.
+                        max{sqrt(d) t / s, 1} |log(s / (sqrt(d) t))| ||f||_1,
+                    from one interior ladder and one norm (``hybrid_curve``).
 
 Shifts are lattice multiples of the cell side, so each candidate difference
-norm is an exact cell sum.  Every query, single-scale or curve, reads one
-supremum table: per lookup radius t * n cells, the largest cell sum
-E_p(k) = sum_i |f(i+k) - f(i)|^p over the shifts |k| within it.  Tables
-count in cell sums; the curve builder alone multiplies by the cell volume,
-a power of two, so exactly.  A single-scale query is the row of a one-point
-curve.
+norm is an exact cell sum.  Every interior or whole query, single-scale or
+curve, reads one supremum table: per lookup radius t * n cells, the largest
+cell sum E_p(k) = sum_i |f(i+k) - f(i)|^p over the shifts |k| within it.
+Tables count in cell sums; only ``_curve`` multiplies them by the cell
+volume, a power of two, so exactly.  A single-scale query, hybrid ones too,
+is the row of a one-point curve.
 
 Every table reads one box split.  B is the array's box: the cube for an
 interior table, the smallest box of the window that holds its support for a
@@ -379,15 +380,15 @@ def _screen(arr: np.ndarray, shifts: np.ndarray, shape, orders) -> dict:
     return out
 
 
-def _irfftn_kept(spectrum: np.ndarray, shape, keep, workers=None) -> np.ndarray:
+def _irfftn_kept(spectrum: np.ndarray, shape, keep) -> np.ndarray:
     """``sfft.irfftn(spectrum, shape)`` over the last ``m = len(shape)`` axes,
     cut to ``keep`` (one slice per axis), bit for bit.  irfftn's own passes
     run one at a time: the leading m - 1 axes in order (``_ifft_kept``), then
     the last axis with the 1/N scaling (``_irfft_kept``).  A real spectrum is
     made complex first, as irfftn does (a real input takes another path
     through ``ifft``, with other bits).  ``spectrum`` may be overwritten."""
-    spectrum = _ifft_kept(spectrum.astype(complex, copy=False), keep[:-1], workers)
-    return _irfft_kept(spectrum, shape[-1], keep[-1], math.prod(shape), workers)
+    spectrum = _ifft_kept(spectrum.astype(complex, copy=False), keep[:-1])
+    return _irfft_kept(spectrum, shape[-1], keep[-1], math.prod(shape))
 
 
 def _ifft_kept(spectrum: np.ndarray, keep, workers=None) -> np.ndarray:
@@ -717,22 +718,23 @@ def _curve(kind: str, arr, p: float, t_grid, name: str = "") -> ModulusCurve:
     return ModulusCurve(kind, p, tuple(points), meta, tuple(flags))
 
 
-def _flagged_points(curve: ModulusCurve) -> tuple:
-    """The curve's points, warning once when some are below the lattice
-    resolution and once when some are lower bounds, at the caller of the
-    caller (a single-scale query's or ``interior_dyadic_values``'s)."""
-    if "below_resolution" in curve.flags:
+def _flagged_points(curve: ModulusCurve, ts=None) -> tuple:
+    """The curve's points at the scales ``ts`` (default: every point),
+    warning once when some of them are below the lattice resolution and once
+    when some are lower bounds, at the caller of the caller (a single-scale
+    query's, ``interior_ladder``'s or ``dyadic.average_error_report``'s)."""
+    rows = [row for row in zip(curve.points, curve.flags, curve.meta["upper"])
+            if ts is None or row[0][0] in ts]
+    if any(flag == "below_resolution" for _, flag, _ in rows):
         warnings.warn(f"scale below lattice resolution; {curve.kind} modulus set to 0",
                       ResolutionWarning, stacklevel=3)
-    if not curve.meta["exact"]:
-        brackets = "; ".join(
-            f"t={t!r}: [{v!r}, {upper!r}]"
-            for (t, v), flag, upper in zip(curve.points, curve.flags, curve.meta["upper"])
-            if flag == "lower_bound")
+    brackets = "; ".join(f"t={t!r}: [{v!r}, {upper!r}]"
+                         for (t, v), flag, upper in rows if flag == "lower_bound")
+    if brackets:
         warnings.warn(f"{curve.kind} modulus hit the direct-evaluation budget; it lies "
                       f"in the certified bracket {brackets}", LowerBoundWarning,
                       stacklevel=3)
-    return curve.points
+    return tuple(point for point, _, _ in rows)
 
 
 def interior_curve(f: GridFunction, p: float, t_grid=None, name: str = "") -> ModulusCurve:
@@ -746,64 +748,51 @@ def whole_curve(g: ExtendedGridFunction, p: float, t_grid=None,
     return _curve("whole", g, p, t_grid, name)
 
 
-def interior_dyadic_values(f: GridFunction, p: float, js) -> dict:
-    """Interior modulus at the dyadic scales 2^-j for the requested j's.
+def interior_ladder(f: GridFunction, p: float) -> np.ndarray:
+    """Interior modulus at every dyadic scale: entry j holds the value at 2^-j.
 
     One supremum table serves every scale, so a whole ladder costs little
     more than its coarsest (largest-radius) entry.
     """
-    js = sorted(set(int(j) for j in js))
-    if any(j < 0 or j > f.level for j in js):
-        raise ValueError("dyadic exponents must lie in 0..L")
-    curve = _curve("interior", f, p, [2.0 ** (-j) for j in js])
-    values = dict(_flagged_points(curve))
-    return {j: values[2.0 ** (-j)] for j in js}
-
-
-def interior_ladder(f: GridFunction, p: float) -> np.ndarray:
-    """Interior modulus at every dyadic scale: entry j holds the value at 2^-j."""
-    values = interior_dyadic_values(f, p, range(f.level + 1))
-    return np.array([values[j] for j in range(f.level + 1)])
-
-
-def hybrid_modulus(f: GridFunction, p: float, t: float, ladder=None,
-                   norm: float | None = None) -> tuple:
-    """Boundary-aware modulus: best dyadic trade-off between interior
-    oscillation at scale s and the mass term min{(sqrt(d) t/s)^(1/p), 1}||f||_p.
-
-    For p = 1 the mass term is max{sqrt(d) t/s, 1} |log(s/(sqrt(d) t))| ||f||_1,
-    evaluated literally; the log factor vanishes when s equals sqrt(d) t.
-    Returns (value, minimizing s); ties resolve to the smaller s.
-    """
-    _check_exponent(p)
-    _scales("hybrid", f, (t,))
-    if ladder is None:
-        ladder = interior_ladder(f, p)
-    if norm is None:
-        norm = lp_norm(f, p)
-    root_d = math.sqrt(f.d)
-    best_value, best_s = math.inf, 1.0
-    for j, zeta_j in enumerate(ladder):
-        s = 2.0 ** (-j)
-        ratio = root_d * t / s
-        if p > 1:
-            value = zeta_j + min(ratio ** (1.0 / p), 1.0) * norm
-        else:
-            value = zeta_j + max(ratio, 1.0) * abs(math.log(s / (root_d * t))) * norm
-        if value <= best_value:  # later j = smaller s wins ties
-            best_value, best_s = value, s
-    return best_value, best_s
+    curve = _curve("interior", f, p, [2.0 ** (-j) for j in range(f.level + 1)])
+    return np.array([v for _, v in _flagged_points(curve)][::-1])
 
 
 def hybrid_curve(f: GridFunction, p: float, t_grid=None, name: str = "") -> ModulusCurve:
+    """Boundary-aware modulus at every scale of ``t_grid`` (default: dyadic
+    grid): the best dyadic trade-off between the interior modulus at scale s
+    (one ``interior_ladder``) and the mass term min{(sqrt(d) t/s)^(1/p), 1}||f||_p.
+
+    For p = 1 the mass term is max{sqrt(d) t/s, 1} |log(s/(sqrt(d) t))| ||f||_1,
+    evaluated literally; the log factor vanishes when s equals sqrt(d) t.
+    ``meta["s_opt"]`` holds each t's minimizing s, ties resolving to the
+    smaller s.  A repeated t is refused."""
+    _check_exponent(p)
     ts = _scales("hybrid", f, t_grid)
     ladder = interior_ladder(f, p)
     norm = lp_norm(f, p)
-    points, flags, s_opt = [], [], []
+    root_d = math.sqrt(f.d)
+    points, s_opt = [], []
     for t in ts:
-        value, s = hybrid_modulus(f, p, t, ladder=ladder, norm=norm)
-        points.append((t, value))
-        flags.append(f"s_opt={s:g}")
-        s_opt.append(s)
+        best_value, best_s = math.inf, 1.0
+        for j, zeta_j in enumerate(ladder):
+            s = 2.0 ** (-j)
+            ratio = root_d * t / s
+            if p > 1:
+                value = zeta_j + min(ratio ** (1.0 / p), 1.0) * norm
+            else:
+                value = zeta_j + max(ratio, 1.0) * abs(math.log(s / (root_d * t))) * norm
+            if value <= best_value:  # later j = smaller s wins ties
+                best_value, best_s = value, s
+        points.append((t, best_value))
+        s_opt.append(best_s)
     meta = {"d": f.d, "L": f.level, "function": name, "s_opt": tuple(s_opt)}
-    return ModulusCurve("hybrid", p, tuple(points), meta, tuple(flags))
+    return ModulusCurve("hybrid", p, tuple(points), meta,
+                        tuple(f"s_opt={s:g}" for s in s_opt))
+
+
+def hybrid_modulus(f: GridFunction, p: float, t: float) -> tuple:
+    """(value, minimizing s) at the one scale t: the one row of a one-point
+    ``hybrid_curve``."""
+    curve = hybrid_curve(f, p, (t,))
+    return curve.points[0][1], curve.meta["s_opt"][0]

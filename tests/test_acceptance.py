@@ -47,12 +47,13 @@ def _quad_indicator_error(t, p):
 
 @pytest.mark.parametrize("p", (1.0, 2.0, 3.0))
 @pytest.mark.parametrize("t", (2.0 ** -3, 2.0 ** -4, 2.0 ** -5))
-def test_indicator_oracle_matches_quad_and_its_refinement(t, p):
+def test_indicator_oracle_matches_quad_and_its_refinement(t, p, monkeypatch):
     oracle = acceptance._gauss_indicator_error_oracle(t, p)
     # 1e-9, not tighter: at p=2 quad itself sits about 2e-12 from the rule
     assert oracle == pytest.approx(_quad_indicator_error(t, p), rel=1e-9, abs=0.0)
     # doubling the nodes per panel shows the rule's own error
-    refined = acceptance._gauss_indicator_error_oracle(t, p, nodes=64)
+    monkeypatch.setattr(acceptance, "_ORACLE_NODES", 2 * acceptance._ORACLE_NODES)
+    refined = acceptance._gauss_indicator_error_oracle(t, p)
     assert abs(oracle - refined) < 1e-12 * refined
 
 

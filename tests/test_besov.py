@@ -97,11 +97,14 @@ def test_seminorm_rejects_empty_and_bad_q():
         besov_seminorm(ModulusCurve("whole", 2.0, ()), 0.5, 2.0)
 
 
-def test_envelope_synthetic_power_ladder():
+def test_envelope_synthetic_power_ladder(monkeypatch):
     # ladder values 2^-j give profile s^(3/2), inverse y^(2/3), envelope t^(1/3)
+    from zexlab import besov
+
     f = sample(cusp(0.5), 1, 8)  # only the geometry matters here
     ladder = np.array([2.0 ** -j for j in range(9)])
-    env = BalancedEnvelope(f, 2.0, ladder=ladder)
+    monkeypatch.setattr(besov, "interior_ladder", lambda g, p: ladder)
+    env = BalancedEnvelope(f, 2.0)
     env_norm = env.norm
     for j in (1, 3, 5):
         y = (2.0 ** -j) ** 1.5

@@ -109,6 +109,14 @@ def test_shift_bound_subcommand(tmp_path):
     assert all(row.endswith("true") for row in rows)
 
 
+def test_shift_bound_negative_cases_exit_2_naming_the_value(tmp_path, capsys):
+    cfg = _write_config(tmp_path, "cases = -3\n")
+    out = tmp_path / "out"
+    assert main(["shift-bound", "--config", cfg, "--out", str(out)]) == 2
+    assert "n_functions must be >= 0, got -3" in capsys.readouterr().err
+    assert not (out / "shift_bound_suite.csv").exists()
+
+
 def test_adaptive_subcommand_worked_example(tmp_path):
     cfg = _write_config(tmp_path, """
 function = linear
@@ -186,6 +194,21 @@ def test_adaptive_bad_threshold_exits_2_before_the_pyramid(tmp_path, capsys, mon
     assert main(["adaptive", "--config", cfg, "--out", str(out)]) == 2
     assert f"epsilon must be > 0, got {shown}" in capsys.readouterr().err
     assert not list(out.glob("partition_eps*.txt"))
+
+
+def test_adaptive_zero_function_default_ladder_exits_3(tmp_path, capsys):
+    # the default thresholds 2^-j ||f||_p all vanish: no result, not a bad config
+    text = "function = const value=0\nd = 1\nL = 6\np = 2\n"
+    out = tmp_path / "out"
+    assert main(["adaptive", "--config", _write_config(tmp_path, text),
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("no result: ") and "'epsilon' or 'epsilons'" in err
+    assert not list(out.glob("partition_eps*.txt"))
+    # a threshold the user sets still runs on the same input
+    assert main(["adaptive", "--config", _write_config(tmp_path, text + "epsilon = 0.1\n"),
+                 "--out", str(out)]) == 0
+    assert (out / "partition_eps0.1.txt").exists()
 
 
 def test_adaptive_infinite_threshold_keeps_the_root(tmp_path):

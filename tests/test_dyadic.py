@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from zexlab.dyadic import (PiecewiseConstant, _mean_pyramid,
-                           average_error_report, block_means, dyadic_average, equality_case, random_partition,
-                           render_average, shift_bound_check, shift_bound_suite,
-                           suite_to_csv, unit_ball_volume)
-from zexlab.grid import (LatticeShift, const, corpus, cusp, linear, lp_norm,
+from zexlab.dyadic import (PiecewiseConstant, _mean_pyramid, _refine, average_error,
+                           average_error_report, dyadic_average, equality_case,
+                           random_partition, render_average, shift_bound_check,
+                           shift_bound_suite, suite_to_csv, unit_ball_volume)
+from zexlab.grid import (GridFunction, LatticeShift, const, corpus, cusp, linear, lp_norm,
                          random_dyadic, sample)
+from zexlab.moduli import LowerBoundWarning, interior_curve
 
 
 def test_unit_ball_volumes():
@@ -86,6 +87,34 @@ def test_average_error_level_guard():
     f = sample(linear(), 1, 6)
     with pytest.raises(ValueError):
         average_error_report(f, 5, 2)
+    for level in (-1, 7):
+        with pytest.raises(ValueError, match="0..L"):
+            render_average(f, level)
+
+
+def test_average_error_report_looks_its_scale_up_in_a_shared_curve():
+    f = sample(cusp(0.5), 1, 9)
+    for p in (1.0, 2.0, 3.0):
+        curve = interior_curve(f, p, [2.0 ** -n for n in range(0, 8)])
+        for n in range(0, 8):
+            err, bound, constant = average_error_report(f, n, p, curve)
+            assert (err, bound, constant) == average_error_report(f, n, p)
+            assert err == average_error(f, n, p)
+            assert bound == constant * dict(curve.points)[2.0 ** -n]
+    with pytest.raises(ValueError, match="no point at the scale"):
+        average_error_report(f, 3, 2.0, interior_curve(f, 2.0, [0.25, 0.5]))
+
+
+def test_average_error_report_flags_a_bracketed_scale(monkeypatch):
+    from zexlab import moduli
+
+    rng = np.random.default_rng(4)
+    f = GridFunction(3, 4, rng.standard_normal((16, 16, 16)))
+    monkeypatch.setattr(moduli, "_DIRECT_WORK_BUDGET", f.samples.size)
+    curve = interior_curve(f, 3, [0.125, 0.25])
+    assert curve.flags == ("lower_bound", "lower_bound")
+    with pytest.warns(LowerBoundWarning, match=r"bracket t=0\.25: \[[^;]*$"):
+        average_error_report(f, 2, 3, curve)
 
 
 def test_shift_bound_equality_case():
@@ -132,6 +161,14 @@ def test_suite_rows_and_csv():
     assert text.strip().split("\n")[1].endswith("true")
 
 
+def test_suite_refuses_negative_counts_before_any_draw(monkeypatch):
+    monkeypatch.setattr(np.random, "default_rng", None)  # any draw would fail
+    for kwargs, shown in (({"n_functions": -3}, "n_functions must be >= 0, got -3"),
+                          ({"shifts_each": -1}, "shifts_each must be >= 0, got -1")):
+        with pytest.raises(ValueError, match=shown):
+            shift_bound_suite(**kwargs)
+
+
 def test_suite_deterministic():
     a = suite_to_csv(shift_bound_suite(n_functions=6, shifts_each=2, seed=9))
     b = suite_to_csv(shift_bound_suite(n_functions=6, shifts_each=2, seed=9))
@@ -175,11 +212,20 @@ def test_render_round_trip():
         pc.render(pc.max_level - 1)
 
 
-def test_mean_pyramid_matches_block_means_bit_exact():
+def test_mean_pyramid_is_a_projection_bit_exact():
+    # a level refined back to the lattice is constant on its blocks: its own
+    # pyramid returns that level, and every coarser one, bit for bit
     for d, level in ((1, 9), (2, 6), (3, 4)):
         for spec in (cusp(0.5), random_dyadic(level - 1, 3), linear()):
             f = sample(spec, d, level)
             pyramid = _mean_pyramid(f.samples, d, level)
             assert len(pyramid) == level + 1
-            for k in range(level + 1):
-                assert np.array_equal(pyramid[k], block_means(f.samples, d, level, k))
+            for k, means in enumerate(pyramid):
+                assert means.shape == (1 << k,) * d
+                refined = _refine(means, 1 << (level - k))
+                again = _mean_pyramid(refined, d, level)
+                for j in range(k + 1):
+                    assert np.array_equal(again[j], pyramid[j])
+                # the averages read the same pyramid
+                assert np.array_equal(render_average(f, k).samples, refined)
+                assert np.array_equal(dyadic_average(f, k).values, means.ravel())

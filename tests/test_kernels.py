@@ -186,6 +186,12 @@ def test_extension_bound_constant_flat_ratio():
         assert r == pytest.approx(math.sqrt(2.0), rel=1e-9)
 
 
+def test_extension_bound_refuses_a_repeated_scale():
+    f = sample(cusp(0.5), 1, 8)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        extension_bound_check("gauss", f, 2, [2.0 ** -5, 2.0 ** -4, 2.0 ** -5])
+
+
 def test_error_curve_container():
     f = sample(indicator(0.0, 0.5), 1, 9)
     grid = [2.0 ** -5, 2.0 ** -4]

@@ -12,8 +12,7 @@ from zexlab.grid import (ExtendedGridFunction, GridFunction, const, corpus,
                          zero_extend)
 from zexlab.moduli import (LowerBoundWarning, ModulusCurve, ResolutionWarning,
                            default_t_grid, hybrid_curve, hybrid_modulus, interior_curve,
-                           interior_dyadic_values, interior_ladder,
-                           interior_modulus, whole_curve, whole_modulus)
+                           interior_ladder, interior_modulus, whole_curve, whole_modulus)
 
 
 def test_interior_modulus_of_cube_indicator_vanishes():
@@ -350,7 +349,7 @@ def test_single_scale_queries_flag_lower_bounds(monkeypatch):
         for p in (2, 3):
             interior_modulus(f, p, 0.5)
             whole_modulus(g, p, 0.5)
-            interior_dyadic_values(f, p, [1, 2])
+            interior_ladder(f, p)
     # at most one direct evaluation per table: the 3-d tables stop at the budget
     monkeypatch.setattr(moduli, "_DIRECT_WORK_BUDGET", f.samples.size)
     bracket = r"direct-evaluation budget; it lies in the certified bracket t=0\.5: \["
@@ -359,7 +358,7 @@ def test_single_scale_queries_flag_lower_bounds(monkeypatch):
     with pytest.warns(LowerBoundWarning, match=bracket):
         whole_modulus(g, 3, 0.5)
     with pytest.warns(LowerBoundWarning, match="certified bracket"):
-        interior_dyadic_values(f, 3, [1, 2])
+        interior_ladder(f, 3)
 
 
 @pytest.mark.parametrize("kind", ["interior", "whole"])
@@ -421,13 +420,10 @@ def test_hybrid_norm_cap_and_decay():
             L, ps = 9, (2.0,)
         f = sample(member.spec, member.d, L)
         for p in ps:
-            ladder = interior_ladder(f, p)
             norm = lp_norm(f, p)
-            for t in (2.0 ** -6, 2.0 ** -3, 2.0 ** -2):
-                value, _ = hybrid_modulus(f, p, t, ladder=ladder, norm=norm)
-                assert value <= 3.0 * norm + 1e-12
-            fine, _ = hybrid_modulus(f, p, 2.0 ** (-L + 2), ladder=ladder, norm=norm)
-            coarse, _ = hybrid_modulus(f, p, 0.25, ladder=ladder, norm=norm)
+            values = hybrid_curve(f, p, (2.0 ** (-L + 2), 2.0 ** -6, 2.0 ** -3, 0.25)).values
+            assert np.all(values <= 3.0 * norm + 1e-12)
+            fine, coarse = values[0], values[-1]
             assert fine <= coarse + 1e-12
             if member.name != "const1_d1" and norm > 0:
                 assert fine <= 0.5 * 3.0 * norm
@@ -446,11 +442,9 @@ def test_hybrid_joint_objective_bound():
         for p in (2.0, 3.0):
             la = interior_ladder(fa, p)
             lb = interior_ladder(fb, p)
-            lab = interior_ladder(fa + fb, p)
             na, nb = lp_norm(fa, p), lp_norm(fb, p)
-            nab = lp_norm(fa + fb, p)
-            for t in (2.0 ** -6, 2.0 ** -4, 2.0 ** -2):
-                vab, _ = hybrid_modulus(fa + fb, p, t, ladder=lab, norm=nab)
+            ts = (2.0 ** -6, 2.0 ** -4, 2.0 ** -2)
+            for t, vab in zip(ts, hybrid_curve(fa + fb, p, ts).values):
                 joint = min(
                     la[j2] + lb[j2] + min((t * 2 ** j2) ** (1 / p), 1.0) * (na + nb)
                     for j2 in range(len(la)))
@@ -462,16 +456,32 @@ def test_hybrid_p1_literal_log_term():
     # is capped by the interior modulus at scale t
     f = sample(cusp(0.5), 1, 10)
     ladder = interior_ladder(f, 1)
-    for j in (3, 5, 7):
-        value, _ = hybrid_modulus(f, 1, 2.0 ** -j, ladder=ladder)
+    js = (7, 5, 3)
+    for j, value in zip(js, hybrid_curve(f, 1, [2.0 ** -j for j in js]).values):
         assert value <= ladder[j] + 1e-12
 
 
-def test_interior_dyadic_values_match_single_calls():
+@pytest.mark.parametrize("d, p", [(1, 1.0), (1, 2.0), (1, 3.0), (2, 2.0)])
+def test_hybrid_modulus_is_the_row_of_a_one_point_curve(d, p):
+    f = sample(cusp(0.5), d, 7 if d == 1 else 5)
+    for t in (2.0 ** -5, 2.0 ** -3, 0.25, 0.5):
+        curve = hybrid_curve(f, p, [t])
+        assert hybrid_modulus(f, p, t) == (curve.points[0][1], curve.meta["s_opt"][0])
+        assert curve.points[0][0] == t
+
+
+def test_hybrid_curve_refuses_a_repeated_scale():
+    f = sample(cusp(0.5), 1, 6)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        hybrid_curve(f, 2, (0.25, 0.125, 0.25))
+
+
+def test_interior_ladder_matches_single_calls():
     f = sample(cusp(0.7), 1, 9)
-    vals = interior_dyadic_values(f, 2, [2, 4, 6])
-    for j in (2, 4, 6):
-        assert vals[j] == pytest.approx(interior_modulus(f, 2, 2.0 ** -j), rel=1e-12)
+    ladder = interior_ladder(f, 2)
+    assert len(ladder) == f.level + 1
+    for j in (0, 2, 4, 6, 9):
+        assert ladder[j] == pytest.approx(interior_modulus(f, 2, 2.0 ** -j), rel=1e-12)
 
 
 def test_curve_container_contracts():
