@@ -13,7 +13,6 @@ import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import adaptive, besov, dyadic, kernels, moduli
 from .grid import (_csv, _shift_cells, boundary_power, const, corpus, cusp,
@@ -276,16 +275,22 @@ def gate_adaptive() -> GateResult:
 
 # Gauss-Legendre nodes per panel of the quadrature oracle
 _ORACLE_NODES = 32
+_erfc = np.vectorize(math.erfc, otypes=[float])
+
+
+def _ndtr(x: np.ndarray) -> np.ndarray:
+    """The standard normal distribution function, 0.5 erfc(-x / sqrt 2)."""
+    return 0.5 * _erfc(-x / math.sqrt(2.0))
 
 
 def _gauss_indicator_error_oracle(t: float, p: float) -> float:
     """Quadrature value of the smoothing error on the unit indicator (d=1).
 
     Independent of the lattice path: the smoothed indicator has the closed
-    form ndtr(x/t) - ndtr((x-1)/t), and the error power integrates by a fixed
-    composite Gauss-Legendre rule (``_ORACLE_NODES`` per panel) on the three
-    smooth pieces of [-1, 2], with panel breaks at distance t*2^j
-    (j = -6..5) from the jumps at 0 and 1.
+    form ndtr(x/t) - ndtr((x-1)/t) (``_ndtr``), and the error power
+    integrates by a fixed composite Gauss-Legendre rule (``_ORACLE_NODES``
+    per panel) on the three smooth pieces of [-1, 2], with panel breaks at
+    distance t*2^j (j = -6..5) from the jumps at 0 and 1.
     """
     gaps = t * 2.0 ** np.arange(-6, 6)
     cuts = np.concatenate(([-1.0, 0.0, 1.0, 2.0], -gaps, gaps, 1.0 - gaps, 1.0 + gaps))
@@ -294,7 +299,7 @@ def _gauss_indicator_error_oracle(t: float, p: float) -> float:
     a, b = cuts[:-1, None], cuts[1:, None]
     x = 0.5 * (a + b) + 0.5 * (b - a) * x0
     inside = (x > 0.0) & (x < 1.0)
-    err = np.abs(ndtr(x / t) - ndtr((x - 1.0) / t) - inside) ** p
+    err = np.abs(_ndtr(x / t) - _ndtr((x - 1.0) / t) - inside) ** p
     return float(np.sum(0.5 * (b - a) * w0 * err) ** (1.0 / p))
 
 

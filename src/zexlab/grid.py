@@ -9,7 +9,6 @@ other modules are checked in exact cell arithmetic (floating point aside).
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -17,11 +16,6 @@ import numpy as np
 MAX_DIM = 3
 # largest array a measurement may allocate: 2^27 float64 cells, 1 GiB
 _MAX_CELLS = 1 << 27
-# threads for the kernels' FFT convolutions: the cores this process may run
-# on.  pocketfft computes each line alike on any thread, so no output bit
-# depends on it.
-_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
 
 
 def _check_lattice(d: int, level: int):

@@ -16,9 +16,9 @@ radius carried in :class:`KernelSpec`.
 The error operator is smoothing minus identity applied to zero-extensions,
 measured in L^p over the padded window.
 
-Short separable kernels convolve by direct sums (``ndimage``); long ones and
+Short separable kernels convolve by direct symmetric sums; long ones and
 the d-dim Poisson kernel by one FFT routine that repeats
-``scipy.signal.fftconvolve``'s passes bit for bit without importing it, over
+``scipy.signal.fftconvolve``'s passes bit for bit on ``numpy.fft``, over
 blocks of lines of a fixed byte budget rather than over full spectra.
 """
 from __future__ import annotations
@@ -27,14 +27,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sfft
-from scipy import ndimage
-from scipy.special import erfcinv
 
 from .besov import fit_points
-from .grid import (_MAX_CELLS, _WORKERS, ExtendedGridFunction, GridFunction,
+from .grid import (_MAX_CELLS, ExtendedGridFunction, GridFunction,
                    _check_exponent, _shift_cells, lp_norm, shifted_samples, zero_extend)
-from .moduli import ModulusCurve, _ifft_kept, _irfft_kept, hybrid_curve, whole_modulus
+from .moduli import (ModulusCurve, _ifft_kept, _irfft_kept, _next_fast_len, hybrid_curve,
+                     whole_modulus)
 
 FAMILIES = ("gauss", "poisson", "fejer_tensor")
 
@@ -81,6 +79,18 @@ def default_tail(family: str, d: int) -> float:
     return _DEFAULT_TAILS[family][d >= 2]
 
 
+def _erfcinv(y: float) -> float:
+    """x > 0 with erfc(x) = y, for 0 < y < 1: Newton's iteration on
+    ``math.erfc`` from 0, which rises monotonically to the root (erfc is
+    convex and falling there), stopped when a step no longer raises x."""
+    x = 0.0
+    while True:
+        step = (math.erfc(x) - y) * math.exp(x * x) * (math.sqrt(math.pi) / 2.0)
+        if not x + step > x:
+            return x
+        x += step
+
+
 def _poisson3_radius_factor(tail: float) -> float:
     # solve (2/pi)(atan(x) - x/(1+x^2)) = 1 - tail for x by bisection
     lo, hi = 1.0, 1e12
@@ -100,7 +110,7 @@ def truncation_radius(spec: KernelSpec, d: int) -> float:
     t, tail = spec.t, spec.truncation_tail
     if spec.family == "gauss":
         # separable: split the tail budget across the axes
-        return t * math.sqrt(2.0) * float(erfcinv(tail / d))
+        return t * math.sqrt(2.0) * _erfcinv(tail / d)
     if spec.family == "fejer_tensor":
         # per-axis tail of the line Fejer kernel is at most 4 t / (pi R)
         per_axis = tail / d
@@ -166,8 +176,31 @@ def _convolve_axis(a: np.ndarray, w: np.ndarray, axis: int,
     """a convolved with w along ``axis``; into ``out`` (which may be a) only
     when ``axis`` is the last."""
     if len(w) <= 2 * _FFT_KERNEL_CUTOFF + 1:
-        return ndimage.convolve1d(a, w, axis=axis, output=out, mode="constant", cval=0.0)
+        return _direct_convolve(a, w, axis, out)
     return np.moveaxis(_fft_convolve(np.moveaxis(a, axis, -1), w, out=out), -1, axis)
+
+
+def _direct_convolve(a: np.ndarray, w: np.ndarray, axis: int,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """a convolved with the symmetric w (w[r - j] == w[r + j]) along
+    ``axis``, zero off the line, into ``out`` (which may be a): the sums of
+    ``scipy.ndimage.convolve1d``'s symmetric branch, bit for bit, at each
+    cell x[i] w[r] and then, for j = r down to 1, (x[i - j] + x[i + j]) w[r - j].
+    It reads from one zero-padded copy and adds through one scratch array."""
+    r, n = len(w) // 2, a.shape[axis]
+
+    def cells(lo):
+        return (slice(None),) * axis + (slice(lo, lo + n),)
+
+    padded = np.zeros(a.shape[:axis] + (n + 2 * r,) + a.shape[axis + 1:])
+    padded[cells(r)] = a
+    out = np.multiply(padded[cells(r)], w[r], out=out)
+    scratch = np.empty_like(out)
+    for j in range(r, 0, -1):
+        np.add(padded[cells(r - j)], padded[cells(r + j)], out=scratch)
+        scratch *= w[r - j]
+        out += scratch
+    return out
 
 
 def _convolve_separable(g: ExtendedGridFunction, weights) -> np.ndarray:
@@ -203,7 +236,7 @@ def _spread(lines: np.ndarray, m: int, support: slice, fast: int) -> np.ndarray:
     out[(..., *(support,) * (m - 1), slice(None))] = lines
     for axis in range(m - 1):
         sel = (..., *(slice(None),) * (axis + 1), *(support,) * (m - 2 - axis), slice(None))
-        out[sel] = sfft.fft(out[sel], axis=axis - m, overwrite_x=True, workers=_WORKERS)
+        np.fft.fft(out[sel], axis=axis - m, out=out[sel])
     return out
 
 
@@ -223,33 +256,32 @@ def _fft_convolve(x: np.ndarray, w: np.ndarray, support: slice | None = None,
     then the last inverse pass over blocks of its lines.  Every FFT line is
     transformed alone, so the blocks move no bit."""
     m, n, k = w.ndim, x.shape[-1], w.shape[0]
-    fast = sfft.next_fast_len(n + k - 1, True)
+    fast = _next_fast_len(n + k - 1, True)
     half = fast // 2 + 1
     crop = slice((k - 1) // 2, (k - 1) // 2 + n)
-    kernel = sfft.rfft(w, fast, axis=-1, workers=_WORKERS)
+    kernel = np.fft.rfft(w, fast, axis=-1)
     if m == 1:
         rows = x.reshape(-1, n)
 
         def spectrum(block):
-            prod = sfft.rfft(rows[block], fast, axis=-1, workers=_WORKERS)
+            prod = np.fft.rfft(rows[block], fast, axis=-1)
             prod *= kernel
             return prod
     else:
         batch = x.shape[:-m]
         support = slice(0, n) if support is None else support
-        lines = sfft.rfft(x[(..., *(support,) * (m - 1), slice(None))], fast, axis=-1,
-                          workers=_WORKERS)
+        lines = np.fft.rfft(x[(..., *(support,) * (m - 1), slice(None))], fast, axis=-1)
         kept = np.empty(batch + (n,) * (m - 1) + (half,), complex)
         for cols in _blocks(half, 16 * math.prod(batch) * fast ** (m - 1)):
             prod = _spread(lines[..., cols], m, support, fast)
             prod *= _spread(kernel[..., cols], m, slice(0, k), fast)
-            kept[..., cols] = _ifft_kept(prod, (crop,) * (m - 1), _WORKERS)
+            kept[..., cols] = _ifft_kept(prod, (crop,) * (m - 1))
         del lines, kernel, prod
         spectrum = kept.reshape(-1, half).__getitem__
     out = np.empty(x.shape) if out is None else out
     out_rows = out.reshape(-1, n)
     for block in _blocks(len(out_rows), 16 * half):
-        _irfft_kept(spectrum(block), fast, crop, fast ** m, _WORKERS, out_rows[block])
+        _irfft_kept(spectrum(block), fast, crop, fast ** m, out_rows[block])
     return out
 
 
@@ -267,8 +299,7 @@ def apply_kernel(spec: KernelSpec, g: ExtendedGridFunction) -> ExtendedGridFunct
     window and the output, the d-dim Poisson kernel holds its weights, the
     last-axis spectra of the kernel's and the cube's lines, one
     W^(d-1) x (fast/2 + 1) array and one block.  Every line is computed as
-    over the whole window, so the output is bit for bit the same.  The FFT
-    passes run on every usable core (``grid._WORKERS``).
+    over the whole window, so the output is bit for bit the same.
     """
     radius = kernel_radius_cells(spec, g.d, g.level)
     if radius > g.margin:
@@ -320,8 +351,12 @@ def error_norm(spec: KernelSpec, f: GridFunction, p: float) -> float:
 
 def _kernel_specs(family: str, f: GridFunction, t_grid, truncation_tail: float) -> list:
     """The kernel of every scale in ascending t, once every window is known to fit:
-    checked largest first, an oversized one is refused before any is built."""
-    specs = [KernelSpec(family, t, truncation_tail) for t in sorted(t_grid)]
+    checked largest first, an oversized one is refused before any is built.  A
+    repeated t is refused first, as a curve over the grid would refuse it."""
+    ts = sorted(t_grid)
+    if any(t2 <= t1 for t1, t2 in zip(ts, ts[1:])):
+        raise ValueError("t values must be strictly increasing")
+    specs = [KernelSpec(family, t, truncation_tail) for t in ts]
     for spec in specs[::-1]:
         kernel_radius_cells(spec, f.d, f.level)
     return specs
@@ -411,7 +446,7 @@ def extension_bound_check(family: str, f: GridFunction, p: float, t_grid,
     Both ratios should stay bounded, so their fitted log-log slopes must not
     be meaningfully negative.  Scales where the hybrid modulus vanishes (the
     zero function) are flagged and excluded from the fits.  The hybrid
-    moduli are one ``hybrid_curve``, so a repeated t is refused.
+    moduli are one ``hybrid_curve``.
     """
     specs = _kernel_specs(family, f, t_grid, truncation_tail)
     ts = tuple(spec.t for spec in specs)

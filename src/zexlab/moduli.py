@@ -62,7 +62,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import fft as sfft
 
 from .grid import (_MAX_CELLS, ExtendedGridFunction, GridFunction, _abs_pow,
                    _check_exponent, _csv, _shift_cells, lp_norm, shifted_samples)
@@ -355,7 +354,7 @@ def _screen(arr: np.ndarray, shifts: np.ndarray, shape, orders) -> dict:
     at = tuple(shifts[:, a] % s for a, s in enumerate(shape))
     rows = int(shifts[:, 0].max(initial=0)) + 1
     keep = (slice(0, rows),) + (slice(None),) * (len(shape) - 1)
-    f1 = sfft.rfftn(arr, shape)
+    f1 = _rfftn(arr, shape)
     sq = arr * arr
     out = {}
     if 2 in orders:
@@ -367,9 +366,9 @@ def _screen(arr: np.ndarray, shifts: np.ndarray, shape, orders) -> dict:
         # one spectrum at a time beside f1, to keep the peak memory low
         cube = sq * arr
         weighted = 8.0 * math.sqrt(float((cube * cube).sum()) * float(sq.sum()))
-        spectrum = -8.0 * _real_product(sfft.rfftn(cube, shape), f1)
+        spectrum = -8.0 * _real_product(_rfftn(cube, shape), f1)
         del cube, f1
-        f2 = sfft.rfftn(sq, shape)
+        f2 = _rfftn(sq, shape)
         spectrum += 6.0 * _real_product(f2, f2)
         del f2
         quart = np.multiply(sq, sq, out=sq)
@@ -380,36 +379,66 @@ def _screen(arr: np.ndarray, shifts: np.ndarray, shape, orders) -> dict:
     return out
 
 
+def _next_fast_len(target: int, real: bool = False) -> int:
+    """The least n >= target (>= 1) with no prime factor above 5 (``real``)
+    or above 11: the FFT sizes of ``scipy.fft.next_fast_len``.  Each odd such
+    factor m below 2 target is lifted to target by the least power of two."""
+    odd = [1]
+    for prime in (3, 5) if real else (3, 5, 7, 11):
+        for m in odd[:]:
+            m *= prime
+            while m < 2 * target:
+                odd.append(m)
+                m *= prime
+    return min(m << ((target - 1) // m).bit_length() for m in odd)
+
+
+def _rfftn(arr: np.ndarray, shape) -> np.ndarray:
+    """The rfftn of ``arr`` zero-padded to ``shape`` over its last
+    ``m = len(shape)`` axes, bit for bit as ``scipy.fft.rfftn``: the last
+    axis's rfft into one padded array, then every line of each other axis
+    in order, in place.  (numpy's rfftn runs the other axes in reverse,
+    which moves the last bits from m = 3 on.)"""
+    m = len(shape)
+    out = np.zeros(arr.shape[:-m] + tuple(shape[:-1]) + (shape[-1] // 2 + 1,), complex)
+    np.fft.rfft(arr, shape[-1], axis=-1,
+                out=out[(..., *(slice(0, n) for n in arr.shape[-m:-1]), slice(None))])
+    for axis in range(-m, -1):
+        np.fft.fft(out, axis=axis, out=out)
+    return out
+
+
 def _irfftn_kept(spectrum: np.ndarray, shape, keep) -> np.ndarray:
-    """``sfft.irfftn(spectrum, shape)`` over the last ``m = len(shape)`` axes,
-    cut to ``keep`` (one slice per axis), bit for bit.  irfftn's own passes
-    run one at a time: the leading m - 1 axes in order (``_ifft_kept``), then
-    the last axis with the 1/N scaling (``_irfft_kept``).  A real spectrum is
-    made complex first, as irfftn does (a real input takes another path
-    through ``ifft``, with other bits).  ``spectrum`` may be overwritten."""
+    """The irfftn of ``spectrum`` to ``shape`` over the last ``m = len(shape)``
+    axes, cut to ``keep`` (one slice per axis), bit for bit.  irfftn's own
+    passes run one at a time: the leading m - 1 axes in order
+    (``_ifft_kept``), then the last axis with the 1/N scaling
+    (``_irfft_kept``).  A real spectrum is made complex first, as irfftn does
+    (a real input takes another path through ``ifft``, with other bits).
+    ``spectrum`` may be overwritten."""
     spectrum = _ifft_kept(spectrum.astype(complex, copy=False), keep[:-1])
     return _irfft_kept(spectrum, shape[-1], keep[-1], math.prod(shape))
 
 
-def _ifft_kept(spectrum: np.ndarray, keep, workers=None) -> np.ndarray:
+def _ifft_kept(spectrum: np.ndarray, keep) -> np.ndarray:
     """irfftn's unscaled inverse passes over the ``len(keep)`` axes before the
-    last, in order, each cut to its ``keep`` as soon as it is transformed.
-    The last axis may hold any subset of the frequencies: each line is
-    transformed alone.  A complex ``spectrum`` may be overwritten."""
+    last, in order, in place, each cut to its ``keep`` as soon as it is
+    transformed.  The last axis may hold any subset of the frequencies: each
+    line is transformed alone.  A complex ``spectrum`` is overwritten."""
     m = len(keep) + 1
     for axis, kept in enumerate(keep):
-        spectrum = sfft.ifft(spectrum, axis=axis - m, norm="forward", overwrite_x=True,
-                             workers=workers)[(..., kept, *(slice(None),) * (m - 1 - axis))]
+        spectrum = np.fft.ifft(spectrum, axis=axis - m, norm="forward", out=spectrum)[
+            (..., kept, *(slice(None),) * (m - 1 - axis))]
     return spectrum
 
 
-def _irfft_kept(spectrum: np.ndarray, size: int, keep: slice, total: int, workers=None,
+def _irfft_kept(spectrum: np.ndarray, size: int, keep: slice, total: int,
                 out: np.ndarray | None = None) -> np.ndarray:
     """irfftn's last pass: the length-``size`` irfft of every line on the last
     axis, cut to ``keep``, then the 1/``total`` scaling of an irfftn over
     ``total`` points as one product per value, into ``out`` if given.  The
     lines are independent, so any block of them gives the same bits."""
-    kept = sfft.irfft(spectrum, size, axis=-1, norm="forward", workers=workers)[..., keep]
+    kept = np.fft.irfft(spectrum, size, axis=-1, norm="forward")[..., keep]
     return np.multiply(kept, np.float64(1 / np.longdouble(total)), out=out)
 
 
@@ -524,7 +553,7 @@ def _split(arr: np.ndarray, p: float, rmax: float, interior: bool, reach=None) -
     b, grid = None, []
     if box is not None:
         b, steps = arr[box], math.floor((rmax if reach is None else reach) + 1e-9)
-        grid = [sfft.next_fast_len(m + min(m - 1, steps)) for m in b.shape]
+        grid = [_next_fast_len(m + min(m - 1, steps)) for m in b.shape]
         cells = math.prod(grid)
         if cells > _MAX_CELLS:
             raise ValueError(

@@ -7,6 +7,7 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from scipy.special import ndtr
 
@@ -55,6 +56,27 @@ def test_indicator_oracle_matches_quad_and_its_refinement(t, p, monkeypatch):
     monkeypatch.setattr(acceptance, "_ORACLE_NODES", 2 * acceptance._ORACLE_NODES)
     refined = acceptance._gauss_indicator_error_oracle(t, p)
     assert abs(oracle - refined) < 1e-12 * refined
+
+
+def test_oracle_normal_cdf_matches_scipy_ndtr_on_its_nodes(monkeypatch):
+    # not bit for bit: math.erfc and scipy's ndtr round apart in the tails,
+    # by at most one unit in the last place of 1, which moves no oracle digit
+    seen = []
+    ndtr_erfc = acceptance._ndtr
+
+    def recording(x):
+        seen.append(x.copy())
+        return ndtr_erfc(x)
+
+    for t in (2.0 ** -3, 2.0 ** -4, 2.0 ** -5):
+        for p in (1.0, 2.0, 3.0):
+            monkeypatch.setattr(acceptance, "_ndtr", recording)
+            oracle = acceptance._gauss_indicator_error_oracle(t, p)
+            monkeypatch.setattr(acceptance, "_ndtr", ndtr)
+            assert abs(oracle - acceptance._gauss_indicator_error_oracle(t, p)) <= 1e-15 * oracle
+    assert len(seen) == 18
+    nodes = np.concatenate([x.ravel() for x in seen])
+    assert np.max(np.abs(ndtr_erfc(nodes) - ndtr(nodes))) <= 2.0 ** -52
 
 
 def test_indicator_oracle_prints_the_gate_digits():

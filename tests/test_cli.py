@@ -255,6 +255,24 @@ def test_cli_import_leaves_scipy_integrate_optimize_linalg_sparse_out():
     assert result.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_no_scipy():
+    # a fresh interpreter: the runtime is numpy alone, and scipy is a
+    # test-only reference
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import zexlab
+
+    env = dict(os.environ, PYTHONPATH=str(Path(zexlab.__file__).parents[1]))
+    code = ("import sys, zexlab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "[]"
+
+
 def test_hybrid_subcommand(tmp_path):
     cfg = _write_config(tmp_path, "function = cusp alpha=0.5\nd = 1\nL = 8\np = 2\n")
     out = tmp_path / "out"

@@ -7,7 +7,7 @@ from scipy.special import ndtr
 from zexlab.grid import (ExtendedGridFunction, GridFunction, const, corpus,
                          cusp, indicator, lp_norm, sample, zero_extend)
 from zexlab.kernels import (FAMILIES, KernelSpec, apply_kernel,
-                            apply_kernel_direct, error_curve,
+                            apply_kernel_direct, default_tail, error_curve,
                             error_modulus_ratio, error_norm,
                             extension_bound_check, kernel_radius_cells,
                             kernel_weights)
@@ -224,8 +224,8 @@ def test_oversized_window_refused_before_any_window(monkeypatch, measure):
 
 def _whole_window(spec, g):
     """Reference: every axis convolved over every line of the window, by
-    ``ndimage`` or, past the cutoff, by ``scipy.signal.fftconvolve`` (which
-    the library never imports) on one worker."""
+    ``ndimage`` or, past the cutoff, by ``scipy.signal.fftconvolve``, which
+    the library never imports."""
     from scipy import ndimage, signal
 
     import zexlab.kernels
@@ -240,21 +240,19 @@ def _whole_window(spec, g):
     return out
 
 
-@pytest.mark.parametrize("workers", (1, 2))
 @pytest.mark.parametrize("cutoff", (256, 4), ids=["default", "fft"])
 @pytest.mark.parametrize("family, d, level, t, tail", [
     ("gauss", 1, 8, 2.0 ** -5, 1e-6), ("gauss", 2, 5, 2.0 ** -3, 1e-6),
     ("gauss", 3, 3, 2.0 ** -2, 1e-6), ("fejer_tensor", 1, 6, 2.0 ** -4, 2e-2),
     ("fejer_tensor", 2, 5, 2.0 ** -4, 2e-2), ("fejer_tensor", 3, 2, 2.0 ** -2, 2e-1),
 ])
-def test_support_only_passes_match_whole_window_bit_for_bit(monkeypatch, workers, cutoff,
-                                                            family, d, level, t, tail):
+def test_support_only_passes_match_whole_window_bit_for_bit(monkeypatch, cutoff, family, d,
+                                                            level, t, tail):
     # cutoff 4 sends every kernel here down the FFT branch; a 3-d window
     # under the cell cap never reaches it at the default cutoff
     import zexlab.kernels
 
     monkeypatch.setattr(zexlab.kernels, "_FFT_KERNEL_CUTOFF", cutoff)
-    monkeypatch.setattr(zexlab.kernels, "_WORKERS", workers)
     spec = KernelSpec(family, t, tail)
     radius = kernel_radius_cells(spec, d, level)
     rng = np.random.default_rng(d * 10 + level)
@@ -272,11 +270,9 @@ _BUDGETS = pytest.mark.parametrize("budget", (1, 4000, 1 << 40),
 
 
 @pytest.mark.parametrize("budget", (4000, 8 << 20), ids=["small", "default"])
-@pytest.mark.parametrize("workers", (1, 2))
 @pytest.mark.parametrize("d, level, t", [(2, 4, 0.125), (2, 6, 0.0625), (3, 3, 0.125),
                                          (3, 4, 0.0625)])
-def test_poisson_full_path_matches_fftconvolve_bit_for_bit(monkeypatch, workers, budget, d,
-                                                           level, t):
+def test_poisson_full_path_matches_fftconvolve_bit_for_bit(monkeypatch, budget, d, level, t):
     from scipy import signal
 
     import zexlab.kernels
@@ -287,20 +283,17 @@ def test_poisson_full_path_matches_fftconvolve_bit_for_bit(monkeypatch, workers,
     rng = np.random.default_rng(d * 10 + level)
     f = GridFunction(d, level, rng.standard_normal(((1 << level),) * d))
     radius = kernel_radius_cells(spec, d, level)
-    monkeypatch.setattr(zexlab.kernels, "_WORKERS", workers)
     monkeypatch.setattr(zexlab.kernels, "_BLOCK_BYTES", budget)
     for margin in (radius, radius + (1 << level) + 3):
         g = zero_extend(f, margin)
-        reference = signal.fftconvolve(g.samples, w, mode="same")  # one worker
+        reference = signal.fftconvolve(g.samples, w, mode="same")
         assert np.array_equal(apply_kernel(spec, g).samples, reference)
 
 
 @_BUDGETS
-@pytest.mark.parametrize("workers", (1, 2))
 @pytest.mark.parametrize("batch, n, k", [((3, 5), 40, (31,)), ((3,), 24, (9, 9)),
                                          ((2,), 12, (5, 5, 5))], ids=["m1", "m2", "m3"])
-def test_fft_convolve_batches_leading_axes_bit_for_bit(monkeypatch, workers, budget, batch,
-                                                       n, k):
+def test_fft_convolve_batches_leading_axes_bit_for_bit(monkeypatch, budget, batch, n, k):
     # leading axes are a batch; a support only skips lines that are zero anyway;
     # the blocks split lines, never a line, so no budget moves a bit
     from scipy import signal
@@ -308,7 +301,6 @@ def test_fft_convolve_batches_leading_axes_bit_for_bit(monkeypatch, workers, bud
     import zexlab.kernels
     from zexlab.kernels import _fft_convolve
 
-    monkeypatch.setattr(zexlab.kernels, "_WORKERS", workers)
     monkeypatch.setattr(zexlab.kernels, "_BLOCK_BYTES", budget)
     rng = np.random.default_rng(11)
     w, m, support = rng.standard_normal(k), len(k), slice(n // 4, n // 4 + n // 2)
@@ -316,7 +308,7 @@ def test_fft_convolve_batches_leading_axes_bit_for_bit(monkeypatch, workers, bud
     x[(..., *(support,) * m)] = rng.standard_normal(batch + (n // 2,) * m)
     axes = tuple(range(len(batch), len(batch) + m))
     reference = signal.fftconvolve(x, w.reshape((1,) * len(batch) + k), mode="same",
-                                   axes=axes)  # one worker
+                                   axes=axes)
     assert np.array_equal(_fft_convolve(x, w), reference)
     assert np.array_equal(_fft_convolve(x, w, support), reference)
     out = x.copy()  # in place, as the separable kernels' last axis runs
@@ -364,3 +356,85 @@ def test_poisson_convolution_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < multiple * g.samples.nbytes
+
+
+# (family, d, level, t, tail) whose weights take the direct branch: every
+# separable family and dimension
+_DIRECT = pytest.mark.parametrize("family, d, level, t, tail", [
+    ("gauss", 1, 8, 2.0 ** -5, 1e-6), ("gauss", 2, 5, 2.0 ** -3, 1e-6),
+    ("gauss", 3, 3, 2.0 ** -2, 1e-6), ("fejer_tensor", 1, 6, 2.0 ** -4, 2e-2),
+    ("fejer_tensor", 2, 5, 2.0 ** -4, 2e-2), ("fejer_tensor", 3, 2, 2.0 ** -2, 2e-1),
+    ("poisson", 1, 6, 2.0 ** -4, 1e-2),
+])
+
+
+@_DIRECT
+@pytest.mark.parametrize("in_place", (False, True), ids=["out-of-place", "in-place"])
+def test_direct_convolution_matches_ndimage_bit_for_bit(family, d, level, t, tail, in_place):
+    from scipy import ndimage
+
+    from zexlab.kernels import _FFT_KERNEL_CUTOFF, _direct_convolve
+
+    mode, weights = kernel_weights(KernelSpec(family, t, tail), d, level)
+    w = weights[0]
+    assert mode == "separable" and len(w) <= 2 * _FFT_KERNEL_CUTOFF + 1
+    side = (1 << level) + len(w) - 1  # the window apply_kernel convolves
+    x = np.random.default_rng(d * 10 + level).standard_normal((side,) * d)
+    for axis in range(d):
+        reference = ndimage.convolve1d(x, w, axis=axis, mode="constant", cval=0.0)
+        a = x.copy()
+        got = _direct_convolve(a, w, axis, a if in_place else None)
+        assert (got is a) == in_place
+        assert got.tobytes() == reference.tobytes()
+        if not in_place:
+            assert np.array_equal(a, x)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_weights_are_exactly_symmetric(family, d):
+    # the direct branch adds x[i - j] + x[i + j] before weighting, which
+    # ndimage does only for weights symmetric to DBL_EPSILON: ours are equal
+    level = (6, 4, 3)[d - 1]
+    for t in (2.0 ** -4, 2.0 ** -6):
+        mode, weights = kernel_weights(KernelSpec(family, t, default_tail(family, d)), d,
+                                       level)
+        for w in weights if mode == "separable" else [weights]:
+            for axis in range(w.ndim):
+                assert np.array_equal(w, np.flip(w, axis))
+
+
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_gauss_radius_cells_match_the_erfcinv_formula(d):
+    # Newton on math.erfc stands in for scipy's erfcinv: within an ulp or
+    # two, and the same cell counts at every default tail; the scales 2^-j,
+    # j = 0..L, hold the default grid (j = 2..L-2) and gate 7's
+    from scipy.special import erfcinv
+
+    from zexlab.grid import _MAX_CELLS
+    from zexlab.kernels import _DEFAULT_TAILS, truncation_radius
+
+    for tail in sorted({tail for tails in _DEFAULT_TAILS.values() for tail in tails}):
+        root = float(erfcinv(tail / d))
+        for level in range(1, 15):
+            for t in (2.0 ** -j for j in range(level + 1)):
+                spec = KernelSpec("gauss", t, tail)
+                radius = t * math.sqrt(2.0) * root
+                assert truncation_radius(spec, d) == pytest.approx(radius, rel=5e-16)
+                cells = max(math.ceil(radius * (1 << level)), 1)
+                if ((1 << level) + 2 * cells) ** d > _MAX_CELLS:
+                    with pytest.raises(ValueError, match="a window of"):
+                        kernel_radius_cells(spec, d, level)
+                else:
+                    assert kernel_radius_cells(spec, d, level) == cells
+
+
+@pytest.mark.parametrize("measure", [error_curve, error_modulus_ratio, extension_bound_check])
+def test_repeated_scale_refused_before_any_kernel(monkeypatch, measure):
+    import zexlab.kernels
+
+    calls = []
+    monkeypatch.setattr(zexlab.kernels, "apply_kernel", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="t values must be strictly increasing"):
+        measure("gauss", sample(cusp(0.5), 1, 6), 2.0, [2.0 ** -4, 2.0 ** -4])
+    assert calls == []
