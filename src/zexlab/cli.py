@@ -69,10 +69,13 @@ def _coerce(config: dict) -> dict:
             elif key in _FLOAT_KEYS:
                 out[key] = float(value)
             elif key in _LIST_KEYS:
-                out[key] = tuple(float(v) for v in value.split(","))
+                out[key] = tuple((int if key == "levels" else float)(v)
+                                 for v in value.split(","))
                 if key == "p":  # every command reads p by the one exponent rule
                     for v in out[key]:
                         _check_exponent(v)
+                if key == "levels" and len(set(out[key])) < len(out[key]):
+                    raise ValueError("a level repeats")
             elif key == "window":
                 lo, hi = value.split(":")
                 out[key] = (float(lo), float(hi))
@@ -292,7 +295,7 @@ def cmd_exponent_drop(config) -> int:
 def cmd_embedding(config) -> int:
     _require(config, "function", "d")
     spec = parse_spec(config["function"])
-    levels = [int(v) for v in config.get("levels", (10, 11, 12))]
+    levels = config.get("levels", (10, 11, 12))
     p = _single_p(config)
     q = config.get("q", 2.0)
     out = _outdir(config)

@@ -17,9 +17,9 @@ The error operator is smoothing minus identity applied to zero-extensions,
 measured in L^p over the padded window.
 
 Short separable kernels convolve by direct symmetric sums; long ones and
-the d-dim Poisson kernel by one FFT routine that repeats
-``scipy.signal.fftconvolve``'s passes bit for bit on ``numpy.fft``, over
-blocks of lines of a fixed byte budget rather than over full spectra.
+the d-dim Poisson kernel by ``moduli._fft_product``, the one FFT routine,
+which repeats ``scipy.signal.fftconvolve``'s passes bit for bit on
+``numpy.fft`` over blocks of a fixed byte budget rather than full spectra.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ import numpy as np
 from .besov import fit_points
 from .grid import (_MAX_CELLS, ExtendedGridFunction, GridFunction,
                    _check_exponent, _shift_cells, lp_norm, shifted_samples, zero_extend)
-from .moduli import (ModulusCurve, _ifft_kept, _irfft_kept, _next_fast_len, hybrid_curve,
+from .moduli import (ModulusCurve, _fft_product, _next_fast_len, _scales, hybrid_curve,
                      whole_modulus)
 
 FAMILIES = ("gauss", "poisson", "fejer_tensor")
@@ -39,13 +39,6 @@ FAMILIES = ("gauss", "poisson", "fejer_tensor")
 # error/hybrid and modulus/hybrid log-log slopes below this fail the bound
 _SLOPE_FLOOR = -0.05
 _FFT_KERNEL_CUTOFF = 256  # 1-d kernels longer than this convolve via FFT
-# The bytes of complex spectrum one block of an FFT convolution holds
-# (``_fft_convolve``).  On gate 7's 1856^2 Poisson window (FFT side 3456)
-# that is 12 blocks of 151 frequencies, then 7 blocks of 303 lines: under a
-# tenth of one full spectrum (91 MiB), so the blocks add little to the
-# window, output and kept lines the call holds anyway, while each pass still
-# runs over hundreds of lines at once.
-_BLOCK_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -219,70 +212,27 @@ def _convolve_separable(g: ExtendedGridFunction, weights) -> np.ndarray:
     return _convolve_axis(out, weights[-1], g.d - 1, None if out is g.samples else out)
 
 
-def _blocks(count: int, line_bytes: int):
-    """Slices over ``count`` lines of ``line_bytes`` each, at most
-    ``_BLOCK_BYTES`` (and at least one line) a slice."""
-    step = max(_BLOCK_BYTES // line_bytes, 1)
-    return (slice(i, min(i + step, count)) for i in range(0, count, step))
-
-
-def _spread(lines: np.ndarray, m: int, support: slice, fast: int) -> np.ndarray:
-    """rfftn's passes after the last axis's, on one block of last-axis
-    frequencies: ``lines``, the spectra of the support lines, go to
-    ``support`` on the m - 1 axes before the last of a zero block of side
-    ``fast``, and those axes are transformed in order, each only over the
-    lines that are nonzero on the axes still to come."""
-    out = np.zeros(lines.shape[:-m] + (fast,) * (m - 1) + lines.shape[-1:], complex)
-    out[(..., *(support,) * (m - 1), slice(None))] = lines
-    for axis in range(m - 1):
-        sel = (..., *(slice(None),) * (axis + 1), *(support,) * (m - 2 - axis), slice(None))
-        np.fft.fft(out[sel], axis=axis - m, out=out[sel])
-    return out
-
-
 def _fft_convolve(x: np.ndarray, w: np.ndarray, support: slice | None = None,
                   out: np.ndarray | None = None) -> np.ndarray:
     """``signal.fftconvolve(x, w, "same")`` over the last ``m = w.ndim`` axes
     of x, bit for bit, into ``out`` (C-contiguous; it may be x) if given; the
     leading axes are a batch, and the m axes are all as long as x's last.
-    Its rfftn transforms the last axis, then the other m - 1 in order; its
-    irfftn those m - 1, then the last with the 1/N scaling as one product per
-    value (``moduli._irfftn_kept``).  The same passes run here, skipping the
-    lines that are zero going in (off ``support`` on the axes still to come,
-    all of x's by default) or cropped coming out, and over blocks of at most
-    ``_BLOCK_BYTES``: for m > 1, the last axis's spectra of x's support lines
-    and of the kernel's lines, then each block of last-axis frequencies
-    through the other axes' passes into one n^(m-1) x (fast/2 + 1) array,
-    then the last inverse pass over blocks of its lines.  Every FFT line is
-    transformed alone, so the blocks move no bit."""
+    One ``_fft_product`` of x's lines on ``support`` (all of them by
+    default) on the m - 1 axes before the last, and of the kernel, cropped
+    to x's cells."""
     m, n, k = w.ndim, x.shape[-1], w.shape[0]
-    fast = _next_fast_len(n + k - 1, True)
-    half = fast // 2 + 1
+    support = slice(0, n) if support is None else support
     crop = slice((k - 1) // 2, (k - 1) // 2 + n)
-    kernel = np.fft.rfft(w, fast, axis=-1)
-    if m == 1:
-        rows = x.reshape(-1, n)
+    lines = x[(..., *(support,) * (m - 1), slice(None))]
+    return _fft_product([(lines, support.start), (w, 0)],
+                        (_next_fast_len(n + k - 1, True),) * m, _times, (crop,) * m, out)
 
-        def spectrum(block):
-            prod = np.fft.rfft(rows[block], fast, axis=-1)
-            prod *= kernel
-            return prod
-    else:
-        batch = x.shape[:-m]
-        support = slice(0, n) if support is None else support
-        lines = np.fft.rfft(x[(..., *(support,) * (m - 1), slice(None))], fast, axis=-1)
-        kept = np.empty(batch + (n,) * (m - 1) + (half,), complex)
-        for cols in _blocks(half, 16 * math.prod(batch) * fast ** (m - 1)):
-            prod = _spread(lines[..., cols], m, support, fast)
-            prod *= _spread(kernel[..., cols], m, slice(0, k), fast)
-            kept[..., cols] = _ifft_kept(prod, (crop,) * (m - 1))
-        del lines, kernel, prod
-        spectrum = kept.reshape(-1, half).__getitem__
-    out = np.empty(x.shape) if out is None else out
-    out_rows = out.reshape(-1, n)
-    for block in _blocks(len(out_rows), 16 * half):
-        _irfft_kept(spectrum(block), fast, crop, fast ** m, out_rows[block])
-    return out
+
+def _times(F) -> np.ndarray:
+    """The product of the signal's spectrum F(0) and the kernel's F(1)."""
+    prod = F(0)
+    prod *= F(1)
+    return prod
 
 
 def apply_kernel(spec: KernelSpec, g: ExtendedGridFunction) -> ExtendedGridFunction:
@@ -293,13 +243,14 @@ def apply_kernel(spec: KernelSpec, g: ExtendedGridFunction) -> ExtendedGridFunct
     inside the window.  Separable kernels convolve, on each axis but the
     last, only the lines that meet the cube's support: n^(d-1) of the
     W^(d-1) lines on the first axis, W the window side.  Long separable
-    kernels and the d-dim Poisson kernel share one FFT routine
-    (``_fft_convolve``), which runs each pass only over the lines that can be
-    nonzero or are kept, in blocks of at most ``_BLOCK_BYTES``: besides the
-    window and the output, the d-dim Poisson kernel holds its weights, the
-    last-axis spectra of the kernel's and the cube's lines, one
-    W^(d-1) x (fast/2 + 1) array and one block.  Every line is computed as
-    over the whole window, so the output is bit for bit the same.
+    kernels and the d-dim Poisson kernel convolve by FFT (``_fft_convolve``,
+    on ``moduli._fft_product``), which runs each pass only over the lines
+    that can be nonzero or are kept, in blocks of at most
+    ``moduli._BLOCK_BYTES``: besides the window and the output, the d-dim
+    Poisson kernel holds its weights, the last-axis spectra of the kernel's
+    and the cube's lines, one W^(d-1) x (fast/2 + 1) array and a few blocks.
+    Every line is computed as over the whole window, so the output is bit
+    for bit the same.
     """
     radius = kernel_radius_cells(spec, g.d, g.level)
     if radius > g.margin:
@@ -351,12 +302,9 @@ def error_norm(spec: KernelSpec, f: GridFunction, p: float) -> float:
 
 def _kernel_specs(family: str, f: GridFunction, t_grid, truncation_tail: float) -> list:
     """The kernel of every scale in ascending t, once every window is known to fit:
-    checked largest first, an oversized one is refused before any is built.  A
-    repeated t is refused first, as a curve over the grid would refuse it."""
-    ts = sorted(t_grid)
-    if any(t2 <= t1 for t1, t2 in zip(ts, ts[1:])):
-        raise ValueError("t values must be strictly increasing")
-    specs = [KernelSpec(family, t, truncation_tail) for t in ts]
+    checked largest first, an oversized one is refused before any is built.  The
+    scales pass the modulus curves' rule first (``moduli._scales``)."""
+    specs = [KernelSpec(family, t, truncation_tail) for t in _scales("error_norm", f, t_grid)]
     for spec in specs[::-1]:
         kernel_radius_cells(spec, f.d, f.level)
     return specs

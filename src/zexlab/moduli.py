@@ -42,8 +42,10 @@ alone picks what the table does with the split; callers cannot choose it:
   value found.  The maximum is always evaluated, so the values equal the
   direct enumeration bit for bit.
 
-Every screen's inverse FFT runs irfftn's own passes and keeps only the rows
-0 <= k_0 <= max k_0 that hold half-ball shifts, bit for bit the same.
+Every FFT here and in ``kernels`` is one ``_fft_product``: scipy.fft's
+passes on numpy.fft, bit for bit, in blocks of ``_BLOCK_BYTES``, skipping the
+lines that are zero going in or cut coming out.  A screen keeps only the rows
+0 <= k_0 <= max k_0 that hold half-ball shifts.
 
 Direct evaluation is capped at ``_DIRECT_WORK_BUDGET`` cells of work.  A radius
 left unfinished at the cap keeps the best value found, a lower bound flagged
@@ -276,9 +278,8 @@ def _overlap_mass(w: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     d = w.ndim
     pref = np.zeros(tuple(s + 1 for s in w.shape))
     acc = w
-    for axis in range(d):
-        acc = acc.cumsum(axis=axis)
-    pref[(slice(1, None),) * d] = acc
+    for axis in range(d):  # in place in pref, after its zero first row per axis
+        acc = np.cumsum(acc, axis=axis, out=pref[(slice(1, None),) * d])
     lo = np.maximum(0, -shifts)
     hi = np.array(w.shape) - 1 - np.maximum(0, shifts)
     return _box_sums(pref, lo, hi) + _box_sums(pref, lo + shifts, hi + shifts)
@@ -346,36 +347,70 @@ def _screen(arr: np.ndarray, shifts: np.ndarray, shape, orders) -> dict:
         E2 = (f^2 masses) - 2 c11(k),
         E4 = (f^4 masses) - 4 (c31(k) + c31(-k)) + 6 c22(k),
 
-    the masses from ``_overlap_mass``.  The E4 correlations are one inverse
-    FFT of the real spectrum 6 |F2|^2 - 8 Re(F3 conj F1), F_a = DFT(f^a).  A
-    grid of at least n + max |k_a| cells per axis holds every shift without
-    wrap-around.  Half-ball shifts have 0 <= k_0, so each inverse keeps only
-    the rows k_0 <= max k_0 (``_irfftn_kept``)."""
-    at = tuple(shifts[:, a] % s for a, s in enumerate(shape))
+    the masses from ``_overlap_mass``.  With F_a = DFT(f^a), c11 is the
+    inverse FFT of F1 conj F1 and the E4 correlations that of the real
+    spectrum 6 |F2|^2 - 8 Re(F3 conj F1): one ``_fft_product`` gives both,
+    one per order, from one forward pass of F1.  A grid of at least
+    n + max |k_a| cells per axis holds every shift without wrap-around.
+    Half-ball shifts have 0 <= k_0, so the inverse keeps only the rows
+    k_0 <= max k_0."""
     rows = int(shifts[:, 0].max(initial=0)) + 1
     keep = (slice(0, rows),) + (slice(None),) * (len(shape) - 1)
-    f1 = _rfftn(arr, shape)
+    # the masses and error bounds first: the powers then go to the FFT
+    # alone, which releases each once its spectra are made
     sq = arr * arr
+    energy = float(sq.sum())
+    factors, masses, errors = [(arr, 0)], {}, {}
+    if 2 in orders:
+        masses[2] = _overlap_mass(sq, shifts)
+        errors[2] = _screen_error(arr.shape, shape, 2, energy, 2.0 * energy)
+    if 4 in orders:
+        cube = sq * arr
+        weighted = 8.0 * math.sqrt(float((cube * cube).sum()) * energy)
+        quart = sq * sq
+        masses[4], quartic = _overlap_mass(quart, shifts), float(quart.sum())
+        errors[4] = _screen_error(arr.shape, shape, 4, quartic, weighted + 6.0 * quartic)
+        factors += [(sq, 0), (cube, 0)]
+        del cube, quart
+    del sq
+    # complex products round with fused multiply-adds, so the operand order
+    # moves the last bits of their imaginary parts; numpy computed
+    # F1 * conj(F1) over a whole spectrum of 256 KiB or more as
+    # conj(F1) * F1, in place of the temporary conjugate (its elision of
+    # temporaries), and every block keeps the order of its grid
+    swap = 16 * math.prod(shape[:-1]) * (shape[-1] // 2 + 1) >= 1 << 18
+
+    def spectra(F):
+        # each order's block in turn, at most three blocks at once: E4's
+        # real spectrum is formed in F3's block
+        f1 = F(0)
+        parts = []
+        if 2 in orders:
+            conj = np.conj(f1)
+            parts.append(np.multiply(conj, f1, out=conj) if swap
+                         else np.multiply(f1, conj, out=conj))
+            del conj
+        if 4 in orders:
+            f3 = F(2)
+            spectrum = _real_product(f3, f1)
+            spectrum *= -8.0
+            del f1
+            f2 = F(1)
+            square = _real_product(f2, f2)
+            square *= 6.0
+            spectrum += square
+            del f2, square
+            f3.imag = 0.0
+            parts.append(f3)
+        return parts
+
+    corr = _fft_product(factors, shape, spectra, keep)
+    at = tuple(shifts[:, a] % s for a, s in enumerate(shape))
     out = {}
     if 2 in orders:
-        c11 = _irfftn_kept(f1 * np.conj(f1), shape, keep)[at]
-        energy = float(sq.sum())
-        out[2] = (np.maximum(_overlap_mass(sq, shifts) - 2.0 * c11, 0.0),
-                  _screen_error(arr.shape, shape, 2, energy, 2.0 * energy))
+        out[2] = (np.maximum(masses[2] - 2.0 * corr[0][at], 0.0), errors[2])
     if 4 in orders:
-        # one spectrum at a time beside f1, to keep the peak memory low
-        cube = sq * arr
-        weighted = 8.0 * math.sqrt(float((cube * cube).sum()) * float(sq.sum()))
-        spectrum = -8.0 * _real_product(_rfftn(cube, shape), f1)
-        del cube, f1
-        f2 = _rfftn(sq, shape)
-        spectrum += 6.0 * _real_product(f2, f2)
-        del f2
-        quart = np.multiply(sq, sq, out=sq)
-        energy = float(quart.sum())
-        mass = _overlap_mass(quart, shifts)
-        out[4] = (np.maximum(mass + _irfftn_kept(spectrum, shape, keep)[at], 0.0),
-                  _screen_error(arr.shape, shape, 4, energy, weighted + 6.0 * energy))
+        out[4] = (np.maximum(masses[4] + corr[-1][at], 0.0), errors[4])
     return out
 
 
@@ -393,59 +428,132 @@ def _next_fast_len(target: int, real: bool = False) -> int:
     return min(m << ((target - 1) // m).bit_length() for m in odd)
 
 
-def _rfftn(arr: np.ndarray, shape) -> np.ndarray:
-    """The rfftn of ``arr`` zero-padded to ``shape`` over its last
-    ``m = len(shape)`` axes, bit for bit as ``scipy.fft.rfftn``: the last
-    axis's rfft into one padded array, then every line of each other axis
-    in order, in place.  (numpy's rfftn runs the other axes in reverse,
-    which moves the last bits from m = 3 on.)"""
-    m = len(shape)
-    out = np.zeros(arr.shape[:-m] + tuple(shape[:-1]) + (shape[-1] // 2 + 1,), complex)
-    np.fft.rfft(arr, shape[-1], axis=-1,
-                out=out[(..., *(slice(0, n) for n in arr.shape[-m:-1]), slice(None))])
-    for axis in range(-m, -1):
-        np.fft.fft(out, axis=axis, out=out)
+# The bytes of complex spectrum one block of ``_fft_product`` holds.  On
+# gate 7's 1856^2 Poisson window (FFT side 3456) that is 12 blocks of 151
+# frequencies, then 7 blocks of 303 lines: under a tenth of one full
+# spectrum (91 MiB), while each pass still runs over hundreds of lines.
+_BLOCK_BYTES = 8 << 20
+
+
+def _blocks(count: int, item_bytes: int) -> list:
+    """Slices over ``count`` items of ``item_bytes`` each, at most
+    ``_BLOCK_BYTES`` (and at least one item) a slice."""
+    step = max(_BLOCK_BYTES // item_bytes, 1)
+    return [slice(i, min(i + step, count)) for i in range(0, count, step)]
+
+
+def _fft_product(factors, grid, combine, keep, out=None) -> np.ndarray:
+    """The irfftn over the last ``m = len(grid)`` axes, cut to ``keep`` (one
+    slice per axis), of ``combine(F)``, where F(i), called at most once per
+    block, is the rfftn of factor i zero-padded to ``grid``; into ``out`` (C-contiguous) if given.  Factor i
+    is a pair (array, start): the array sits at index ``start`` on every
+    axis but the last, zero elsewhere, and its axes before the last m are a
+    batch.  ``combine`` returns one block of the complex product, or a list
+    of them, the p-th transformed into ``out[p]``: the output is the
+    factors' broadcast batch, after one leading axis for a list, by the grid
+    cut to ``keep``.  The list ``factors`` is emptied as it is read: an
+    unbatched array is released once its last-axis spectra are made, so a
+    caller that holds no other reference frees it there.
+
+    The passes are ``scipy.fft``'s, bit for bit: rfftn's last-axis rfft,
+    then the other axes in order (numpy's rfftn takes them in reverse, which
+    moves last bits from m = 3 on); irfftn's other axes in order, then the
+    last axis with the 1/N scaling as one product per value.  Each pass
+    skips the lines that are zero going in (off a factor on the axes still
+    to come) or cut coming out, and runs over blocks of at most
+    ``_BLOCK_BYTES`` of one factor's spectrum: for m = 1, blocks of the
+    batched factors' lines; for m > 1, blocks of last-axis frequencies
+    through the other axes' passes, then blocks of lines through the last
+    inverse pass.  A factor's last-axis spectra are made at first use and
+    dropped on the last block, and each block's products are released before
+    the next block's spectra are made.  Every FFT line is transformed alone,
+    so the blocks move no bit."""
+    m, fast = len(grid), grid[-1]
+    half = fast // 2 + 1
+    kept = tuple(len(range(n)[cut]) for n, cut in zip(grid, keep))
+    shapes, starts = [a.shape for a, _ in factors], [start for _, start in factors]
+    batch = np.broadcast_shapes(*(a[:-m] for a in shapes))
+    scale = np.float64(1 / np.longdouble(math.prod(grid)))
+    spectra = {}
+
+    def transform(i, out=None):
+        # factor i's last-axis spectra, after which the factor is released
+        a, factors[i] = factors[i][0], None
+        return np.fft.rfft(a, fast, axis=-1, out=out)
+
+    def line_spectra(i, last):
+        if i not in spectra:
+            spectra[i] = transform(i)
+        return spectra.pop(i) if last else spectra[i]
+
+    def products(spectrum):
+        """(index into out, product) per product of one block, and the
+        output's leading axes."""
+        parts = combine(spectrum)
+        if isinstance(parts, list):
+            return [((p,), prod) for p, prod in enumerate(parts)], (len(parts),)
+        return [((), parts)], ()
+
+    def inverse(spectrum, lines):
+        np.multiply(np.fft.irfft(spectrum, fast, axis=-1, norm="forward")[..., keep[-1]],
+                    scale, out=lines)
+
+    if m == 1:
+        rows = [a.reshape(-1, a.shape[-1]) if a.ndim > 1 else None for a, _ in factors]
+        blocks = (_blocks(math.prod(batch), 16 * half) if any(r is not None for r in rows)
+                  else [slice(None)])
+        for j, block in enumerate(blocks):
+            def spectrum(i):
+                if rows[i] is None:  # one spectrum serves every block
+                    return line_spectra(i, j == len(blocks) - 1)
+                return np.fft.rfft(rows[i][block], fast, axis=-1)
+
+            parts, lead = products(spectrum)
+            out = np.empty(lead + batch + kept) if out is None else out
+            for at, prod in parts:
+                inverse(prod, out[at].reshape(-1, kept[-1])[block])
+        return out
+    blocks = _blocks(half, 16 * math.prod(batch) * math.prod(grid[:-1]))
+    held = None
+    for j, cols in enumerate(blocks):
+        def spectrum(i):
+            # the line spectra before the block, so a released factor is gone
+            lines = None if len(blocks) == 1 else line_spectra(i, j == len(blocks) - 1)
+            support = tuple(slice(starts[i], starts[i] + n) for n in shapes[i][-m:-1])
+            spread = np.zeros(shapes[i][:-m] + tuple(grid[:-1]) + (cols.stop - cols.start,),
+                              complex)
+            into = (..., *support, slice(None))
+            if lines is None:
+                transform(i, spread[into])
+            else:
+                spread[into] = lines[..., cols]
+            del lines
+            for axis in range(m - 1):
+                sel = (..., *(slice(None),) * (axis + 1), *support[axis + 1:], slice(None))
+                np.fft.fft(spread[sel], axis=axis - m, out=spread[sel])
+            return spread
+
+        parts, lead = products(spectrum)
+        for at, prod in parts:
+            for axis, cut in enumerate(keep[:-1]):
+                prod = np.fft.ifft(prod, axis=axis - m, norm="forward", out=prod)[
+                    (..., cut, *(slice(None),) * (m - 1 - axis))]
+            if held is None:
+                held = np.empty(lead + batch + kept[:-1] + (half,), complex)
+            held[at][..., cols] = prod
+        del parts, prod
+    out = np.empty(lead + batch + kept) if out is None else out
+    lines, held = out.reshape(-1, kept[-1]), held.reshape(-1, half)
+    for block in _blocks(len(held), 16 * half):
+        inverse(held[block], lines[block])
     return out
 
 
-def _irfftn_kept(spectrum: np.ndarray, shape, keep) -> np.ndarray:
-    """The irfftn of ``spectrum`` to ``shape`` over the last ``m = len(shape)``
-    axes, cut to ``keep`` (one slice per axis), bit for bit.  irfftn's own
-    passes run one at a time: the leading m - 1 axes in order
-    (``_ifft_kept``), then the last axis with the 1/N scaling
-    (``_irfft_kept``).  A real spectrum is made complex first, as irfftn does
-    (a real input takes another path through ``ifft``, with other bits).
-    ``spectrum`` may be overwritten."""
-    spectrum = _ifft_kept(spectrum.astype(complex, copy=False), keep[:-1])
-    return _irfft_kept(spectrum, shape[-1], keep[-1], math.prod(shape))
-
-
-def _ifft_kept(spectrum: np.ndarray, keep) -> np.ndarray:
-    """irfftn's unscaled inverse passes over the ``len(keep)`` axes before the
-    last, in order, in place, each cut to its ``keep`` as soon as it is
-    transformed.  The last axis may hold any subset of the frequencies: each
-    line is transformed alone.  A complex ``spectrum`` is overwritten."""
-    m = len(keep) + 1
-    for axis, kept in enumerate(keep):
-        spectrum = np.fft.ifft(spectrum, axis=axis - m, norm="forward", out=spectrum)[
-            (..., kept, *(slice(None),) * (m - 1 - axis))]
-    return spectrum
-
-
-def _irfft_kept(spectrum: np.ndarray, size: int, keep: slice, total: int,
-                out: np.ndarray | None = None) -> np.ndarray:
-    """irfftn's last pass: the length-``size`` irfft of every line on the last
-    axis, cut to ``keep``, then the 1/``total`` scaling of an irfftn over
-    ``total`` points as one product per value, into ``out`` if given.  The
-    lines are independent, so any block of them gives the same bits."""
-    kept = np.fft.irfft(spectrum, size, axis=-1, norm="forward")[..., keep]
-    return np.multiply(kept, np.float64(1 / np.longdouble(total)), out=out)
-
-
 def _real_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Re(a conj(b)), elementwise."""
-    out = a.real * b.real
-    out += a.imag * b.imag
+    """Re(a conj(b)), elementwise, into the real part of ``a``, whose
+    imaginary part it overwrites."""
+    out = np.multiply(a.real, b.real, out=a.real)
+    out += np.multiply(a.imag, b.imag, out=a.imag)
     return out
 
 
@@ -673,9 +781,10 @@ def _build_table(arr: np.ndarray, p: float, radii, interior: bool) -> _SupTable:
 
 
 def _scales(kind: str, arr, t_grid) -> tuple:
-    """The scales of a modulus query, ascending (None: the default grid).  An
-    empty grid and any t that is not finite and > 0 are refused, and so is
-    an interior t > sqrt(d), past every shift that stays in the cube."""
+    """The scales of a modulus or kernel query, ascending (None: the default
+    grid), checked before anything is built.  An empty grid, any t that is
+    not finite and > 0 and a repeated t are refused, and so is an interior
+    t > sqrt(d), past every shift that stays in the cube."""
     ts = tuple(sorted(t_grid)) if t_grid is not None else default_t_grid(arr.level)
     if not ts:
         raise ValueError("a modulus curve needs at least one scale t")
@@ -684,6 +793,9 @@ def _scales(kind: str, arr, t_grid) -> tuple:
         if not (math.isfinite(t) and 0 < t <= top):
             bound = "(0, sqrt(d)]" if kind == "interior" else "finite and > 0"
             raise ValueError(f"scale t must be {bound}, got t={t!r}")
+    for t1, t2 in zip(ts, ts[1:]):
+        if t2 <= t1:
+            raise ValueError(f"t values must be strictly increasing: t={t2!r} repeats")
     return ts
 
 
@@ -795,7 +907,7 @@ def hybrid_curve(f: GridFunction, p: float, t_grid=None, name: str = "") -> Modu
     For p = 1 the mass term is max{sqrt(d) t/s, 1} |log(s/(sqrt(d) t))| ||f||_1,
     evaluated literally; the log factor vanishes when s equals sqrt(d) t.
     ``meta["s_opt"]`` holds each t's minimizing s, ties resolving to the
-    smaller s.  A repeated t is refused."""
+    smaller s.  A repeated t is refused before the ladder is built."""
     _check_exponent(p)
     ts = _scales("hybrid", f, t_grid)
     ladder = interior_ladder(f, p)

@@ -273,6 +273,50 @@ def test_cli_import_loads_no_scipy():
     assert result.stdout.strip() == "[]"
 
 
+def test_one_module_runs_the_fft_passes():
+    # scipy.fft's pass order is written once, in moduli._fft_product: no
+    # other function touches numpy.fft, and of moduli's private helpers
+    # kernels borrows only that routine, the FFT sizes and the one scale
+    # rule, so the passes cannot fork again unnoticed
+    import ast
+    from pathlib import Path
+
+    import zexlab
+
+    def fft_uses(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "fft" and \
+                    isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
+                yield node.lineno
+            elif isinstance(node, ast.Import) and any(a.name.startswith("numpy.fft")
+                                                      for a in node.names):
+                yield node.lineno
+            elif isinstance(node, ast.ImportFrom) and (
+                    (node.module or "").startswith("numpy.fft") or
+                    (node.module == "numpy" and any(a.name == "fft" for a in node.names))):
+                yield node.lineno
+
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in Path(zexlab.__file__).parent.glob("*.py")}
+    assert {"moduli", "kernels"} <= set(trees)
+    product = next(node for node in trees["moduli"].body
+                   if isinstance(node, ast.FunctionDef) and node.name == "_fft_product")
+    for name, tree in trees.items():
+        lines = list(fft_uses(tree))
+        if name == "moduli":
+            assert lines and all(product.lineno <= n <= product.end_lineno for n in lines)
+        else:
+            assert lines == [], f"{name}.py uses numpy.fft on lines {lines}"
+    borrowed = set()
+    for node in ast.walk(trees["kernels"]):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("moduli"):
+            borrowed |= {a.name for a in node.names if a.name.startswith("_")}
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and \
+                node.value.id == "moduli" and node.attr.startswith("_"):
+            borrowed.add(node.attr)
+    assert borrowed <= {"_fft_product", "_next_fast_len", "_scales"}, borrowed
+
+
 def test_hybrid_subcommand(tmp_path):
     cfg = _write_config(tmp_path, "function = cusp alpha=0.5\nd = 1\nL = 8\np = 2\n")
     out = tmp_path / "out"
@@ -544,3 +588,20 @@ def test_function_spec_ranges_exit_2_before_sampling(tmp_path, capsys, monkeypat
     cfg = _write_config(tmp_path, f"function = {function}\nd = 1\nL = 8\n")
     assert main(["modulus", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("levels, reason", [("8.7,9", "invalid literal for int()"),
+                                            ("9,9", "a level repeats")])
+def test_embedding_levels_are_distinct_integers_before_sampling(tmp_path, capsys,
+                                                                monkeypatch, levels, reason):
+    # 8.7 once ran as L = 8, and 9,9 compared a level with itself
+    from zexlab import besov
+
+    monkeypatch.setattr(besov, "sample", _no_alloc)
+    cfg = _write_config(tmp_path, "function = cusp alpha=0.5\nd = 1\np = 2\n"
+                                  f"levels = {levels}\n")
+    out = tmp_path / "out"
+    assert main(["embedding", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"bad value for 'levels': '{levels}'" in err and reason in err
+    assert not (out / "embedding.txt").exists()

@@ -275,7 +275,7 @@ _BUDGETS = pytest.mark.parametrize("budget", (1, 4000, 1 << 40),
 def test_poisson_full_path_matches_fftconvolve_bit_for_bit(monkeypatch, budget, d, level, t):
     from scipy import signal
 
-    import zexlab.kernels
+    import zexlab.moduli
 
     spec = KernelSpec("poisson", t, 5e-2)
     mode, w = kernel_weights(spec, d, level)
@@ -283,7 +283,7 @@ def test_poisson_full_path_matches_fftconvolve_bit_for_bit(monkeypatch, budget, 
     rng = np.random.default_rng(d * 10 + level)
     f = GridFunction(d, level, rng.standard_normal(((1 << level),) * d))
     radius = kernel_radius_cells(spec, d, level)
-    monkeypatch.setattr(zexlab.kernels, "_BLOCK_BYTES", budget)
+    monkeypatch.setattr(zexlab.moduli, "_BLOCK_BYTES", budget)
     for margin in (radius, radius + (1 << level) + 3):
         g = zero_extend(f, margin)
         reference = signal.fftconvolve(g.samples, w, mode="same")
@@ -298,10 +298,10 @@ def test_fft_convolve_batches_leading_axes_bit_for_bit(monkeypatch, budget, batc
     # the blocks split lines, never a line, so no budget moves a bit
     from scipy import signal
 
-    import zexlab.kernels
+    import zexlab.moduli
     from zexlab.kernels import _fft_convolve
 
-    monkeypatch.setattr(zexlab.kernels, "_BLOCK_BYTES", budget)
+    monkeypatch.setattr(zexlab.moduli, "_BLOCK_BYTES", budget)
     rng = np.random.default_rng(11)
     w, m, support = rng.standard_normal(k), len(k), slice(n // 4, n // 4 + n // 2)
     x = np.zeros(batch + (n,) * m)
@@ -338,7 +338,7 @@ def test_poisson_convolution_peak_memory():
 
     from scipy import fft as sfft
 
-    import zexlab.kernels
+    import zexlab.moduli
 
     spec = KernelSpec("poisson", 2.0 ** -5, 1e-2)
     g = zero_extend(sample(cusp(0.5), 2, 8), kernel_radius_cells(spec, 2, 8))
@@ -346,7 +346,7 @@ def test_poisson_convolution_peak_memory():
     fast = sfft.next_fast_len(side + k - 1, True)
     half = fast // 2 + 1
     held = k * k * 8 + (k + n + side) * half * 16 + g.samples.nbytes
-    bound = held + 4 * zexlab.kernels._BLOCK_BYTES
+    bound = held + 4 * zexlab.moduli._BLOCK_BYTES
     multiple = bound / g.samples.nbytes
     assert bound < 3 * fast * half * 16
     tracemalloc.start()
@@ -438,3 +438,11 @@ def test_repeated_scale_refused_before_any_kernel(monkeypatch, measure):
     with pytest.raises(ValueError, match="t values must be strictly increasing"):
         measure("gauss", sample(cusp(0.5), 1, 6), 2.0, [2.0 ** -4, 2.0 ** -4])
     assert calls == []
+
+
+@pytest.mark.parametrize("measure", [error_curve, error_modulus_ratio, extension_bound_check])
+def test_nan_scale_refused_with_a_scale_message(measure):
+    # the kernels' scales pass the modulus curves' rule; a NaN once reached
+    # the radius and died converting it to an integer
+    with pytest.raises(ValueError, match="scale t must be finite and > 0, got t=nan"):
+        measure("gauss", sample(cusp(0.5), 1, 6), 2.0, [math.nan, 0.25])

@@ -290,6 +290,7 @@ def test_correlation_confirm_survives_cancellation():
 @pytest.mark.parametrize("shape", [(4096,), (3072, 3072), (1036, 1036), (640, 640),
                                    (112, 112, 112)])
 def test_row_restricted_inverse_equals_irfftn_bit_for_bit(shape):
+    # _fft_product's inverse passes, block by block, on a given spectrum
     rng = np.random.default_rng(len(shape))
     spectrum_shape = (*shape[:-1], shape[-1] // 2 + 1)
     rows = shape[0] // 4 + 1
@@ -299,7 +300,16 @@ def test_row_restricted_inverse_equals_irfftn_bit_for_bit(shape):
         if not real:
             spectrum = spectrum + 1j * rng.standard_normal(spectrum_shape)
         expected = sfft.irfftn(spectrum, shape)[:rows]
-        got = moduli._irfftn_kept(spectrum.copy(), shape, keep)
+        widths = []
+
+        def given(F):
+            # the block's columns; a real spectrum made complex, as irfftn does
+            lo = sum(widths)
+            widths.append(F(0).shape[-1])
+            return spectrum[..., lo:lo + widths[-1]].astype(complex)
+
+        got = moduli._fft_product([(np.zeros((1,) * len(shape)), 0)], shape, given, keep)
+        assert sum(widths) == spectrum_shape[-1]
         assert got.shape == expected.shape
         assert np.array_equal(got, expected)
 
@@ -311,15 +321,127 @@ def test_next_fast_len_matches_scipy(real):
         [sfft.next_fast_len(n, real) for n in targets]
 
 
-@pytest.mark.parametrize("shape, grid", [((500,), (1024,)), ((100, 70), (180, 144)),
-                                         ((3, 7, 5), (8, 9, 11)), ((20, 20, 20), (45, 45, 45)),
-                                         ((2, 12, 10), (24, 21))])
-def test_rfftn_matches_scipy_bit_for_bit(shape, grid):
-    # numpy's own rfftn runs the axes before the last in reverse, which
-    # moves last bits in 3-d; a leading axis outside the grid is a batch
+def _e2(f1):
+    return np.multiply(f1, np.conj(f1))
+
+
+def _e4(f1, f2, f3):
+    # 6 |F2|^2 - 8 Re(F3 conj F1), made complex, in numpy's separate passes
+    spectrum = -8.0 * (f3.real * f1.real + f3.imag * f1.imag)
+    spectrum += 6.0 * (f2.real * f2.real + f2.imag * f2.imag)
+    return spectrum.astype(complex)
+
+
+def _both(F):
+    # combine reads each factor's spectrum once per block
+    spectra = [F(i) for i in range(3)]
+    return [_e2(spectra[0]), _e4(*spectra)]
+
+
+# _BLOCK_BYTES values that give one-line blocks, blocks whose last one is
+# shorter on every pass below, and one block for everything
+_BUDGETS = pytest.mark.parametrize("budget", (1, 4000, 1 << 40),
+                                   ids=["one-line", "uneven", "one-block"])
+_FORWARD_SHAPES = [((500,), (1024,)), ((100, 70), (180, 144)), ((3, 7, 5), (8, 9, 11)),
+                   ((20, 20, 20), (45, 45, 45)), ((2, 12, 10), (24, 21))]
+
+
+@pytest.mark.parametrize("shape, grid", _FORWARD_SHAPES)
+def test_rfftn_matches_scipy_bit_for_bit(monkeypatch, shape, grid):
+    # _fft_product's forward passes at every block budget, the blocks side
+    # by side: numpy's own rfftn runs the axes before the last in reverse,
+    # which moves last bits in 3-d; a leading axis outside the grid is a batch
     arr = np.random.default_rng(len(shape)).standard_normal(shape)
     axes = tuple(range(-len(grid), 0))
-    assert moduli._rfftn(arr, grid).tobytes() == sfft.rfftn(arr, grid, axes=axes).tobytes()
+    for budget in (1, 4000, 1 << 40):
+        monkeypatch.setattr(moduli, "_BLOCK_BYTES", budget)
+        blocks = []
+
+        def forward(F):
+            blocks.append(F(0).copy())
+            return blocks[-1].copy()
+
+        moduli._fft_product([(arr, 0)], grid, forward, (slice(None),) * len(grid))
+        assert np.concatenate(blocks, axis=-1).tobytes() == \
+            sfft.rfftn(arr, grid, axes=axes).tobytes()
+
+
+@_BUDGETS
+@pytest.mark.parametrize("shape, grid", _FORWARD_SHAPES)
+def test_fft_product_matches_scipy_bit_for_bit(monkeypatch, budget, shape, grid):
+    # the E2 and E4 products of the screens, blockwise, equal scipy's rfftn
+    # and irfftn over the whole grid cut to the kept rows; numpy's own rfftn
+    # runs the axes before the last in reverse, which moves last bits in
+    # 3-d, and a leading axis outside the grid is a batch
+    monkeypatch.setattr(moduli, "_BLOCK_BYTES", budget)
+    arr = np.random.default_rng(len(shape)).standard_normal(shape)
+    m = len(grid)
+    axes = tuple(range(-m, 0))
+    rows = grid[0] // 4 + 1
+    keep = (slice(0, rows),) + (slice(None),) * (m - 1)
+    powers = [arr, arr * arr, arr * arr * arr]
+    full = [sfft.rfftn(a, grid, axes=axes) for a in powers]
+    # a list of products fills one leading entry each
+    both = moduli._fft_product([(a, 0) for a in powers], grid, _both, keep)
+    for i, (product, n) in enumerate(((_e2, 1), (_e4, 3))):
+        expected = sfft.irfftn(product(*full[:n]), grid, axes=axes)[(..., *keep)]
+        got = moduli._fft_product([(a, 0) for a in powers[:n]], grid,
+                                  lambda F: product(*(F(j) for j in range(n))), keep)
+        assert got.shape == expected.shape and both.shape == (2,) + expected.shape
+        assert got.tobytes() == expected.tobytes()
+        assert both[i].tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("budget", (4000, 8 << 20), ids=["small", "default"])
+@pytest.mark.parametrize("shape, r", [((300,), 40), ((130, 90), 30), ((200, 200), 150),
+                                      ((12, 10, 8), 4), ((20, 20, 20), 6)])
+def test_screen_matches_whole_spectrum_screen_bit_for_bit(monkeypatch, budget, shape, r):
+    # the screens' values as read off whole scipy spectra, with numpy's
+    # operators: F1 * conj(F1) over a spectrum of 256 KiB or more is
+    # conj(F1) * F1 (numpy's elision of temporaries), whose imaginary parts
+    # round apart; (200, 200) at r = 150 is such a grid
+    monkeypatch.setattr(moduli, "_BLOCK_BYTES", budget)
+    arr = np.random.default_rng(len(shape)).standard_normal(shape)
+    shifts = moduli._half_shifts(len(shape), r, shape[0] - 1)
+    grid = [moduli._next_fast_len(n + min(n - 1, r)) for n in shape]
+    axes = tuple(range(len(grid)))
+    at = tuple(shifts[:, a] % s for a, s in enumerate(grid))
+    sq = arr * arr
+    f1, f2, f3 = (sfft.rfftn(a, grid) for a in (arr, sq, sq * arr))
+    c11 = sfft.irfftn(f1 * np.conj(f1), grid, axes=axes)[at]
+    e4 = -8.0 * (f3.real * f1.real + f3.imag * f1.imag)
+    e4 += 6.0 * (f2.real * f2.real + f2.imag * f2.imag)
+    c4 = sfft.irfftn(e4, grid, axes=axes)[at]
+    screen = moduli._screen(arr, shifts, grid, (2, 4))
+    assert screen[2][0].tobytes() == np.maximum(
+        moduli._overlap_mass(sq, shifts) - 2.0 * c11, 0.0).tobytes()
+    assert screen[4][0].tobytes() == np.maximum(
+        moduli._overlap_mass(sq * sq, shifts) + c4, 0.0).tobytes()
+
+
+def test_multi_block_e2_screen_peak_memory(monkeypatch):
+    # a 2-d whole-table grid, twice the box, over many blocks: the screen
+    # holds the box's square, F1's last-axis spectra of the box's lines, a
+    # few blocks and the kept rows, under one full grid spectrum; it held
+    # two full spectra before the blocks
+    import tracemalloc
+
+    monkeypatch.setattr(moduli, "_BLOCK_BYTES", 1 << 18)
+    n, r = 500, 16
+    grid = [moduli._next_fast_len(2 * n - 1)] * 2
+    half = grid[1] // 2 + 1
+    arr = np.random.default_rng(5).standard_normal((n, n))
+    shifts = moduli._half_shifts(2, r, n - 1)
+    rows = r + 1
+    held = arr.nbytes + n * half * 16 + 4 * moduli._BLOCK_BYTES + rows * half * 24
+    assert held < grid[0] * half * 16
+    tracemalloc.start()
+    try:
+        moduli._screen(arr, shifts, grid, (2,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < held
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e4])
@@ -492,6 +614,18 @@ def test_hybrid_curve_refuses_a_repeated_scale():
     f = sample(cusp(0.5), 1, 6)
     with pytest.raises(ValueError, match="strictly increasing"):
         hybrid_curve(f, 2, (0.25, 0.125, 0.25))
+
+
+@pytest.mark.parametrize("query", ["interior", "whole", "hybrid"])
+def test_repeated_scale_refused_before_any_table(monkeypatch, query):
+    calls = []
+    monkeypatch.setattr(moduli, "_build_table", lambda *args: calls.append(args))
+    f = sample(cusp(0.5), 2, 5)
+    arr = zero_extend(f, 16) if query == "whole" else f
+    curve = {"interior": interior_curve, "whole": whole_curve, "hybrid": hybrid_curve}[query]
+    with pytest.raises(ValueError, match="t values must be strictly increasing: t=0.25"):
+        curve(arr, 2, [0.25, 0.125, 0.25])
+    assert calls == []
 
 
 def test_interior_ladder_matches_single_calls():
