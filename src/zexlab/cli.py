@@ -36,7 +36,7 @@ _KNOWN_KEYS = {
 }
 _INT_KEYS = {"d", "L", "seed", "cases"}
 _FLOAT_KEYS = {"q", "tail", "epsilon"}
-_LIST_KEYS = {"p", "epsilons", "levels"}
+_LIST_KEYS = {"p": float, "epsilons": float, "levels": int}
 
 
 class ConfigError(Exception):
@@ -69,8 +69,7 @@ def _coerce(config: dict) -> dict:
             elif key in _FLOAT_KEYS:
                 out[key] = float(value)
             elif key in _LIST_KEYS:
-                out[key] = tuple((int if key == "levels" else float)(v)
-                                 for v in value.split(","))
+                out[key] = tuple(_LIST_KEYS[key](v) for v in value.split(","))
                 if key == "p":  # every command reads p by the one exponent rule
                     for v in out[key]:
                         _check_exponent(v)
@@ -295,11 +294,10 @@ def cmd_exponent_drop(config) -> int:
 def cmd_embedding(config) -> int:
     _require(config, "function", "d")
     spec = parse_spec(config["function"])
-    levels = config.get("levels", (10, 11, 12))
     p = _single_p(config)
     q = config.get("q", 2.0)
     out = _outdir(config)
-    rep = besov.besov_embedding_check(spec, config["d"], p, q, levels)
+    rep = besov.besov_embedding_check(spec, config["d"], p, q, config.get("levels", (10, 11, 12)))
     lines = [f"alpha={rep.alpha!r}", f"beta={rep.beta!r}", f"r={rep.r!r}",
              f"stabilization={rep.stabilization!r}"]
     for L, semi, dom, ratio in zip(rep.levels, rep.seminorms,

@@ -17,13 +17,13 @@ The error operator is smoothing minus identity applied to zero-extensions,
 measured in L^p over the padded window.
 
 Short separable kernels convolve by direct symmetric sums; long ones and
-the d-dim Poisson kernel by ``moduli._fft_product``, the one FFT routine,
-which repeats ``scipy.signal.fftconvolve``'s passes bit for bit on
-``numpy.fft`` over blocks of a fixed byte budget rather than full spectra.
+the d-dim Poisson kernel by ``moduli._fft_product``, the one FFT routine, in
+``scipy.signal.fftconvolve``'s passes bit for bit, over blocks of spectrum.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,22 +217,15 @@ def _fft_convolve(x: np.ndarray, w: np.ndarray, support: slice | None = None,
     """``signal.fftconvolve(x, w, "same")`` over the last ``m = w.ndim`` axes
     of x, bit for bit, into ``out`` (C-contiguous; it may be x) if given; the
     leading axes are a batch, and the m axes are all as long as x's last.
-    One ``_fft_product`` of x's lines on ``support`` (all of them by
-    default) on the m - 1 axes before the last, and of the kernel, cropped
-    to x's cells."""
+    One ``_fft_product`` of x's lines on ``support`` (default all)."""
     m, n, k = w.ndim, x.shape[-1], w.shape[0]
     support = slice(0, n) if support is None else support
     crop = slice((k - 1) // 2, (k - 1) // 2 + n)
-    lines = x[(..., *(support,) * (m - 1), slice(None))]
-    return _fft_product([(lines, support.start), (w, 0)],
-                        (_next_fast_len(n + k - 1, True),) * m, _times, (crop,) * m, out)
-
-
-def _times(F) -> np.ndarray:
-    """The product of the signal's spectrum F(0) and the kernel's F(1)."""
-    prod = F(0)
-    prod *= F(1)
-    return prod
+    product = _fft_product([(x[(..., *(support,) * (m - 1), slice(None))], support.start),
+                            (w, 0)], (_next_fast_len(n + k - 1, True),) * m,
+                           lambda F: [operator.imul(F(0), F(1))], (crop,) * m,
+                           None if out is None else out[np.newaxis])
+    return product[0] if out is None else out
 
 
 def apply_kernel(spec: KernelSpec, g: ExtendedGridFunction) -> ExtendedGridFunction:
@@ -243,14 +236,9 @@ def apply_kernel(spec: KernelSpec, g: ExtendedGridFunction) -> ExtendedGridFunct
     inside the window.  Separable kernels convolve, on each axis but the
     last, only the lines that meet the cube's support: n^(d-1) of the
     W^(d-1) lines on the first axis, W the window side.  Long separable
-    kernels and the d-dim Poisson kernel convolve by FFT (``_fft_convolve``,
-    on ``moduli._fft_product``), which runs each pass only over the lines
-    that can be nonzero or are kept, in blocks of at most
-    ``moduli._BLOCK_BYTES``: besides the window and the output, the d-dim
-    Poisson kernel holds its weights, the last-axis spectra of the kernel's
-    and the cube's lines, one W^(d-1) x (fast/2 + 1) array and a few blocks.
-    Every line is computed as over the whole window, so the output is bit
-    for bit the same.
+    kernels and the d-dim Poisson kernel convolve by ``_fft_convolve``, in
+    blocks.  Every line is computed as over the whole window, so the output
+    is bit for bit the same.
     """
     radius = kernel_radius_cells(spec, g.d, g.level)
     if radius > g.margin:

@@ -42,10 +42,8 @@ alone picks what the table does with the split; callers cannot choose it:
   value found.  The maximum is always evaluated, so the values equal the
   direct enumeration bit for bit.
 
-Every FFT here and in ``kernels`` is one ``_fft_product``: scipy.fft's
-passes on numpy.fft, bit for bit, in blocks of ``_BLOCK_BYTES``, skipping the
-lines that are zero going in or cut coming out.  A screen keeps only the rows
-0 <= k_0 <= max k_0 that hold half-ball shifts.
+Every FFT here and in ``kernels`` is one ``_fft_product``, scipy.fft's passes
+bit for bit; a screen keeps only the rows 0 <= k_0 <= max k_0 it reads.
 
 Direct evaluation is capped at ``_DIRECT_WORK_BUDGET`` cells of work.  A radius
 left unfinished at the cap keeps the best value found, a lower bound flagged
@@ -347,71 +345,52 @@ def _screen(arr: np.ndarray, shifts: np.ndarray, shape, orders) -> dict:
         E2 = (f^2 masses) - 2 c11(k),
         E4 = (f^4 masses) - 4 (c31(k) + c31(-k)) + 6 c22(k),
 
-    the masses from ``_overlap_mass``.  With F_a = DFT(f^a), c11 is the
-    inverse FFT of F1 conj F1 and the E4 correlations that of the real
-    spectrum 6 |F2|^2 - 8 Re(F3 conj F1): one ``_fft_product`` gives both,
-    one per order, from one forward pass of F1.  A grid of at least
-    n + max |k_a| cells per axis holds every shift without wrap-around.
-    Half-ball shifts have 0 <= k_0, so the inverse keeps only the rows
-    k_0 <= max k_0."""
-    rows = int(shifts[:, 0].max(initial=0)) + 1
-    keep = (slice(0, rows),) + (slice(None),) * (len(shape) - 1)
-    # the masses and error bounds first: the powers then go to the FFT
-    # alone, which releases each once its spectra are made
+    the masses from ``_overlap_mass``.  With F_a = DFT(f^a), one
+    ``_fft_product`` reads c11 off F1 conj F1 and the E4 correlations off
+    6 |F2|^2 - 8 Re(F3 conj F1).  A grid of n + max |k_a| cells per axis
+    holds every shift; only the rows k_0 <= max k_0 are kept."""
+    keep = (slice(0, int(shifts[:, 0].max(initial=0)) + 1),) + (slice(None),) * (len(shape) - 1)
+    # per order its mass, correlation weight and error bound, before the FFT,
+    # which then alone holds the powers and releases each in turn
     sq = arr * arr
     energy = float(sq.sum())
-    factors, masses, errors = [(arr, 0)], {}, {}
+    factors, terms = [(arr, 0)], {}
     if 2 in orders:
-        masses[2] = _overlap_mass(sq, shifts)
-        errors[2] = _screen_error(arr.shape, shape, 2, energy, 2.0 * energy)
+        terms[2] = (_overlap_mass(sq, shifts), -2.0,
+                    _screen_error(arr.shape, shape, 2, energy, 2.0 * energy))
     if 4 in orders:
         cube = sq * arr
         weighted = 8.0 * math.sqrt(float((cube * cube).sum()) * energy)
         quart = sq * sq
-        masses[4], quartic = _overlap_mass(quart, shifts), float(quart.sum())
-        errors[4] = _screen_error(arr.shape, shape, 4, quartic, weighted + 6.0 * quartic)
+        quartic = float(quart.sum())
+        terms[4] = (_overlap_mass(quart, shifts), 1.0,
+                    _screen_error(arr.shape, shape, 4, quartic, weighted + 6.0 * quartic))
         factors += [(sq, 0), (cube, 0)]
         del cube, quart
     del sq
-    # complex products round with fused multiply-adds, so the operand order
-    # moves the last bits of their imaginary parts; numpy computed
-    # F1 * conj(F1) over a whole spectrum of 256 KiB or more as
-    # conj(F1) * F1, in place of the temporary conjugate (its elision of
-    # temporaries), and every block keeps the order of its grid
+    # complex products round with fused multiply-adds, so operand order moves
+    # last bits: numpy's elision of temporaries made F1 * conj(F1) over a
+    # whole spectrum of 256 KiB or more conj(F1) * F1, and blocks keep that
     swap = 16 * math.prod(shape[:-1]) * (shape[-1] // 2 + 1) >= 1 << 18
 
     def spectra(F):
-        # each order's block in turn, at most three blocks at once: E4's
-        # real spectrum is formed in F3's block
-        f1 = F(0)
-        parts = []
+        # E2's block, then E4's in F3's: at most three blocks at once
+        f1, parts = F(0), []
         if 2 in orders:
             conj = np.conj(f1)
             parts.append(np.multiply(conj, f1, out=conj) if swap
                          else np.multiply(f1, conj, out=conj))
-            del conj
         if 4 in orders:
-            f3 = F(2)
-            spectrum = _real_product(f3, f1)
-            spectrum *= -8.0
+            parts.append(_real_product(F(2), f1, -8.0))
             del f1
             f2 = F(1)
-            square = _real_product(f2, f2)
-            square *= 6.0
-            spectrum += square
-            del f2, square
-            f3.imag = 0.0
-            parts.append(f3)
+            parts[-1].real += _real_product(f2, f2, 6.0).real
         return parts
 
     corr = _fft_product(factors, shape, spectra, keep)
     at = tuple(shifts[:, a] % s for a, s in enumerate(shape))
-    out = {}
-    if 2 in orders:
-        out[2] = (np.maximum(masses[2] - 2.0 * corr[0][at], 0.0), errors[2])
-    if 4 in orders:
-        out[4] = (np.maximum(masses[4] + corr[-1][at], 0.0), errors[4])
-    return out
+    return {q: (np.maximum(mass + weight * c[at], 0.0), error)
+            for (q, (mass, weight, error)), c in zip(terms.items(), corr)}
 
 
 def _next_fast_len(target: int, real: bool = False) -> int:
@@ -428,71 +407,46 @@ def _next_fast_len(target: int, real: bool = False) -> int:
     return min(m << ((target - 1) // m).bit_length() for m in odd)
 
 
-# The bytes of complex spectrum one block of ``_fft_product`` holds.  On
-# gate 7's 1856^2 Poisson window (FFT side 3456) that is 12 blocks of 151
-# frequencies, then 7 blocks of 303 lines: under a tenth of one full
-# spectrum (91 MiB), while each pass still runs over hundreds of lines.
+# the bytes of one factor's spectrum in one block of ``_fft_product``
 _BLOCK_BYTES = 8 << 20
 
 
 def _blocks(count: int, item_bytes: int) -> list:
-    """Slices over ``count`` items of ``item_bytes`` each, at most
-    ``_BLOCK_BYTES`` (and at least one item) a slice."""
+    """Slices over ``count`` items, at most _BLOCK_BYTES (and one item) each."""
     step = max(_BLOCK_BYTES // item_bytes, 1)
     return [slice(i, min(i + step, count)) for i in range(0, count, step)]
 
 
 def _fft_product(factors, grid, combine, keep, out=None) -> np.ndarray:
-    """The irfftn over the last ``m = len(grid)`` axes, cut to ``keep`` (one
-    slice per axis), of ``combine(F)``, where F(i), called at most once per
-    block, is the rfftn of factor i zero-padded to ``grid``; into ``out`` (C-contiguous) if given.  Factor i
-    is a pair (array, start): the array sits at index ``start`` on every
-    axis but the last, zero elsewhere, and its axes before the last m are a
-    batch.  ``combine`` returns one block of the complex product, or a list
-    of them, the p-th transformed into ``out[p]``: the output is the
-    factors' broadcast batch, after one leading axis for a list, by the grid
-    cut to ``keep``.  The list ``factors`` is emptied as it is read: an
-    unbatched array is released once its last-axis spectra are made, so a
-    caller that holds no other reference frees it there.
+    """out[p] (C-contiguous; made if None): the irfftn over the last m =
+    len(grid) axes, cut to ``keep`` (a slice per axis), of the p-th complex
+    product in the list ``combine(F)``.  F(i), called once a block, is the
+    rfftn of factors[i] = (array, start) zero-padded to ``grid``: the array
+    at ``start`` on each axis but the last, its axes before the last m a
+    batch.  An unbatched array leaves ``factors`` once its rfft is made.
 
-    The passes are ``scipy.fft``'s, bit for bit: rfftn's last-axis rfft,
-    then the other axes in order (numpy's rfftn takes them in reverse, which
-    moves last bits from m = 3 on); irfftn's other axes in order, then the
-    last axis with the 1/N scaling as one product per value.  Each pass
-    skips the lines that are zero going in (off a factor on the axes still
-    to come) or cut coming out, and runs over blocks of at most
-    ``_BLOCK_BYTES`` of one factor's spectrum: for m = 1, blocks of the
-    batched factors' lines; for m > 1, blocks of last-axis frequencies
-    through the other axes' passes, then blocks of lines through the last
-    inverse pass.  A factor's last-axis spectra are made at first use and
-    dropped on the last block, and each block's products are released before
-    the next block's spectra are made.  Every FFT line is transformed alone,
-    so the blocks move no bit."""
-    m, fast = len(grid), grid[-1]
+    The passes are scipy.fft's, bit for bit: rfft on the last axis, then the
+    others in order (numpy's rfftn reverses them, which moves bits from
+    m = 3 on); inverses in that order, then irfft times 1/N.  Every pass
+    skips lines zero going in or cut coming out, in blocks of at most
+    ``_BLOCK_BYTES`` of a factor's spectrum: of lines for m = 1, else of
+    last-axis frequencies and then of lines for the last inverse.  Last-axis
+    spectra live from first use to the last block; a block's products go
+    before the next block's spectra.  Each line is transformed alone."""
+    m, fast, grid = len(grid), grid[-1], tuple(grid)
     half = fast // 2 + 1
     kept = tuple(len(range(n)[cut]) for n, cut in zip(grid, keep))
     shapes, starts = [a.shape for a, _ in factors], [start for _, start in factors]
-    batch = np.broadcast_shapes(*(a[:-m] for a in shapes))
+    batch = np.broadcast_shapes(*(shape[:-m] for shape in shapes))
     scale = np.float64(1 / np.longdouble(math.prod(grid)))
     spectra = {}
 
-    def transform(i, out=None):
-        # factor i's last-axis spectra, after which the factor is released
-        a, factors[i] = factors[i][0], None
-        return np.fft.rfft(a, fast, axis=-1, out=out)
-
-    def line_spectra(i, last):
+    def transform(i, last, into=None):
+        # factor i's last-axis spectra: made once, then held to its last block
         if i not in spectra:
-            spectra[i] = transform(i)
+            a, factors[i] = factors[i][0], None
+            spectra[i] = np.fft.rfft(a, fast, axis=-1, out=into)
         return spectra.pop(i) if last else spectra[i]
-
-    def products(spectrum):
-        """(index into out, product) per product of one block, and the
-        output's leading axes."""
-        parts = combine(spectrum)
-        if isinstance(parts, list):
-            return [((p,), prod) for p, prod in enumerate(parts)], (len(parts),)
-        return [((), parts)], ()
 
     def inverse(spectrum, lines):
         np.multiply(np.fft.irfft(spectrum, fast, axis=-1, norm="forward")[..., keep[-1]],
@@ -500,61 +454,58 @@ def _fft_product(factors, grid, combine, keep, out=None) -> np.ndarray:
 
     if m == 1:
         rows = [a.reshape(-1, a.shape[-1]) if a.ndim > 1 else None for a, _ in factors]
-        blocks = (_blocks(math.prod(batch), 16 * half) if any(r is not None for r in rows)
-                  else [slice(None)])
+        blocks = _blocks(math.prod(batch), 16 * half)
         for j, block in enumerate(blocks):
             def spectrum(i):
                 if rows[i] is None:  # one spectrum serves every block
-                    return line_spectra(i, j == len(blocks) - 1)
+                    return transform(i, j == len(blocks) - 1)
                 return np.fft.rfft(rows[i][block], fast, axis=-1)
 
-            parts, lead = products(spectrum)
-            out = np.empty(lead + batch + kept) if out is None else out
-            for at, prod in parts:
-                inverse(prod, out[at].reshape(-1, kept[-1])[block])
+            prods = combine(spectrum)
+            out = np.empty((len(prods),) + batch + kept) if out is None else out
+            for p, prod in enumerate(prods):
+                inverse(prod, out[p].reshape(-1, kept[-1])[block])
         return out
-    blocks = _blocks(half, 16 * math.prod(batch) * math.prod(grid[:-1]))
-    held = None
+    blocks, held = _blocks(half, 16 * math.prod(batch) * math.prod(grid[:-1])), None
     for j, cols in enumerate(blocks):
         def spectrum(i):
-            # the line spectra before the block, so a released factor is gone
-            lines = None if len(blocks) == 1 else line_spectra(i, j == len(blocks) - 1)
+            # one block holds every column: the rfft goes straight into it
+            lines = None if len(blocks) == 1 else transform(i, j == len(blocks) - 1)
             support = tuple(slice(starts[i], starts[i] + n) for n in shapes[i][-m:-1])
-            spread = np.zeros(shapes[i][:-m] + tuple(grid[:-1]) + (cols.stop - cols.start,),
-                              complex)
+            spread = np.zeros(shapes[i][:-m] + grid[:-1] + (cols.stop - cols.start,), complex)
             into = (..., *support, slice(None))
             if lines is None:
-                transform(i, spread[into])
+                transform(i, True, spread[into])
             else:
                 spread[into] = lines[..., cols]
-            del lines
             for axis in range(m - 1):
                 sel = (..., *(slice(None),) * (axis + 1), *support[axis + 1:], slice(None))
                 np.fft.fft(spread[sel], axis=axis - m, out=spread[sel])
             return spread
 
-        parts, lead = products(spectrum)
-        for at, prod in parts:
+        prods = combine(spectrum)
+        for p, prod in enumerate(prods):
             for axis, cut in enumerate(keep[:-1]):
                 prod = np.fft.ifft(prod, axis=axis - m, norm="forward", out=prod)[
                     (..., cut, *(slice(None),) * (m - 1 - axis))]
             if held is None:
-                held = np.empty(lead + batch + kept[:-1] + (half,), complex)
-            held[at][..., cols] = prod
-        del parts, prod
-    out = np.empty(lead + batch + kept) if out is None else out
+                held = np.empty((len(prods),) + batch + kept[:-1] + (half,), complex)
+            held[p][..., cols] = prod
+        del prods, prod
+    out = np.empty(held.shape[:-1] + kept[-1:]) if out is None else out
     lines, held = out.reshape(-1, kept[-1]), held.reshape(-1, half)
     for block in _blocks(len(held), 16 * half):
         inverse(held[block], lines[block])
     return out
 
 
-def _real_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Re(a conj(b)), elementwise, into the real part of ``a``, whose
-    imaginary part it overwrites."""
-    out = np.multiply(a.real, b.real, out=a.real)
-    out += np.multiply(a.imag, b.imag, out=a.imag)
-    return out
+def _real_product(a: np.ndarray, b: np.ndarray, scale: float) -> np.ndarray:
+    """``a``, made scale Re(a conj(b)) + 0i in place, elementwise."""
+    real = np.multiply(a.real, b.real, out=a.real)
+    real += np.multiply(a.imag, b.imag, out=a.imag)
+    real *= scale
+    a.imag = 0.0
+    return a
 
 
 def _holder(arr: np.ndarray, shifts: np.ndarray, p: float, shape):
@@ -789,13 +740,12 @@ def _scales(kind: str, arr, t_grid) -> tuple:
     if not ts:
         raise ValueError("a modulus curve needs at least one scale t")
     top = math.sqrt(arr.d) * (1 + 1e-9) if kind == "interior" else math.inf
-    for t in ts:
+    for previous, t in zip((0.0,) + ts, ts):
         if not (math.isfinite(t) and 0 < t <= top):
             bound = "(0, sqrt(d)]" if kind == "interior" else "finite and > 0"
             raise ValueError(f"scale t must be {bound}, got t={t!r}")
-    for t1, t2 in zip(ts, ts[1:]):
-        if t2 <= t1:
-            raise ValueError(f"t values must be strictly increasing: t={t2!r} repeats")
+        if t <= previous:
+            raise ValueError(f"t values must be strictly increasing: t={t!r} repeats")
     return ts
 
 

@@ -306,9 +306,9 @@ def test_row_restricted_inverse_equals_irfftn_bit_for_bit(shape):
             # the block's columns; a real spectrum made complex, as irfftn does
             lo = sum(widths)
             widths.append(F(0).shape[-1])
-            return spectrum[..., lo:lo + widths[-1]].astype(complex)
+            return [spectrum[..., lo:lo + widths[-1]].astype(complex)]
 
-        got = moduli._fft_product([(np.zeros((1,) * len(shape)), 0)], shape, given, keep)
+        got, = moduli._fft_product([(np.zeros((1,) * len(shape)), 0)], shape, given, keep)
         assert sum(widths) == spectrum_shape[-1]
         assert got.shape == expected.shape
         assert np.array_equal(got, expected)
@@ -359,7 +359,7 @@ def test_rfftn_matches_scipy_bit_for_bit(monkeypatch, shape, grid):
 
         def forward(F):
             blocks.append(F(0).copy())
-            return blocks[-1].copy()
+            return [blocks[-1].copy()]
 
         moduli._fft_product([(arr, 0)], grid, forward, (slice(None),) * len(grid))
         assert np.concatenate(blocks, axis=-1).tobytes() == \
@@ -381,12 +381,12 @@ def test_fft_product_matches_scipy_bit_for_bit(monkeypatch, budget, shape, grid)
     keep = (slice(0, rows),) + (slice(None),) * (m - 1)
     powers = [arr, arr * arr, arr * arr * arr]
     full = [sfft.rfftn(a, grid, axes=axes) for a in powers]
-    # a list of products fills one leading entry each
+    # the p-th product of the list fills out[p]
     both = moduli._fft_product([(a, 0) for a in powers], grid, _both, keep)
     for i, (product, n) in enumerate(((_e2, 1), (_e4, 3))):
         expected = sfft.irfftn(product(*full[:n]), grid, axes=axes)[(..., *keep)]
-        got = moduli._fft_product([(a, 0) for a in powers[:n]], grid,
-                                  lambda F: product(*(F(j) for j in range(n))), keep)
+        got, = moduli._fft_product([(a, 0) for a in powers[:n]], grid,
+                                   lambda F: [product(*(F(j) for j in range(n)))], keep)
         assert got.shape == expected.shape and both.shape == (2,) + expected.shape
         assert got.tobytes() == expected.tobytes()
         assert both[i].tobytes() == expected.tobytes()
