@@ -412,8 +412,10 @@ _BLOCK_BYTES = 8 << 20
 
 
 def _blocks(count: int, item_bytes: int) -> list:
-    """Slices over ``count`` items, at most _BLOCK_BYTES (and one item) each."""
-    step = max(_BLOCK_BYTES // item_bytes, 1)
+    """The fewest even slices over ``count`` items, each at most _BLOCK_BYTES
+    (or one item): a count just over one block splits in halves."""
+    most = max(_BLOCK_BYTES // item_bytes, 1)
+    step = -(-count // -(-count // most))
     return [slice(i, min(i + step, count)) for i in range(0, count, step)]
 
 
@@ -441,11 +443,11 @@ def _fft_product(factors, grid, combine, keep, out=None) -> np.ndarray:
     scale = np.float64(1 / np.longdouble(math.prod(grid)))
     spectra = {}
 
-    def transform(i, last, into=None):
+    def transform(i, last):
         # factor i's last-axis spectra: made once, then held to its last block
         if i not in spectra:
             a, factors[i] = factors[i][0], None
-            spectra[i] = np.fft.rfft(a, fast, axis=-1, out=into)
+            spectra[i] = np.fft.rfft(a, fast, axis=-1)
         return spectra.pop(i) if last else spectra[i]
 
     def inverse(spectrum, lines):
@@ -469,15 +471,11 @@ def _fft_product(factors, grid, combine, keep, out=None) -> np.ndarray:
     blocks, held = _blocks(half, 16 * math.prod(batch) * math.prod(grid[:-1])), None
     for j, cols in enumerate(blocks):
         def spectrum(i):
-            # one block holds every column: the rfft goes straight into it
-            lines = None if len(blocks) == 1 else transform(i, j == len(blocks) - 1)
+            # the line spectra first, so that a released factor is gone
+            lines = transform(i, j == len(blocks) - 1)[..., cols]
             support = tuple(slice(starts[i], starts[i] + n) for n in shapes[i][-m:-1])
-            spread = np.zeros(shapes[i][:-m] + grid[:-1] + (cols.stop - cols.start,), complex)
-            into = (..., *support, slice(None))
-            if lines is None:
-                transform(i, True, spread[into])
-            else:
-                spread[into] = lines[..., cols]
+            spread = np.zeros(shapes[i][:-m] + grid[:-1] + lines.shape[-1:], complex)
+            spread[(..., *support, slice(None))] = lines
             for axis in range(m - 1):
                 sel = (..., *(slice(None),) * (axis + 1), *support[axis + 1:], slice(None))
                 np.fft.fft(spread[sel], axis=axis - m, out=spread[sel])
