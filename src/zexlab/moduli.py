@@ -425,7 +425,7 @@ def _fft_product(factors, grid, combine, keep, out=None) -> np.ndarray:
     product in the list ``combine(F)``.  F(i), called once a block, is the
     rfftn of factors[i] = (array, start) zero-padded to ``grid``: the array
     at ``start`` on each axis but the last, its axes before the last m a
-    batch.  An unbatched array leaves ``factors`` once its rfft is made.
+    batch.  An array leaves ``factors`` once its whole last-axis rfft is made.
 
     The passes are scipy.fft's, bit for bit: rfft on the last axis, then the
     others in order (numpy's rfftn reverses them, which moves bits from
