@@ -118,7 +118,7 @@ def _write(out: Path, name: str, body: str):
     (out / name).write_text(body)
 
 
-_PROVENANCE = ("method", "exact", "shifts", "rechecked", "upper", "elapsed")
+_PROVENANCE = ("method", "exact", "shifts", "rechecked", "upper", "threads", "elapsed")
 
 
 def _write_meta(out: Path, config: dict, curves=()):

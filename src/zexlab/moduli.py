@@ -45,18 +45,30 @@ alone picks what the table does with the split; callers cannot choose it:
 Every FFT here and in ``kernels`` is one ``_fft_product``, scipy.fft's passes
 bit for bit; a screen keeps only the rows 0 <= k_0 <= max k_0 it reads.
 
+On an interior table of at least ``_THREAD_CELLS`` cells the direct sums run
+on ``_WORKERS`` threads, one per usable core; every other table runs them on
+the calling thread.  A whole table's sums each stream three window-sized
+arrays, which two threads ran no faster, and on a smaller table handing the
+interpreter lock between threads cost more than they gained.  Values,
+uppers and ``rechecked`` do not depend on the thread count, and nothing but
+the process's CPU affinity (e.g. ``taskset``) sets it.
+
 Direct evaluation is capped at ``_DIRECT_WORK_BUDGET`` cells of work.  A radius
 left unfinished at the cap keeps the best value found, a lower bound flagged
 ``lower_bound`` and ``exact=False``, bracketed by a certified upper bound;
 ``meta["upper"]`` holds one per point (equal to the value on exact points),
 and the single-scale queries emit a ``LowerBoundWarning``.  Each curve's
 ``meta`` also records the table's method, the shifts of its half ball, the
-shifts it evaluated directly (``rechecked``) and the seconds it took to build
-(``elapsed``, which no CSV prints).
+shifts it evaluated directly (``rechecked``), the threads that evaluated
+them (``threads``) and the seconds it took to build (``elapsed``); no CSV
+prints the last two.
 """
 from __future__ import annotations
 
+import itertools
 import math
+import os
+import threading
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -154,6 +166,11 @@ _FFT_ULPS = 16
 _POW_ULPS = 8
 # candidate shifts per _half_shifts block: bounds the candidate temporaries
 _SHIFT_BLOCK = 1 << 12
+# threads of an interior table's direct sums: every usable core
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+# the fewest cells of an interior table whose direct sums run on _WORKERS threads
+_THREAD_CELLS = 1 << 17
 
 
 def _gamma(k: float) -> float:
@@ -179,6 +196,7 @@ class _SupTable:
     method: str          # corr (d = 2, p = 2), bound, or direct (the reference)
     shifts: int = 0      # shifts of the half ball
     rechecked: int = 0   # shifts evaluated by a direct difference sum
+    threads: int = 1     # threads that evaluated the direct sums
 
     @property
     def exact(self) -> tuple:
@@ -217,9 +235,12 @@ def _half_shifts(d: int, rmax: float, per_axis: int) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def _diff_power_interior(samples: np.ndarray, k, p: float) -> float:
-    """Sum |f(i+k)-f(i)|^p over cells with both endpoints inside the cube."""
-    base, shifted = [], []
+def _diff_power_interior(samples: np.ndarray, k, p: float, out=None) -> float:
+    """Sum |f(i+k)-f(i)|^p over cells with both endpoints inside the cube.
+    The differences go into the contiguous prefix of ``out`` (a flat float
+    array of at least ``samples.size``) when it is given, else into a fresh
+    array: the same shape and layout, so the same pairwise sum."""
+    base, shifted, shape = [], [], []
     for ka, n in zip(k, samples.shape):
         ka = int(ka)
         if abs(ka) >= n:
@@ -230,7 +251,10 @@ def _diff_power_interior(samples: np.ndarray, k, p: float) -> float:
         else:
             base.append(slice(-ka, n))
             shifted.append(slice(0, n + ka))
-    diff = samples[tuple(shifted)] - samples[tuple(base)]
+        shape.append(n - abs(ka))
+    if out is not None:
+        out = out[:math.prod(shape)].reshape(shape)
+    diff = np.subtract(samples[tuple(shifted)], samples[tuple(base)], out=out)
     return float(_abs_pow(diff, p, out=diff).sum())
 
 
@@ -659,42 +683,100 @@ def _upper_bounds(split: _Split, p: float) -> np.ndarray:
         return bound * (1.0 + slack) + m * tiny
 
 
+def _descending_sums(evaluate, shifts: np.ndarray, bounds: np.ndarray, best: float,
+                     buffers: list) -> np.ndarray:
+    """The direct sums ``evaluate(k, buffer)`` of ``shifts``, whose ``bounds``
+    descend, on one thread per buffer: the caller's, and a helper thread for
+    each further buffer while there is a shift for it.  Every thread pulls
+    the next index from one shared counter and stops at the first index
+    whose bound is at most ``best`` or the largest sum found so far, which
+    only ever comes from smaller indices; then every thread stops at its next
+    pull.  Unevaluated sums read -inf.  So every shift that a one-thread walk
+    in bound order would evaluate before its bound falls to the best is
+    evaluated here, and possibly a few after it.  An exception in any thread
+    is raised here once every helper has joined."""
+    found = np.full(len(shifts), -np.inf)
+    # per thread the largest sum it found, written by that thread alone
+    pull, tops, stop, errors = itertools.count(), [best] * len(buffers), [], []
+
+    def work(w):
+        try:
+            while not stop:
+                ceiling = max(tops)  # read before the pull: fed by smaller indices only
+                j = next(pull)
+                if j >= len(shifts) or bounds[j] <= ceiling:
+                    break
+                found[j] = value = evaluate(shifts[j], buffers[w])
+                tops[w] = max(tops[w], value)
+        except BaseException as error:
+            errors.append(error)
+        stop.append(True)
+
+    helpers = [threading.Thread(target=work, args=(w,))
+               for w in range(1, min(len(buffers), len(shifts)))]
+    for helper in helpers:
+        helper.start()
+    work(0)
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[0]
+    return found
+
+
 def _bound_table(arr: np.ndarray, shifts: np.ndarray, upper: np.ndarray, p: float,
                  radii, interior: bool) -> _SupTable:
     """Branch and bound over the half ball, given each shift's certified
     upper bound ``upper`` on its ``_direct_values`` sum.
 
     At each lookup radius, ascending, the shifts within it that are not yet
-    evaluated are evaluated by ``_direct_values`` in descending bound until
-    the bound falls to the best value found there; values found at smaller
-    radii count.  Every shift left out has a computed value at most its bound,
-    so at most the best: the maximum is always evaluated and each radius reads
-    the direct enumeration's maximum bit for bit.
+    evaluated are evaluated by direct difference sums in descending bound
+    until the bound falls to the best value found there; values found at
+    smaller radii count.  Every shift left out has a computed value at most
+    its bound, so at most the best: the maximum is always evaluated and each
+    radius reads the direct enumeration's maximum bit for bit.
 
     Direct evaluation stops after ``_DIRECT_WORK_BUDGET`` cells of work
     (shifts x array cells).  A radius left unfinished keeps the best value
     found, a lower bound, with the certified upper bound max(best, largest
     bound of a shift within it left out); every radius finished before the
     cap is exact.  Both are read by ``_radius_max``.
+
+    An interior table of at least ``_THREAD_CELLS`` cells evaluates each
+    radius's shifts on ``_WORKERS`` threads (``_descending_sums``), each into
+    its own buffer of the array's size; whole and smaller tables, whose
+    threads gained nothing (see the module docstring), on the caller's
+    thread.  Once the threads have joined, the shifts are walked in bound
+    order by the one-thread rule and only that prefix is kept, so values,
+    uppers, ``rechecked`` and the budget spent do not depend on the thread
+    count, which only the CPU affinity sets.
     """
     order = np.argsort(-upper, kind="stable")
     shifts, upper = shifts[order], upper[order]
     ksq = (shifts * shifts).sum(axis=1)
     values = np.full(len(shifts), -np.inf)  # -inf: not evaluated
     left = _DIRECT_WORK_BUDGET // arr.size
+    workers = _WORKERS if interior and arr.size >= _THREAD_CELLS else 1
+    buffers = [np.empty(arr.size) if interior else None for _ in range(workers)]
+
+    def evaluate(k, out):
+        return (_diff_power_interior(arr, k, p, out) if interior
+                else _diff_power_window(arr, k, p))
     for r in sorted(radii):
         inside = ksq <= _rsq_bound(r)
         best = values[inside].max(initial=0.0)
-        for i in np.flatnonzero(inside & (values < 0) & (upper > best)):
-            if upper[i] <= best or not left:
+        todo = np.flatnonzero(inside & (values < 0) & (upper > best))[:left]
+        found = _descending_sums(evaluate, shifts[todo], upper[todo], best, buffers)
+        for i, value in zip(todo, found):
+            if upper[i] <= best:
                 break
-            values[i] = _direct_values(arr, shifts[i:i + 1], p, interior)[0]
-            best = max(best, values[i])
+            values[i] = value
+            best = max(best, value)
             left -= 1
     done = values >= 0
     powers, uppers = _radius_max(ksq, radii, np.maximum(values, 0.0),
                                  np.where(done, values, upper))
-    return _SupTable(powers, uppers, "bound", len(shifts), int(done.sum()))
+    return _SupTable(powers, uppers, "bound", len(shifts), int(done.sum()), workers)
 
 
 def _build_table(arr: np.ndarray, p: float, radii, interior: bool) -> _SupTable:
@@ -803,7 +885,8 @@ def _curve(kind: str, arr, p: float, t_grid, name: str = "") -> ModulusCurve:
             uppers.append((upper * vol) ** (1.0 / p))
     meta = {"d": arr.d, "L": arr.level, "function": name, **extra,
             "exact": all(table.exact), "method": table.method, "shifts": table.shifts,
-            "rechecked": table.rechecked, "upper": tuple(uppers), "elapsed": elapsed}
+            "rechecked": table.rechecked, "upper": tuple(uppers), "threads": table.threads,
+            "elapsed": elapsed}
     return ModulusCurve(kind, p, tuple(points), meta, tuple(flags))
 
 

@@ -266,8 +266,11 @@ def test_cli_import_loads_no_scipy():
     import zexlab
 
     env = dict(os.environ, PYTHONPATH=str(Path(zexlab.__file__).parents[1]))
+    # nor a process or thread pool: the interior tables' threads are plain
+    # threading.Threads, and concurrent.futures alone would add to set-up
     code = ("import sys, zexlab.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('scipy', 'concurrent', 'multiprocessing')))")
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True)
     assert result.stdout.strip() == "[]"
@@ -315,6 +318,51 @@ def test_one_module_runs_the_fft_passes():
                 node.value.id == "moduli" and node.attr.startswith("_"):
             borrowed.add(node.attr)
     assert borrowed <= {"_fft_product", "_next_fast_len", "_scales"}, borrowed
+
+
+def test_only_moduli_starts_threads():
+    # the interior tables' direct sums are the one place that runs threads;
+    # no module reaches for a process or thread pool
+    import ast
+    from pathlib import Path
+
+    import zexlab
+
+    def imported(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                yield from (a.name for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                yield node.module
+
+    for path in Path(zexlab.__file__).parent.glob("*.py"):
+        names = set(imported(ast.parse(path.read_text())))
+        pools = {n for n in names if n.split(".")[0] in ("concurrent", "multiprocessing")}
+        assert not pools, f"{path.name} imports {sorted(pools)}"
+        threads = {n for n in names if n.split(".")[0] in ("threading", "_thread")}
+        assert not threads or path.stem == "moduli", f"{path.name} imports {sorted(threads)}"
+
+
+def test_modulus_run_meta_records_threads(tmp_path, monkeypatch):
+    # the thread count goes into run_meta.txt alone: the CSV bodies keep
+    # their bytes whatever it is
+    from zexlab import moduli
+
+    monkeypatch.setattr(moduli, "_THREAD_CELLS", 1)
+    bodies = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(moduli, "_WORKERS", workers)
+        for kind in ("interior", "whole"):
+            cfg = _write_config(tmp_path, f"function = cusp alpha=0.5\nd = 2\nL = 5\n"
+                                          f"p = 3\nkind = {kind}\n")
+            out = tmp_path / f"{kind}{workers}"
+            assert main(["modulus", "--config", cfg, "--out", str(out)]) == 0
+            meta = (out / "run_meta.txt").read_text().splitlines()
+            threads = workers if kind == "interior" else 1
+            assert f"modulus_{kind}_p3.threads={threads}" in meta
+            bodies[kind, workers] = (out / f"modulus_{kind}_p3.csv").read_bytes()
+    for kind in ("interior", "whole"):
+        assert bodies[kind, 1] == bodies[kind, 2]
 
 
 def test_hybrid_subcommand(tmp_path):

@@ -1,5 +1,8 @@
 """Property tests of the certified supremum tables against direct enumeration."""
+import itertools
 import math
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -173,3 +176,113 @@ def test_whole_bounds_hold_on_constant_cubes(d, level):
             split = moduli._split(a, p, n, False)
             values = moduli._direct_values(a, split.shifts, p, False)
             assert np.all(values <= moduli._upper_bounds(split, p))
+
+
+# interior inputs for the threaded branch and bound: (d, level, radii)
+THREADED = ((1, 9, (1.0, 3.5, 64.0, 200.0)), (2, 5, (1.0, 2.5, 6.0, 12.0)),
+            (3, 3, (1.0, 1.8, 3.0, 5.0)))
+
+
+@pytest.fixture
+def interleaved():
+    # switch threads as often as the interpreter allows, so that the helpers'
+    # pulls and the caller's interleave on these small tables
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _interior_table(a: np.ndarray, p: float, radii, workers: int):
+    """Branch and bound on an interior input with ``workers`` threads, as
+    (table, helper threads started)."""
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    split = moduli._split(a, p, max(radii), True)
+    upper = moduli._upper_bounds(split, p)
+    with mock.patch.object(moduli, "_THREAD_CELLS", 1), \
+            mock.patch.object(moduli, "_WORKERS", workers), \
+            mock.patch.object(threading, "Thread", Counted):
+        return moduli._bound_table(a, split.shifts, upper, p, radii, True), len(started)
+
+
+@pytest.mark.parametrize("evaluations", [None, 3, 40])
+@pytest.mark.parametrize("p", [1.0, 3.0])
+@pytest.mark.parametrize("d, level, radii", THREADED)
+def test_threaded_tables_equal_one_thread(d, level, radii, p, evaluations, interleaved):
+    # the budget-capped rows are where a commit past the one-thread walk's
+    # stopping point would show: more rechecked, a higher lower bound
+    helpers = 0
+    for kind in SAMPLES:
+        a = _samples(kind, d, level, 1000 * d + level)
+        budget = evaluations * a.size if evaluations else moduli._DIRECT_WORK_BUDGET
+        with mock.patch.object(moduli, "_DIRECT_WORK_BUDGET", budget):
+            one, _ = _interior_table(a, p, radii, 1)
+            assert one.threads == 1 and one.rechecked <= (evaluations or one.shifts)
+            for workers in (2, 3):
+                table, started = _interior_table(a, p, radii, workers)
+                helpers += started
+                assert table.threads == workers
+                assert (table.powers, table.uppers, table.shifts, table.rechecked) == \
+                    (one.powers, one.uppers, one.shifts, one.rechecked)
+    assert helpers  # threads ran on some input, so the comparison means something
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("nth", [1, 2, 7])
+def test_failing_sum_reaches_the_caller(workers, nth):
+    a, calls, real = _samples("normal", 2, 5, 3), itertools.count(1), moduli._diff_power_interior
+
+    def evaluate(*args):
+        if next(calls) == nth:
+            raise RuntimeError("sum failed")
+        return real(*args)
+
+    running = threading.active_count()
+    with mock.patch.object(moduli, "_diff_power_interior", evaluate):
+        with pytest.raises(RuntimeError, match="sum failed"):
+            _interior_table(a, 3.0, (1.0, 12.0), workers)
+    assert threading.active_count() == running
+
+
+def test_helper_failure_reaches_the_caller():
+    # the caller's first sum waits until a helper has raised in its own
+    a, caller, raised = _samples("normal", 2, 5, 3), threading.current_thread(), threading.Event()
+    real = moduli._diff_power_interior
+
+    def evaluate(*args):
+        if threading.current_thread() is not caller:
+            raised.set()
+            raise RuntimeError("helper failed")
+        raised.wait(10)
+        return real(*args)
+
+    running = threading.active_count()
+    with mock.patch.object(moduli, "_diff_power_interior", evaluate):
+        with pytest.raises(RuntimeError, match="helper failed"):
+            _interior_table(a, 3.0, (12.0,), 2)
+    assert raised.is_set() and threading.active_count() == running
+
+
+def test_whole_and_small_tables_start_no_thread():
+    def refuse(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    level = 8  # 2^16 cells: under the default floor
+    f = sample(cusp(0.5, 0.3), 2, level)
+    g = zero_extend(f, 4)
+    with mock.patch.object(moduli, "_WORKERS", 2), \
+            mock.patch.object(threading, "Thread", refuse):
+        assert f.samples.size < moduli._THREAD_CELLS
+        assert moduli.interior_curve(f, 3.0, [2.0 ** -6]).meta["threads"] == 1
+        with mock.patch.object(moduli, "_THREAD_CELLS", 1):
+            assert moduli.whole_curve(g, 3.0, [2.0 ** -6]).meta["threads"] == 1
+            with pytest.raises(AssertionError, match="a thread was started"):
+                moduli.interior_curve(f, 3.0, [2.0 ** -6])
