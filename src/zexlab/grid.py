@@ -215,21 +215,30 @@ def _shift_cells(t: float, n: int) -> int:
     return int(math.floor(t * n + 1e-9))
 
 
-def _abs_pow(a: np.ndarray, p: float, out: np.ndarray | None = None) -> np.ndarray:
+def _abs_pow(a: np.ndarray, p: float, out: np.ndarray | None = None,
+             zeros: bool = False) -> np.ndarray:
     """|a|^p in ``out`` (``a`` itself for a temporary) or else in one fresh
-    array: abs once, then square or raise it in place."""
+    array: abs once, then square or raise it in place.
+
+    ``zeros`` marks an array that holds a zero-extension's cells, so often
+    mostly exact zeros: the power then skips them.  glibc's pow() takes 3-4x
+    longer on an exact zero than on a nonzero, and pow(+0, p) = +0 for
+    p > 0, so the bits are the same.  The mask costs about 20% on an array
+    with few zeros, such as the differences inside the cube."""
     out = np.abs(a, out=out)
     if p == 2:
         np.multiply(out, out, out=out)
     elif p != 1:
-        np.power(out, p, out=out)
+        np.power(out, p, out=out, where=(out != 0) if zeros else True)
     return out
 
 
 def lp_norm(f, p: float) -> float:
-    """Midpoint-sum L^p norm; exact for functions constant on cells."""
+    """Midpoint-sum L^p norm; exact for functions constant on cells.  The
+    samples are read as a zero-extension's (``_abs_pow``'s ``zeros``):
+    windows and differences of windows are what most calls measure."""
     _check_exponent(p)
-    return float((f.cell_volume * _abs_pow(f.samples, p).sum()) ** (1.0 / p))
+    return float((f.cell_volume * _abs_pow(f.samples, p, zeros=True).sum()) ** (1.0 / p))
 
 
 def shifted_samples(window: np.ndarray, k) -> np.ndarray:

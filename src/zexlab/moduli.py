@@ -45,13 +45,21 @@ alone picks what the table does with the split; callers cannot choose it:
 Every FFT here and in ``kernels`` is one ``_fft_product``, scipy.fft's passes
 bit for bit; a screen keeps only the rows 0 <= k_0 <= max k_0 it reads.
 
-On an interior table of at least ``_THREAD_CELLS`` cells the direct sums run
-on ``_WORKERS`` threads, one per usable core; every other table runs them on
+One thread policy serves the direct sums and the FFT passes: ``_WORKERS``
+threads, one per usable core, on work of at least a floor of cells, and the
+calling thread below it.  On an interior table of at least ``_THREAD_CELLS``
+cells the direct sums run on every thread; every other table runs them on
 the calling thread.  A whole table's sums each stream three window-sized
 arrays, which two threads ran no faster, and on a smaller table handing the
-interpreter lock between threads cost more than they gained.  Values,
-uppers and ``rechecked`` do not depend on the thread count, and nothing but
-the process's CPU affinity (e.g. ``taskset``) sets it.
+interpreter lock between threads cost more than they gained.  An FFT pass
+over an array of at least ``_FFT_THREAD_CELLS`` cells splits its independent
+lines (the batch and the axes not being transformed) into one part per
+thread, joined once per pass; numpy.fft releases the lock, and each line is
+still transformed alone.  Its floor is higher because each pass pays its own
+start and join: on passes of 2^17 cells two threads ran no faster and used
+up to 1.8x the CPU.  Values, uppers, ``rechecked`` and every FFT byte do not
+depend on the thread count, and nothing but the process's CPU affinity
+(e.g. ``taskset``) sets it.
 
 Direct evaluation is capped at ``_DIRECT_WORK_BUDGET`` cells of work.  A radius
 left unfinished at the cap keeps the best value found, a lower bound flagged
@@ -166,11 +174,14 @@ _FFT_ULPS = 16
 _POW_ULPS = 8
 # candidate shifts per _half_shifts block: bounds the candidate temporaries
 _SHIFT_BLOCK = 1 << 12
-# threads of an interior table's direct sums: every usable core
+# threads of an interior table's direct sums and of an FFT pass: every usable core
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 # the fewest cells of an interior table whose direct sums run on _WORKERS threads
 _THREAD_CELLS = 1 << 17
+# the fewest cells of an FFT pass's array whose lines run on _WORKERS threads:
+# a pass joins its threads alone, and on 2^17 cells two ran no faster
+_FFT_THREAD_CELLS = 1 << 18
 
 
 def _gamma(k: float) -> float:
@@ -239,7 +250,9 @@ def _diff_power_interior(samples: np.ndarray, k, p: float, out=None) -> float:
     """Sum |f(i+k)-f(i)|^p over cells with both endpoints inside the cube.
     The differences go into the contiguous prefix of ``out`` (a flat float
     array of at least ``samples.size``) when it is given, else into a fresh
-    array: the same shape and layout, so the same pairwise sum."""
+    array: the same shape and layout, so the same pairwise sum.  Differences
+    inside the cube are rarely exactly 0, so the power runs over every cell
+    (``_abs_pow`` without ``zeros``)."""
     base, shifted, shape = [], [], []
     for ka, n in zip(k, samples.shape):
         ka = int(ka)
@@ -259,9 +272,10 @@ def _diff_power_interior(samples: np.ndarray, k, p: float, out=None) -> float:
 
 
 def _diff_power_window(window: np.ndarray, k, p: float) -> float:
-    """Sum |g(i+k)-g(i)|^p over the whole window, zero outside."""
+    """Sum |g(i+k)-g(i)|^p over the whole window, zero outside: mostly the
+    margin's exact zeros, which the power skips."""
     diff = shifted_samples(window, k) - window
-    return float(_abs_pow(diff, p, out=diff).sum())
+    return float(_abs_pow(diff, p, out=diff, zeros=True).sum())
 
 
 def _direct_values(arr: np.ndarray, shifts: np.ndarray, p: float,
@@ -443,6 +457,44 @@ def _blocks(count: int, item_bytes: int) -> list:
     return [slice(i, min(i + step, count)) for i in range(0, count, step)]
 
 
+def _on_threads(work, count: int):
+    """work(w) for w = 0 .. count - 1: w = 0 on the calling thread, every
+    other on a helper ``threading.Thread``.  Once every helper has joined,
+    the first exception raised in any of them is raised here."""
+    errors = []
+
+    def run(w):
+        try:
+            work(w)
+        except BaseException as error:
+            errors.append(error)
+
+    helpers = [threading.Thread(target=run, args=(w,)) for w in range(1, count)]
+    for helper in helpers:
+        helper.start()
+    run(0)
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[0]
+
+
+def _on_lines(run, shape, axis: int):
+    """run(part) for index tuples ``part`` that split an array of ``shape``
+    into even parts along its longest axis but ``axis``, the one its lines
+    run along: one part per thread (``_on_threads``) for an array of at
+    least ``_FFT_THREAD_CELLS`` cells, else the whole array on the caller's."""
+    cut = max((a for a in range(len(shape)) if a != axis % len(shape)),
+              key=shape.__getitem__, default=None)
+    small = cut is None or math.prod(shape) < _FFT_THREAD_CELLS
+    count = 1 if small else min(_WORKERS, shape[cut])
+    if count < 2:
+        return run((...,))
+    ends = [shape[cut] * w // count for w in range(count + 1)]
+    parts = [(slice(None),) * cut + (slice(lo, hi),) for lo, hi in zip(ends, ends[1:])]
+    _on_threads(lambda w: run(parts[w]), count)
+
+
 def _fft_product(factors, grid, combine, keep, out=None) -> np.ndarray:
     """out[p] (C-contiguous; made if None): the irfftn over the last m =
     len(grid) axes, cut to ``keep`` (a slice per axis), of the p-th complex
@@ -458,7 +510,10 @@ def _fft_product(factors, grid, combine, keep, out=None) -> np.ndarray:
     ``_BLOCK_BYTES`` of a factor's spectrum: of lines for m = 1, else of
     last-axis frequencies and then of lines for the last inverse.  Last-axis
     spectra live from first use to the last block; a block's products go
-    before the next block's spectra.  Each line is transformed alone."""
+    before the next block's spectra.  Each line is transformed alone, and a
+    pass over at least ``_FFT_THREAD_CELLS`` cells splits its lines over
+    ``_WORKERS`` threads (``_on_lines``), each into its own part of the
+    pass's output, so the bytes do not depend on the thread count."""
     m, fast, grid = len(grid), grid[-1], tuple(grid)
     half = fast // 2 + 1
     kept = tuple(len(range(n)[cut]) for n, cut in zip(grid, keep))
@@ -467,16 +522,30 @@ def _fft_product(factors, grid, combine, keep, out=None) -> np.ndarray:
     scale = np.float64(1 / np.longdouble(math.prod(grid)))
     spectra = {}
 
+    def rfft(a):
+        made = np.empty(a.shape[:-1] + (half,), complex)
+        _on_lines(lambda part: np.fft.rfft(a[part], fast, axis=-1, out=made[part]), a.shape, -1)
+        return made
+
     def transform(i, last):
         # factor i's last-axis spectra: made once, then held to its last block
         if i not in spectra:
             a, factors[i] = factors[i][0], None
-            spectra[i] = np.fft.rfft(a, fast, axis=-1)
+            spectra[i] = rfft(a)
         return spectra.pop(i) if last else spectra[i]
 
+    def in_place(fft, a, axis, **kwargs):
+        _on_lines(lambda part: fft(a[part], axis=axis, out=a[part], **kwargs), a.shape, axis)
+
     def inverse(spectrum, lines):
-        np.multiply(np.fft.irfft(spectrum, fast, axis=-1, norm="forward")[..., keep[-1]],
-                    scale, out=lines)
+        # made by the caller: a helper thread's own temporaries would stay
+        # resident in its malloc arena (6 MB more peak RSS on verify)
+        full = np.empty(spectrum.shape[:-1] + (fast,))
+
+        def run(part):
+            np.multiply(np.fft.irfft(spectrum[part], fast, axis=-1, norm="forward",
+                                     out=full[part])[..., keep[-1]], scale, out=lines[part])
+        _on_lines(run, spectrum.shape, -1)
 
     if m == 1:
         rows = [a.reshape(-1, a.shape[-1]) if a.ndim > 1 else None for a, _ in factors]
@@ -485,7 +554,7 @@ def _fft_product(factors, grid, combine, keep, out=None) -> np.ndarray:
             def spectrum(i):
                 if rows[i] is None:  # one spectrum serves every block
                     return transform(i, j == len(blocks) - 1)
-                return np.fft.rfft(rows[i][block], fast, axis=-1)
+                return rfft(rows[i][block])
 
             prods = combine(spectrum)
             out = np.empty((len(prods),) + batch + kept) if out is None else out
@@ -502,14 +571,14 @@ def _fft_product(factors, grid, combine, keep, out=None) -> np.ndarray:
             spread[(..., *support, slice(None))] = lines
             for axis in range(m - 1):
                 sel = (..., *(slice(None),) * (axis + 1), *support[axis + 1:], slice(None))
-                np.fft.fft(spread[sel], axis=axis - m, out=spread[sel])
+                in_place(np.fft.fft, spread[sel], axis - m)
             return spread
 
         prods = combine(spectrum)
         for p, prod in enumerate(prods):
             for axis, cut in enumerate(keep[:-1]):
-                prod = np.fft.ifft(prod, axis=axis - m, norm="forward", out=prod)[
-                    (..., cut, *(slice(None),) * (m - 1 - axis))]
+                in_place(np.fft.ifft, prod, axis - m, norm="forward")
+                prod = prod[(..., cut, *(slice(None),) * (m - 1 - axis))]
             if held is None:
                 held = np.empty((len(prods),) + batch + kept[:-1] + (half,), complex)
             held[p][..., cols] = prod
@@ -697,7 +766,7 @@ def _descending_sums(evaluate, shifts: np.ndarray, bounds: np.ndarray, best: flo
     is raised here once every helper has joined."""
     found = np.full(len(shifts), -np.inf)
     # per thread the largest sum it found, written by that thread alone
-    pull, tops, stop, errors = itertools.count(), [best] * len(buffers), [], []
+    pull, tops, stop = itertools.count(), [best] * len(buffers), []
 
     def work(w):
         try:
@@ -708,19 +777,10 @@ def _descending_sums(evaluate, shifts: np.ndarray, bounds: np.ndarray, best: flo
                     break
                 found[j] = value = evaluate(shifts[j], buffers[w])
                 tops[w] = max(tops[w], value)
-        except BaseException as error:
-            errors.append(error)
-        stop.append(True)
+        finally:
+            stop.append(True)
 
-    helpers = [threading.Thread(target=work, args=(w,))
-               for w in range(1, min(len(buffers), len(shifts)))]
-    for helper in helpers:
-        helper.start()
-    work(0)
-    for helper in helpers:
-        helper.join()
-    if errors:
-        raise errors[0]
+    _on_threads(work, max(1, min(len(buffers), len(shifts))))
     return found
 
 

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from zexlab.dyadic import (PiecewiseConstant, _mean_pyramid, _refine, average_error,
-                           average_error_report, dyadic_average, equality_case,
-                           random_partition, render_average, shift_bound_check,
-                           shift_bound_suite, suite_to_csv, unit_ball_volume)
-from zexlab.grid import (GridFunction, LatticeShift, const, corpus, cusp, linear, lp_norm,
-                         random_dyadic, sample)
+from zexlab.dyadic import (_SUITE_MAX_LEVEL, _SUITE_P, PiecewiseConstant, _mean_pyramid,
+                           _refine, average_error, average_error_report, dyadic_average,
+                           equality_case, random_partition, random_shift, render_average,
+                           shift_bound_check, shift_bound_suite, suite_to_csv,
+                           unit_ball_volume)
+from zexlab.grid import (GridFunction, LatticeShift, _abs_pow, const, corpus, cusp,
+                         difference, linear, lp_norm, random_dyadic, sample, zero_extend)
 from zexlab.moduli import LowerBoundWarning, interior_curve
 
 
@@ -159,6 +160,61 @@ def test_suite_rows_and_csv():
     text = suite_to_csv(rows)
     assert text.startswith("seed,d,k,p,h,lhs,rhs,pass\n")
     assert text.strip().split("\n")[1].endswith("true")
+
+
+def _check_per_shift_and_p(pc, shift, p):
+    """Both sides as one ``shift_bound_check`` call computed them before the
+    suite shared each shift's difference: a render, a window and a
+    difference per (shift, p), and the power over every cell."""
+    rendered = pc.render(shift.level)
+    ext = zero_extend(rendered, max(1, max(abs(v) for v in shift.k)))
+    delta = difference(ext, shift)
+    lhs = float(_abs_pow(delta.samples, p).sum() * ext.cell_volume)
+    root_d = math.sqrt(pc.d)
+    if pc.uniform_level is not None:
+        rhs = (2.0 ** p) * min(shift.length * (1 << pc.uniform_level) * root_d, 1.0) \
+            * pc.norm_power(p)
+    else:
+        levels = pc.cube_levels()
+        sides = np.ldexp(1.0, -levels)
+        vols = np.ldexp(1.0, -pc.d * levels)
+        weights = np.minimum(root_d * shift.length / sides, 1.0)
+        rhs = (2.0 ** p) * float((weights * vols * _abs_pow(pc.values, p)).sum())
+    return lhs, rhs
+
+
+@pytest.mark.parametrize("seed", [5, 7, 12])
+def test_suite_rows_equal_one_check_per_shift_and_p(seed):
+    # the suite's draws replayed, each (shift, p) checked on its own: the
+    # rows match value for value over d = 1 and 2, uniform and not
+    n_functions, shifts_each = 8, 3
+    rows = shift_bound_suite(n_functions, shifts_each, seed)
+    expected, kinds = [], set()
+    case_seeds = np.random.default_rng(seed).integers(0, 2 ** 31 - 1, size=n_functions)
+    for i, case_seed in enumerate(case_seeds):
+        rng = np.random.default_rng(int(case_seed))
+        d, uniform = 1 + i % 2, (i // 2) % 2 == 0
+        k = int(rng.integers(1, _SUITE_MAX_LEVEL + 1))
+        if uniform:
+            pc = PiecewiseConstant.from_uniform(d, k, rng.standard_normal((1 << k,) * d))
+        else:
+            origins = random_partition(rng, d, k)
+            pc = PiecewiseConstant(d, origins, rng.standard_normal(sum(map(len, origins))))
+        kinds.add((d, uniform))
+        for _ in range(shifts_each):
+            shift = random_shift(rng, d, pc.max_level + 2)
+            for p in _SUITE_P:
+                lhs, rhs = _check_per_shift_and_p(pc, shift, p)
+                assert (lhs, rhs) == shift_bound_check(pc, shift, p)
+                expected.append({"seed": int(case_seed), "d": d,
+                                 "k": k if uniform else pc.max_level, "p": p,
+                                 "h": shift.length, "lhs": lhs, "rhs": rhs,
+                                 "pass": lhs <= rhs + 1e-12})
+    lhs, rhs = _check_per_shift_and_p(PiecewiseConstant.from_uniform(1, 1, [1.0, -1.0]),
+                                      LatticeShift((1,), 2), 1.0)
+    assert (rows[-1]["lhs"], rows[-1]["rhs"]) == (lhs, rhs)
+    assert rows[:-1] == expected and rows[-1] == equality_case()
+    assert kinds == {(1, True), (1, False), (2, True), (2, False)}
 
 
 def test_suite_refuses_negative_counts_before_any_draw(monkeypatch):

@@ -1,4 +1,5 @@
-"""Property tests of the lab's inequalities and of the per-level partition format."""
+"""Property tests of the lab's inequalities, of the per-level partition format
+and of the power that skips exact zeros."""
 import math
 
 import numpy as np
@@ -114,3 +115,33 @@ def test_level_arrays_equal_a_per_cube_reference(d, p, data):
         weights = np.minimum(math.sqrt(d) * shift.length / sides, 1.0)
         rhs = (2.0 ** p) * float((weights * vols * _abs_pow(pc.values, p)).sum())
         assert shift_bound_check(pc, shift, p)[1] == rhs
+
+
+# exact zeros of both signs, subnormals, the extremes and values whose power
+# overflows or underflows
+_SPECIAL = (0.0, -0.0, 5e-324, -2.2e-311, 2.2250738585072014e-308, math.inf, -math.inf,
+            math.nan, 1e300, -1e-300, 1.0, -3.5)
+
+
+@SETTINGS
+@hypothesis.given(p=st.sampled_from([1.0, 1.5, 2.0, 3.0, 4.5]), data=st.data())
+def test_zero_skipping_power_equals_the_plain_power_bit_for_bit(p, data):
+    values = data.draw(st.lists(st.one_of(st.sampled_from(_SPECIAL), st.floats()),
+                                min_size=1, max_size=200), "values")
+    # runs of zeros longer than any vector width, placed at random
+    zeros = data.draw(st.integers(0, 3), "zero runs")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), "seed"))
+    a = np.array(values)
+    for _ in range(zeros):
+        at = int(rng.integers(0, len(a) + 1))
+        a = np.insert(a, at, np.zeros(int(rng.integers(1, 70))) * rng.choice([1.0, -1.0]))
+    step = data.draw(st.integers(1, 3), "step")
+    # C-contiguous, strided and transposed views, each read and made in place
+    layouts = (lambda b: b, lambda b: b[::step], lambda b: b[:len(b) // 2 * 2].reshape(-1, 2).T)
+    with np.errstate(all="ignore"):
+        for layout in layouts:
+            plain = _abs_pow(layout(a), p)
+            assert _abs_pow(layout(a), p, zeros=True).tobytes() == plain.tobytes()
+            work = layout(a.copy())
+            assert _abs_pow(work, p, out=work, zeros=True) is work
+            assert work.tobytes() == plain.tobytes()
