@@ -211,8 +211,12 @@ def gradient_magnitude(f: GridFunction) -> np.ndarray:
 def sobolev_seminorm(f: GridFunction, q: float) -> float:
     """L^q norm of the gradient magnitude over the unit cube."""
     _check_exponent(q, "q")
-    mag = gradient_magnitude(f)
-    return float((f.cell_volume * (mag ** q).sum()) ** (1.0 / q))
+    return _seminorm(f, gradient_magnitude(f) ** q, q)
+
+
+def _seminorm(f: GridFunction, powered: np.ndarray, q: float) -> float:
+    """The L^q seminorm from the cells' |grad f|^q, ``powered``."""
+    return float((f.cell_volume * powered.sum()) ** (1.0 / q))
 
 
 @dataclass(frozen=True)
@@ -257,10 +261,11 @@ def count_bound_report(f: GridFunction, p: float, q: float, epsilons) -> CountRe
     epsilons = sorted({float(e) for e in epsilons})
     for e in epsilons:
         _check_epsilon(e)
-    seminorm = sobolev_seminorm(f, q)
+    powered = gradient_magnitude(f) ** q
+    seminorm = _seminorm(f, powered, q)
     # block sums of |grad f|^q: each cube's local seminorm restricts the
     # global gradient field, which makes it monotone under taking subcubes
-    local = _sum_pyramid(gradient_magnitude(f) ** q * f.cell_volume, f.d, f.level)
+    local = _sum_pyramid(powered * f.cell_volume, f.d, f.level)
     pyramid = ErrorPyramid(f, p)
     parts = {e: build_partition(f, p, e, pyramid) for e in epsilons}
     ratio_constant = 0.0

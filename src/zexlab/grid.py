@@ -345,50 +345,6 @@ class FunctionSpec:
                 parts.append(f"{key}={value:g}")
         return " ".join(parts)
 
-    def values(self, pts: np.ndarray) -> np.ndarray:
-        """Evaluate at points of shape (..., d)."""
-        pts = np.asarray(pts, dtype=float)
-        d = pts.shape[-1]
-        if self.tag == "const":
-            return np.full(pts.shape[:-1], float(self.param("value")))
-        if self.tag == "linear":
-            return pts.sum(axis=-1)
-        if self.tag == "indicator":
-            lo = float(self.param("lo", 0.0))
-            hi = float(self.param("hi", 0.5))
-            inside = np.all((pts >= lo) & (pts <= hi), axis=-1)
-            return inside.astype(float)
-        if self.tag == "cusp":
-            alpha = float(self.param("alpha"))
-            center = float(self.param("center", 0.5))
-            return np.prod(np.abs(pts - center) ** alpha, axis=-1)
-        if self.tag == "boundary-power":
-            alpha = float(self.param("alpha"))
-            return np.clip(pts[..., 0], 0.0, None) ** alpha
-        if self.tag == "random":
-            return self._random_values(pts, d)
-        if self.tag == "tensor":
-            base = _base_spec(self)
-            out = np.ones(pts.shape[:-1])
-            for axis in range(d):
-                out = out * base._profile_1d(pts[..., axis])
-            return out
-        raise AssertionError(self.tag)
-
-    def _profile_1d(self, x: np.ndarray) -> np.ndarray:
-        return self.values(x[..., None])
-
-    def _random_values(self, pts, d):
-        k = int(self.param("level"))
-        seed = int(self.param("seed"))
-        _check_random_level(k, d)  # before the draw
-        m = 1 << k
-        rng = np.random.default_rng(seed)
-        table = rng.standard_normal((m,) * d)
-        idx = tuple(
-            np.clip((pts[..., a] * m).astype(np.int64), 0, m - 1) for a in range(d))
-        return table[idx]
-
 
 def _base_spec(tensor_spec: FunctionSpec) -> FunctionSpec:
     base = tensor_spec.param("base")
@@ -451,16 +407,47 @@ def parse_spec(text: str) -> FunctionSpec:
 
 
 def sample(spec: FunctionSpec, d: int, level: int) -> GridFunction:
-    """Evaluate a spec at the cell midpoints of the level-`level` lattice."""
+    """Evaluate a spec at the cell midpoints of the level-`level` lattice.
+
+    Every tag is separable: it is evaluated on the n midpoints of one axis
+    and the axes are combined by outer operations, left to right, as a
+    reduction over each point's coordinates takes them, so every sample has
+    the bits of the tag's formula evaluated at its point."""
     _check_lattice(d, level)
     n = 1 << level
-    mids = (np.arange(n) + 0.5) / n
-    if d == 1:
-        pts = mids[:, None]
-    else:
-        grids = np.meshgrid(*([mids] * d), indexing="ij")
-        pts = np.stack(grids, axis=-1)
-    return GridFunction(d, level, spec.values(pts))
+    return GridFunction(d, level, _separable(spec, d, (np.arange(n) + 0.5) / n))
+
+
+def _separable(spec: FunctionSpec, d: int, mids: np.ndarray) -> np.ndarray:
+    """The spec on the d-fold product of the one-axis points ``mids``: an
+    indicator as booleans and x_1^alpha as a broadcast view, which
+    ``GridFunction`` stores as contiguous floats."""
+    shape = (len(mids),) * d
+    if spec.tag == "const":
+        return np.full(shape, float(spec.param("value")))
+    if spec.tag == "boundary-power":  # x_1^alpha: constant along every other axis
+        profile = np.clip(mids, 0.0, None) ** float(spec.param("alpha"))
+        return np.broadcast_to(profile.reshape((-1,) + (1,) * (d - 1)), shape)
+    if spec.tag == "random":
+        level = int(spec.param("level"))
+        _check_random_level(level, d)  # before the draw
+        m = 1 << level
+        table = np.random.default_rng(int(spec.param("seed"))).standard_normal((m,) * d)
+        return table[np.ix_(*[np.clip((mids * m).astype(np.int64), 0, m - 1)] * d)]
+    if spec.tag == "linear":
+        combine, profile = np.add, mids
+    elif spec.tag == "indicator":  # the box [lo, hi]^d
+        lo, hi = float(spec.param("lo", 0.0)), float(spec.param("hi", 0.5))
+        combine, profile = np.logical_and, (mids >= lo) & (mids <= hi)
+    elif spec.tag == "cusp":
+        combine = np.multiply
+        profile = np.abs(mids - float(spec.param("center", 0.5))) ** float(spec.param("alpha"))
+    else:  # tensor: the base's one-dimensional samples on every axis
+        combine, profile = np.multiply, _separable(_base_spec(spec), 1, mids)
+    out = profile
+    for _ in range(d - 1):
+        out = combine.outer(out, profile)
+    return out
 
 
 @dataclass(frozen=True)

@@ -179,7 +179,15 @@ def _direct_convolve(a: np.ndarray, w: np.ndarray, axis: int,
     ``axis``, zero off the line, into ``out`` (which may be a): the sums of
     ``scipy.ndimage.convolve1d``'s symmetric branch, bit for bit, at each
     cell x[i] w[r] and then, for j = r down to 1, (x[i - j] + x[i + j]) w[r - j].
-    It reads from one zero-padded copy and adds through one scratch array."""
+    It reads from one zero-padded copy and adds through one scratch array.
+    On the last axis of a 2- or 3-d array the sums run with that axis moved
+    to the front, where each tap's slice is one contiguous block rather than
+    short strided rows; they are elementwise, so the bits are the same."""
+    if 0 < axis == a.ndim - 1:
+        moved = _direct_convolve(np.moveaxis(a, axis, 0), w, 0)
+        out = np.empty(a.shape) if out is None else out
+        out[...] = np.moveaxis(moved, 0, axis)
+        return out
     r, n = len(w) // 2, a.shape[axis]
 
     def cells(lo):

@@ -47,15 +47,15 @@ bit for bit; a screen keeps only the rows 0 <= k_0 <= max k_0 it reads.
 
 One thread policy serves the direct sums and the FFT passes: ``_WORKERS``
 threads, one per usable core, on work of at least a floor of cells, and the
-calling thread below it.  On an interior table of at least ``_THREAD_CELLS``
-cells the direct sums run on every thread; every other table runs them on
-the calling thread.  A whole table's sums each stream three window-sized
-arrays, which two threads ran no faster, and on a smaller table handing the
-interpreter lock between threads cost more than they gained.  An FFT pass
-over an array of at least ``_FFT_THREAD_CELLS`` cells splits its independent
-lines (the batch and the axes not being transformed) into one part per
-thread, joined once per pass; numpy.fft releases the lock, and each line is
-still transformed alone.  Its floor is higher because each pass pays its own
+calling thread below it.  On a table of at least ``_THREAD_CELLS`` cells,
+the cube's or the window's, the direct sums run on every thread, each into
+its own buffer; on a smaller table handing the interpreter lock between
+threads cost more than they gained.  A whole table's buffer is a window
+zeroed once, and each sum writes only the box where its difference can be
+nonzero (``_diff_power_window``).  An FFT pass over an array of at least
+``_FFT_THREAD_CELLS`` cells splits its independent lines (the batch and the
+axes not being transformed) into one part per thread, joined once per pass;
+numpy.fft releases the lock, and each line is still transformed alone.  Its floor is higher because each pass pays its own
 start and join: on passes of 2^17 cells two threads ran no faster and used
 up to 1.8x the CPU.  Values, uppers, ``rechecked`` and every FFT byte do not
 depend on the thread count, and nothing but the process's CPU affinity
@@ -84,7 +84,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import (_MAX_CELLS, ExtendedGridFunction, GridFunction, _abs_pow,
-                   _check_exponent, _csv, _shift_cells, lp_norm, shifted_samples)
+                   _check_exponent, _csv, _shift_cells, lp_norm)
 
 
 class ResolutionWarning(UserWarning):
@@ -174,10 +174,11 @@ _FFT_ULPS = 16
 _POW_ULPS = 8
 # candidate shifts per _half_shifts block: bounds the candidate temporaries
 _SHIFT_BLOCK = 1 << 12
-# threads of an interior table's direct sums and of an FFT pass: every usable core
+# threads of a table's direct sums and of an FFT pass: every usable core
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-# the fewest cells of an interior table whose direct sums run on _WORKERS threads
+# the fewest cells of a table (the cube's or the window's) whose direct sums
+# run on _WORKERS threads
 _THREAD_CELLS = 1 << 17
 # the fewest cells of an FFT pass's array whose lines run on _WORKERS threads:
 # a pass joins its threads alone, and on 2^17 cells two ran no faster
@@ -246,11 +247,11 @@ def _half_shifts(d: int, rmax: float, per_axis: int) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def _diff_power_interior(samples: np.ndarray, k, p: float, out=None) -> float:
+def _diff_power_interior(samples: np.ndarray, k, p: float, out: np.ndarray) -> float:
     """Sum |f(i+k)-f(i)|^p over cells with both endpoints inside the cube.
-    The differences go into the contiguous prefix of ``out`` (a flat float
-    array of at least ``samples.size``) when it is given, else into a fresh
-    array: the same shape and layout, so the same pairwise sum.  Differences
+    The differences go into the contiguous prefix of ``out``, a flat float
+    array of at least ``samples.size``: the shape and layout of a fresh
+    array, so the same pairwise sum.  Differences
     inside the cube are rarely exactly 0, so the power runs over every cell
     (``_abs_pow`` without ``zeros``)."""
     base, shifted, shape = [], [], []
@@ -265,25 +266,60 @@ def _diff_power_interior(samples: np.ndarray, k, p: float, out=None) -> float:
             base.append(slice(-ka, n))
             shifted.append(slice(0, n + ka))
         shape.append(n - abs(ka))
-    if out is not None:
-        out = out[:math.prod(shape)].reshape(shape)
-    diff = np.subtract(samples[tuple(shifted)], samples[tuple(base)], out=out)
+    diff = np.subtract(samples[tuple(shifted)], samples[tuple(base)],
+                       out=out[:math.prod(shape)].reshape(shape))
     return float(_abs_pow(diff, p, out=diff).sum())
 
 
-def _diff_power_window(window: np.ndarray, k, p: float) -> float:
-    """Sum |g(i+k)-g(i)|^p over the whole window, zero outside: mostly the
-    margin's exact zeros, which the power skips."""
-    diff = shifted_samples(window, k) - window
-    return float(_abs_pow(diff, p, out=diff, zeros=True).sum())
+def _diff_power_window(window: np.ndarray, k, p: float, out: np.ndarray, box) -> float:
+    """Sum |g(i+k)-g(i)|^p over the whole window, zero outside it, through
+    ``out``, a zeroed array of the window's shape, which it leaves zeroed.
+    Only the cells i of the smallest box holding B and B - k, B the support
+    box ``box`` (None: no support), can differ from 0: their differences go
+    into ``out``, a partner i + k off the window reading 0, and the power
+    skips the exact zeros among them.  The sum runs over all of ``out``: the
+    window's pairwise order, so the same bits as the full difference array."""
+    if box is None:
+        return 0.0
+    cells, kept, partners = [], [], []
+    for ka, n, b in zip(map(int, k), window.shape, box):
+        lo, hi = max(min(b.start, b.start - ka), 0), min(max(b.stop, b.stop - ka), n)
+        start = max(lo, -ka)  # the cells whose partner is on the window
+        stop = max(min(hi, n - ka), start)
+        cells.append(slice(lo, hi))
+        kept.append(slice(start, stop))
+        partners.append(slice(start + ka, stop + ka))
+    diff = out[tuple(cells)]
+    if kept == cells:
+        np.subtract(window[tuple(partners)], window[tuple(cells)], out=diff)
+    else:
+        out[tuple(kept)] = window[tuple(partners)]
+        np.subtract(diff, window[tuple(cells)], out=diff)
+    _abs_pow(diff, p, out=diff, zeros=True)
+    total = float(out.sum())
+    diff[...] = 0.0
+    return total
+
+
+def _direct_sums(arr: np.ndarray, p: float, interior: bool, box):
+    """(evaluate, buffer): evaluate(k, out) is the direct difference sum of
+    shift k into ``out``, one buffer() per thread: the cube's size for an
+    interior table, a zeroed window for a whole one with support box ``box``
+    (``_support_box``)."""
+    if interior:
+        return (lambda k, out: _diff_power_interior(arr, k, p, out),
+                lambda: np.empty(arr.size))
+    return (lambda k, out: _diff_power_window(arr, k, p, out, box),
+            lambda: np.zeros(arr.shape))
 
 
 def _direct_values(arr: np.ndarray, shifts: np.ndarray, p: float,
                    interior: bool) -> np.ndarray:
     """The cell sum of |f(i+k) - f(i)|^p for each shift k, one difference
     sum per shift, inside the cube or over the whole window."""
-    evaluate = _diff_power_interior if interior else _diff_power_window
-    return np.array([evaluate(arr, k, p) for k in shifts])
+    evaluate, buffer = _direct_sums(arr, p, interior, None if interior else _support_box(arr))
+    out = buffer()
+    return np.array([evaluate(k, out) for k in shifts])
 
 
 def _enumerated_table(arr: np.ndarray, p: float, radii, interior: bool) -> _SupTable:
@@ -683,6 +719,7 @@ class _Split:
     table does not have."""
 
     shifts: np.ndarray          # the half ball, (m, d)
+    support: tuple | None       # B's slices; None when the window has no support
     box: np.ndarray | None      # B; None when it is absent or constant
     grid: list                  # B's FFT grid
     inside: np.ndarray | slice  # the shifts that keep an overlap in B; all: slice(None)
@@ -692,17 +729,23 @@ class _Split:
     interior: bool
 
 
-def _split(arr: np.ndarray, p: float, rmax: float, interior: bool, reach=None) -> _Split:
+def _split(arr: np.ndarray, p: float, rmax: float, interior: bool, reach=None,
+           support=None) -> _Split:
     """The box split of the table of ``arr`` over the half ball of radius
-    ``rmax``.  B's FFT grid takes per axis B's side plus the largest shift
-    component within ``reach`` (default ``rmax``) that keeps an overlap, so
-    it holds every such shift without wrap-around; a grid over ``_MAX_CELLS``
-    is refused before any shift or FFT.  A constant B has no interior
-    difference: ``box`` is None and nothing is screened."""
-    box = (slice(None),) * arr.ndim if interior else _support_box(arr)
+    ``rmax``.  B is the cube, or for a whole table ``support``, the window's
+    ``_support_box`` (found here when None).  B's FFT grid takes per axis B's
+    side plus the largest shift component within ``reach`` (default
+    ``rmax``) that keeps an overlap, so it holds every such shift without
+    wrap-around; a grid over ``_MAX_CELLS`` is refused before any shift or
+    FFT.  A constant B has no interior difference: ``box`` is None and
+    nothing is screened."""
+    if interior:
+        support = (slice(None),) * arr.ndim
+    elif support is None:
+        support = _support_box(arr)
     b, grid = None, []
-    if box is not None:
-        b, steps = arr[box], math.floor((rmax if reach is None else reach) + 1e-9)
+    if support is not None:
+        b, steps = arr[support], math.floor((rmax if reach is None else reach) + 1e-9)
         grid = [_next_fast_len(m + min(m - 1, steps)) for m in b.shape]
         cells = math.prod(grid)
         if cells > _MAX_CELLS:
@@ -717,7 +760,7 @@ def _split(arr: np.ndarray, p: float, rmax: float, interior: bool, reach=None) -
         layer, allowance = _layer(_abs_pow(b, p), shifts, inside)
     if b is not None and b.min() == b.max():
         b = None
-    return _Split(shifts, b, grid, inside, layer, allowance, arr.size, interior)
+    return _Split(shifts, support, b, grid, inside, layer, allowance, arr.size, interior)
 
 
 def _upper_bounds(split: _Split, p: float) -> np.ndarray:
@@ -784,10 +827,10 @@ def _descending_sums(evaluate, shifts: np.ndarray, bounds: np.ndarray, best: flo
     return found
 
 
-def _bound_table(arr: np.ndarray, shifts: np.ndarray, upper: np.ndarray, p: float,
-                 radii, interior: bool) -> _SupTable:
-    """Branch and bound over the half ball, given each shift's certified
-    upper bound ``upper`` on its ``_direct_values`` sum.
+def _bound_table(arr: np.ndarray, split: _Split, upper: np.ndarray, p: float,
+                 radii) -> _SupTable:
+    """Branch and bound over the split's half ball, given each shift's
+    certified upper bound ``upper`` on its ``_direct_values`` sum.
 
     At each lookup radius, ascending, the shifts within it that are not yet
     evaluated are evaluated by direct difference sums in descending bound
@@ -802,9 +845,10 @@ def _bound_table(arr: np.ndarray, shifts: np.ndarray, upper: np.ndarray, p: floa
     bound of a shift within it left out); every radius finished before the
     cap is exact.  Both are read by ``_radius_max``.
 
-    An interior table of at least ``_THREAD_CELLS`` cells evaluates each
-    radius's shifts on ``_WORKERS`` threads (``_descending_sums``), each into
-    its own buffer of the array's size; whole and smaller tables, whose
+    A table of at least ``_THREAD_CELLS`` cells, interior or whole,
+    evaluates each radius's shifts on ``_WORKERS`` threads
+    (``_descending_sums``), each into its own buffer (``_direct_sums``:
+    the cube's size, or a window zeroed once); a smaller table, whose
     threads gained nothing (see the module docstring), on the caller's
     thread.  Once the threads have joined, the shifts are walked in bound
     order by the one-thread rule and only that prefix is kept, so values,
@@ -812,16 +856,13 @@ def _bound_table(arr: np.ndarray, shifts: np.ndarray, upper: np.ndarray, p: floa
     count, which only the CPU affinity sets.
     """
     order = np.argsort(-upper, kind="stable")
-    shifts, upper = shifts[order], upper[order]
+    shifts, upper = split.shifts[order], upper[order]
     ksq = (shifts * shifts).sum(axis=1)
     values = np.full(len(shifts), -np.inf)  # -inf: not evaluated
     left = _DIRECT_WORK_BUDGET // arr.size
-    workers = _WORKERS if interior and arr.size >= _THREAD_CELLS else 1
-    buffers = [np.empty(arr.size) if interior else None for _ in range(workers)]
-
-    def evaluate(k, out):
-        return (_diff_power_interior(arr, k, p, out) if interior
-                else _diff_power_window(arr, k, p))
+    workers = _WORKERS if arr.size >= _THREAD_CELLS else 1
+    evaluate, buffer = _direct_sums(arr, p, split.interior, split.support)
+    buffers = [buffer() for _ in range(workers)]
     for r in sorted(radii):
         inside = ksq <= _rsq_bound(r)
         best = values[inside].max(initial=0.0)
@@ -839,11 +880,13 @@ def _bound_table(arr: np.ndarray, shifts: np.ndarray, upper: np.ndarray, p: floa
     return _SupTable(powers, uppers, "bound", len(shifts), int(done.sum()), workers)
 
 
-def _build_table(arr: np.ndarray, p: float, radii, interior: bool) -> _SupTable:
+def _build_table(arr: np.ndarray, p: float, radii, interior: bool,
+                 support=None) -> _SupTable:
     """The table for this input at ``radii``, from one box split
-    (``_split``).  A table with no shift runs no screen or FFT.  Every input
-    but d = 2, p = 2 takes the upper-bound screen (``_upper_bounds``) and
-    branch and bound (``_bound_table``).
+    (``_split``; ``support``: a whole table's support box, when the caller
+    has found it).  A table with no shift runs no screen or FFT.  Every
+    input but d = 2, p = 2 takes the upper-bound screen (``_upper_bounds``)
+    and branch and bound (``_bound_table``).
 
     For d = 2 and p = 2 the screened values are the table: the layer plus
     B's interior sums (``_screen`` on a grid that holds every shift of B).
@@ -856,9 +899,10 @@ def _build_table(arr: np.ndarray, p: float, radii, interior: bool) -> _SupTable:
     if max(radii) < 1.0 - 1e-9:
         zeros = (0.0,) * len(radii)
         return _SupTable(zeros, zeros, method)
-    split = _split(arr, p, max(radii), interior, arr.shape[0] if method == "corr" else None)
+    split = _split(arr, p, max(radii), interior, arr.shape[0] if method == "corr" else None,
+                   support)
     if method == "bound":
-        return _bound_table(arr, split.shifts, _upper_bounds(split, p), p, radii, interior)
+        return _bound_table(arr, split, _upper_bounds(split, p), p, radii)
     values = split.layer.copy()
     if split.box is not None:
         values[split.inside] += _screen(split.box, split.shifts[split.inside], split.grid,
@@ -898,11 +942,12 @@ def interior_modulus(f: GridFunction, p: float, t: float) -> float:
     return _flagged_points(_curve("interior", f, p, (t,)))[0][1]
 
 
-def _require_margin(g: ExtendedGridFunction, cap: int):
+def _require_margin(g: ExtendedGridFunction, cap: int, box):
+    """Refuse a window whose margin, or whose support box ``box``
+    (``_support_box``), leaves less than ``cap`` cells to its edge."""
     if g.margin < cap:
         raise ValueError(
             f"margin {g.margin} cells cannot hold shifts of {cap} cells; re-extend")
-    box = _support_box(g.samples)
     if box is not None and any(s.start < cap or s.stop > g.size - cap for s in box):
         raise ValueError("window carries mass within shift range of its edge; re-extend")
 
@@ -924,12 +969,13 @@ def _curve(kind: str, arr, p: float, t_grid, name: str = "") -> ModulusCurve:
     _check_exponent(p)
     ts = _scales(kind, arr, t_grid)
     interior = kind == "interior"
-    extra = {} if interior else {"margin": arr.margin}
+    extra, support = {}, None
     if not interior:
-        _require_margin(arr, _shift_cells(max(ts), arr.n))
+        extra, support = {"margin": arr.margin}, _support_box(arr.samples)
+        _require_margin(arr, _shift_cells(max(ts), arr.n), support)
     radii = [t * arr.n for t in ts]
     start = time.perf_counter()
-    table = _build_table(arr.samples, p, radii, interior)
+    table = _build_table(arr.samples, p, radii, interior, support)
     elapsed = time.perf_counter() - start
     vol = arr.cell_volume
     points, flags, uppers = [], [], []

@@ -345,24 +345,26 @@ def test_only_moduli_starts_threads():
 
 def test_modulus_run_meta_records_threads(tmp_path, monkeypatch):
     # the thread count goes into run_meta.txt alone: the CSV bodies keep
-    # their bytes whatever it is
+    # their bytes whatever it is.  Interior and whole tables share one floor:
+    # below it (L = 5 at the default floor) neither starts a thread
     from zexlab import moduli
 
-    monkeypatch.setattr(moduli, "_THREAD_CELLS", 1)
     bodies = {}
-    for workers in (1, 2):
-        monkeypatch.setattr(moduli, "_WORKERS", workers)
-        for kind in ("interior", "whole"):
-            cfg = _write_config(tmp_path, f"function = cusp alpha=0.5\nd = 2\nL = 5\n"
-                                          f"p = 3\nkind = {kind}\n")
-            out = tmp_path / f"{kind}{workers}"
-            assert main(["modulus", "--config", cfg, "--out", str(out)]) == 0
-            meta = (out / "run_meta.txt").read_text().splitlines()
-            threads = workers if kind == "interior" else 1
-            assert f"modulus_{kind}_p3.threads={threads}" in meta
-            bodies[kind, workers] = (out / f"modulus_{kind}_p3.csv").read_bytes()
+    for floor in (moduli._THREAD_CELLS, 1):
+        monkeypatch.setattr(moduli, "_THREAD_CELLS", floor)
+        for workers in (1, 2):
+            monkeypatch.setattr(moduli, "_WORKERS", workers)
+            for kind in ("interior", "whole"):
+                cfg = _write_config(tmp_path, f"function = cusp alpha=0.5\nd = 2\nL = 5\n"
+                                              f"p = 3\nkind = {kind}\n")
+                out = tmp_path / f"{kind}{workers}-{floor}"
+                assert main(["modulus", "--config", cfg, "--out", str(out)]) == 0
+                meta = (out / "run_meta.txt").read_text().splitlines()
+                threads = workers if floor == 1 else 1
+                assert f"modulus_{kind}_p3.threads={threads}" in meta
+                bodies[kind, workers, floor] = (out / f"modulus_{kind}_p3.csv").read_bytes()
     for kind in ("interior", "whole"):
-        assert bodies[kind, 1] == bodies[kind, 2]
+        assert len({body for key, body in bodies.items() if key[0] == kind}) == 1
 
 
 def test_hybrid_subcommand(tmp_path):

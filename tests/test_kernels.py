@@ -390,6 +390,39 @@ def test_direct_convolution_matches_ndimage_bit_for_bit(family, d, level, t, tai
             assert np.array_equal(a, x)
 
 
+def _strided_convolve(a: np.ndarray, w: np.ndarray, axis: int) -> np.ndarray:
+    """The direct convolution's sums taken in place along ``axis``, strided
+    slices on the last: the layout the moved-axis branch replaced."""
+    r, n = len(w) // 2, a.shape[axis]
+
+    def cells(lo):
+        return (slice(None),) * axis + (slice(lo, lo + n),)
+
+    padded = np.zeros(a.shape[:axis] + (n + 2 * r,) + a.shape[axis + 1:])
+    padded[cells(r)] = a
+    out = padded[cells(r)] * w[r]
+    for j in range(r, 0, -1):
+        out += (padded[cells(r - j)] + padded[cells(r + j)]) * w[r - j]
+    return out
+
+
+@pytest.mark.parametrize("in_place", (False, True), ids=["out-of-place", "in-place"])
+@pytest.mark.parametrize("shape", [(7, 40), (40, 7), (5, 6, 33), (3, 30, 1)])
+def test_last_axis_convolution_equals_the_strided_sums(shape, in_place):
+    from zexlab.kernels import _direct_convolve
+
+    rng = np.random.default_rng(len(shape) * 100 + shape[-1])
+    for taps in (1, 3, 17, 2 * shape[-1] + 1):
+        half = rng.random(taps // 2 + 1)
+        w = np.concatenate([half[:0:-1], half])  # symmetric, w[r] = half[0]
+        x = rng.standard_normal(shape)
+        reference = _strided_convolve(x, w, len(shape) - 1)
+        a = x.copy()
+        got = _direct_convolve(a, w, len(shape) - 1, a if in_place else None)
+        assert (got is a) == in_place and got.flags.c_contiguous
+        assert got.tobytes() == reference.tobytes()
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("d", (1, 2, 3))
 def test_weights_are_exactly_symmetric(family, d):

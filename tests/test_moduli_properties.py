@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from zexlab import moduli
-from zexlab.grid import ExtendedGridFunction, GridFunction, cusp, linear, sample, zero_extend
+from zexlab.grid import (ExtendedGridFunction, GridFunction, _abs_pow, cusp, linear, sample,
+                         shifted_samples, zero_extend)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -56,8 +57,7 @@ def _draw_input(data, d: int):
 def _certified(arr, p: float, radii, interior: bool):
     """Branch and bound on the screen's bounds."""
     split = moduli._split(arr.samples, p, max(radii), interior)
-    return moduli._bound_table(arr.samples, split.shifts, moduli._upper_bounds(split, p),
-                               p, radii, interior)
+    return moduli._bound_table(arr.samples, split, moduli._upper_bounds(split, p), p, radii)
 
 
 def _assert_certified(arr, p: float, radii, interior: bool):
@@ -178,7 +178,54 @@ def test_whole_bounds_hold_on_constant_cubes(d, level):
             assert np.all(values <= moduli._upper_bounds(split, p))
 
 
-# interior inputs for the threaded branch and bound: (d, level, radii)
+def _full_window_sum(window: np.ndarray, k, p: float) -> float:
+    """The window sum as one full difference array: shifted_samples minus
+    the window, its absolute value, the power and numpy's pairwise sum."""
+    diff = shifted_samples(window, k) - window
+    return float(_abs_pow(diff, p, out=diff, zeros=True).sum())
+
+
+def _off_centre(cube: np.ndarray, spare: int) -> np.ndarray:
+    """``cube`` in a window ``spare`` cells wider per axis, one cell from the
+    window's upper edge on axis 0 and from its lower edge on the others, so
+    that shifts carry partners off the window at both."""
+    n, d = cube.shape[0], cube.ndim
+    window = np.zeros((n + spare,) * d)
+    starts = [spare - 1] + [1] * (d - 1)
+    window[tuple(slice(start, start + n) for start in starts)] = cube
+    return window
+
+
+@SETTINGS
+@hypothesis.given(d=st.sampled_from([1, 2, 3]), p=st.sampled_from(POWERS),
+                  data=st.data())
+def test_window_sums_equal_the_full_difference_bit_for_bit(d, p, data):
+    # the box-restricted sum against the full window's difference, over a
+    # support anywhere in the window, shifts up to the window's side and so
+    # partners off it, and one buffer reused by every shift
+    level = data.draw(st.integers(*LEVELS[d]), "level")
+    kind = data.draw(st.sampled_from(("normal", "sparse", "zero")), "samples")
+    seed = data.draw(st.integers(0, 2 ** 32 - 1), "seed")
+    rng = np.random.default_rng(seed)
+    side = (1 << level) + data.draw(st.integers(0, 6), "spare")
+    lo = [data.draw(st.integers(0, side - 1), "lo") for _ in range(d)]
+    hi = [data.draw(st.integers(a + 1, side), "hi") for a in lo]
+    window = np.zeros((side,) * d)
+    if kind != "zero":
+        box = tuple(slice(a, b) for a, b in zip(lo, hi))
+        window[box] = rng.standard_normal(window[box].shape) * (
+            rng.random(window[box].shape) < 0.5 if kind == "sparse" else 1.0)
+    shifts = moduli._half_shifts(d, side * math.sqrt(d), side - 1)
+    shifts = np.concatenate([shifts, -shifts])[rng.permutation(2 * len(shifts))[:60]]
+    support, out = moduli._support_box(window), np.zeros(window.shape)
+    for k in shifts:
+        got = moduli._diff_power_window(window, k, p, out, support)
+        assert np.float64(got).view(np.uint64) == \
+            np.float64(_full_window_sum(window, k, p)).view(np.uint64)
+        assert not out.any()
+
+
+# inputs for the threaded branch and bound, interior and whole: (d, level, radii)
 THREADED = ((1, 9, (1.0, 3.5, 64.0, 200.0)), (2, 5, (1.0, 2.5, 6.0, 12.0)),
             (3, 3, (1.0, 1.8, 3.0, 5.0)))
 
@@ -195,8 +242,8 @@ def interleaved():
         sys.setswitchinterval(interval)
 
 
-def _interior_table(a: np.ndarray, p: float, radii, workers: int):
-    """Branch and bound on an interior input with ``workers`` threads, as
+def _threaded_table(a: np.ndarray, p: float, radii, workers: int, interior: bool = True):
+    """Branch and bound on a cube or a window with ``workers`` threads, as
     (table, helper threads started)."""
     started = []
 
@@ -205,12 +252,12 @@ def _interior_table(a: np.ndarray, p: float, radii, workers: int):
             started.append(self)
             super().start()
 
-    split = moduli._split(a, p, max(radii), True)
+    split = moduli._split(a, p, max(radii), interior)
     upper = moduli._upper_bounds(split, p)
     with mock.patch.object(moduli, "_THREAD_CELLS", 1), \
             mock.patch.object(moduli, "_WORKERS", workers), \
             mock.patch.object(threading, "Thread", Counted):
-        return moduli._bound_table(a, split.shifts, upper, p, radii, True), len(started)
+        return moduli._bound_table(a, split, upper, p, radii), len(started)
 
 
 @pytest.mark.parametrize("evaluations", [None, 3, 40])
@@ -218,20 +265,30 @@ def _interior_table(a: np.ndarray, p: float, radii, workers: int):
 @pytest.mark.parametrize("d, level, radii", THREADED)
 def test_threaded_tables_equal_one_thread(d, level, radii, p, evaluations, interleaved):
     # the budget-capped rows are where a commit past the one-thread walk's
-    # stopping point would show: more rechecked, a higher lower bound
+    # stopping point would show: more rechecked, a higher lower bound.  Each
+    # cube also runs as a whole table, off-centre in a window with mass one
+    # cell from its edge, where the longer shifts' partners leave the window
     helpers = 0
     for kind in SAMPLES:
-        a = _samples(kind, d, level, 1000 * d + level)
-        budget = evaluations * a.size if evaluations else moduli._DIRECT_WORK_BUDGET
-        with mock.patch.object(moduli, "_DIRECT_WORK_BUDGET", budget):
-            one, _ = _interior_table(a, p, radii, 1)
-            assert one.threads == 1 and one.rechecked <= (evaluations or one.shifts)
-            for workers in (2, 3):
-                table, started = _interior_table(a, p, radii, workers)
-                helpers += started
-                assert table.threads == workers
-                assert (table.powers, table.uppers, table.shifts, table.rechecked) == \
-                    (one.powers, one.uppers, one.shifts, one.rechecked)
+        cube = _samples(kind, d, level, 1000 * d + level)
+        window = _off_centre(cube, max(2, cube.shape[0] // 4))
+        for a, interior in ((cube, True), (window, False)):
+            budget = evaluations * a.size if evaluations else moduli._DIRECT_WORK_BUDGET
+            with mock.patch.object(moduli, "_DIRECT_WORK_BUDGET", budget):
+                one, _ = _threaded_table(a, p, radii, 1, interior)
+                assert one.threads == 1 and one.rechecked <= (evaluations or one.shifts)
+                for workers in (2, 3):
+                    table, started = _threaded_table(a, p, radii, workers, interior)
+                    helpers += started
+                    assert table.threads == workers
+                    assert (table.powers, table.uppers, table.shifts, table.rechecked) == \
+                        (one.powers, one.uppers, one.shifts, one.rechecked)
+            if not interior and evaluations is None:
+                shifts = moduli._half_shifts(d, max(radii), a.shape[0] - 1)
+                assert shifts.max() > a.shape[0] - cube.shape[0]  # partners leave
+                full = [_full_window_sum(a, k, p) for k in shifts]
+                assert one.powers == moduli._radius_max((shifts * shifts).sum(axis=1),
+                                                        radii, np.array(full))[0]
     assert helpers  # threads ran on some input, so the comparison means something
 
 
@@ -248,7 +305,7 @@ def test_failing_sum_reaches_the_caller(workers, nth):
     running = threading.active_count()
     with mock.patch.object(moduli, "_diff_power_interior", evaluate):
         with pytest.raises(RuntimeError, match="sum failed"):
-            _interior_table(a, 3.0, (1.0, 12.0), workers)
+            _threaded_table(a, 3.0, (1.0, 12.0), workers)
     assert threading.active_count() == running
 
 
@@ -267,22 +324,30 @@ def test_helper_failure_reaches_the_caller():
     running = threading.active_count()
     with mock.patch.object(moduli, "_diff_power_interior", evaluate):
         with pytest.raises(RuntimeError, match="helper failed"):
-            _interior_table(a, 3.0, (12.0,), 2)
+            _threaded_table(a, 3.0, (12.0,), 2)
     assert raised.is_set() and threading.active_count() == running
 
 
-def test_whole_and_small_tables_start_no_thread():
+def test_small_tables_start_no_thread():
+    # one floor, _THREAD_CELLS, on the cells of the table's own array: the
+    # cube for an interior table, the window for a whole one
     def refuse(*args, **kwargs):
         raise AssertionError("a thread was started")
 
-    level = 8  # 2^16 cells: under the default floor
-    f = sample(cusp(0.5, 0.3), 2, level)
-    g = zero_extend(f, 4)
-    with mock.patch.object(moduli, "_WORKERS", 2), \
-            mock.patch.object(threading, "Thread", refuse):
-        assert f.samples.size < moduli._THREAD_CELLS
-        assert moduli.interior_curve(f, 3.0, [2.0 ** -6]).meta["threads"] == 1
-        with mock.patch.object(moduli, "_THREAD_CELLS", 1):
-            assert moduli.whole_curve(g, 3.0, [2.0 ** -6]).meta["threads"] == 1
+    f = sample(cusp(0.5, 0.3), 2, 8)  # 2^16 cells: under the default floor
+    small, large = zero_extend(f, 4), zero_extend(f, 64)  # 264^2 and 384^2 cells
+    assert small.samples.size < moduli._THREAD_CELLS <= large.samples.size
+    t = [2.0 ** -6]
+    with mock.patch.object(moduli, "_WORKERS", 2):
+        with mock.patch.object(threading, "Thread", refuse):
+            assert moduli.interior_curve(f, 3.0, t).meta["threads"] == 1
+            assert moduli.whole_curve(small, 3.0, t).meta["threads"] == 1
             with pytest.raises(AssertionError, match="a thread was started"):
-                moduli.interior_curve(f, 3.0, [2.0 ** -6])
+                moduli.whole_curve(large, 3.0, t)
+            with mock.patch.object(moduli, "_THREAD_CELLS", 1):
+                with pytest.raises(AssertionError, match="a thread was started"):
+                    moduli.interior_curve(f, 3.0, t)
+        assert moduli.whole_curve(large, 3.0, t).meta["threads"] == 2
+        with mock.patch.object(moduli, "_THREAD_CELLS", 1):
+            assert moduli.interior_curve(f, 3.0, t).meta["threads"] == 2
+            assert moduli.whole_curve(small, 3.0, t).meta["threads"] == 2
