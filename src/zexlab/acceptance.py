@@ -29,6 +29,7 @@ class GateResult:
     elapsed: float
     limit: float | None = None
     artifacts: dict = field(default_factory=dict)
+    crashed: bool = False  # the body raised; passed is False
 
     @property
     def in_budget(self) -> bool:
@@ -43,14 +44,15 @@ class GateResult:
 
 def _gate(name, limit, fn) -> GateResult:
     """Run one gate body; a crash becomes a FAIL so later gates still run."""
-    start = time.perf_counter()
+    start, crashed = time.perf_counter(), False
     try:
         passed, details, artifacts = fn()
     except Exception as exc:
         traceback.print_exc()
         passed, details, artifacts = False, f"crashed: {type(exc).__name__}: {exc}", {}
+        crashed = True
     elapsed = time.perf_counter() - start
-    return GateResult(name, passed, details, elapsed, limit, artifacts)
+    return GateResult(name, passed, details, elapsed, limit, artifacts, crashed)
 
 
 # ---------------------------------------------------------------------------

@@ -18,13 +18,15 @@ Function expressions use the grammar ``tag key=value key=value ...``:
 
 Exit codes: 0 success, 1 a verification gate failed, 2 configuration error,
 3 no result: the input is valid but the measurement it asks for is undefined
-(a vanishing modulus has no rate).
+(a vanishing modulus has no rate), 4 a crash: any other exception, its
+traceback on stderr (``verify`` runs every gate first).
 """
 from __future__ import annotations
 
 import argparse
 import sys
 import time
+import traceback
 from pathlib import Path
 
 from . import acceptance, adaptive, besov, dyadic, kernels, moduli
@@ -260,15 +262,16 @@ def cmd_besov_fit(config) -> int:
     grid = _t_grid(config, f.level)
     window = config.get("window", besov.default_fit_window(f.level))
     out = _outdir(config)
-    lines = []
+    lines, curves = [], []
     for p in config.get("p", (2.0,)):
         zc = moduli.interior_curve(f, p, grid, name=spec.describe())
         fit = besov.fit_exponent(zc, window)
         lines.append(f"p={p:g} kind=interior slope={fit.slope!r} "
                      f"intercept={fit.intercept!r} residual_rms={fit.residual_rms!r} "
                      f"n={fit.n_points}")
+        curves.append((f"modulus_interior_p{p:g}", zc))
     _write(out, "besov_fit.txt", "\n".join(lines) + "\n")
-    _write_meta(out, config)
+    _write_meta(out, config, curves)
     print("\n".join(lines))
     return 0
 
@@ -314,14 +317,15 @@ def cmd_verify(config) -> int:
     out = _outdir(config)
     seed = int(config.get("seed", acceptance.DEFAULT_SEED))
     _write_meta(out, config)  # first, so partial artifacts carry their config
-    all_ok = True
+    all_ok, crashed = True, False
     for gate in acceptance.GATES:
         result = acceptance.run_gate(gate, seed)
         print(result.line(), flush=True)
         all_ok = all_ok and result.passed and result.in_budget
+        crashed = crashed or result.crashed
         for name, body in result.artifacts.items():
             _write(out, name, body)
-    return 0 if all_ok else 1
+    return 4 if crashed else 0 if all_ok else 1
 
 
 _COMMANDS = {
@@ -361,6 +365,9 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        return 4
 
 
 if __name__ == "__main__":

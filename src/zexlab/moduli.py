@@ -45,21 +45,17 @@ alone picks what the table does with the split; callers cannot choose it:
 Every FFT here and in ``kernels`` is one ``_fft_product``, scipy.fft's passes
 bit for bit; a screen keeps only the rows 0 <= k_0 <= max k_0 it reads.
 
-One thread policy serves the direct sums and the FFT passes: ``_WORKERS``
-threads, one per usable core, on work of at least a floor of cells, and the
-calling thread below it.  On a table of at least ``_THREAD_CELLS`` cells,
-the cube's or the window's, the direct sums run on every thread, each into
-its own buffer; on a smaller table handing the interpreter lock between
-threads cost more than they gained.  A whole table's buffer is a window
-zeroed once, and each sum writes only the box where its difference can be
-nonzero (``_diff_power_window``).  An FFT pass over an array of at least
-``_FFT_THREAD_CELLS`` cells splits its independent lines (the batch and the
-axes not being transformed) into one part per thread, joined once per pass;
-numpy.fft releases the lock, and each line is still transformed alone.  Its floor is higher because each pass pays its own
-start and join: on passes of 2^17 cells two threads ran no faster and used
-up to 1.8x the CPU.  Values, uppers, ``rechecked`` and every FFT byte do not
-depend on the thread count, and nothing but the process's CPU affinity
-(e.g. ``taskset``) sets it.
+Only the direct sums run on threads: ``_WORKERS``, one per usable core, on
+a table of at least ``_THREAD_CELLS`` cells, the cube's or the window's,
+each into its own buffer; on a smaller table handing the interpreter lock
+between threads cost more than they gained.  A whole table's buffer is a
+window zeroed once, and each sum writes only the box where its difference
+can be nonzero (``_diff_power_window``).  Every FFT pass runs on the
+calling thread: numpy.fft releases the interpreter lock, but splitting each
+pass's lines over two cores cost ``verify`` about 0.6 s of CPU and saved no
+wall time beyond its run-to-run spread (2 cores, numpy 2.4).  Values, uppers
+and ``rechecked`` do not depend on the thread count, and nothing but the
+process's CPU affinity (e.g. ``taskset``) sets it.
 
 Direct evaluation is capped at ``_DIRECT_WORK_BUDGET`` cells of work.  A radius
 left unfinished at the cap keeps the best value found, a lower bound flagged
@@ -174,15 +170,12 @@ _FFT_ULPS = 16
 _POW_ULPS = 8
 # candidate shifts per _half_shifts block: bounds the candidate temporaries
 _SHIFT_BLOCK = 1 << 12
-# threads of a table's direct sums and of an FFT pass: every usable core
+# threads of a table's direct sums: every usable core
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 # the fewest cells of a table (the cube's or the window's) whose direct sums
 # run on _WORKERS threads
 _THREAD_CELLS = 1 << 17
-# the fewest cells of an FFT pass's array whose lines run on _WORKERS threads:
-# a pass joins its threads alone, and on 2^17 cells two ran no faster
-_FFT_THREAD_CELLS = 1 << 18
 
 
 def _gamma(k: float) -> float:
@@ -515,22 +508,6 @@ def _on_threads(work, count: int):
         raise errors[0]
 
 
-def _on_lines(run, shape, axis: int):
-    """run(part) for index tuples ``part`` that split an array of ``shape``
-    into even parts along its longest axis but ``axis``, the one its lines
-    run along: one part per thread (``_on_threads``) for an array of at
-    least ``_FFT_THREAD_CELLS`` cells, else the whole array on the caller's."""
-    cut = max((a for a in range(len(shape)) if a != axis % len(shape)),
-              key=shape.__getitem__, default=None)
-    small = cut is None or math.prod(shape) < _FFT_THREAD_CELLS
-    count = 1 if small else min(_WORKERS, shape[cut])
-    if count < 2:
-        return run((...,))
-    ends = [shape[cut] * w // count for w in range(count + 1)]
-    parts = [(slice(None),) * cut + (slice(lo, hi),) for lo, hi in zip(ends, ends[1:])]
-    _on_threads(lambda w: run(parts[w]), count)
-
-
 def _fft_product(factors, grid, combine, keep, out=None) -> np.ndarray:
     """out[p] (C-contiguous; made if None): the irfftn over the last m =
     len(grid) axes, cut to ``keep`` (a slice per axis), of the p-th complex
@@ -546,10 +523,8 @@ def _fft_product(factors, grid, combine, keep, out=None) -> np.ndarray:
     ``_BLOCK_BYTES`` of a factor's spectrum: of lines for m = 1, else of
     last-axis frequencies and then of lines for the last inverse.  Last-axis
     spectra live from first use to the last block; a block's products go
-    before the next block's spectra.  Each line is transformed alone, and a
-    pass over at least ``_FFT_THREAD_CELLS`` cells splits its lines over
-    ``_WORKERS`` threads (``_on_lines``), each into its own part of the
-    pass's output, so the bytes do not depend on the thread count."""
+    before the next block's spectra.  Each line is transformed alone, on
+    the calling thread (see the module docstring)."""
     m, fast, grid = len(grid), grid[-1], tuple(grid)
     half = fast // 2 + 1
     kept = tuple(len(range(n)[cut]) for n, cut in zip(grid, keep))
@@ -558,30 +533,16 @@ def _fft_product(factors, grid, combine, keep, out=None) -> np.ndarray:
     scale = np.float64(1 / np.longdouble(math.prod(grid)))
     spectra = {}
 
-    def rfft(a):
-        made = np.empty(a.shape[:-1] + (half,), complex)
-        _on_lines(lambda part: np.fft.rfft(a[part], fast, axis=-1, out=made[part]), a.shape, -1)
-        return made
-
     def transform(i, last):
         # factor i's last-axis spectra: made once, then held to its last block
         if i not in spectra:
             a, factors[i] = factors[i][0], None
-            spectra[i] = rfft(a)
+            spectra[i] = np.fft.rfft(a, fast, axis=-1)
         return spectra.pop(i) if last else spectra[i]
 
-    def in_place(fft, a, axis, **kwargs):
-        _on_lines(lambda part: fft(a[part], axis=axis, out=a[part], **kwargs), a.shape, axis)
-
     def inverse(spectrum, lines):
-        # made by the caller: a helper thread's own temporaries would stay
-        # resident in its malloc arena (6 MB more peak RSS on verify)
-        full = np.empty(spectrum.shape[:-1] + (fast,))
-
-        def run(part):
-            np.multiply(np.fft.irfft(spectrum[part], fast, axis=-1, norm="forward",
-                                     out=full[part])[..., keep[-1]], scale, out=lines[part])
-        _on_lines(run, spectrum.shape, -1)
+        np.multiply(np.fft.irfft(spectrum, fast, axis=-1, norm="forward")[..., keep[-1]],
+                    scale, out=lines)
 
     if m == 1:
         rows = [a.reshape(-1, a.shape[-1]) if a.ndim > 1 else None for a, _ in factors]
@@ -590,7 +551,7 @@ def _fft_product(factors, grid, combine, keep, out=None) -> np.ndarray:
             def spectrum(i):
                 if rows[i] is None:  # one spectrum serves every block
                     return transform(i, j == len(blocks) - 1)
-                return rfft(rows[i][block])
+                return np.fft.rfft(rows[i][block], fast, axis=-1)
 
             prods = combine(spectrum)
             out = np.empty((len(prods),) + batch + kept) if out is None else out
@@ -607,14 +568,14 @@ def _fft_product(factors, grid, combine, keep, out=None) -> np.ndarray:
             spread[(..., *support, slice(None))] = lines
             for axis in range(m - 1):
                 sel = (..., *(slice(None),) * (axis + 1), *support[axis + 1:], slice(None))
-                in_place(np.fft.fft, spread[sel], axis - m)
+                np.fft.fft(spread[sel], axis=axis - m, out=spread[sel])
             return spread
 
         prods = combine(spectrum)
         for p, prod in enumerate(prods):
             for axis, cut in enumerate(keep[:-1]):
-                in_place(np.fft.ifft, prod, axis - m, norm="forward")
-                prod = prod[(..., cut, *(slice(None),) * (m - 1 - axis))]
+                prod = np.fft.ifft(prod, axis=axis - m, norm="forward", out=prod)[
+                    (..., cut, *(slice(None),) * (m - 1 - axis))]
             if held is None:
                 held = np.empty((len(prods),) + batch + kept[:-1] + (half,), complex)
             held[p][..., cols] = prod

@@ -112,7 +112,8 @@ def test_crashing_gate_fails_alone(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(acceptance, "GATES", (gate_crashing, gate_cheap))
     out = tmp_path / "verify"
-    assert main(["verify", "--out", str(out)]) == 1
+    # a crash exits 4, not a failed check's 1, once every gate has run
+    assert main(["verify", "--out", str(out)]) == 4
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("[FAIL] crashing gate")
     assert lines[0].endswith("crashed: RuntimeError: boom")

@@ -421,6 +421,45 @@ def test_besov_fit_subcommand(tmp_path, capsys):
     assert "slope=" in capsys.readouterr().out
 
 
+def test_besov_fit_run_meta_records_curve_provenance(tmp_path):
+    # each p's interior curve writes the provenance lines `modulus` writes
+    # for the same curve; besov_fit.txt holds the fit lines alone
+    text = "function = cusp alpha=0.5\nd = 1\nL = 10\np = 2,3\n"
+    cfg = _write_config(tmp_path, text)
+    fit, mod = tmp_path / "fit", tmp_path / "mod"
+    assert main(["besov-fit", "--config", cfg, "--out", str(fit)]) == 0
+    assert main(["modulus", "--config", cfg, "--out", str(mod)]) == 0
+
+    def provenance(out):
+        lines = (out / "run_meta.txt").read_text().splitlines()
+        return [line for line in lines if line.startswith("modulus_interior_p")]
+
+    got, expected = provenance(fit), provenance(mod)
+    keys = ("method", "exact", "shifts", "rechecked", "upper", "threads", "elapsed")
+    assert [line.split("=")[0] for line in got] == \
+        [f"modulus_interior_p{p}.{key}" for p in (2, 3) for key in keys]
+    assert [line for line in got if ".elapsed=" not in line] == \
+        [line for line in expected if ".elapsed=" not in line]
+    fits = (fit / "besov_fit.txt").read_text().splitlines()
+    assert [line.split()[:2] for line in fits] == [["p=2", "kind=interior"],
+                                                   ["p=3", "kind=interior"]]
+
+
+def test_crash_in_a_command_exits_4(tmp_path, capsys, monkeypatch):
+    # an exception that is no config error or no-result is a crash: exit 4,
+    # apart from a failed check's 1, with its traceback on stderr
+    from zexlab import moduli
+
+    def failing(*args, **kwargs):
+        raise RuntimeError("table failed")
+
+    monkeypatch.setattr(moduli, "_build_table", failing)
+    cfg = _write_config(tmp_path, "function = cusp alpha=0.5\nd = 1\nL = 8\np = 2\n")
+    assert main(["modulus", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" in err and err.rstrip().endswith("RuntimeError: table failed")
+
+
 def test_besov_fit_on_vanishing_modulus_exits_3(tmp_path, capsys):
     cfg = _write_config(tmp_path, "function = const value=0\nd = 1\nL = 10\np = 2\n")
     assert main(["besov-fit", "--config", cfg, "--out", str(tmp_path / "o")]) == 3

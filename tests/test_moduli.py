@@ -373,10 +373,8 @@ def test_fft_product_matches_scipy_bit_for_bit(monkeypatch, budget, shape, grid)
     # the E2 and E4 products of the screens, blockwise, equal scipy's rfftn
     # and irfftn over the whole grid cut to the kept rows; numpy's own rfftn
     # runs the axes before the last in reverse, which moves last bits in
-    # 3-d, and a leading axis outside the grid is a batch.  Every pass of
-    # at least one cell splits its lines over 1, 2 and 3 threads.
+    # 3-d, and a leading axis outside the grid is a batch
     monkeypatch.setattr(moduli, "_BLOCK_BYTES", budget)
-    monkeypatch.setattr(moduli, "_FFT_THREAD_CELLS", 1)
     arr = np.random.default_rng(len(shape)).standard_normal(shape)
     m = len(grid)
     axes = tuple(range(-m, 0))
@@ -384,21 +382,22 @@ def test_fft_product_matches_scipy_bit_for_bit(monkeypatch, budget, shape, grid)
     keep = (slice(0, rows),) + (slice(None),) * (m - 1)
     powers = [arr, arr * arr, arr * arr * arr]
     full = [sfft.rfftn(a, grid, axes=axes) for a in powers]
-    for workers in (1, 2, 3):
-        monkeypatch.setattr(moduli, "_WORKERS", workers)
-        # the p-th product of the list fills out[p]
-        both = moduli._fft_product([(a, 0) for a in powers], grid, _both, keep)
-        for i, (product, n) in enumerate(((_e2, 1), (_e4, 3))):
-            expected = sfft.irfftn(product(*full[:n]), grid, axes=axes)[(..., *keep)]
-            got, = moduli._fft_product([(a, 0) for a in powers[:n]], grid,
-                                       lambda F: [product(*(F(j) for j in range(n)))], keep)
-            assert got.shape == expected.shape and both.shape == (2,) + expected.shape
-            assert got.tobytes() == expected.tobytes()
-            assert both[i].tobytes() == expected.tobytes()
+    # the p-th product of the list fills out[p]
+    both = moduli._fft_product([(a, 0) for a in powers], grid, _both, keep)
+    for i, (product, n) in enumerate(((_e2, 1), (_e4, 3))):
+        expected = sfft.irfftn(product(*full[:n]), grid, axes=axes)[(..., *keep)]
+        got, = moduli._fft_product([(a, 0) for a in powers[:n]], grid,
+                                   lambda F: [product(*(F(j) for j in range(n)))], keep)
+        assert got.shape == expected.shape and both.shape == (2,) + expected.shape
+        assert got.tobytes() == expected.tobytes()
+        assert both[i].tobytes() == expected.tobytes()
 
 
-def _counted_threads(monkeypatch) -> list:
-    """The helper threads started from here on, as a list that grows."""
+def test_fft_product_starts_no_thread(monkeypatch):
+    # every pass runs on the calling thread, even with two usable cores:
+    # (200, 200) on a 256^2 grid, (600, 600) on 1024^2 (a 360,000-cell
+    # first rfft), and a batch of 1-d lines
+    monkeypatch.setattr(moduli, "_WORKERS", 2)
     started = []
 
     class Counted(threading.Thread):
@@ -407,45 +406,15 @@ def _counted_threads(monkeypatch) -> list:
             super().start()
 
     monkeypatch.setattr(threading, "Thread", Counted)
-    return started
-
-
-def test_fft_pass_under_the_floor_starts_no_thread(monkeypatch):
-    # (200, 200) on a 256^2 grid: every pass's array holds 40,000 to 33,024
-    # cells; (600, 600) on 1024^2 starts with a 360,000-cell rfft
-    monkeypatch.setattr(moduli, "_WORKERS", 2)
-    started = _counted_threads(monkeypatch)
-    keep = (slice(None),) * 2
-    for side, grid, threads in ((200, 256, False), (600, 1024, True)):
-        arr = np.random.default_rng(side).standard_normal((side, side))
-        assert (side * side >= moduli._FFT_THREAD_CELLS) == threads
-        assert grid * (grid // 2 + 1) < moduli._FFT_THREAD_CELLS or threads
-        got, = moduli._fft_product([(arr, 0)], (grid, grid), lambda F: [_e2(F(0))], keep)
-        assert got.tobytes() == sfft.irfftn(_e2(sfft.rfftn(arr, (grid, grid))),
-                                            (grid, grid)).tobytes()
-        assert bool(started) == threads
-    assert all(not thread.is_alive() for thread in started)
-
-
-@pytest.mark.parametrize("name", ["rfft", "fft", "ifft", "irfft"])
-def test_fft_helper_failure_reaches_the_caller(monkeypatch, name):
-    # a helper's pass raises while the caller's part runs; the caller
-    # raises it once every helper has joined
-    caller, real = threading.current_thread(), getattr(np.fft, name)
-
-    def failing(*args, **kwargs):
-        if threading.current_thread() is not caller:
-            raise RuntimeError(f"{name} failed")
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(moduli, "_FFT_THREAD_CELLS", 1)
-    monkeypatch.setattr(moduli, "_WORKERS", 2)
-    monkeypatch.setattr(np.fft, name, failing)
-    started = _counted_threads(monkeypatch)
-    arr = np.random.default_rng(3).standard_normal((40, 30))
-    with pytest.raises(RuntimeError, match=f"{name} failed"):
-        moduli._fft_product([(arr, 0)], (64, 48), lambda F: [_e2(F(0))], (slice(None),) * 2)
-    assert started and all(not thread.is_alive() for thread in started)
+    for shape, grid in (((200, 200), (256, 256)), ((600, 600), (1024, 1024)),
+                        ((300, 2000), (4096,))):
+        arr = np.random.default_rng(shape[0]).standard_normal(shape)
+        axes = tuple(range(-len(grid), 0))
+        got, = moduli._fft_product([(arr, 0)], grid, lambda F: [_e2(F(0))],
+                                   (slice(None),) * len(grid))
+        assert got.tobytes() == sfft.irfftn(_e2(sfft.rfftn(arr, grid, axes=axes)),
+                                            grid, axes=axes).tobytes()
+    assert not started
 
 
 @pytest.mark.parametrize("budget", (4000, 8 << 20), ids=["small", "default"])
