@@ -330,6 +330,7 @@ def gate_kernel_hypotheses() -> GateResult:
                                 f"contraction violated by {gap:.2e}")
                         rows.append((member.d, member.name, family, t, p, n_in,
                                      n_out, gap))
+                    del g, smoothed  # neither window outlives its kernel
         # equivalence band for the smooth family
         grid = [2.0 ** (-j) for j in range(7, 2, -1)]
         for member in corpus(d=1):

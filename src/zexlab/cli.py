@@ -139,9 +139,17 @@ def _write_meta(out: Path, config: dict, curves=()):
     _write(out, "run_meta.txt", "\n".join(lines) + "\n")
 
 
+def _spec(config):
+    """The config's function spec; a missing parameter is a config error."""
+    try:
+        return parse_spec(config["function"])  # random specs carry their own seed
+    except KeyError as exc:
+        raise ConfigError(exc.args[0]) from None
+
+
 def _function(config):
     _require(config, "function", "d", "L")
-    spec = parse_spec(config["function"])  # random specs carry their own seed
+    spec = _spec(config)
     return sample(spec, config["d"], config["L"]), spec
 
 
@@ -296,7 +304,7 @@ def cmd_exponent_drop(config) -> int:
 
 def cmd_embedding(config) -> int:
     _require(config, "function", "d")
-    spec = parse_spec(config["function"])
+    spec = _spec(config)
     p = _single_p(config)
     q = config.get("q", 2.0)
     out = _outdir(config)
@@ -362,7 +370,7 @@ def main(argv=None) -> int:
     except besov.VanishingModulusError as exc:
         print(f"no result: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ValueError, KeyError) as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .besov import fit_points
 from .grid import (_MAX_CELLS, ExtendedGridFunction, GridFunction,
-                   _check_exponent, _shift_cells, lp_norm, shifted_samples, zero_extend)
+                   _check_exponent, _shift_cells, lp_norm, zero_extend)
 from .moduli import (ModulusCurve, _fft_product, _next_fast_len, _scales, hybrid_curve,
                      whole_modulus)
 
@@ -170,7 +170,7 @@ def _convolve_axis(a: np.ndarray, w: np.ndarray, axis: int,
     when ``axis`` is the last."""
     if len(w) <= 2 * _FFT_KERNEL_CUTOFF + 1:
         return _direct_convolve(a, w, axis, out)
-    return np.moveaxis(_fft_convolve(np.moveaxis(a, axis, -1), w, out=out), -1, axis)
+    return np.moveaxis(_fft_convolve(np.moveaxis(a, axis, -1), [w], out=out), -1, axis)
 
 
 def _direct_convolve(a: np.ndarray, w: np.ndarray, axis: int,
@@ -220,17 +220,21 @@ def _convolve_separable(g: ExtendedGridFunction, weights) -> np.ndarray:
     return _convolve_axis(out, weights[-1], g.d - 1, None if out is g.samples else out)
 
 
-def _fft_convolve(x: np.ndarray, w: np.ndarray, support: slice | None = None,
+def _fft_convolve(x: np.ndarray, weights: list, support: slice | None = None,
                   out: np.ndarray | None = None) -> np.ndarray:
     """``signal.fftconvolve(x, w, "same")`` over the last ``m = w.ndim`` axes
     of x, bit for bit, into ``out`` (C-contiguous; it may be x) if given; the
     leading axes are a batch, and the m axes are all as long as x's last.
-    One ``_fft_product`` of x's lines on ``support`` (default all)."""
+    One ``_fft_product`` of x's lines on ``support`` (default all).  w is
+    taken out of the one-item list ``weights``, so that once its spectrum is
+    made nothing holds it unless the caller kept it."""
+    w = weights.pop()
     m, n, k = w.ndim, x.shape[-1], w.shape[0]
     support = slice(0, n) if support is None else support
     crop = slice((k - 1) // 2, (k - 1) // 2 + n)
-    product = _fft_product([(x[(..., *(support,) * (m - 1), slice(None))], support.start),
-                            (w, 0)], (_next_fast_len(n + k - 1, True),) * m,
+    factors = [(x[(..., *(support,) * (m - 1), slice(None))], support.start), (w, 0)]
+    del w
+    product = _fft_product(factors, (_next_fast_len(n + k - 1, True),) * m,
                            lambda F: [operator.imul(F(0), F(1))], (crop,) * m,
                            None if out is None else out[np.newaxis])
     return product[0] if out is None else out
@@ -255,28 +259,9 @@ def apply_kernel(spec: KernelSpec, g: ExtendedGridFunction) -> ExtendedGridFunct
     mode, weights = kernel_weights(spec, g.d, g.level)
     if mode == "separable":
         out = _convolve_separable(g, weights)
-    else:
+    else:  # handed over: the d-dim weights go once their spectrum is made
+        weights = [weights]
         out = _fft_convolve(g.samples, weights, slice(g.margin, g.margin + g.n))
-    return ExtendedGridFunction(g.d, g.level, g.margin, out)
-
-
-def apply_kernel_direct(spec: KernelSpec, g: ExtendedGridFunction) -> ExtendedGridFunction:
-    """Direct-sum convolution; regression reference for the fast paths."""
-    radius = kernel_radius_cells(spec, g.d, g.level)
-    if radius > g.margin:
-        raise ValueError("kernel radius exceeds margin")
-    mode, weights = kernel_weights(spec, g.d, g.level)
-    if mode == "separable":
-        full = weights[0]
-        for w in weights[1:]:
-            full = np.multiply.outer(full, w)
-    else:
-        full = weights
-    out = np.zeros_like(g.samples)
-    r = (full.shape[0] - 1) // 2
-    for idx in np.ndindex(*full.shape):
-        k = tuple(int(i) - r for i in idx)
-        out += full[idx] * shifted_samples(g.samples, k)
     return ExtendedGridFunction(g.d, g.level, g.margin, out)
 
 

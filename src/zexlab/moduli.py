@@ -43,7 +43,11 @@ alone picks what the table does with the split; callers cannot choose it:
   direct enumeration bit for bit.
 
 Every FFT here and in ``kernels`` is one ``_fft_product``, scipy.fft's passes
-bit for bit; a screen keeps only the rows 0 <= k_0 <= max k_0 it reads.
+bit for bit; a screen keeps only the rows 0 <= k_0 <= max k_0 it reads.  In
+d >= 2 one call holds at once, besides its output, the last-axis column
+pieces not yet used, one block's spreads, the finished column results and
+two line buffers; a factor goes once its pieces are made, unless its
+caller keeps it.
 
 Only the direct sums run on threads: ``_WORKERS``, one per usable core, on
 a table of at least ``_THREAD_CELLS`` cells, the cube's or the window's,
@@ -306,24 +310,6 @@ def _direct_sums(arr: np.ndarray, p: float, interior: bool, box):
             lambda: np.zeros(arr.shape))
 
 
-def _direct_values(arr: np.ndarray, shifts: np.ndarray, p: float,
-                   interior: bool) -> np.ndarray:
-    """The cell sum of |f(i+k) - f(i)|^p for each shift k, one difference
-    sum per shift, inside the cube or over the whole window."""
-    evaluate, buffer = _direct_sums(arr, p, interior, None if interior else _support_box(arr))
-    out = buffer()
-    return np.array([evaluate(k, out) for k in shifts])
-
-
-def _enumerated_table(arr: np.ndarray, p: float, radii, interior: bool) -> _SupTable:
-    """Evaluate every shift of the half ball, one difference sum per shift:
-    the reference that every other table reproduces."""
-    shifts = _half_shifts(arr.ndim, max(radii), arr.shape[0] - 1)
-    powers, = _radius_max((shifts * shifts).sum(axis=1), radii,
-                          _direct_values(arr, shifts, p, interior))
-    return _SupTable(powers, powers, "direct", len(shifts), len(shifts))
-
-
 def _box_sums(pref: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Sums over the boxes lo <= i <= hi (one box per row) from the prefix
     sums ``pref``, by inclusion-exclusion over the 2^d corners."""
@@ -514,31 +500,29 @@ def _fft_product(factors, grid, combine, keep, out=None) -> np.ndarray:
     product in the list ``combine(F)``.  F(i), called once a block, is the
     rfftn of factors[i] = (array, start) zero-padded to ``grid``: the array
     at ``start`` on each axis but the last, its axes before the last m a
-    batch.  An array leaves ``factors`` once its whole last-axis rfft is made.
+    batch.  An array leaves ``factors`` once its whole last-axis rfft is
+    made, so a caller that keeps no other name for it lets it go then.
 
     The passes are scipy.fft's, bit for bit: rfft on the last axis, then the
     others in order (numpy's rfftn reverses them, which moves bits from
     m = 3 on); inverses in that order, then irfft times 1/N.  Every pass
     skips lines zero going in or cut coming out, in blocks of at most
     ``_BLOCK_BYTES`` of a factor's spectrum: of lines for m = 1, else of
-    last-axis frequencies and then of lines for the last inverse.  Last-axis
-    spectra live from first use to the last block; a block's products go
-    before the next block's spectra.  Each line is transformed alone, on
-    the calling thread (see the module docstring)."""
+    last-axis frequencies (columns) and then of lines for the last inverse.
+    For m >= 2 a factor's last-axis rfft runs a block of lines at a time
+    through one buffer into one piece per column block; a piece goes once
+    spread over the grid, each block's cut inverse is kept as its own
+    array, and the last irfft gathers each line block from those through
+    one buffer.  So a call holds at once, besides ``out``, the column
+    pieces not yet used, one block's spreads, the finished column results
+    and two line buffers.  Each line is transformed alone, on the calling
+    thread (see the module docstring)."""
     m, fast, grid = len(grid), grid[-1], tuple(grid)
     half = fast // 2 + 1
     kept = tuple(len(range(n)[cut]) for n, cut in zip(grid, keep))
     shapes, starts = [a.shape for a, _ in factors], [start for _, start in factors]
     batch = np.broadcast_shapes(*(shape[:-m] for shape in shapes))
     scale = np.float64(1 / np.longdouble(math.prod(grid)))
-    spectra = {}
-
-    def transform(i, last):
-        # factor i's last-axis spectra: made once, then held to its last block
-        if i not in spectra:
-            a, factors[i] = factors[i][0], None
-            spectra[i] = np.fft.rfft(a, fast, axis=-1)
-        return spectra.pop(i) if last else spectra[i]
 
     def inverse(spectrum, lines):
         np.multiply(np.fft.irfft(spectrum, fast, axis=-1, norm="forward")[..., keep[-1]],
@@ -546,44 +530,71 @@ def _fft_product(factors, grid, combine, keep, out=None) -> np.ndarray:
 
     if m == 1:
         rows = [a.reshape(-1, a.shape[-1]) if a.ndim > 1 else None for a, _ in factors]
-        blocks = _blocks(math.prod(batch), 16 * half)
+        blocks, spectra = _blocks(math.prod(batch), 16 * half), {}
         for j, block in enumerate(blocks):
             def spectrum(i):
-                if rows[i] is None:  # one spectrum serves every block
-                    return transform(i, j == len(blocks) - 1)
-                return np.fft.rfft(rows[i][block], fast, axis=-1)
+                if rows[i] is not None:
+                    return np.fft.rfft(rows[i][block], fast, axis=-1)
+                if i not in spectra:  # one spectrum serves every block
+                    a, factors[i] = factors[i][0], None
+                    spectra[i] = np.fft.rfft(a, fast, axis=-1)
+                return spectra.pop(i) if j == len(blocks) - 1 else spectra[i]
 
             prods = combine(spectrum)
             out = np.empty((len(prods),) + batch + kept) if out is None else out
             for p, prod in enumerate(prods):
                 inverse(prod, out[p].reshape(-1, kept[-1])[block])
         return out
-    blocks, held = _blocks(half, 16 * math.prod(batch) * math.prod(grid[:-1])), None
-    for j, cols in enumerate(blocks):
-        def spectrum(i):
-            # the line spectra first, so that a released factor is gone
-            lines = transform(i, j == len(blocks) - 1)[..., cols]
-            support = tuple(slice(starts[i], starts[i] + n) for n in shapes[i][-m:-1])
-            spread = np.zeros(shapes[i][:-m] + grid[:-1] + lines.shape[-1:], complex)
-            spread[(..., *support, slice(None))] = lines
-            for axis in range(m - 1):
-                sel = (..., *(slice(None),) * (axis + 1), *support[axis + 1:], slice(None))
-                np.fft.fft(spread[sel], axis=axis - m, out=spread[sel])
-            return spread
+    blocks = _blocks(half, 16 * math.prod(batch) * math.prod(grid[:-1]))
+    pieces, done = {}, []
 
-        prods = combine(spectrum)
+    def columns(i):
+        # factor i's last-axis rfft, a block of lines at a time through one
+        # buffer, scattered into one piece per column block
+        a, factors[i] = factors[i][0], None
+        made = [np.empty(a.shape[:-1] + (cols.stop - cols.start,), complex) for cols in blocks]
+        lines = _blocks(len(a), 16 * half * math.prod(a.shape[1:-1]))
+        buffer = np.empty((lines[0].stop,) + a.shape[1:-1] + (half,), complex)
+        for rows in lines:
+            spectrum = np.fft.rfft(a[rows], fast, axis=-1, out=buffer[:rows.stop - rows.start])
+            for piece, cols in zip(made, blocks):
+                piece[rows] = spectrum[..., cols]
+        return made
+
+    def spread(i, j):
+        # block j's piece of factor i, dropped once spread over the grid
+        if i not in pieces:
+            pieces[i] = columns(i)
+        lines, pieces[i][j] = pieces[i][j], None
+        support = tuple(slice(starts[i], starts[i] + n) for n in shapes[i][-m:-1])
+        spread = np.zeros(shapes[i][:-m] + grid[:-1] + lines.shape[-1:], complex)
+        spread[(..., *support, slice(None))] = lines
+        del lines
+        for axis in range(m - 1):
+            sel = (..., *(slice(None),) * (axis + 1), *support[axis + 1:], slice(None))
+            np.fft.fft(spread[sel], axis=axis - m, out=spread[sel])
+        return spread
+
+    for j in range(len(blocks)):
+        prods = combine(lambda i: spread(i, j))
         for p, prod in enumerate(prods):
             for axis, cut in enumerate(keep[:-1]):
                 prod = np.fft.ifft(prod, axis=axis - m, norm="forward", out=prod)[
                     (..., cut, *(slice(None),) * (m - 1 - axis))]
-            if held is None:
-                held = np.empty((len(prods),) + batch + kept[:-1] + (half,), complex)
-            held[p][..., cols] = prod
+            if j == 0:
+                done.append([])
+            done[p].append(prod.copy())  # the cut columns alone, not their spread
         del prods, prod
-    out = np.empty(held.shape[:-1] + kept[-1:]) if out is None else out
-    lines, held = out.reshape(-1, kept[-1]), held.reshape(-1, half)
-    for block in _blocks(len(held), 16 * half):
-        inverse(held[block], lines[block])
+    out = np.empty((len(done),) + batch + kept) if out is None else out
+    lines = _blocks(math.prod(batch + kept[:-1]), 16 * half)
+    gathered = np.empty((lines[0].stop, half), complex)
+    for p, cut in enumerate(done):
+        cut, done[p] = [c.reshape(-1, c.shape[-1]) for c in cut], None
+        for rows in lines:
+            part = gathered[:rows.stop - rows.start]
+            for piece, cols in zip(cut, blocks):
+                part[:, cols] = piece[rows]
+            inverse(part, out[p].reshape(-1, kept[-1])[rows])
     return out
 
 
@@ -725,8 +736,8 @@ def _split(arr: np.ndarray, p: float, rmax: float, interior: bool, reach=None,
 
 
 def _upper_bounds(split: _Split, p: float) -> np.ndarray:
-    """A certified upper bound U(k) on the computed ``_direct_values`` sum at
-    every shift of the split.
+    """A certified upper bound U(k) at every shift of the split on the sum
+    that ``_direct_sums`` computes for it.
 
     The computed sum rounds each difference in B once, raises it to p (at
     most _POW_ULPS u), and adds at most m terms, m the array's cells, the
@@ -791,7 +802,7 @@ def _descending_sums(evaluate, shifts: np.ndarray, bounds: np.ndarray, best: flo
 def _bound_table(arr: np.ndarray, split: _Split, upper: np.ndarray, p: float,
                  radii) -> _SupTable:
     """Branch and bound over the split's half ball, given each shift's
-    certified upper bound ``upper`` on its ``_direct_values`` sum.
+    certified upper bound ``upper`` on its ``_direct_sums`` sum.
 
     At each lookup radius, ascending, the shifts within it that are not yet
     evaluated are evaluated by direct difference sums in descending bound

@@ -460,6 +460,29 @@ def test_crash_in_a_command_exits_4(tmp_path, capsys, monkeypatch):
     assert "Traceback" in err and err.rstrip().endswith("RuntimeError: table failed")
 
 
+def test_key_error_in_a_command_exits_4(tmp_path, capsys, monkeypatch):
+    # a KeyError raised inside a computation is a crash, not a config error
+    from zexlab import moduli
+
+    def failing(*args, **kwargs):
+        raise KeyError("internal slot")
+
+    monkeypatch.setattr(moduli, "_build_table", failing)
+    cfg = _write_config(tmp_path, "function = cusp alpha=0.5\nd = 1\nL = 8\np = 2\n")
+    assert main(["modulus", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert "config error" not in err and err.rstrip().endswith("KeyError: 'internal slot'")
+
+
+@pytest.mark.parametrize("command", ["modulus", "embedding"])
+def test_spec_missing_a_parameter_is_a_config_error(tmp_path, capsys, command):
+    # FunctionSpec.param's KeyError, read at the config's function, exits 2
+    cfg = _write_config(tmp_path, "function = random level=3\nd = 1\nL = 8\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == \
+        "config error: spec 'random' is missing parameter 'seed'\n"
+
+
 def test_besov_fit_on_vanishing_modulus_exits_3(tmp_path, capsys):
     cfg = _write_config(tmp_path, "function = const value=0\nd = 1\nL = 10\np = 2\n")
     assert main(["besov-fit", "--config", cfg, "--out", str(tmp_path / "o")]) == 3

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from reference import _enumerated_table
 from zexlab import moduli
 from zexlab.dyadic import (PiecewiseConstant, random_partition, random_shift,
                            shift_bound_check)
@@ -32,7 +33,7 @@ def _exact_powers(arr, p: float, radii, interior: bool) -> tuple:
     stopped at the direct-evaluation budget."""
     table = moduli._build_table(arr.samples, p, radii, interior)
     if not all(table.exact):
-        table = moduli._enumerated_table(arr.samples, p, radii, interior)
+        table = _enumerated_table(arr.samples, p, radii, interior)
     return table.powers
 
 

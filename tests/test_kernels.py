@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from reference import apply_kernel_direct
 from zexlab.grid import (ExtendedGridFunction, GridFunction, const, corpus,
-                         cusp, indicator, lp_norm, sample, zero_extend)
-from zexlab.kernels import (FAMILIES, KernelSpec, apply_kernel,
-                            apply_kernel_direct, default_tail, error_curve,
+                         cusp, indicator, linear, lp_norm, sample, zero_extend)
+from zexlab.kernels import (FAMILIES, KernelSpec, apply_kernel, default_tail, error_curve,
                             error_modulus_ratio, error_norm,
                             extension_bound_check, kernel_radius_cells,
                             kernel_weights)
@@ -309,10 +309,10 @@ def test_fft_convolve_batches_leading_axes_bit_for_bit(monkeypatch, budget, batc
     axes = tuple(range(len(batch), len(batch) + m))
     reference = signal.fftconvolve(x, w.reshape((1,) * len(batch) + k), mode="same",
                                    axes=axes)
-    assert np.array_equal(_fft_convolve(x, w), reference)
-    assert np.array_equal(_fft_convolve(x, w, support), reference)
+    assert np.array_equal(_fft_convolve(x, [w]), reference)
+    assert np.array_equal(_fft_convolve(x, [w], support), reference)
     out = x.copy()  # in place, as the separable kernels' last axis runs
-    assert _fft_convolve(out, w, out=out) is out
+    assert _fft_convolve(out, [w], out=out) is out
     assert np.array_equal(out, reference)
 
 
@@ -356,6 +356,24 @@ def test_poisson_convolution_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < multiple * g.samples.nbytes
+
+
+def test_gate_poisson_call_peaks_under_100_mib():
+    # gate 7's 2-d Poisson call on linear_d2: the weights go once their
+    # spectrum is made, each column piece once spread, and the kept columns
+    # grow block by block; 132.9 MiB when the weights, their whole spectrum
+    # and a full kept-lines array were held together
+    import tracemalloc
+
+    spec = KernelSpec("poisson", 2.0 ** -5, default_tail("poisson", 2))
+    g = zero_extend(sample(linear(), 2, 8), kernel_radius_cells(spec, 2, 8))
+    tracemalloc.start()
+    try:
+        apply_kernel(spec, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 << 20
 
 
 # (family, d, level, t, tail) whose weights take the direct branch: every

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import fft as sfft
 
+from reference import _enumerated_table
 from zexlab import moduli
 from zexlab.grid import (ExtendedGridFunction, GridFunction, const, corpus,
                          cusp, indicator, linear, lp_norm, random_dyadic, sample,
@@ -36,7 +37,7 @@ def test_constant_box_is_not_screened():
     # layer, equal here to direct enumeration
     g = zero_extend(sample(indicator(0.25, 0.5), 2, 7), 32)
     grid = [2.0 ** -j for j in range(6, 1, -1)]
-    direct = moduli._enumerated_table(g.samples, 2, [t * g.n for t in grid], False)
+    direct = _enumerated_table(g.samples, 2, [t * g.n for t in grid], False)
     assert list(whole_curve(g, 2, grid).values) == [(power * g.cell_volume) ** 0.5
                                                     for power in direct.powers]
 
@@ -167,7 +168,7 @@ def _engine(arr, p, t, n, cellvol, interior, engine):
     if engine == "table":
         table = moduli._build_table(arr, p, radii, interior)
     else:
-        table = moduli._enumerated_table(arr, p, radii, interior)
+        table = _enumerated_table(arr, p, radii, interior)
     return (table.powers[0] * cellvol) ** (1.0 / p)
 
 
@@ -280,8 +281,8 @@ def test_correlation_confirm_survives_cancellation():
     g = zero_extend(f, int(max(grid) * f.n))
     for p in (1.0, 2.0, 3.0):
         for arr, curve in ((f, interior_curve(f, p, grid)), (g, whole_curve(g, p, grid))):
-            direct = moduli._enumerated_table(arr.samples, p, [t * arr.n for t in grid],
-                                              curve.kind == "interior")
+            direct = _enumerated_table(arr.samples, p, [t * arr.n for t in grid],
+                                       curve.kind == "interior")
             assert curve.meta["method"] == "bound" and curve.meta["exact"] is True
             assert list(curve.values) == [(power * arr.cell_volume) ** (1 / p)
                                           for power in direct.powers]
@@ -391,6 +392,37 @@ def test_fft_product_matches_scipy_bit_for_bit(monkeypatch, budget, shape, grid)
         assert got.shape == expected.shape and both.shape == (2,) + expected.shape
         assert got.tobytes() == expected.tobytes()
         assert both[i].tobytes() == expected.tobytes()
+    if m == 1:
+        return
+    # the factors at a nonzero start on each axis but the last, both products
+    # into a caller-made out; one-column, one-line blocks at budget 1, so the
+    # streamed pieces, spreads, column results and line buffer all take turns
+    start = 2
+    lead = (..., *(slice(start, start + n) for n in shape[-m:-1]), slice(None))
+    placed = []
+    for a in powers:
+        padded = np.zeros(shape[:-m] + tuple(grid[:-1]) + shape[-1:])
+        padded[lead] = a
+        placed.append(sfft.rfftn(padded, grid, axes=axes))
+    calls, irfft = [0, 0], np.fft.irfft
+
+    def counted(*args, **kwargs):
+        calls[1] += 1
+        return irfft(*args, **kwargs)
+
+    def combine(F):
+        calls[0] += 1
+        return _both(F)
+
+    monkeypatch.setattr(np.fft, "irfft", counted)
+    out = np.empty_like(both)
+    assert moduli._fft_product([(a, start) for a in powers], grid, combine, keep, out) is out
+    for i, (product, n) in enumerate(((_e2, 1), (_e4, 3))):
+        expected = sfft.irfftn(product(*placed[:n]), grid, axes=axes)[(..., *keep)]
+        assert out[i].tobytes() == expected.tobytes()
+    if budget == 1:
+        assert calls == [grid[-1] // 2 + 1, 2 * math.prod(out.shape[1:-1])]
+        assert calls[0] >= 3 and calls[1] >= 2
 
 
 def test_fft_product_starts_no_thread(monkeypatch):
@@ -499,8 +531,8 @@ def test_curve_provenance_counts(d, level, p, kind, method, exact, shifts, reche
     assert (meta["method"], meta["exact"], meta["shifts"], meta["rechecked"]) == \
         (method, exact, shifts, rechecked)
     if method == "bound":
-        direct = moduli._enumerated_table(arr.samples, p, [t * f.n for t in grid],
-                                          kind == "interior")
+        direct = _enumerated_table(arr.samples, p, [t * f.n for t in grid],
+                                   kind == "interior")
         assert list(curve.values) == [(power * arr.cell_volume) ** (1 / p)
                                       for power in direct.powers]
 

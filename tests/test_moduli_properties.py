@@ -8,6 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from reference import _direct_values, _enumerated_table
 from zexlab import moduli
 from zexlab.grid import (ExtendedGridFunction, GridFunction, _abs_pow, cusp, linear, sample,
                          shifted_samples, zero_extend)
@@ -63,7 +64,7 @@ def _certified(arr, p: float, radii, interior: bool):
 def _assert_certified(arr, p: float, radii, interior: bool):
     """The table the input selects, branch and bound, equals direct
     enumeration bit for bit, every radius exact."""
-    direct = moduli._enumerated_table(arr.samples, p, radii, interior)
+    direct = _enumerated_table(arr.samples, p, radii, interior)
     table = moduli._build_table(arr.samples, p, radii, interior)
     assert table.method == "bound" and all(table.exact)
     assert table.powers == direct.powers
@@ -92,7 +93,7 @@ def test_certified_tables_equal_direct_enumeration_bit_for_bit(d, p, data):
 def test_upper_bounds_hold_every_computed_value(d, p, data):
     arr, radii, interior = _draw_input(data, d)
     split = moduli._split(arr.samples, p, max(radii), interior)
-    values = moduli._direct_values(arr.samples, split.shifts, p, interior)
+    values = _direct_values(arr.samples, split.shifts, p, interior)
     assert np.all(values <= moduli._upper_bounds(split, p))
 
 
@@ -101,7 +102,7 @@ def test_upper_bounds_hold_every_computed_value(d, p, data):
                   evaluations=st.integers(0, 12), data=st.data())
 def test_budget_brackets_every_row(d, p, evaluations, data):
     arr, radii, interior = _draw_input(data, d)
-    direct = moduli._enumerated_table(arr.samples, p, radii, interior)
+    direct = _enumerated_table(arr.samples, p, radii, interior)
     ascending = sorted(radii)
     # evaluations an uncapped run needs to finish each radius, ascending
     needed = [_certified(arr, p, ascending[:i + 1], interior).rechecked
@@ -128,7 +129,7 @@ def test_upper_bounds_hold_on_ramps(d, level):
             a = arr.samples
             for p in POWERS:
                 split = moduli._split(a, p, f.n / 2, interior)
-                values = moduli._direct_values(a, split.shifts, p, interior)
+                values = _direct_values(a, split.shifts, p, interior)
                 assert np.all(values <= moduli._upper_bounds(split, p))
 
 
@@ -158,7 +159,7 @@ def test_whole_bounds_hold_every_window_value(d, p, data):
         window[tuple(rng.integers(cap, window.shape[0] - cap, d))] = rng.normal(0, 10)
     a = ExtendedGridFunction(d, level, margin, window).samples
     split = moduli._split(a, p, max(radii), False)
-    assert np.all(moduli._direct_values(a, split.shifts, p, False)
+    assert np.all(_direct_values(a, split.shifts, p, False)
                   <= moduli._upper_bounds(split, p))
 
 
@@ -174,7 +175,7 @@ def test_whole_bounds_hold_on_constant_cubes(d, level):
         a = zero_extend(GridFunction(d, level, np.full((n,) * d, value)), n).samples
         for p in POWERS:
             split = moduli._split(a, p, n, False)
-            values = moduli._direct_values(a, split.shifts, p, False)
+            values = _direct_values(a, split.shifts, p, False)
             assert np.all(values <= moduli._upper_bounds(split, p))
 
 
