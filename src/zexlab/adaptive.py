@@ -39,12 +39,15 @@ class ErrorPyramid:
         cellvol = f.cell_volume
         self.means = _mean_pyramid(f.samples, d, L)
         self.err_pow = [None] * (L + 1)
-        self.err_pow[L] = np.zeros(f.samples.shape)
+        # single cells: a read-only broadcast zero, not a lattice of them
+        self.err_pow[L] = np.broadcast_to(0.0, f.samples.shape)
+        buf = np.empty(f.samples.shape)  # every level's deviations, in turn
         for k in range(L - 1, -1, -1):
             m, b = 1 << k, 1 << (L - k)
-            view = f.samples.reshape(sum(((m, b),) * d, ()))
+            shape = sum(((m, b),) * d, ())
+            view = f.samples.reshape(shape)
             mean_view = self.means[k].reshape(sum(((m, 1),) * d, ()))
-            dev = view - mean_view
+            dev = np.subtract(view, mean_view, out=buf.reshape(shape))
             _abs_pow(dev, self.p, out=dev)
             self.err_pow[k] = dev.sum(axis=tuple(range(1, 2 * d, 2))) * cellvol
 
@@ -106,13 +109,18 @@ class AdaptivePartition:
     def to_text(self) -> str:
         """The dump ``_csv`` would print for rows (level, origin indices
         joined by ":", S, good/bad); a dump runs to ~10^5 rows, so each
-        level's lines are joined from its columns by C-level map and zip."""
-        lines = [PARTITION_DUMP_HEADER]
+        level's lines are joined from its columns by C-level map and zip,
+        and only one level's line strings are alive at a time."""
+        blocks = [PARTITION_DUMP_HEADER]
         for k, (o, s, g) in enumerate(zip(self.origins, self.s_values, self.is_good)):
+            if not len(s):
+                continue
             origins = map(":".join, zip(*(map(str, axis) for axis in o.T.tolist())))
-            lines += map(",".join, zip(repeat(str(k)), origins, map(repr, s.tolist()),
-                                       np.where(g, "good", "bad").tolist()))
-        return "\n".join(lines) + "\n"
+            blocks.append("\n".join(map(",".join, zip(
+                repeat(str(k)), origins, map(repr, s.tolist()),
+                np.where(g, "good", "bad").tolist()))))
+        blocks.append("")  # the closing newline, without copying the text again
+        return "\n".join(blocks)
 
 
 def _check_epsilon(epsilon: float):
@@ -199,13 +207,15 @@ def gradient_magnitude(f: GridFunction) -> np.ndarray:
     """Forward-difference gradient length per cell, one-sided at the boundary."""
     scale = float(f.n)
     total = np.zeros(f.samples.shape)
+    fd = np.empty(f.samples.shape)  # each axis's differences, in turn
     for axis in range(f.d):
-        fd = np.diff(f.samples, axis=axis)
-        last = [slice(None)] * f.d
-        last[axis] = slice(-1, None)
-        fd = np.concatenate([fd, fd[tuple(last)]], axis=axis) * scale
-        total += fd * fd
-    return np.sqrt(total)
+        a, step = np.moveaxis(f.samples, axis, 0), np.moveaxis(fd, axis, 0)
+        np.subtract(a[1:], a[:-1], out=step[:-1])
+        step[-1] = step[-2]
+        step *= scale
+        step *= step
+        total += fd
+    return np.sqrt(total, out=total)
 
 
 def sobolev_seminorm(f: GridFunction, q: float) -> float:
@@ -261,11 +271,14 @@ def count_bound_report(f: GridFunction, p: float, q: float, epsilons) -> CountRe
     epsilons = sorted({float(e) for e in epsilons})
     for e in epsilons:
         _check_epsilon(e)
-    powered = gradient_magnitude(f) ** q
+    powered = gradient_magnitude(f)
+    powered **= q
     seminorm = _seminorm(f, powered, q)
     # block sums of |grad f|^q: each cube's local seminorm restricts the
     # global gradient field, which makes it monotone under taking subcubes
-    local = _sum_pyramid(powered * f.cell_volume, f.d, f.level)
+    powered *= f.cell_volume
+    local = _sum_pyramid(powered, f.d, f.level)
+    del powered
     pyramid = ErrorPyramid(f, p)
     parts = {e: build_partition(f, p, e, pyramid) for e in epsilons}
     ratio_constant = 0.0

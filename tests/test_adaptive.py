@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from zexlab.adaptive import (PARTITION_DUMP_HEADER, AdaptivePartition, ErrorPyramid,
-                             build_partition,
-                             count_bound_report, default_epsilons, local_error,
-                             sobolev_seminorm, verify_partition)
+                             build_partition, count_bound_report, default_epsilons,
+                             gradient_magnitude, local_error, sobolev_seminorm,
+                             verify_partition)
 from zexlab.grid import _csv, const, corpus, cusp, indicator, linear, sample
 
 
@@ -40,6 +40,43 @@ def test_pyramid_matches_local_error():
     for level, origin in ((0, (0, 0)), (1, (1, 0)), (3, (5, 2))):
         assert math.sqrt(pyramid.err_pow[level][origin]) == pytest.approx(
             local_error(f, level, origin, 2), rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("d, level", [(1, 7), (2, 5), (3, 3)])
+def test_pyramid_and_gradient_match_their_formulas_bit_for_bit(d, level):
+    f = sample(cusp(0.5), d, level)
+    pyramid = ErrorPyramid(f, 3.0)
+    assert not pyramid.err_pow[level].any()
+    for k in range(level):
+        m, b = 1 << k, 1 << (level - k)
+        dev = (f.samples.reshape(sum(((m, b),) * d, ()))
+               - pyramid.means[k].reshape(sum(((m, 1),) * d, ())))
+        want = (np.abs(dev) ** 3.0).sum(axis=tuple(range(1, 2 * d, 2))) * f.cell_volume
+        assert np.array_equal(pyramid.err_pow[k], want)
+    total = np.zeros(f.samples.shape)
+    for axis in range(d):
+        fd = np.diff(f.samples, axis=axis)
+        fd = np.concatenate([fd, np.take(fd, [-1], axis=axis)], axis=axis) * float(f.n)
+        total += fd * fd
+    assert np.array_equal(gradient_magnitude(f), np.sqrt(total))
+
+
+def test_pyramid_and_gradient_hold_one_lattice_buffer():
+    # every level's deviations go through one buffer, and the single cells'
+    # zero errors are a broadcast; each level used to make a fresh lattice
+    # while the last one was still held, beside a lattice of zeros
+    import tracemalloc
+
+    f = sample(cusp(0.5), 2, 9)
+    lattice = f.samples.nbytes
+    for build, bound in ((lambda: ErrorPyramid(f, 2), 2), (lambda: gradient_magnitude(f), 2.5)):
+        tracemalloc.start()
+        try:
+            build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * lattice
 
 
 def test_build_partition_worked_example():
