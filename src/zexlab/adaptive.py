@@ -21,7 +21,7 @@ from itertools import repeat
 import numpy as np
 
 from .besov import FitResult, VanishingModulusError, fit_points
-from .dyadic import _cells, _cover, _mean_pyramid, _refine, _sum_pyramid
+from .dyadic import _cells, _cover, _deviation_powers, _mean_pyramid, _refine
 from .grid import GridFunction, _abs_pow, _check_exponent, _csv, lp_norm
 
 PARTITION_DUMP_HEADER = "level,origin_indices,S,status"
@@ -36,20 +36,14 @@ class ErrorPyramid:
         self.f = f
         self.p = float(p)
         d, L = f.d, f.level
-        cellvol = f.cell_volume
         self.means = _mean_pyramid(f.samples, d, L)
         self.err_pow = [None] * (L + 1)
         # single cells: a read-only broadcast zero, not a lattice of them
         self.err_pow[L] = np.broadcast_to(0.0, f.samples.shape)
         buf = np.empty(f.samples.shape)  # every level's deviations, in turn
         for k in range(L - 1, -1, -1):
-            m, b = 1 << k, 1 << (L - k)
-            shape = sum(((m, b),) * d, ())
-            view = f.samples.reshape(shape)
-            mean_view = self.means[k].reshape(sum(((m, 1),) * d, ()))
-            dev = np.subtract(view, mean_view, out=buf.reshape(shape))
-            _abs_pow(dev, self.p, out=dev)
-            self.err_pow[k] = dev.sum(axis=tuple(range(1, 2 * d, 2))) * cellvol
+            dev = _deviation_powers(f.samples, self.means[k], self.p, buf)
+            self.err_pow[k] = dev.sum(axis=tuple(range(1, 2 * d, 2))) * f.cell_volume
 
 
 def local_error(f: GridFunction, level: int, origin, p: float) -> float:
@@ -277,7 +271,8 @@ def count_bound_report(f: GridFunction, p: float, q: float, epsilons) -> CountRe
     # block sums of |grad f|^q: each cube's local seminorm restricts the
     # global gradient field, which makes it monotone under taking subcubes
     powered *= f.cell_volume
-    local = _sum_pyramid(powered, f.d, f.level)
+    local = [m * 2.0 ** (f.d * (f.level - k))  # sums: means times exact powers of two
+             for k, m in enumerate(_mean_pyramid(powered, f.d, f.level))]
     del powered
     pyramid = ErrorPyramid(f, p)
     parts = {e: build_partition(f, p, e, pyramid) for e in epsilons}

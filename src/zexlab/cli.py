@@ -200,6 +200,8 @@ def cmd_hybrid(config) -> int:
 
 def cmd_dyadic(config) -> int:
     f, spec = _function(config)
+    if f.level < 2:  # the levels N = 0 .. L-2 resolve their modulus scale
+        raise ConfigError(f"dyadic needs L >= 2 for a level N <= L-2, got L={f.level}")
     out = _outdir(config)
     rows, curves = [], []
     ok = True

@@ -2,7 +2,9 @@
 
 The level-N average projection replaces a grid function by its mean on each
 of the 2^(dN) dyadic cubes of side 2^-N.  Every dyadic mean, of one level or
-of all, is read off one pairwise-halving pyramid (``_mean_pyramid``).  Two
+of all, is read off one pairwise-halving pyramid (``_mean_pyramid``), and every
+|f - mean_Q f|^p is written by one pass (``_deviation_powers``), which
+``average_error`` sums whole and ``adaptive.ErrorPyramid`` cube by cube.  Two
 exact inequality checkers live here:
 
 * ``average_error_report``: the averaging error in L^p (``average_error``)
@@ -30,7 +32,7 @@ from itertools import product
 import numpy as np
 
 from .grid import (GridFunction, LatticeShift, _abs_pow, _check_exponent, _csv,
-                   difference, lp_norm, zero_extend)
+                   difference, zero_extend)
 from .moduli import ModulusCurve, _flagged_points, interior_curve
 
 SUITE_CSV_HEADER = "seed,d,k,p,h,lhs,rhs,pass"
@@ -164,20 +166,26 @@ def _refine(a: np.ndarray, b: int = 2) -> np.ndarray:
     return a
 
 
-def _sum_pyramid(samples: np.ndarray, d: int, level: int) -> list:
-    """Block sums of every level 0..level; entry k holds the level-k sums,
-    each the mean times the exact power of two 2^(d (level - k))."""
-    return [m * 2.0 ** (d * (level - k))
-            for k, m in enumerate(_mean_pyramid(samples, d, level))]
+def _deviation_powers(samples, means, p: float, out=None) -> np.ndarray:
+    """|f - mean_Q f|^p on each cell, Q its cube among one level's (m,)*d ``means``,
+    in ``out`` (f's shape; made if None), as its C-contiguous (m, b, m, b, ...) view."""
+    m, d = means.shape[0], samples.ndim
+    shape = sum(((m, samples.shape[0] // m),) * d, ())
+    dev = np.subtract(samples.reshape(shape), means.reshape(sum(((m, 1),) * d, ())),
+                      out=None if out is None else out.reshape(shape))
+    return _abs_pow(dev, p, out=dev)
+
+
+def _level_means(f: GridFunction, level: int) -> np.ndarray:
+    """f's level-``level`` cube means: the pyramid ``f.level - level`` halvings deep."""
+    if not 0 <= level <= f.level:
+        raise ValueError("average level must lie in 0..L")
+    return _mean_pyramid(f.samples, f.d, f.level - level)[0]
 
 
 def dyadic_average(f: GridFunction, level: int) -> PiecewiseConstant:
-    """Project onto constants over the level-`level` dyadic cubes: exact
-    means, the coarsest entry of the pyramid ``f.level - level`` halvings deep."""
-    if not 0 <= level <= f.level:
-        raise ValueError("average level must lie in 0..L")
-    means = _mean_pyramid(f.samples, f.d, f.level - level)[0]
-    return PiecewiseConstant.from_uniform(f.d, level, means)
+    """Project onto constants over the level-`level` dyadic cubes: exact means."""
+    return PiecewiseConstant.from_uniform(f.d, level, _level_means(f, level))
 
 
 def render_average(f: GridFunction, level: int) -> GridFunction:
@@ -186,8 +194,11 @@ def render_average(f: GridFunction, level: int) -> GridFunction:
 
 
 def average_error(f: GridFunction, level: int, p: float) -> float:
-    """||f - f_avg||_p for the level-`level` average projection, an exact cell sum."""
-    return lp_norm(f - render_average(f, level), p)
+    """||f - f_avg||_p for the level-`level` average projection, an exact cell sum
+    of ``_deviation_powers`` taken whole: ``lp_norm``'s order, bit for bit."""
+    _check_exponent(p)
+    dev = _deviation_powers(f.samples, _level_means(f, level), p)
+    return float((f.cell_volume * dev.sum()) ** (1.0 / p))
 
 
 def average_error_constant(d: int, p: float) -> float:

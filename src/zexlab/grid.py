@@ -309,9 +309,11 @@ class FunctionSpec:
         if self.tag not in _TAG_KEYS:
             raise ValueError(f"unknown function tag {self.tag!r}")
         items = tuple(sorted((str(k), v) for k, v in self.params))
-        for key, _ in items:
+        for i, (key, _) in enumerate(items):
             if key not in _TAG_KEYS[self.tag]:
                 raise ValueError(f"key {key!r} not valid for tag {self.tag!r}")
+            if i and key == items[i - 1][0]:  # sorted: a repeat follows its first
+                raise ValueError(f"key {key!r} repeats in the {self.tag!r} spec")
         object.__setattr__(self, "params", items)
         if self.tag == "indicator":
             lo, hi = self.param("lo", 0.0), self.param("hi", 0.5)

@@ -118,15 +118,23 @@ def truncation_radius(spec: KernelSpec, d: int) -> float:
 
 
 def kernel_radius_cells(spec: KernelSpec, d: int, level: int) -> int:
-    """Truncation radius in cells; refuses a radius whose window, the cube
-    plus the radius on each side, would exceed ``_MAX_CELLS``."""
+    """Truncation radius r in cells; refuses a radius whose window, W = n + 2r
+    cells a side, or whose FFT product would exceed ``_MAX_CELLS``: the d-dim
+    Poisson kernel's G^d grid, or one G-point line of a separable kernel past
+    the direct cutoff, G = ``_next_fast_len(W + 2r)``.  Nothing is allocated."""
     r = max(int(math.ceil(truncation_radius(spec, d) * (1 << level))), 1)
-    cells = ((1 << level) + 2 * r) ** d
-    if cells > _MAX_CELLS:
-        raise ValueError(
-            f"tail budget {spec.truncation_tail:g} at t={spec.t:g} needs a {r}-cell "
-            f"radius, a window of {cells} cells (limit {_MAX_CELLS}); "
-            "relax the budget or coarsen the lattice")
+    width = (1 << level) + 2 * r
+    sizes = [("a window", width ** d)]
+    if spec.family == "poisson" and d >= 2:
+        sizes.append(("an FFT grid", _next_fast_len(width + 2 * r, True) ** d))
+    elif r > _FFT_KERNEL_CUTOFF:
+        sizes.append(("an FFT line", _next_fast_len(width + 2 * r, True)))
+    for what, cells in sizes:
+        if cells > _MAX_CELLS:
+            raise ValueError(
+                f"tail budget {spec.truncation_tail:g} at t={spec.t:g} needs a {r}-cell "
+                f"radius, {what} of {cells} cells (limit {_MAX_CELLS}); "
+                "relax the budget or coarsen the lattice")
     return r
 
 

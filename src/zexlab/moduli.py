@@ -472,28 +472,6 @@ def _blocks(count: int, item_bytes: int) -> list:
     return [slice(i, min(i + step, count)) for i in range(0, count, step)]
 
 
-def _on_threads(work, count: int):
-    """work(w) for w = 0 .. count - 1: w = 0 on the calling thread, every
-    other on a helper ``threading.Thread``.  Once every helper has joined,
-    the first exception raised in any of them is raised here."""
-    errors = []
-
-    def run(w):
-        try:
-            work(w)
-        except BaseException as error:
-            errors.append(error)
-
-    helpers = [threading.Thread(target=run, args=(w,)) for w in range(1, count)]
-    for helper in helpers:
-        helper.start()
-    run(0)
-    for helper in helpers:
-        helper.join()
-    if errors:
-        raise errors[0]
-
-
 def _fft_product(factors, grid, combine, keep, out=None) -> np.ndarray:
     """out[p] (C-contiguous; made if None): the irfftn over the last m =
     len(grid) axes, cut to ``keep`` (a slice per axis), of the p-th complex
@@ -781,7 +759,7 @@ def _descending_sums(evaluate, shifts: np.ndarray, bounds: np.ndarray, best: flo
     is raised here once every helper has joined."""
     found = np.full(len(shifts), -np.inf)
     # per thread the largest sum it found, written by that thread alone
-    pull, tops, stop = itertools.count(), [best] * len(buffers), []
+    pull, tops, stop, errors = itertools.count(), [best] * len(buffers), [], []
 
     def work(w):
         try:
@@ -792,10 +770,20 @@ def _descending_sums(evaluate, shifts: np.ndarray, bounds: np.ndarray, best: flo
                     break
                 found[j] = value = evaluate(shifts[j], buffers[w])
                 tops[w] = max(tops[w], value)
+        except BaseException as error:
+            errors.append(error)
         finally:
             stop.append(True)
 
-    _on_threads(work, max(1, min(len(buffers), len(shifts))))
+    helpers = [threading.Thread(target=work, args=(w,))
+               for w in range(1, min(len(buffers), len(shifts)))]
+    for helper in helpers:
+        helper.start()
+    work(0)
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[0]
     return found
 
 

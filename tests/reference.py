@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from zexlab.grid import ExtendedGridFunction, shifted_samples
+from zexlab.dyadic import dyadic_average
+from zexlab.grid import ExtendedGridFunction, GridFunction, lp_norm, shifted_samples
 from zexlab.kernels import KernelSpec, kernel_radius_cells, kernel_weights
 from zexlab.moduli import _SupTable, _direct_sums, _half_shifts, _radius_max, _support_box
 
@@ -50,3 +51,9 @@ def apply_kernel_direct(spec: KernelSpec, g: ExtendedGridFunction) -> ExtendedGr
         k = tuple(int(i) - r for i in idx)
         out += full[idx] * shifted_samples(g.samples, k)
     return ExtendedGridFunction(g.d, g.level, g.margin, out)
+
+
+def _average_error_rendered(f: GridFunction, level: int, p: float) -> float:
+    """||f - f_avg||_p with the level-``level`` projection rendered back onto
+    f's lattice and the difference measured by ``lp_norm``."""
+    return lp_norm(f - dyadic_average(f, level).render(f.level), p)

@@ -404,6 +404,29 @@ def test_kernel_error_refuses_oversized_window(tmp_path, capsys, monkeypatch,
     assert f"a window of {cells} cells" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kernel, d, level, refused", [
+    ("poisson", 2, 7, "an FFT grid of 167961600 cells"),  # 12960^2, r = 3200
+    ("poisson", 1, 18, "an FFT line of 167772160 cells"),
+    ("fejer_tensor", 2, 7, None),  # batched 16875-point lines
+    ("poisson", 2, 6, None),  # a 6480^2 = 4.2e7-cell grid
+])
+def test_kernel_error_refuses_an_oversized_fft_grid_before_any_window(
+        tmp_path, capsys, monkeypatch, kernel, d, level, refused):
+    # the window fits the cell limit in every case; only the product may not
+    def no_window(*args, **kwargs):
+        raise RuntimeError("the window was built")
+
+    monkeypatch.setattr("zexlab.kernels.zero_extend", no_window)
+    cfg = _write_config(tmp_path, f"function = cusp alpha=0.5\nd = {d}\nL = {level}\n"
+                                  f"kernel = {kernel}\nwindow = 0.25:0.25\n")
+    code = main(["kernel-error", "--config", cfg, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    if refused:
+        assert code == 2 and refused in err
+    else:  # accepted: it goes on to build the window
+        assert code == 4 and "RuntimeError: the window was built" in err
+
+
 def test_kernel_error_default_tail_serves_2d_poisson(tmp_path):
     # the 1-d default (1e-3) would ask a 2.6e8-cell window here
     cfg = _write_config(tmp_path, "function = cusp alpha=0.5\nd = 2\nL = 5\n"
@@ -504,6 +527,16 @@ def test_dyadic_subcommand(tmp_path):
     rows = body.strip().split("\n")
     assert rows[0] == "p,N,error,bound,constant,pass"
     assert all(row.endswith("true") for row in rows[1:])
+
+
+@pytest.mark.parametrize("level", [0, 1])
+def test_dyadic_without_a_level_below_l_minus_1_exits_2_writing_nothing(tmp_path, capsys,
+                                                                          level):
+    cfg = _write_config(tmp_path, f"function = cusp alpha=0.5\nd = 1\nL = {level}\n")
+    out = tmp_path / "out"
+    assert main(["dyadic", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
 
 
 def test_embedding_subcommand(tmp_path, capsys):

@@ -12,6 +12,8 @@ from zexlab.grid import (GridFunction, LatticeShift, _abs_pow, const, corpus, cu
                          difference, linear, lp_norm, random_dyadic, sample, zero_extend)
 from zexlab.moduli import LowerBoundWarning, interior_curve
 
+from reference import _average_error_rendered
+
 
 def test_unit_ball_volumes():
     assert unit_ball_volume(1) == 2.0
@@ -91,6 +93,42 @@ def test_average_error_level_guard():
     for level in (-1, 7):
         with pytest.raises(ValueError, match="0..L"):
             render_average(f, level)
+
+
+def _deviation_inputs(d: int, level: int):
+    """(samples, the first average level whose deviations are all exactly 0)."""
+    rng = np.random.default_rng(17 * d + level)
+    shape = (1 << level,) * d
+    yield rng.standard_normal(shape), level
+    yield 1e4 + rng.standard_normal(shape), level  # the deviations from each mean cancel
+    yield rng.integers(-2, 3, shape).astype(float), level
+    yield sample(cusp(0.5, 0.3), d, level).samples, level
+    for k in {0, level // 2, level}:  # piecewise constant on the level-k cells
+        yield sample(random_dyadic(k, level), d, level).samples, k
+
+
+def test_average_error_equals_the_rendered_difference_bit_for_bit():
+    for d, top in ((1, 9), (2, 6), (3, 4)):
+        for level in range(1, top + 1):
+            for samples, exact_from in _deviation_inputs(d, level):
+                f = GridFunction(d, level, samples)
+                for n in range(level + 1):
+                    for p in (1.0, 1.5, 2.0, 3.0):
+                        err = average_error(f, n, p)
+                        assert err == _average_error_rendered(f, n, p)
+                        if n >= exact_from:
+                            assert err == 0.0
+
+
+def test_average_error_renders_nothing(monkeypatch):
+    def no_render(*args, **kwargs):
+        raise AssertionError("the average was rendered")
+
+    monkeypatch.setattr(PiecewiseConstant, "render", no_render)
+    monkeypatch.setattr(PiecewiseConstant, "__post_init__", no_render)
+    f = sample(cusp(0.5), 2, 6)
+    assert average_error(f, 2, 2.0) > 0.0
+    assert average_error(f, 6, 2.0) == 0.0
 
 
 def test_average_error_report_looks_its_scale_up_in_a_shared_curve():

@@ -96,6 +96,7 @@ _EXPONENT_TAKERS = {
     "hybrid_modulus": lambda p: moduli.hybrid_modulus(_F, p, 0.25),
     "shift_bound_check": lambda p: dyadic.shift_bound_check(
         dyadic.dyadic_average(_F, 1), LatticeShift((1, 0), 3), p),
+    "average_error": lambda p: dyadic.average_error(_F, 1, p),
     "ErrorPyramid": lambda p: adaptive.ErrorPyramid(_F, p),
     "local_error": lambda p: adaptive.local_error(_F, 1, (0, 1), p),
     "build_partition": lambda p: adaptive.build_partition(_F, p, 0.1),
@@ -230,6 +231,17 @@ def test_parse_spec_rejects_garbage():
         parse_spec("cusp alpha")
     with pytest.raises(KeyError):
         parse_spec("random level=3")  # random specs must carry a seed
+
+
+@pytest.mark.parametrize("text, key", [("random level=2 seed=1 seed=2", "seed"),
+                                       ("cusp alpha=0.3 alpha=0.9", "alpha"),
+                                       ("tensor base=cusp alpha=0.5 base=linear", "base")])
+def test_a_repeated_spec_key_is_refused(text, key):
+    # one value per key, as in the config file: no repeat is silently dropped
+    with pytest.raises(ValueError, match=f"key '{key}' repeats in the '{text.split()[0]}'"):
+        parse_spec(text)
+    with pytest.raises(ValueError, match="key 'alpha' repeats"):
+        FunctionSpec("cusp", (("alpha", 0.3), ("alpha", 0.9)))
 
 
 def test_spec_ranges_are_one_rule_for_constructors_grammar_and_tensor_bases():
