@@ -75,8 +75,8 @@ def _coerce(config: dict) -> dict:
                 if key == "p":  # every command reads p by the one exponent rule
                     for v in out[key]:
                         _check_exponent(v)
-                if key == "levels" and len(set(out[key])) < len(out[key]):
-                    raise ValueError("a level repeats")
+                if key in ("p", "levels") and len(set(out[key])) < len(out[key]):
+                    raise ValueError(f"a {'level' if key == 'levels' else 'p'} repeats")
             elif key == "window":
                 lo, hi = value.split(":")
                 out[key] = (float(lo), float(hi))
@@ -176,15 +176,11 @@ def cmd_modulus(config) -> int:
     f, spec = _function(config)
     grid = _t_grid(config, f.level)
     out = _outdir(config)
+    # a whole curve reads a window: one, and its support box, serves every p
+    arr = zero_extend(f, max(1, _shift_cells(max(grid), f.n))) if kind == "whole" else f
     curves = []
     for p in config.get("p", (2.0,)):
-        if kind == "interior":
-            curve = moduli.interior_curve(f, p, grid, name=spec.describe())
-        elif kind == "whole":
-            g = zero_extend(f, max(1, _shift_cells(max(grid), f.n)))
-            curve = moduli.whole_curve(g, p, grid, name=spec.describe())
-        else:
-            curve = moduli.hybrid_curve(f, p, grid, name=spec.describe())
+        curve = getattr(moduli, f"{kind}_curve")(arr, p, grid, name=spec.describe())
         name = f"modulus_{kind}_p{p:g}"
         _write(out, f"{name}.csv", curve.to_csv())
         curves.append((name, curve))
@@ -238,6 +234,14 @@ def cmd_adaptive(config) -> int:
         eps_list = (config["epsilon"],)
     else:
         eps_list = config.get("epsilons") or adaptive.default_epsilons(f, p)
+    # each threshold writes partition_eps{eps:g}.txt, so no two may share one
+    for eps in eps_list:
+        adaptive._check_epsilon(eps)
+    named = {}
+    for eps in sorted(set(map(float, eps_list))):
+        if (other := named.setdefault(f"{eps:g}", eps)) != eps:
+            raise ConfigError(f"epsilons {other!r} and {eps!r} would both write "
+                              f"partition_eps{eps:g}.txt")
     report = adaptive.count_bound_report(f, p, q, eps_list)
     for part in report.partitions:
         problems = adaptive.verify_partition(part, f)
@@ -253,7 +257,6 @@ def cmd_adaptive(config) -> int:
 def cmd_kernel_error(config) -> int:
     _require(config, "function", "d", "L")
     family = config.get("kernel", "gauss")
-    kernels.KernelSpec(family, 1.0)  # the family rule, before its default tail
     tail = config.get("tail", kernels.default_tail(family, config["d"]))
     kernels.KernelSpec(family, 1.0, tail)  # the tail rule
     f, spec = _function(config)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -161,6 +162,23 @@ class ExtendedGridFunction(_Lattice):
         """The central block: the samples on the unit cube."""
         core = tuple(slice(self.margin, self.margin + self.n) for _ in range(self.d))
         return GridFunction(self.d, self.level, self.samples[core])
+
+    @cached_property
+    def support_box(self):  # the samples are read-only: found once per window
+        return _support_box(self.samples)
+
+
+def _support_box(window: np.ndarray):
+    """Slices of the smallest box of ``window`` that holds its nonzero
+    cells; None when there are none."""
+    box = []
+    for axis in range(window.ndim):
+        hit = np.flatnonzero(np.any(window, axis=tuple(
+            a for a in range(window.ndim) if a != axis)))
+        if not len(hit):
+            return None
+        box.append(slice(int(hit[0]), int(hit[-1]) + 1))
+    return tuple(box)
 
 
 @dataclass(frozen=True)

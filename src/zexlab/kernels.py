@@ -7,11 +7,11 @@ Three nonnegative unit-mass families, each with a fixed scale map:
 * ``fejer_tensor``  tensor product of line Fejer kernels with bandwidth 1/t
 
 Kernels are truncated to a radius chosen so the omitted mass stays within the
-requested tail budget, then renormalized to exact unit discrete mass.  With a
-nonnegative unit-mass kernel the smoothing is an L^p contraction, so that
-property is exact here rather than approximate; the price is that the
-truncated kernel lives on a finite window, with the budget that fixed its
-radius carried in :class:`KernelSpec`.
+tail budget (None: the family's ``default_tail`` in f's dimension), then
+renormalized to exact unit discrete mass.  With a nonnegative unit-mass kernel
+the smoothing is an L^p contraction, so that property is exact here rather
+than approximate; the price is that the truncated kernel lives on a finite
+window, with the budget that fixed its radius carried in :class:`KernelSpec`.
 
 The error operator is smoothing minus identity applied to zero-extensions,
 measured in L^p over the padded window.
@@ -50,8 +50,7 @@ class KernelSpec:
     truncation_tail: float = 1e-6
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown kernel family {self.family!r}")
+        default_tail(self.family, 1)  # the family rule
         if self.t <= 0:
             raise ValueError("kernel scale must be positive")
         if not 0 < self.truncation_tail < 0.5:
@@ -69,6 +68,8 @@ _DEFAULT_TAILS = {"gauss": (1e-6, 1e-6), "poisson": (1e-3, 1e-2),
 
 def default_tail(family: str, d: int) -> float:
     """Truncation tail budget for ``family`` in dimension d when none is given."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown kernel family {family!r}")
     return _DEFAULT_TAILS[family][d >= 2]
 
 
@@ -126,9 +127,9 @@ def kernel_radius_cells(spec: KernelSpec, d: int, level: int) -> int:
     width = (1 << level) + 2 * r
     sizes = [("a window", width ** d)]
     if spec.family == "poisson" and d >= 2:
-        sizes.append(("an FFT grid", _next_fast_len(width + 2 * r, True) ** d))
+        sizes.append(("an FFT grid", _next_fast_len(width + 2 * r) ** d))
     elif r > _FFT_KERNEL_CUTOFF:
-        sizes.append(("an FFT line", _next_fast_len(width + 2 * r, True)))
+        sizes.append(("an FFT line", _next_fast_len(width + 2 * r)))
     for what, cells in sizes:
         if cells > _MAX_CELLS:
             raise ValueError(
@@ -234,15 +235,15 @@ def _fft_convolve(x: np.ndarray, weights: list, support: slice | None = None,
     of x, bit for bit, into ``out`` (C-contiguous; it may be x) if given; the
     leading axes are a batch, and the m axes are all as long as x's last.
     One ``_fft_product`` of x's lines on ``support`` (default all).  w is
-    taken out of the one-item list ``weights``, so that once its spectrum is
-    made nothing holds it unless the caller kept it."""
+    taken out of the one-item list ``weights``, so that for m >= 2 nothing
+    holds it once its spectrum is made unless the caller kept it."""
     w = weights.pop()
     m, n, k = w.ndim, x.shape[-1], w.shape[0]
     support = slice(0, n) if support is None else support
     crop = slice((k - 1) // 2, (k - 1) // 2 + n)
     factors = [(x[(..., *(support,) * (m - 1), slice(None))], support.start), (w, 0)]
     del w
-    product = _fft_product(factors, (_next_fast_len(n + k - 1, True),) * m,
+    product = _fft_product(factors, (_next_fast_len(n + k - 1),) * m,
                            lambda F: [operator.imul(F(0), F(1))], (crop,) * m,
                            None if out is None else out[np.newaxis])
     return product[0] if out is None else out
@@ -289,11 +290,12 @@ def error_norm(spec: KernelSpec, f: GridFunction, p: float) -> float:
     return lp_norm(_smoothing_error(spec, g), p)
 
 
-def _kernel_specs(family: str, f: GridFunction, t_grid, truncation_tail: float) -> list:
+def _kernel_specs(family: str, f: GridFunction, t_grid, truncation_tail) -> list:
     """The kernel of every scale in ascending t, once every window is known to fit:
     checked largest first, an oversized one is refused before any is built.  The
     scales pass the modulus curves' rule first (``moduli._scales``)."""
-    specs = [KernelSpec(family, t, truncation_tail) for t in _scales("error_norm", f, t_grid)]
+    tail = default_tail(family, f.d) if truncation_tail is None else truncation_tail
+    specs = [KernelSpec(family, t, tail) for t in _scales("error_norm", f, t_grid)]
     for spec in specs[::-1]:
         kernel_radius_cells(spec, f.d, f.level)
     return specs
@@ -343,7 +345,7 @@ class RatioTable:
 
 
 def error_modulus_ratio(family: str, f: GridFunction, p: float, t_grid,
-                        truncation_tail: float = 1e-6) -> RatioTable:
+                        truncation_tail: float | None = None) -> RatioTable:
     """Per-scale ratio of the smoothing error to the extension modulus.
 
     A flat, bounded ratio is the empirical signature that the two quantities
@@ -377,7 +379,7 @@ class ExtensionBoundReport:
 
 
 def extension_bound_check(family: str, f: GridFunction, p: float, t_grid,
-                          truncation_tail: float = 1e-6) -> ExtensionBoundReport:
+                          truncation_tail: float | None = None) -> ExtensionBoundReport:
     """Boundedness of error/hybrid and extension-modulus/hybrid as t shrinks.
 
     Both ratios should stay bounded, so their fitted log-log slopes must not
@@ -418,10 +420,10 @@ def extension_bound_check(family: str, f: GridFunction, p: float, t_grid,
 
 
 def error_curve(family: str, f: GridFunction, p: float, t_grid,
-                truncation_tail: float = 1e-6, name: str = ""):
+                truncation_tail: float | None = None, name: str = ""):
     """Error-norm curve in the standard modulus-curve container."""
-    points = [(spec.t, error_norm(spec, f, p))
-              for spec in _kernel_specs(family, f, t_grid, truncation_tail)]
+    specs = _kernel_specs(family, f, t_grid, truncation_tail)
+    points = [(spec.t, error_norm(spec, f, p)) for spec in specs]
     meta = {"d": f.d, "L": f.level, "function": name, "kernel": family,
-            "truncation_tail": truncation_tail}
+            "truncation_tail": specs[0].truncation_tail}
     return ModulusCurve("error_norm", p, tuple(points), meta)

@@ -42,12 +42,9 @@ alone picks what the table does with the split; callers cannot choose it:
   value found.  The maximum is always evaluated, so the values equal the
   direct enumeration bit for bit.
 
-Every FFT here and in ``kernels`` is one ``_fft_product``, scipy.fft's passes
-bit for bit; a screen keeps only the rows 0 <= k_0 <= max k_0 it reads.  In
-d >= 2 one call holds at once, besides its output, the last-axis column
-pieces not yet used, one block's spreads, the finished column results and
-two line buffers; a factor goes once its pieces are made, unless its
-caller keeps it.
+Every FFT here and in ``kernels`` is one ``_fft_product`` on a 5-smooth grid
+(``_next_fast_len``), scipy.fft's passes bit for bit in blocks that bound
+what it holds; a screen keeps only the rows 0 <= k_0 <= max k_0 it reads.
 
 Only the direct sums run on threads: ``_WORKERS``, one per usable core, on
 a table of at least ``_THREAD_CELLS`` cells, the cube's or the window's,
@@ -84,7 +81,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import (_MAX_CELLS, ExtendedGridFunction, GridFunction, _abs_pow,
-                   _check_exponent, _csv, _shift_cells, lp_norm)
+                   _check_exponent, _csv, _shift_cells, _support_box, lp_norm)
 
 
 class ResolutionWarning(UserWarning):
@@ -399,12 +396,12 @@ def _screen(arr: np.ndarray, shifts: np.ndarray, shape, orders) -> dict:
         E4 = (f^4 masses) - 4 (c31(k) + c31(-k)) + 6 c22(k),
 
     the masses from ``_overlap_mass``.  With F_a = DFT(f^a), one
-    ``_fft_product`` reads c11 off F1 conj F1 and the E4 correlations off
+    ``_fft_product`` reads c11 off conj(F1) F1 and the E4 correlations off
     6 |F2|^2 - 8 Re(F3 conj F1).  A grid of n + max |k_a| cells per axis
     holds every shift; only the rows k_0 <= max k_0 are kept."""
     keep = (slice(0, int(shifts[:, 0].max(initial=0)) + 1),) + (slice(None),) * (len(shape) - 1)
     # per order its mass, correlation weight and error bound, before the FFT,
-    # which then alone holds the powers and releases each in turn
+    # which then alone holds the powers (in d >= 2 releasing each in turn)
     sq = arr * arr
     energy = float(sq.sum())
     factors, terms = [(arr, 0)], {}
@@ -421,18 +418,14 @@ def _screen(arr: np.ndarray, shifts: np.ndarray, shape, orders) -> dict:
         factors += [(sq, 0), (cube, 0)]
         del cube, quart
     del sq
-    # complex products round with fused multiply-adds, so operand order moves
-    # last bits: numpy's elision of temporaries made F1 * conj(F1) over a
-    # whole spectrum of 256 KiB or more conj(F1) * F1, and blocks keep that
-    swap = 16 * math.prod(shape[:-1]) * (shape[-1] // 2 + 1) >= 1 << 18
 
     def spectra(F):
-        # E2's block, then E4's in F3's: at most three blocks at once
+        # E2's block, then E4's in F3's: at most three blocks at once.  E2's is
+        # conj(F1) F1, fixed: complex products round with fused multiply-adds
         f1, parts = F(0), []
         if 2 in orders:
             conj = np.conj(f1)
-            parts.append(np.multiply(conj, f1, out=conj) if swap
-                         else np.multiply(f1, conj, out=conj))
+            parts.append(np.multiply(conj, f1, out=conj))
         if 4 in orders:
             parts.append(_real_product(F(2), f1, -8.0))
             del f1
@@ -446,12 +439,12 @@ def _screen(arr: np.ndarray, shifts: np.ndarray, shape, orders) -> dict:
             for (q, (mass, weight, error)), c in zip(terms.items(), corr)}
 
 
-def _next_fast_len(target: int, real: bool = False) -> int:
-    """The least n >= target (>= 1) with no prime factor above 5 (``real``)
-    or above 11: the FFT sizes of ``scipy.fft.next_fast_len``.  Each odd such
-    factor m below 2 target is lifted to target by the least power of two."""
+def _next_fast_len(target: int) -> int:
+    """The least n >= target (>= 1) with no prime factor above 5, every FFT
+    grid's side: ``scipy.fft.next_fast_len(target, real=True)``.  Each odd
+    such factor m below 2 target is lifted to target by the least power of two."""
     odd = [1]
-    for prime in (3, 5) if real else (3, 5, 7, 11):
+    for prime in (3, 5):
         for m in odd[:]:
             m *= prime
             while m < 2 * target:
@@ -479,7 +472,9 @@ def _fft_product(factors, grid, combine, keep, out=None) -> np.ndarray:
     rfftn of factors[i] = (array, start) zero-padded to ``grid``: the array
     at ``start`` on each axis but the last, its axes before the last m a
     batch.  An array leaves ``factors`` once its whole last-axis rfft is
-    made, so a caller that keeps no other name for it lets it go then.
+    made for m >= 2, or when the call returns for m = 1 (so a 1-d screen
+    holds its three powers of the box to the end), so a caller that keeps
+    no other name for it lets it go then.
 
     The passes are scipy.fft's, bit for bit: rfft on the last axis, then the
     others in order (numpy's rfftn reverses them, which moves bits from
@@ -487,14 +482,15 @@ def _fft_product(factors, grid, combine, keep, out=None) -> np.ndarray:
     skips lines zero going in or cut coming out, in blocks of at most
     ``_BLOCK_BYTES`` of a factor's spectrum: of lines for m = 1, else of
     last-axis frequencies (columns) and then of lines for the last inverse.
-    For m >= 2 a factor's last-axis rfft runs a block of lines at a time
-    through one buffer into one piece per column block; a piece goes once
-    spread over the grid, each block's cut inverse is kept as its own
-    array, and the last irfft gathers each line block from those through
-    one buffer.  So a call holds at once, besides ``out``, the column
-    pieces not yet used, one block's spreads, the finished column results
-    and two line buffers.  Each line is transformed alone, on the calling
-    thread (see the module docstring)."""
+    For m = 1 a one-row factor broadcasts over the batch, transformed again
+    in each block.  For m >= 2 a factor's last-axis rfft runs a block of
+    lines at a time through one buffer into one piece per column block; a
+    piece goes once spread over the grid, each block's cut inverse is kept
+    as its own array, and the last irfft gathers each line block from those
+    through one buffer.  So a call holds at once, besides ``out``, the
+    column pieces not yet used, one block's spreads, the finished column
+    results and two line buffers.  Each line is transformed alone, on the
+    calling thread (see the module docstring)."""
     m, fast, grid = len(grid), grid[-1], tuple(grid)
     half = fast // 2 + 1
     kept = tuple(len(range(n)[cut]) for n, cut in zip(grid, keep))
@@ -507,18 +503,10 @@ def _fft_product(factors, grid, combine, keep, out=None) -> np.ndarray:
                     scale, out=lines)
 
     if m == 1:
-        rows = [a.reshape(-1, a.shape[-1]) if a.ndim > 1 else None for a, _ in factors]
-        blocks, spectra = _blocks(math.prod(batch), 16 * half), {}
-        for j, block in enumerate(blocks):
-            def spectrum(i):
-                if rows[i] is not None:
-                    return np.fft.rfft(rows[i][block], fast, axis=-1)
-                if i not in spectra:  # one spectrum serves every block
-                    a, factors[i] = factors[i][0], None
-                    spectra[i] = np.fft.rfft(a, fast, axis=-1)
-                return spectra.pop(i) if j == len(blocks) - 1 else spectra[i]
-
-            prods = combine(spectrum)
+        rows = [a.reshape(-1, a.shape[-1]) for a, _ in factors]
+        for block in _blocks(math.prod(batch), 16 * half):
+            prods = combine(lambda i: np.fft.rfft(
+                rows[i][block if len(rows[i]) > 1 else slice(None)], fast, axis=-1))
             out = np.empty((len(prods),) + batch + kept) if out is None else out
             for p, prod in enumerate(prods):
                 inverse(prod, out[p].reshape(-1, kept[-1])[block])
@@ -642,19 +630,6 @@ def _layer(w: np.ndarray, shifts: np.ndarray, inside: np.ndarray) -> tuple:
     error = (2 * _gamma(w.size) + 2 ** (d + 1) * (_gamma(sum(n - 1 for n in w.shape))
                                                   + 2 ** d * u) + 4 * u)
     return np.maximum(layer, 0.0), 2.0 * error * mass
-
-
-def _support_box(window: np.ndarray):
-    """Slices of the smallest box of ``window`` that holds its nonzero
-    cells; None when there are none."""
-    box = []
-    for axis in range(window.ndim):
-        hit = np.flatnonzero(np.any(window, axis=tuple(
-            a for a in range(window.ndim) if a != axis)))
-        if not len(hit):
-            return None
-        box.append(slice(int(hit[0]), int(hit[-1]) + 1))
-    return tuple(box)
 
 
 @dataclass(frozen=True)
@@ -931,7 +906,7 @@ def _curve(kind: str, arr, p: float, t_grid, name: str = "") -> ModulusCurve:
     interior = kind == "interior"
     extra, support = {}, None
     if not interior:
-        extra, support = {"margin": arr.margin}, _support_box(arr.samples)
+        extra, support = {"margin": arr.margin}, arr.support_box
         _require_margin(arr, _shift_cells(max(ts), arr.n), support)
     radii = [t * arr.n for t in ts]
     start = time.perf_counter()

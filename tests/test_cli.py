@@ -172,6 +172,21 @@ def test_adaptive_duplicate_thresholds_counted_once(tmp_path):
         ["partition_eps0.05.txt", "partition_eps0.1.txt"]
 
 
+def test_adaptive_thresholds_sharing_a_file_name_exit_2_before_writing(tmp_path, capsys,
+                                                                      monkeypatch):
+    # both once wrote partition_eps0.123457.txt, the second over the first
+    from zexlab import adaptive
+
+    monkeypatch.setattr(adaptive, "_mean_pyramid", _no_alloc)
+    cfg = _write_config(tmp_path, "function = linear\nd = 1\nL = 8\np = 2\n"
+                                  "epsilons = 0.12345671,0.12345674\n")
+    out = tmp_path / "out"
+    assert main(["adaptive", "--config", cfg, "--out", str(out)]) == 2
+    assert "epsilons 0.12345671 and 0.12345674 would both write " \
+           "partition_eps0.123457.txt" in capsys.readouterr().err
+    assert not list(out.glob("*"))
+
+
 def test_adaptive_eta_guard_exits_2_before_writing(tmp_path):
     # eta = 1/3 - 1/q + 1/p < 0
     cfg = _write_config(tmp_path, "function = linear\nd = 3\nL = 4\np = 3\nq = 1\n")
@@ -183,6 +198,8 @@ def test_adaptive_eta_guard_exits_2_before_writing(tmp_path):
 @pytest.mark.parametrize("line, shown", [
     ("epsilon = nan", "nan"), ("epsilons = 0.1,nan", "nan"), ("epsilon = 0", "0.0"),
     ("epsilons = 0.1,-1", "-1.0"),
+    # bad values sharing a file name: the threshold rule, not the name clash
+    ("epsilons = nan,nan", "nan"), ("epsilons = -1,-1.0000001", "-1.0"),
 ])
 def test_adaptive_bad_threshold_exits_2_before_the_pyramid(tmp_path, capsys, monkeypatch,
                                                            line, shown):
@@ -750,3 +767,33 @@ def test_embedding_levels_are_distinct_integers_before_sampling(tmp_path, capsys
     err = capsys.readouterr().err
     assert f"bad value for 'levels': '{levels}'" in err and reason in err
     assert not (out / "embedding.txt").exists()
+
+
+@pytest.mark.parametrize("command, p", [("modulus", "2,2"), ("dyadic", "1,1"),
+                                        ("kernel-error", "2,2.0"), ("besov-fit", "3,1,3")])
+def test_repeated_p_exits_2_before_sampling(tmp_path, capsys, monkeypatch, command, p):
+    # modulus p = 2,2 wrote modulus_*_p2.csv and its provenance lines twice,
+    # and dyadic p = 1,1 every row of average_error.csv twice
+    monkeypatch.setattr("zexlab.cli.sample", _no_alloc)
+    cfg = _write_config(tmp_path, f"function = cusp alpha=0.5\nd = 1\nL = 8\np = {p}\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert f"bad value for 'p': '{p}' (a p repeats)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_modulus_whole_builds_one_window_and_box_for_every_p(tmp_path, monkeypatch):
+    # the margin depends only on the scale grid, so one window serves each p
+    from zexlab import cli, grid
+
+    windows, boxes = [], []
+    extend, box = grid.zero_extend, grid._support_box
+    monkeypatch.setattr(cli, "zero_extend", lambda *args: windows.append(args) or extend(*args))
+    monkeypatch.setattr(grid, "_support_box", lambda w: boxes.append(w) or box(w))
+    cfg = _write_config(tmp_path, "function = cusp alpha=0.5\nd = 2\nL = 5\n"
+                                  "kind = whole\np = 1,2,3\n")
+    out = tmp_path / "out"
+    assert main(["modulus", "--config", cfg, "--out", str(out)]) == 0
+    assert len(windows) == len(boxes) == 1
+    assert sorted(path.name for path in out.glob("*.csv")) == \
+        [f"modulus_whole_p{p}.csv" for p in (1, 2, 3)]

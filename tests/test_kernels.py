@@ -497,3 +497,30 @@ def test_nan_scale_refused_with_a_scale_message(measure):
     # the radius and died converting it to an integer
     with pytest.raises(ValueError, match="scale t must be finite and > 0, got t=nan"):
         measure("gauss", sample(cusp(0.5), 1, 6), 2.0, [math.nan, 0.25])
+
+
+def test_api_default_tail_gives_the_cli_bytes(tmp_path):
+    # a tail of None is the family's default_tail in f's dimension, as the
+    # CLI's; the 1e-6 the API once used asked an 8e6-cell radius here
+    from zexlab.cli import main
+    from zexlab.grid import parse_spec
+    from zexlab.moduli import default_t_grid
+
+    (tmp_path / "run.cfg").write_text("function = cusp alpha=0.5\nd = 2\nL = 5\n"
+                                      "kernel = poisson\n")
+    out = tmp_path / "out"
+    assert main(["kernel-error", "--config", str(tmp_path / "run.cfg"),
+                 "--out", str(out)]) == 0
+    spec = parse_spec("cusp alpha=0.5")
+    curve = error_curve("poisson", sample(spec, 2, 5), 2.0, default_t_grid(5),
+                        name=spec.describe())
+    assert curve.meta["truncation_tail"] == default_tail("poisson", 2) == 0.01
+    assert curve.to_csv() == (out / "kernel_error_poisson_p2.csv").read_text()
+
+
+@pytest.mark.parametrize("measure", [error_curve, error_modulus_ratio, extension_bound_check])
+def test_default_tail_is_the_family_default(measure):
+    f = sample(cusp(0.5), 1, 6)
+    grid = [2.0 ** -j for j in range(5, 1, -1)]
+    assert measure("poisson", f, 2.0, grid) == \
+        measure("poisson", f, 2.0, grid, default_tail("poisson", 1))

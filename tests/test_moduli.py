@@ -215,8 +215,9 @@ def test_whole_correlation_screen_runs_on_the_support_box(monkeypatch):
     monkeypatch.setattr(moduli, "_screen", recorded)
     f = sample(cusp(0.5), 2, 5)  # a 32^2 cube in a 64^2 window
     curve = whole_curve(zero_extend(f, 16), 2, [0.25])
-    # 2 n - 1 cells of the cube per axis, a fast length; the window's: 128
-    assert curve.meta["method"] == "corr" and grids == [[63, 63]]
+    # 2 n - 1 = 63 cells of the cube per axis, lifted to the fast length 64;
+    # the window's: 128
+    assert curve.meta["method"] == "corr" and grids == [[64, 64]]
 
 
 def test_budget_capped_table_is_bracketed(monkeypatch):
@@ -316,11 +317,10 @@ def test_row_restricted_inverse_equals_irfftn_bit_for_bit(shape):
         assert np.array_equal(got, expected)
 
 
-@pytest.mark.parametrize("real", (False, True))
-def test_next_fast_len_matches_scipy(real):
+def test_next_fast_len_matches_scipy():
     targets = [*range(1, (1 << 15) + 1), 65_537, 655_000, (1 << 27) + 1]
-    assert [moduli._next_fast_len(n, real) for n in targets] == \
-        [sfft.next_fast_len(n, real) for n in targets]
+    assert [moduli._next_fast_len(n) for n in targets] == \
+        [sfft.next_fast_len(n, real=True) for n in targets]
 
 
 def _e2(f1):
@@ -454,9 +454,8 @@ def test_fft_product_starts_no_thread(monkeypatch):
                                       ((12, 10, 8), 4), ((20, 20, 20), 6)])
 def test_screen_matches_whole_spectrum_screen_bit_for_bit(monkeypatch, budget, shape, r):
     # the screens' values as read off whole scipy spectra, with numpy's
-    # operators: F1 * conj(F1) over a spectrum of 256 KiB or more is
-    # conj(F1) * F1 (numpy's elision of temporaries), whose imaginary parts
-    # round apart; (200, 200) at r = 150 is such a grid
+    # operators: E2's product is conj(F1) * F1 at every size, whose
+    # imaginary parts round apart from F1 * conj(F1)'s
     monkeypatch.setattr(moduli, "_BLOCK_BYTES", budget)
     arr = np.random.default_rng(len(shape)).standard_normal(shape)
     shifts = moduli._half_shifts(len(shape), r, shape[0] - 1)
@@ -465,7 +464,7 @@ def test_screen_matches_whole_spectrum_screen_bit_for_bit(monkeypatch, budget, s
     at = tuple(shifts[:, a] % s for a, s in enumerate(grid))
     sq = arr * arr
     f1, f2, f3 = (sfft.rfftn(a, grid) for a in (arr, sq, sq * arr))
-    c11 = sfft.irfftn(f1 * np.conj(f1), grid, axes=axes)[at]
+    c11 = sfft.irfftn(np.conj(f1) * f1, grid, axes=axes)[at]
     e4 = -8.0 * (f3.real * f1.real + f3.imag * f1.imag)
     e4 += 6.0 * (f2.real * f2.real + f2.imag * f2.imag)
     c4 = sfft.irfftn(e4, grid, axes=axes)[at]
