@@ -9,14 +9,19 @@ partition is held as per-level arrays read off the ``ErrorPyramid``, its
 cubes as ``dyadic``'s per-level origin arrays; ``local_error(f, level, origin,
 p)`` computes one cube's S(Q) directly from the samples.
 
+The pyramid also keeps the per-cube work of the partitions built on it: it
+roots each cube's S(Q) and formats each cube's dump label once, the first
+time a partition asks.  The partitions of a threshold ladder are nested, so a
+ladder on one pyramid costs per cube what its finest partition costs.
+
 The module also reports how the good-cube count scales with the threshold
 against its predicted envelope.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import repeat
+from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -29,7 +34,12 @@ COUNT_CSV_HEADER = "epsilon,N_total,depth,min_side,count_envelope,min_side_bound
 
 
 class ErrorPyramid:
-    """Per-level cube means and local error powers for every dyadic cube."""
+    """Per-level cube means and local error powers for every dyadic cube.
+
+    The S(Q) values and dump labels of the cubes that partitions classify
+    are kept here too, each made once on first use, so every partition of a
+    ladder built on one pyramid reads the cubes it shares with the others.
+    """
 
     def __init__(self, f: GridFunction, p: float):
         _check_exponent(p)
@@ -44,6 +54,41 @@ class ErrorPyramid:
         for k in range(L - 1, -1, -1):
             dev = _deviation_powers(f.samples, self.means[k], self.p, buf)
             self.err_pow[k] = dev.sum(axis=tuple(range(1, 2 * d, 2))) * f.cell_volume
+        # S(Q) per level, NaN until rooted, each level made when first asked
+        # for; single cells have S = 0 already
+        self._roots = [None] * L + [self.err_pow[L]]
+        # dump labels per level: the flat indices of the labelled cubes, ascending
+        # and ending in a sentinel above every index, and their labels beside them
+        self._label_memo = [(np.array([np.iinfo(np.intp).max]), np.array([None]))] * (L + 1)
+
+    def _s_values(self, k: int, cells: tuple) -> np.ndarray:
+        """S(Q) of the level-k cubes at the index arrays ``cells``, each cube
+        rooted the first time it is asked for."""
+        if self._roots[k] is None:
+            self._roots[k] = np.full(self.err_pow[k].shape, np.nan)
+        roots = self._roots[k]
+        s = roots[cells]
+        new = np.isnan(s)
+        if new.any():
+            cells = tuple(c[new] for c in cells)
+            # the scalar root per element: an array power may round the last bit differently
+            root = 1.0 / self.p
+            s[new] = roots[cells] = [math.pow(v, root) for v in self.err_pow[k][cells].tolist()]
+        return s
+
+    def _dump_labels(self, k: int, origins: np.ndarray, s: np.ndarray) -> list:
+        """``_labels(k, origins, s)``, each cube's label formatted the first
+        time it is asked for."""
+        keys = _cells(origins, k, self.f.d)
+        known, labels = self._label_memo[k]
+        at = np.searchsorted(known, keys)
+        new = known[at] != keys
+        if new.any():
+            known = np.insert(known, at[new], keys[new])
+            labels = np.insert(labels, at[new], _labels(k, origins[new], s[new]))
+            self._label_memo[k] = known, labels
+            at = np.searchsorted(known, keys)
+        return labels[at].tolist()
 
 
 def local_error(f: GridFunction, level: int, origin, p: float) -> float:
@@ -60,6 +105,13 @@ def local_error(f: GridFunction, level: int, origin, p: float) -> float:
     return float((dev.sum() * f.cell_volume) ** (1.0 / p))
 
 
+def _labels(k: int, origins: np.ndarray, s: np.ndarray) -> list:
+    """The dump label "k,i:j,S" of each level-k cube: its level, its origin
+    indices joined by ":" and its S by ``repr``."""
+    corners = map(":".join, zip(*(map(str, axis) for axis in origins.T.tolist())))
+    return [f"{k},{corner},{v!r}" for corner, v in zip(corners, s.tolist())]
+
+
 @dataclass(frozen=True, eq=False)
 class AdaptivePartition:
     """Stopping-time partition as per-level arrays over the error pyramid.
@@ -69,13 +121,15 @@ class AdaptivePartition:
     cubes) in lexicographic order: an (n_k, d) integer array of cube origins,
     their S(Q) values and a good flag for each.  ``good`` and ``bad`` split
     the origins per level, ``counts`` counts the good cubes per level, and
-    ``depth`` is the deepest level holding one.
+    ``depth`` is the deepest level holding one.  ``pyramid`` is the one the
+    partition was built on, whose memo serves its dump.
     """
 
     epsilon: float
     origins: tuple
     s_values: tuple
     is_good: tuple
+    pyramid: ErrorPyramid | None = field(default=None, repr=False)
 
     @property
     def good(self) -> tuple:
@@ -102,19 +156,16 @@ class AdaptivePartition:
 
     def to_text(self) -> str:
         """The dump ``_csv`` would print for rows (level, origin indices
-        joined by ":", S, good/bad); a dump runs to ~10^5 rows, so each
-        level's lines are joined from its columns by C-level map and zip,
-        and only one level's line strings are alive at a time."""
-        blocks = [PARTITION_DUMP_HEADER]
+        joined by ":", S, good/bad); a dump runs to ~10^5 rows, so it is one
+        join of each cube's label, kept by the pyramid, and one of two
+        constant line endings, with no string made per line."""
+        endings = (",bad\n", ",good\n")
+        pieces = [PARTITION_DUMP_HEADER, "\n"]
         for k, (o, s, g) in enumerate(zip(self.origins, self.s_values, self.is_good)):
-            if not len(s):
-                continue
-            origins = map(":".join, zip(*(map(str, axis) for axis in o.T.tolist())))
-            blocks.append("\n".join(map(",".join, zip(
-                repeat(str(k)), origins, map(repr, s.tolist()),
-                np.where(g, "good", "bad").tolist()))))
-        blocks.append("")  # the closing newline, without copying the text again
-        return "\n".join(blocks)
+            labels = _labels(k, o, s) if self.pyramid is None else \
+                self.pyramid._dump_labels(k, o, s)
+            pieces += chain.from_iterable(zip(labels, map(endings.__getitem__, g.tolist())))
+        return "".join(pieces)
 
 
 def _check_epsilon(epsilon: float):
@@ -131,20 +182,18 @@ def build_partition(f: GridFunction, p: float, epsilon: float,
         pyramid = ErrorPyramid(f, p)
     elif pyramid.f is not f or pyramid.p != float(p):
         raise ValueError("pyramid was built for different inputs")
-    root = 1.0 / pyramid.p
     levels = []
     frontier = np.ones((1,) * f.d, dtype=bool)
-    for err_pow in pyramid.err_pow:  # single cells have S = 0, so level L ends it
+    for k in range(f.level + 1):  # single cells have S = 0, so level L ends it
         cells = np.nonzero(frontier)
-        # the scalar root per element: an array power may round the last bit differently
-        s = np.array([math.pow(v, root) for v in err_pow[cells].tolist()])
+        s = pyramid._s_values(k, cells)
         good = s <= epsilon
         levels.append((np.transpose(cells), s, good))
         if good.all():
             break
         frontier[cells] = ~good
         frontier = _refine(frontier)
-    return AdaptivePartition(float(epsilon), *map(tuple, zip(*levels)))
+    return AdaptivePartition(float(epsilon), *map(tuple, zip(*levels)), pyramid)
 
 
 def verify_partition(part: AdaptivePartition, f: GridFunction) -> list:
@@ -157,10 +206,9 @@ def verify_partition(part: AdaptivePartition, f: GridFunction) -> list:
     exactly once.  An origin outside its level's lattice raises ValueError.
     """
     problems = []
-    expected = np.ones((1,) * f.d, dtype=bool)
+    bad = np.ones((1,) * f.d, dtype=bool)  # the root, to be classified at level 0
     for k, (origins, s, good) in enumerate(zip(part.origins, part.s_values, part.is_good)):
-        if k:
-            expected = _refine(bad)
+        expected = _refine(bad) if k else bad
         cells = _cells(origins, k, f.d)
         seen = np.bincount(cells, minlength=expected.size).reshape(expected.shape)
         for o in np.argwhere(seen != expected).tolist():
@@ -173,13 +221,16 @@ def verify_partition(part: AdaptivePartition, f: GridFunction) -> list:
                             f"flag for S={v!r} vs eps={part.epsilon!r}")
         bad = np.zeros(expected.shape, dtype=bool)
         bad.flat[cells[~good]] = True
-    if bad.any():
-        problems.append(f"deepest: {np.count_nonzero(bad)} bad cubes at level {k} "
+    deepest = len(part.origins) - 1
+    if deepest < 0:
+        problems.append("tree: the root is never classified")
+    elif bad.any():
+        problems.append(f"deepest: {np.count_nonzero(bad)} bad cubes at level {deepest} "
                         "were never subdivided")
     if not np.all(_cover(f.d, part.good) == 1):
         problems.append("tiling: cubes do not tile the unit cube exactly")
-    if k > f.level:
-        problems.append(f"depth: level {k} is finer than the lattice level {f.level}")
+    if deepest > f.level:
+        problems.append(f"depth: level {deepest} is finer than the lattice level {f.level}")
     return problems
 
 
@@ -250,18 +301,25 @@ class CountReport:
                                        for r in self.rows))
 
 
+def _scaling_exponent(d: int, p: float, q: float) -> float:
+    """eta = 1/d - 1/q + 1/p, the count envelope's exponent (first-order
+    smoothness measured in L^q, error in L^p); ValueError unless it is > 0."""
+    _check_exponent(p)
+    _check_exponent(q, "q")
+    eta = 1.0 / d - 1.0 / q + 1.0 / p
+    if eta <= 0:
+        raise ValueError(f"scaling exponent eta = {eta:g} must be positive")
+    return eta
+
+
 def count_bound_report(f: GridFunction, p: float, q: float, epsilons) -> CountReport:
     """Partition size against threshold with the predicted scaling envelope.
 
-    eta = 1/d - 1/q + 1/p (first-order smoothness measured in L^q, error in
-    L^p).  The envelope and the minimum-side threshold are printed with the
-    empirically observed ratio constant; no constant from theory is assumed.
+    eta as ``_scaling_exponent``.  The envelope and the minimum-side
+    threshold are printed with the empirically observed ratio constant; no
+    constant from theory is assumed.
     """
-    _check_exponent(p)
-    _check_exponent(q, "q")
-    eta = 1.0 / f.d - 1.0 / q + 1.0 / p
-    if eta <= 0:
-        raise ValueError(f"scaling exponent eta = {eta:g} must be positive")
+    eta = _scaling_exponent(f.d, p, q)
     epsilons = sorted({float(e) for e in epsilons})
     for e in epsilons:
         _check_epsilon(e)
@@ -269,21 +327,27 @@ def count_bound_report(f: GridFunction, p: float, q: float, epsilons) -> CountRe
     powered **= q
     seminorm = _seminorm(f, powered, q)
     # block sums of |grad f|^q: each cube's local seminorm restricts the
-    # global gradient field, which makes it monotone under taking subcubes
+    # global gradient field, which makes it monotone under taking subcubes.
+    # Levels 0..L-1 only: a single cell has S = 0, so it gives no ratio.
     powered *= f.cell_volume
     local = [m * 2.0 ** (f.d * (f.level - k))  # sums: means times exact powers of two
-             for k, m in enumerate(_mean_pyramid(powered, f.d, f.level))]
+             for k, m in enumerate(_mean_pyramid(powered, f.d, f.level)[:f.level])]
     del powered
     pyramid = ErrorPyramid(f, p)
     parts = {e: build_partition(f, p, e, pyramid) for e in epsilons}
     ratio_constant = 0.0
-    bad_constant = 0.0
-    for e, part in parts.items():
-        for k, (origins, s) in enumerate(zip(part.origins, part.s_values)):
-            w = np.array([math.pow(v, 1.0 / q) for v in local[k][tuple(origins.T)].tolist()])
+    if epsilons:
+        # the ladder's cubes are nested: a cube is classified under eps only when
+        # its parent's S exceeds eps, so under every smaller eps too.  The finest
+        # partition holds them all, and the max of their ratios is order-free.
+        finest = parts[epsilons[0]]
+        for k, (loc, origins, s) in enumerate(zip(local, finest.origins, finest.s_values)):
+            w = np.array([math.pow(v, 1.0 / q) for v in loc[tuple(origins.T)].tolist()])
             keep = (s > 0) & (w > 0)
             ratios = s[keep] / (((2.0 ** -k) ** f.d) ** eta * w[keep])  # |Q| = (2^-k)^d
             ratio_constant = max([ratio_constant, *ratios.tolist()])
+    bad_constant = 0.0
+    for e, part in parts.items():
         for k, level in enumerate(part.bad):
             if len(level) and seminorm > 0:
                 bad_constant = max(

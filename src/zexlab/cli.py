@@ -30,7 +30,8 @@ import traceback
 from pathlib import Path
 
 from . import acceptance, adaptive, besov, dyadic, kernels, moduli
-from .grid import _check_exponent, _csv, _shift_cells, parse_spec, sample, zero_extend
+from .grid import (_check_exponent, _check_lattice, _csv, _shift_cells, parse_spec, sample,
+                   zero_extend)
 
 _KNOWN_KEYS = {
     "function", "d", "L", "p", "q", "kernel", "window", "epsilons", "kind",
@@ -227,7 +228,10 @@ def cmd_shift_bound(config) -> int:
 def cmd_adaptive(config) -> int:
     p = _single_p(config)
     q = config.get("q", 2.0)
-    _check_exponent(q, "q")
+    # the exponent rules before f is sampled or the output directory made
+    _require(config, "function", "d", "L")
+    _check_lattice(config["d"], config["L"])
+    adaptive._scaling_exponent(config["d"], p, q)
     f, spec = _function(config)
     out = _outdir(config)
     if "epsilon" in config:

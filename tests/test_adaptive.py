@@ -1,4 +1,5 @@
 import math
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -153,6 +154,9 @@ def test_verify_partition_reports_each_fault():
                             np.ones(4, dtype=bool))
     assert kinds(broken) == {"threshold", "depth"}
 
+    # no level at all: the root is never classified, and nothing tiles
+    assert kinds(AdaptivePartition(part.epsilon, (), (), ())) == {"tree", "tiling"}
+
 
 def test_partition_count_monotone_in_threshold():
     f = sample(cusp(0.5), 1, 9)
@@ -160,6 +164,34 @@ def test_partition_count_monotone_in_threshold():
     eps = sorted(default_epsilons(f, 2))
     counts = [build_partition(f, 2, e, pyramid).n_total for e in eps]
     assert all(a >= b for a, b in zip(counts, counts[1:]))
+
+
+def test_a_ladder_on_one_pyramid_roots_and_labels_each_cube_once(monkeypatch):
+    from zexlab import adaptive
+
+    f = sample(cusp(0.5, 0.3), 2, 5)
+    pyramid = ErrorPyramid(f, 2)
+    s_min = min(math.sqrt(v) for a in pyramid.err_pow for v in a.ravel().tolist() if v > 0)
+    ladder = [0.05, s_min / 2, 0.2, 0.01, 0.1]  # one threshold below every S
+    roots, labels = [], []
+    real_pow, real_labels = math.pow, adaptive._labels
+    monkeypatch.setattr(math, "pow", lambda x, y: roots.append(x) or real_pow(x, y))
+    monkeypatch.setattr(adaptive, "_labels",
+                        lambda k, o, s: labels.extend(zip(repeat(k), o.tolist()))
+                        or real_labels(k, o, s))
+    parts = [build_partition(f, 2, e, pyramid) for e in ladder]
+    texts = {e: part.to_text() for e, part in zip(ladder, parts)}
+    cubes = {(k, tuple(o)) for part in parts
+             for k, level in enumerate(part.origins) for o in level.tolist()}
+    assert len(parts[1].origins) == f.level + 1  # the finest reaches single cells
+    assert sum(map(len, parts[1].origins)) == len(cubes)  # and holds every other's cubes
+    assert sum(len(o) for part in parts for o in part.origins) > len(cubes)  # shared
+    rooted = len({c for c in cubes if c[0] < f.level})  # single cells have S = 0, no root
+    assert len(roots) == rooted
+    assert sorted((k, tuple(o)) for k, o in labels) == sorted(cubes)
+    # the same ladder again, in another order, roots and formats nothing
+    assert {e: build_partition(f, 2, e, pyramid).to_text() for e in sorted(ladder)} == texts
+    assert len(roots) == rooted and len(labels) == len(cubes)
 
 
 def test_partition_dump_format():

@@ -187,12 +187,19 @@ def test_adaptive_thresholds_sharing_a_file_name_exit_2_before_writing(tmp_path,
     assert not list(out.glob("*"))
 
 
-def test_adaptive_eta_guard_exits_2_before_writing(tmp_path):
-    # eta = 1/3 - 1/q + 1/p < 0
+def test_adaptive_eta_guard_exits_2_before_writing(tmp_path, capsys, monkeypatch):
+    # eta = 1/3 - 1/q + 1/p < 0: refused before f or the output directory exists
+    from zexlab import cli
+
+    def no_sample(*args, **kwargs):
+        raise AssertionError("f was sampled")
+
+    monkeypatch.setattr(cli, "sample", no_sample)
     cfg = _write_config(tmp_path, "function = linear\nd = 3\nL = 4\np = 3\nq = 1\n")
     out = tmp_path / "out"
     assert main(["adaptive", "--config", cfg, "--out", str(out)]) == 2
-    assert not list(out.glob("partition_eps*.txt"))
+    assert "scaling exponent eta = -0.333333 must be positive" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("line, shown", [
