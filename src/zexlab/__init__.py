@@ -9,8 +9,8 @@ of the inequality checks together.
 
 from .grid import (CorpusMember, ExtendedGridFunction, FunctionSpec,
                    GridFunction, LatticeShift, boundary_power, const, corpus,
-                   cusp, difference, indicator, linear, lp_norm, parse_spec,
-                   random_dyadic, sample, tensor_product, zero_extend)
+                   cusp, indicator, linear, lp_norm, parse_spec, random_dyadic,
+                   sample, tensor_product, zero_extend)
 from .moduli import (LowerBoundWarning, ModulusCurve, ResolutionWarning,
                      default_t_grid, hybrid_curve, hybrid_modulus,
                      interior_curve, interior_ladder, interior_modulus,

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (GridFunction, _check_exponent, _shift_cells, lp_norm, sample,
-                   zero_extend)
+from .grid import (GridFunction, _check_exponent, _check_lattice, _check_window,
+                   _shift_cells, lp_norm, sample, zero_extend)
 from .moduli import (ModulusCurve, _dyadic_grid, interior_curve,
                      interior_ladder, whole_curve)
 
@@ -260,13 +260,18 @@ def besov_embedding_check(spec, d: int, p: float, q: float, levels) -> Embedding
     transferred indices are beta = alpha/(alpha p + 1), r = q (1 + alpha p).
     Reports per-resolution seminorms (stabilization indicates the discrete
     seminorm is converging) and the ratio against the interpolation-type
-    product ||f||^(alpha p/(1+alpha p)) |f|^(1/(1+alpha p)).
+    product ||f||^(alpha p/(1+alpha p)) |f|^(1/(1+alpha p)).  Every level's
+    lattice and (3 * 2^L)^d-cell window are checked, largest first, before f
+    is sampled.
     """
     _check_q(q)
     _check_exponent(p)
     if p <= 1:
         raise ValueError("needs p > 1")
     levels = tuple(sorted(int(x) for x in levels))
+    for L in reversed(levels):
+        _check_lattice(d, L)
+        _check_window(d, L, 1 << L, f"level {L} is too fine; lower the levels")
     f_fine = sample(spec, d, levels[-1])
     if lp_norm(f_fine, p) == 0.0:
         zeros = (0.0,) * len(levels)

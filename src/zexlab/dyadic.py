@@ -12,8 +12,9 @@ exact inequality checkers live here:
   curve that may hold many scales, with the explicit constant
   (v_d * d^((d+p)/2))^(1/p), v_d the unit-ball volume.
 * ``shift_bound_check``: for a piecewise constant extended by zero, the p-th
-  power of a shifted difference against 2^p min{|h| 2^k sqrt(d), 1} times the
-  p-th power norm (uniform grids), or the cube-by-cube form
+  power of a shifted difference, summed whole by the whole tables' evaluator
+  (``moduli._diff_power_window``), against 2^p min{|h| 2^k sqrt(d), 1} times
+  the p-th power norm (uniform grids), or the cube-by-cube form
   2^p sum_Q min{sqrt(d)|h|/l(Q), 1} |Q| |a_Q|^p for arbitrary partitions.
 
 Both sides are computed in exact cell arithmetic, so failures beyond a 1e-12
@@ -31,9 +32,9 @@ from itertools import product
 
 import numpy as np
 
-from .grid import (GridFunction, LatticeShift, _abs_pow, _check_exponent, _csv,
-                   difference, zero_extend)
-from .moduli import ModulusCurve, _flagged_points, interior_curve
+from .grid import (GridFunction, LatticeShift, _abs_pow, _check_exponent, _check_lattice,
+                   _csv, zero_extend)
+from .moduli import ModulusCurve, _diff_power_window, _flagged_points, interior_curve
 
 SUITE_CSV_HEADER = "seed,d,k,p,h,lhs,rhs,pass"
 # random_partition splits a cube below its level cap with this probability
@@ -119,6 +120,7 @@ class PiecewiseConstant:
     def render(self, grid_level: int) -> GridFunction:
         if grid_level < self.max_level:
             raise ValueError("grid resolution is coarser than the partition")
+        _check_lattice(self.d, grid_level)  # before the refinement allocates it
         out = np.zeros((1,) * self.d)
         ends = np.cumsum(list(map(len, self.origins)))
         for k, (o, end) in enumerate(zip(self.origins, ends)):
@@ -213,14 +215,20 @@ def average_error_report(f: GridFunction, level: int, p: float,
     modulus at scale 2^-level, looked up in ``modulus``, an interior curve
     of f that holds that scale among any others (one curve serves every
     level), or that scale's one-point curve, built here when not given.  A
-    value its table left bracketed warns (``LowerBoundWarning``); a curve
-    without the scale is refused.
+    value its table left bracketed warns (``LowerBoundWarning``); a curve of
+    another kind, p, d or L than f's interior curve at p, or without the
+    scale, is refused.
     """
     if level > f.level - 2:
         raise ValueError("need level <= L-2 so the modulus scale is resolvable")
     scale = 2.0 ** (-level)
     if modulus is None:
         modulus = interior_curve(f, p, [scale])
+    got = (modulus.kind, float(modulus.p), modulus.meta.get("d"), modulus.meta.get("L"))
+    if got != ("interior", float(p), f.d, f.level):
+        raise ValueError(f"the modulus must be f's interior curve at p={p:g}, d={f.d}, "
+                         f"L={f.level}; got a {got[0]} curve at p={got[1]:g}, "
+                         f"d={got[2]}, L={got[3]}")
     row = _flagged_points(modulus, (scale,))
     if not row:
         raise ValueError(f"the modulus curve holds no point at the scale t={scale!r}")
@@ -247,11 +255,15 @@ def shift_bound_check(pc: PiecewiseConstant, shift: LatticeShift, p: float) -> t
 def _shift_bound_sides(pc: PiecewiseConstant, rendered: GridFunction, shift: LatticeShift,
                        ps) -> list:
     """``shift_bound_check``'s (lhs, rhs) at each p of ``ps``, given pc
-    rendered on the shift's lattice: one zero-extended difference serves
-    every p.  Its cells are mostly the margin's exact zeros, which the
-    power skips (``_abs_pow``'s ``zeros``)."""
+    rendered on the shift's lattice.  Each lhs is a whole sum of the
+    zero-extension's difference, summed by the whole tables' evaluator
+    (``moduli._diff_power_window``) with the cube as its support box, on a
+    window with a margin as wide as the shift, whose size sets the pairwise
+    order.  One zeroed buffer, which the evaluator leaves zeroed, serves
+    every p."""
     ext = zero_extend(rendered, max(1, max(abs(v) for v in shift.k)))
-    delta = difference(ext, shift).samples
+    buffer = np.zeros(ext.shape)
+    cube = (slice(ext.margin, ext.margin + ext.n),) * pc.d
     root_d = math.sqrt(pc.d)
     if pc.uniform_level is None:
         levels = pc.cube_levels()
@@ -260,7 +272,7 @@ def _shift_bound_sides(pc: PiecewiseConstant, rendered: GridFunction, shift: Lat
         weighted = np.minimum(root_d * shift.length / sides, 1.0) * vols
     pairs = []
     for p in ps:
-        lhs = float(_abs_pow(delta, p, zeros=True).sum() * ext.cell_volume)
+        lhs = _diff_power_window(ext.samples, shift.k, p, buffer, cube) * ext.cell_volume
         if pc.uniform_level is not None:
             rhs = (2.0 ** p) * min(shift.length * (1 << pc.uniform_level) * root_d, 1.0) \
                 * pc.norm_power(p)

@@ -206,6 +206,16 @@ class LatticeShift:
         return math.sqrt(sum(v * v for v in self.k)) * 2.0 ** (-self.level)
 
 
+def _check_window(d: int, level: int, margin: int, remedy: str = "narrow the margin") -> int:
+    """The one rule for a zero-extension window: (2^level + 2 margin)^d cells
+    within ``_MAX_CELLS``.  Returns the window's side."""
+    size = (1 << level) + 2 * margin
+    if size ** d > _MAX_CELLS:
+        raise ValueError(f"a margin of {margin} cells makes a window of {size}^{d} = "
+                         f"{size ** d} cells (limit {_MAX_CELLS}); {remedy}")
+    return size
+
+
 def zero_extend(f: GridFunction, margin: int | None = None) -> ExtendedGridFunction:
     """Extend by zero onto a margin-padded window.
 
@@ -218,10 +228,7 @@ def zero_extend(f: GridFunction, margin: int | None = None) -> ExtendedGridFunct
     margin = int(margin)
     if margin < 0:
         raise ValueError("margin must be >= 0")
-    size = f.n + 2 * margin
-    if size ** f.d > _MAX_CELLS:
-        raise ValueError(f"a margin of {margin} cells makes a window of {size}^{f.d} = "
-                         f"{size ** f.d} cells (limit {_MAX_CELLS}); narrow the margin")
+    size = _check_window(f.d, f.level, margin)
     window = np.zeros((size,) * f.d)
     core = tuple(slice(margin, margin + f.n) for _ in range(f.d))
     window[core] = f.samples
@@ -257,37 +264,6 @@ def lp_norm(f, p: float) -> float:
     windows and differences of windows are what most calls measure."""
     _check_exponent(p)
     return float((f.cell_volume * _abs_pow(f.samples, p, zeros=True).sum()) ** (1.0 / p))
-
-
-def shifted_samples(window: np.ndarray, k) -> np.ndarray:
-    """Array b with b[i] = window[i + k], reading zero outside the window."""
-    out = np.zeros_like(window)
-    src, dst = [], []
-    for ka, n in zip(k, window.shape):
-        ka = int(ka)
-        if ka >= 0:
-            lo, hi, dlo, dhi = ka, n, 0, n - ka
-        else:
-            lo, hi, dlo, dhi = 0, n + ka, -ka, n
-        if lo >= hi:
-            return out
-        src.append(slice(lo, hi))
-        dst.append(slice(dlo, dhi))
-    out[tuple(dst)] = window[tuple(src)]
-    return out
-
-
-def difference(g: ExtendedGridFunction, shift: LatticeShift) -> ExtendedGridFunction:
-    """Forward difference g(. + h) - g(.), h a lattice multiple of the cell side.
-
-    Indices shifted past the padded window read as zero, consistent with the
-    zero-extension convention.  Exact: no interpolation is ever performed.
-    """
-    if shift.level != g.level:
-        raise ValueError("shift resolution must match the window resolution")
-    if shift.d != g.d:
-        raise ValueError("shift dimension must match the window dimension")
-    return g._like(shifted_samples(g.samples, shift.k) - g.samples)
 
 
 # ---------------------------------------------------------------------------

@@ -268,11 +268,15 @@ def _diff_power_interior(samples: np.ndarray, k, p: float, out: np.ndarray) -> f
 def _diff_power_window(window: np.ndarray, k, p: float, out: np.ndarray, box) -> float:
     """Sum |g(i+k)-g(i)|^p over the whole window, zero outside it, through
     ``out``, a zeroed array of the window's shape, which it leaves zeroed.
-    Only the cells i of the smallest box holding B and B - k, B the support
-    box ``box`` (None: no support), can differ from 0: their differences go
-    into ``out``, a partner i + k off the window reading 0, and the power
-    skips the exact zeros among them.  The sum runs over all of ``out``: the
-    window's pairwise order, so the same bits as the full difference array."""
+    Only the cells i of the smallest box holding B and B - k, B = ``box``
+    (None: no support), can differ from 0: their differences go into
+    ``out``, a partner i + k off the window reading 0, and the power skips
+    the exact zeros among them.  ``box`` may be any box of the window that
+    holds the support: a whole table passes the tight ``_support_box``,
+    ``dyadic``'s shift bounds the cube; the cells outside the support
+    difference to exact zeros, so the bits are the same.  The sum runs over
+    all of ``out``: the window's pairwise order, so the same bits as the
+    full difference array."""
     if box is None:
         return 0.0
     cells, kept, partners = [], [], []

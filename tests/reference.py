@@ -14,9 +14,27 @@ import numpy as np
 
 from zexlab.adaptive import PARTITION_DUMP_HEADER, _seminorm, gradient_magnitude
 from zexlab.dyadic import _mean_pyramid, _refine, dyadic_average
-from zexlab.grid import ExtendedGridFunction, GridFunction, lp_norm, shifted_samples
+from zexlab.grid import ExtendedGridFunction, GridFunction, lp_norm
 from zexlab.kernels import KernelSpec, kernel_radius_cells, kernel_weights
 from zexlab.moduli import _SupTable, _direct_sums, _half_shifts, _radius_max, _support_box
+
+
+def shifted_samples(window: np.ndarray, k) -> np.ndarray:
+    """Array b with b[i] = window[i + k], reading zero outside the window."""
+    out = np.zeros_like(window)
+    src, dst = [], []
+    for ka, n in zip(k, window.shape):
+        ka = int(ka)
+        if ka >= 0:
+            lo, hi, dlo, dhi = ka, n, 0, n - ka
+        else:
+            lo, hi, dlo, dhi = 0, n + ka, -ka, n
+        if lo >= hi:
+            return out
+        src.append(slice(lo, hi))
+        dst.append(slice(dlo, dhi))
+    out[tuple(dst)] = window[tuple(src)]
+    return out
 
 
 def _direct_values(arr: np.ndarray, shifts: np.ndarray, p: float,

@@ -722,6 +722,23 @@ def test_embedding_nan_q_exits_2_before_sampling(tmp_path, capsys, monkeypatch):
 
 
 
+@pytest.mark.parametrize("cell_limit, levels, level", [
+    (None, "", 12),  # the default levels 10,11,12: a 12288^2 window at L = 12
+    (1 << 20, "levels = 6,7,9\n", 9)], ids=["default-levels", "patched-limit"])
+def test_embedding_oversized_level_exits_2_before_sampling(tmp_path, capsys, monkeypatch,
+                                                           cell_limit, levels, level):
+    from zexlab import besov, grid
+
+    if cell_limit is not None:
+        monkeypatch.setattr(grid, "_MAX_CELLS", cell_limit)
+    monkeypatch.setattr(besov, "sample", _no_alloc)
+    cfg = _write_config(tmp_path, f"function = cusp alpha=0.5\nd = 2\np = 2\n{levels}")
+    out = tmp_path / "out"
+    assert main(["embedding", "--config", cfg, "--out", str(out)]) == 2
+    assert f"level {level} is too fine; lower the levels" in capsys.readouterr().err
+    assert not (out / "embedding.txt").exists()
+
+
 @pytest.mark.parametrize("command, line, message", [
     ("modulus", "kind = bogus", "unknown modulus kind 'bogus'"),
     ("modulus", "p = 2,nan", "p must be finite and >= 1, got nan"),

@@ -9,10 +9,10 @@ from zexlab.dyadic import (_SUITE_MAX_LEVEL, _SUITE_P, PiecewiseConstant, _mean_
                            shift_bound_check, shift_bound_suite, suite_to_csv,
                            unit_ball_volume)
 from zexlab.grid import (GridFunction, LatticeShift, _abs_pow, const, corpus, cusp,
-                         difference, linear, lp_norm, random_dyadic, sample, zero_extend)
-from zexlab.moduli import LowerBoundWarning, interior_curve
+                         linear, lp_norm, random_dyadic, sample, zero_extend)
+from zexlab.moduli import LowerBoundWarning, interior_curve, whole_curve
 
-from reference import _average_error_rendered
+from reference import _average_error_rendered, shifted_samples
 
 
 def test_unit_ball_volumes():
@@ -144,6 +144,17 @@ def test_average_error_report_looks_its_scale_up_in_a_shared_curve():
         average_error_report(f, 3, 2.0, interior_curve(f, 2.0, [0.25, 0.5]))
 
 
+@pytest.mark.parametrize("other", ["p", "kind", "d", "L"])
+def test_average_error_report_refuses_a_curve_not_of_f_at_p(other):
+    f = sample(cusp(0.5), 1, 6)
+    curve = {"p": lambda: interior_curve(f, 3.0, [0.25]),
+             "kind": lambda: whole_curve(zero_extend(f), 2.0, [0.25]),
+             "d": lambda: interior_curve(sample(cusp(0.5), 2, 6), 2.0, [0.25]),
+             "L": lambda: interior_curve(sample(cusp(0.5), 1, 7), 2.0, [0.25])}[other]()
+    with pytest.raises(ValueError, match="must be f's interior curve at p=2, d=1, L=6"):
+        average_error_report(f, 2, 2.0, curve)
+
+
 def test_average_error_report_flags_a_bracketed_scale(monkeypatch):
     from zexlab import moduli
 
@@ -191,6 +202,35 @@ def test_shift_bound_uniform_and_general_forms():
                 assert lhs <= rhs + 1e-12
 
 
+def test_shift_bound_check_refuses_a_shift_coarser_than_the_partition():
+    pc = PiecewiseConstant.from_uniform(1, 3, np.ones(8))
+    with pytest.raises(ValueError, match="shift resolution must refine the partition"):
+        shift_bound_check(pc, LatticeShift((1,), 2), 1.0)
+
+
+def test_shift_bound_check_refuses_a_shift_of_another_dimension():
+    pc = PiecewiseConstant.from_uniform(1, 1, np.array([1.0, -1.0]))
+    with pytest.raises(ValueError, match="shift dimension mismatch"):
+        shift_bound_check(pc, LatticeShift((1, 1), 3), 1.0)
+
+
+def test_shift_bound_check_refuses_an_oversized_lattice_before_refining(monkeypatch):
+    # refining to a level-28 shift's 2^28 cells would take 2 GiB
+    from zexlab import dyadic, grid
+
+    refine = dyadic._refine
+
+    def bounded_refine(a, b=2):
+        if a.size * b ** a.ndim > grid._MAX_CELLS:
+            raise AssertionError(f"refined {a.shape} by {b} past the cell limit")
+        return refine(a, b)
+
+    monkeypatch.setattr(dyadic, "_refine", bounded_refine)
+    pc = PiecewiseConstant.from_uniform(1, 1, np.array([1.0, -1.0]))
+    with pytest.raises(ValueError, match=f"limit {grid._MAX_CELLS}"):
+        shift_bound_check(pc, LatticeShift((1,), 28), 2.0)
+
+
 def test_suite_rows_and_csv():
     rows = shift_bound_suite(n_functions=8, shifts_each=3, seed=5)
     assert len(rows) == 8 * 3 * 3 + 1
@@ -206,8 +246,8 @@ def _check_per_shift_and_p(pc, shift, p):
     difference per (shift, p), and the power over every cell."""
     rendered = pc.render(shift.level)
     ext = zero_extend(rendered, max(1, max(abs(v) for v in shift.k)))
-    delta = difference(ext, shift)
-    lhs = float(_abs_pow(delta.samples, p).sum() * ext.cell_volume)
+    delta = shifted_samples(ext.samples, shift.k) - ext.samples
+    lhs = float(_abs_pow(delta, p).sum() * ext.cell_volume)
     root_d = math.sqrt(pc.d)
     if pc.uniform_level is not None:
         rhs = (2.0 ** p) * min(shift.length * (1 << pc.uniform_level) * root_d, 1.0) \

@@ -8,10 +8,10 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from reference import _direct_values, _enumerated_table
+from reference import _direct_values, _enumerated_table, shifted_samples
 from zexlab import moduli
 from zexlab.grid import (ExtendedGridFunction, GridFunction, _abs_pow, cusp, linear, sample,
-                         shifted_samples, zero_extend)
+                         zero_extend)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
